@@ -38,10 +38,8 @@ from .dephasing import (
     NoiseParams,
     PhaseSequence,
     TrajectoryControl,
-    analytic_coherence_echoed,
-    analytic_coherence_uncontrolled,
+    analytic_coherence,
     monte_carlo_moments,
-    monte_carlo_rho,
     sample_phase_matrix,
     sample_sequence,
     trajectory_state,
@@ -61,10 +59,6 @@ from .entanglement import (
 )
 from .openloop import (
     OpenLoopResult,
-    concurrence_corrected,
-    concurrence_echoed,
-    concurrence_uncontrolled,
-    open_loop_point,
     open_loop_series,
     run_open_loop,
 )

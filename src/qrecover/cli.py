@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -104,23 +103,8 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-_DEFAULTS = {
-    "format": "csv",
-    "workers": 1,
-    "fidelity": (1.0,),
-    "sigma": 0.6,
-    "mean_phase": math.pi / 2,
-    "steps": 4,
-    "method": "analytic",
-    "n_samples": 100_000,
-    "clip_to_hardware": False,
-    "sweep": "p",
-    "total_pairs": 4000,
-}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {}
     if args.config:
         file_values = load_config_file(args.config)
         unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
@@ -137,9 +121,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if merged.get("out") is None:
         raise ValueError("an output path is required (--out or config 'out')")
     if isinstance(merged.get("fidelity"), (int, float)):
-        merged["fidelity"] = (float(merged["fidelity"]),)
-    else:
-        merged["fidelity"] = tuple(float(f) for f in merged["fidelity"])
+        merged["fidelity"] = (merged["fidelity"],)
     allowed = set(RunConfig.__dataclass_fields__)
     merged = {key: value for key, value in merged.items() if key in allowed}
     return RunConfig(**merged)

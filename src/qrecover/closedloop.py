@@ -27,7 +27,6 @@ from .entanglement import (
     PureStateEnsemble,
     concurrence,
     ensemble_average_eof,
-    eof_from_concurrence,
 )
 from .states import (
     DensityMatrix,
@@ -64,6 +63,8 @@ class ClosedLoopParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p {self.p!r} outside [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta {self.theta!r} must be finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta {self.eta!r} outside [0, 1]")
         if self.p_prime is not None:
@@ -252,18 +253,3 @@ def assistance_scan(p: float, n_theta: int = 181) -> AssistanceScan:
         best_theta=float(thetas[best]),
         best_eof=float(eofs[best]),
     )
-
-
-def closed_loop_summary(params: ClosedLoopParams) -> dict:
-    """Uncontrolled and controlled entanglement at one parameter point."""
-    _, c_unco = uncontrolled_output(params.p, params.eta)
-    _, c_cont = controlled_output(params.p, params.theta, params.eta)
-    return {
-        "p": params.p,
-        "theta": params.theta,
-        "eta": params.eta,
-        "uncontrolled_concurrence": c_unco,
-        "uncontrolled_eof": eof_from_concurrence(c_unco),
-        "controlled_concurrence": c_cont,
-        "controlled_eof": eof_from_concurrence(c_cont),
-    }

@@ -10,10 +10,10 @@ Trajectory states use the convention that after k uncontrolled steps the
 pair state is (|HV> - e^{i phi_k} |VH>) / sqrt(2) with phi_k the running
 phase sum; after a mid-sequence bit flip on B ("echoed" control) the state
 is (|HH> - e^{i psi_k} |VV>) / sqrt(2) where the phases acquired after the
-flip enter psi_k with a minus sign.  With that convention the averaged
-inner coherence of the uncontrolled state is -<e^{-i phi_k}>/2 and the
-outer coherence of the echoed state is -<e^{-i psi_k}>/2, which is what the
-closed forms in this module evaluate.
+flip enter psi_k with a minus sign.  Either way the live coherence is
+-<e^{-i sum_j s_j chi_j}>/2 for the arm's sign vector s (see
+``TrajectoryControl.signs``); ``analytic_coherence`` evaluates it in closed
+form and ``monte_carlo_moments`` by sampling.
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
@@ -24,13 +24,15 @@ order.
 
 from __future__ import annotations
 
+import cmath
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import PureState
 
 BLOCK_SIZE = 4096
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -52,8 +54,10 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu {self.mu!r} outside [0, 1]")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma {self.sigma!r} must be positive")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma {self.sigma!r} must be positive and finite")
+        if not math.isfinite(self.mean_phase):
+            raise ValueError(f"mean_phase {self.mean_phase!r} must be finite")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps {self.steps!r} must be a positive integer")
         object.__setattr__(self, "steps", int(self.steps))
@@ -77,16 +81,14 @@ class TrajectoryControl:
     """Which control is applied along a trajectory.
 
     ``echo_after_step`` is the step after which the bit flip acts for the
-    echoed control; ``correct_after_step`` (default: the final step) is
-    where the compensating phase is applied for the corrected control.  The
-    ``correction_variant`` selects between appending the compensating phase
+    echoed control.  The corrected control applies the compensating phase
+    at the final step; ``correction_variant`` selects between appending it
     after all noise steps ("ideal") or replacing the final noise step by it
     ("hardware"); both return the exact initial state.
     """
 
     kind: str = "uncontrolled"
     echo_after_step: int = 2
-    correct_after_step: int | None = None
     correction_variant: str = "ideal"
 
     def __post_init__(self):
@@ -97,18 +99,21 @@ class TrajectoryControl:
         if self.echo_after_step < 1:
             raise ValueError("echo_after_step must be >= 1")
 
-    def resolved_correct_step(self, steps: int) -> int:
-        return steps if self.correct_after_step is None else self.correct_after_step
+    def signs(self, k: int, steps: int) -> tuple[int, ...]:
+        """Signs s_j with which chi_1..chi_k enter the live coherence after step k.
 
-    def validate_for(self, steps: int) -> None:
-        if self.kind == "echoed" and not 1 <= self.echo_after_step < steps:
-            raise ValueError(
-                f"echo_after_step {self.echo_after_step} incompatible with {steps} steps"
-            )
-        if self.kind == "corrected" and not 1 <= self.resolved_correct_step(steps) <= steps:
-            raise ValueError(
-                f"correct_after_step {self.correct_after_step} incompatible with {steps} steps"
-            )
+        The coherence is -<e^{-i sum_j s_j chi_j}>/2.  Until the echo or the
+        correction acts the arm is uncontrolled (all +1); the echo flips the
+        sign of every later phase, and at the correction step the vector is
+        empty (the exact singlet).  An echo after the last step never acts.
+        """
+        if not 0 <= k <= steps:
+            raise ValueError(f"step {k} outside 0..{steps}")
+        if self.kind == "corrected" and k == steps:
+            return ()
+        if self.kind == "echoed" and k > self.echo_after_step:
+            return (1,) * self.echo_after_step + (-1,) * (k - self.echo_after_step)
+        return (1,) * k
 
 
 UNCONTROLLED = TrajectoryControl(kind="uncontrolled")
@@ -151,29 +156,6 @@ def _block_phases(params: NoiseParams, seed: int, block_index: int, count: int) 
     return _combine(fresh, stay, params.clip_to_hardware)
 
 
-def _trajectory_amplitudes(
-    phases: np.ndarray, k: int, control: TrajectoryControl
-) -> np.ndarray:
-    """Per-trajectory two-qubit amplitude rows for the state after step k."""
-    steps = phases.shape[1]
-    control.validate_for(steps)
-    n = phases.shape[0]
-    amps = np.zeros((n, 4), dtype=complex)
-    if k == 0 or (control.kind == "corrected" and k == control.resolved_correct_step(steps)):
-        amps[:, 1] = _INV_SQRT2
-        amps[:, 2] = -_INV_SQRT2
-    elif control.kind == "echoed" and k > control.echo_after_step:
-        e = control.echo_after_step
-        psi = phases[:, :e].sum(axis=1) - phases[:, e:k].sum(axis=1)
-        amps[:, 0] = _INV_SQRT2
-        amps[:, 3] = -np.exp(1j * psi) * _INV_SQRT2
-    else:
-        phi = phases[:, :k].sum(axis=1)
-        amps[:, 1] = _INV_SQRT2
-        amps[:, 2] = -np.exp(1j * phi) * _INV_SQRT2
-    return amps
-
-
 def trajectory_state(
     seq: PhaseSequence, k: int, control: TrajectoryControl = UNCONTROLLED
 ) -> PureState:
@@ -183,27 +165,29 @@ def trajectory_state(
     singlet at its correction step; the echoed control switches to the
     outer-coherence form once the flip has acted.
     """
-    steps = len(seq.phases)
-    if not 0 <= k <= steps:
-        raise ValueError(f"step {k} outside 0..{steps}")
-    row = np.asarray(seq.phases, dtype=float).reshape(1, steps)
-    return PureState(("A", "B"), _trajectory_amplitudes(row, k, control)[0])
+    signs = control.signs(k, len(seq.phases))
+    phase = sum(s * chi for s, chi in zip(signs, seq.phases))
+    amps = np.zeros(4, dtype=complex)
+    if -1 in signs:  # the flip has acted: outer-coherence form
+        amps[0] = _INV_SQRT2
+        amps[3] = -np.exp(1j * phase) * _INV_SQRT2
+    else:
+        amps[1] = _INV_SQRT2
+        amps[2] = -np.exp(1j * phase) * _INV_SQRT2
+    return PureState(("A", "B"), amps)
 
 
 def correction_phase(seq: PhaseSequence, control: TrajectoryControl = CORRECTED) -> float:
     """The compensating phase the corrected control applies at its step."""
-    steps = len(seq.phases)
-    stop = control.resolved_correct_step(steps)
     if control.correction_variant == "hardware":
-        return -float(np.sum(seq.phases[: stop - 1]))
-    return -float(np.sum(seq.phases[:stop]))
+        return -float(np.sum(seq.phases[:-1]))
+    return -float(np.sum(seq.phases))
 
 
 @dataclass(frozen=True)
 class MonteCarloMoments:
-    """Averaged projector plus first and second moments of the live coherence."""
+    """First and second moments of the live coherence over the samples."""
 
-    mean_matrix: np.ndarray
     coherence_mean: complex
     coherence_square_mean: complex
     n_samples: int
@@ -220,15 +204,10 @@ class MonteCarloMoments:
 
 
 def _block_moments(args):
-    params, control, k, seed, block_index, count = args
+    params, signs, seed, block_index, count = args
     phases = _block_phases(params, seed, block_index, count)
-    amps = _trajectory_amplitudes(phases, k, control)
-    rho_sum = np.einsum("ni,nj->ij", amps, amps.conj())
-    if control.kind == "echoed" and k > control.echo_after_step:
-        z = amps[:, 0] * amps[:, 3].conj()
-    else:
-        z = amps[:, 1] * amps[:, 2].conj()
-    return rho_sum, z.sum(), (z * z).sum()
+    z = -0.5 * np.exp(-1j * (phases[:, : len(signs)] @ np.asarray(signs, dtype=float)))
+    return z.sum(), (z * z).sum()
 
 
 def monte_carlo_moments(
@@ -239,115 +218,57 @@ def monte_carlo_moments(
     seed: int,
     workers: int = 1,
 ) -> MonteCarloMoments:
-    """Average the trajectory projectors over n_samples noise realizations."""
+    """Average the live coherence after step k over n_samples noise realizations."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not 0 <= k <= params.steps:
-        raise ValueError(f"step {k} outside 0..{params.steps}")
-    control.validate_for(params.steps)
+    signs = control.signs(k, params.steps)
     tasks = []
     for start in range(0, n_samples, BLOCK_SIZE):
         count = min(BLOCK_SIZE, n_samples - start)
-        tasks.append((params, control, k, seed, start // BLOCK_SIZE, count))
+        tasks.append((params, signs, seed, start // BLOCK_SIZE, count))
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_moments, tasks))
     else:
         results = [_block_moments(t) for t in tasks]
-    rho_total = np.zeros((4, 4), dtype=complex)
     z_total = 0.0 + 0.0j
     z2_total = 0.0 + 0.0j
-    for rho_sum, z_sum, z2_sum in results:
-        rho_total += rho_sum
+    for z_sum, z2_sum in results:
         z_total += z_sum
         z2_total += z2_sum
     return MonteCarloMoments(
-        mean_matrix=rho_total / n_samples,
         coherence_mean=z_total / n_samples,
         coherence_square_mean=z2_total / n_samples,
         n_samples=n_samples,
     )
 
 
-def monte_carlo_rho(
-    params: NoiseParams,
-    control: TrajectoryControl,
-    k: int,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-) -> DensityMatrix:
-    """Empirical mean of the trajectory projectors as a density matrix."""
-    moments = monte_carlo_moments(params, control, k, n_samples, seed, workers)
-    return DensityMatrix(("A", "B"), moments.mean_matrix)
+def _closed_blocks(weights: dict[int, float], sigma: float) -> float:
+    return sum(v * math.exp(-0.5 * (w * sigma) ** 2) for w, v in weights.items())
 
 
-def analytic_coherence_uncontrolled(
-    k: int, mu: float, sigma: float, mean_phase: float = math.pi / 2
+def analytic_coherence(
+    signs, mu: float, sigma: float, mean_phase: float = math.pi / 2
 ) -> complex:
-    """Closed-form averaged inner coherence of the uncontrolled state, k = 1..4.
+    """Closed-form -<e^{-i sum_j s_j chi_j}>/2 over the correlated phase process.
 
-    Equals -<e^{-i (chi_1 + ... + chi_k)>}/2 over the correlated phase
-    process; its magnitude never exceeds 1/2.
+    Exact for any sign vector, in O(k^2).  Equal phases form blocks: each
+    junction keeps the block with probability mu and starts a fresh one
+    otherwise, and a block of signed weight w contributes
+    e^{-i w mean_phase - w^2 sigma^2 / 2}.  The block weights always sum to
+    sum(signs), so the mean phase factors out.  The magnitude never exceeds
+    1/2.
     """
-    s2 = sigma * sigma
-    pre = -0.5 * np.exp(-1j * k * mean_phase)
-    if k == 1:
-        return complex(pre * math.exp(-0.5 * s2))
-    if k == 2:
-        return complex(pre * math.exp(-2.0 * s2) * (mu + (1.0 - mu) * math.exp(s2)))
-    if k == 3:
-        return complex(
-            pre
-            * math.exp(-4.5 * s2)
-            * (
-                mu**2
-                + 2.0 * mu * (1.0 - mu) * math.exp(2.0 * s2)
-                + (1.0 - mu) ** 2 * math.exp(3.0 * s2)
-            )
-        )
-    if k == 4:
-        return complex(
-            pre
-            * math.exp(-8.0 * s2)
-            * (
-                mu**3
-                + mu**2 * (1.0 - mu) * (2.0 * math.exp(3.0 * s2) + math.exp(4.0 * s2))
-                + 3.0 * mu * (1.0 - mu) ** 2 * math.exp(5.0 * s2)
-                + (1.0 - mu) ** 3 * math.exp(6.0 * s2)
-            )
-        )
-    raise ValueError(f"step {k} outside 1..4")
-
-
-def analytic_coherence_echoed(
-    k: int, mu: float, sigma: float, mean_phase: float = math.pi / 2
-) -> complex:
-    """Closed-form averaged outer coherence of the echoed state, k = 3..4.
-
-    Equals -<e^{-i (chi_1 + chi_2 - chi_3 [- chi_4])}>/2; at mu = 1, k = 4
-    it is exactly -1/2 (complete phase cancellation).
-    """
-    s2 = sigma * sigma
-    if k == 3:
-        return complex(
-            -0.5
-            * np.exp(-1j * mean_phase)
-            * math.exp(-0.5 * s2)
-            * (
-                mu**2
-                + mu * (1.0 - mu) * (1.0 + math.exp(-2.0 * s2))
-                + (1.0 - mu) ** 2 * math.exp(-s2)
-            )
-        )
-    if k == 4:
-        return complex(
-            -0.5
-            * (
-                mu**3
-                + mu**2 * (1.0 - mu) * (2.0 * math.exp(-s2) + math.exp(-4.0 * s2))
-                + mu * (1.0 - mu) ** 2 * (2.0 * math.exp(-3.0 * s2) + math.exp(-s2))
-                + (1.0 - mu) ** 3 * math.exp(-2.0 * s2)
-            )
-        )
-    raise ValueError(f"step {k} outside 3..4")
+    if not signs:
+        return complex(-0.5)
+    # signed weight of the open block -> probability-weighted product of
+    # the closed blocks' Gaussian factors
+    weights = {signs[0]: 1.0}
+    for s in signs[1:]:
+        renewed = (1.0 - mu) * _closed_blocks(weights, sigma)
+        weights = {w + s: mu * v for w, v in weights.items()}
+        weights[s] = weights.get(s, 0.0) + renewed
+    return complex(
+        -0.5 * _closed_blocks(weights, sigma) * cmath.exp(-1j * mean_phase * sum(signs))
+    )

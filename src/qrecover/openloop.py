@@ -1,29 +1,27 @@
 """Step-resolved entanglement of the dephased pair under the three controls.
 
-For an imperfectly prepared input (mixing weight eta) the channel is unital,
-so the output is eta times the ideal-input output plus (1 - eta)/4 times the
-identity; the concurrence then reduces to
-2 max{0, eta |coherence| - (1 - eta)/4} with the live coherence given by the
-closed forms in :mod:`qrecover.dephasing` or by Monte Carlo averaging.
+Each control arm at step k is a sign vector (``TrajectoryControl.signs``)
+whose live coherence comes from the closed form in :mod:`qrecover.dephasing`
+or from Monte Carlo averaging.  For an imperfectly prepared input (mixing
+weight eta) the channel is unital, so the output is eta times the
+ideal-input output plus (1 - eta)/4 times the identity; the concurrence then
+reduces to 2 max{0, eta |coherence| - (1 - eta)/4}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from .dephasing import (
+    CONTROL_KINDS,
     NoiseParams,
     TrajectoryControl,
-    analytic_coherence_echoed,
-    analytic_coherence_uncontrolled,
+    analytic_coherence,
     monte_carlo_moments,
 )
-from .entanglement import PreparationModel, concurrence_with_path, eof_from_concurrence
-from .states import DensityMatrix, maximally_mixed
+from .entanglement import PreparationModel, eof_from_concurrence
 
 METHODS = ("analytic", "monte_carlo")
-CONTROL_ORDER = ("uncontrolled", "corrected", "echoed")
 
 
 @dataclass(frozen=True)
@@ -37,38 +35,10 @@ class OpenLoopResult:
     control_kind: str
     prep: PreparationModel
     stat_error: float | None = None
-    concurrence_path: str | None = None
 
 
 def _mixed_concurrence(coherence_magnitude: float, eta: float) -> float:
     return float(min(1.0, max(0.0, 2.0 * (eta * coherence_magnitude - (1.0 - eta) / 4.0))))
-
-
-def concurrence_uncontrolled(k: int, mu: float, sigma: float, eta: float = 1.0) -> float:
-    """Closed-form concurrence after k uncontrolled steps, k = 0..4."""
-    _check_eta(eta)
-    if k == 0:
-        magnitude = 0.5
-    else:
-        magnitude = abs(analytic_coherence_uncontrolled(k, mu, sigma))
-    return _mixed_concurrence(magnitude, eta)
-
-
-def concurrence_echoed(k: int, mu: float, sigma: float, eta: float = 1.0) -> float:
-    """Closed-form concurrence after the echo pulse, k = 3..4."""
-    _check_eta(eta)
-    return _mixed_concurrence(abs(analytic_coherence_echoed(k, mu, sigma)), eta)
-
-
-def concurrence_corrected(eta: float = 1.0) -> float:
-    """Concurrence at the correction step: the exact singlet, eta-mixed."""
-    _check_eta(eta)
-    return _mixed_concurrence(0.5, eta)
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta {eta!r} outside [0, 1]")
 
 
 def run_open_loop(
@@ -83,48 +53,22 @@ def run_open_loop(
 ) -> OpenLoopResult:
     """Entanglement at step k for one control arm, by closed form or sampling.
 
-    The echoed arm is defined for k > echo_after_step and the corrected arm
-    only at its correction step; other steps raise (the sweep emitters fill
-    those steps with the uncontrolled values, since the arms coincide there).
+    Before the echo or the correction acts, an arm carries the uncontrolled
+    value under its own label, since the arms coincide there.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0 <= k <= params.steps:
-        raise ValueError(f"step {k} outside 0..{params.steps}")
-    control.validate_for(params.steps)
-    if control.kind == "echoed" and k <= control.echo_after_step:
-        raise ValueError(
-            f"echoed arm is defined for steps > {control.echo_after_step}; got {k}"
-        )
-    if control.kind == "corrected" and k != control.resolved_correct_step(params.steps):
-        raise ValueError(
-            f"corrected arm is defined at step {control.resolved_correct_step(params.steps)}; got {k}"
-        )
-
     if method == "analytic":
-        if control.kind == "uncontrolled":
-            c = concurrence_uncontrolled(k, params.mu, params.sigma, prep.eta)
-        elif control.kind == "echoed":
-            c = concurrence_echoed(k, params.mu, params.sigma, prep.eta)
-        else:
-            c = concurrence_corrected(prep.eta)
-        return OpenLoopResult(
-            step=k,
-            concurrence=c,
-            eof=eof_from_concurrence(c),
-            method=method,
-            control_kind=control.kind,
-            prep=prep,
-        )
-
-    if seed is None:
-        raise ValueError("monte_carlo method requires a seed")
-    moments = monte_carlo_moments(params, control, k, n_samples, seed, workers)
-    mixed = prep.eta * moments.mean_matrix + (1.0 - prep.eta) * maximally_mixed(
-        ("A", "B")
-    ).matrix
-    rho = DensityMatrix(("A", "B"), mixed)
-    c, path = concurrence_with_path(rho)
+        signs = control.signs(k, params.steps)
+        coherence = analytic_coherence(signs, params.mu, params.sigma, params.mean_phase)
+        stat_error = None
+    else:
+        if seed is None:
+            raise ValueError("monte_carlo method requires a seed")
+        moments = monte_carlo_moments(params, control, k, n_samples, seed, workers)
+        coherence = moments.coherence_mean
+        stat_error = 2.0 * prep.eta * moments.coherence_std_error()
+    c = _mixed_concurrence(abs(coherence), prep.eta)
     return OpenLoopResult(
         step=k,
         concurrence=c,
@@ -132,45 +76,7 @@ def run_open_loop(
         method=method,
         control_kind=control.kind,
         prep=prep,
-        stat_error=2.0 * prep.eta * moments.coherence_std_error(),
-        concurrence_path=path,
-    )
-
-
-def open_loop_point(
-    params: NoiseParams,
-    prep: PreparationModel,
-    kind: str,
-    k: int,
-    method: str = "analytic",
-    n_samples: int = 100_000,
-    seed: int | None = None,
-    workers: int = 1,
-) -> OpenLoopResult:
-    """One point of a plotted control arm, with the coincidence fill rule.
-
-    Steps where an arm has not yet diverged from the uncontrolled dynamics
-    (echoed before the pulse, corrected before the correction) carry the
-    uncontrolled value under the arm's label.
-    """
-    control = TrajectoryControl(kind=kind)
-    effective = control
-    if kind == "echoed" and k <= control.echo_after_step:
-        effective = TrajectoryControl(kind="uncontrolled")
-    if kind == "corrected" and k != control.resolved_correct_step(params.steps):
-        effective = TrajectoryControl(kind="uncontrolled")
-    result = run_open_loop(params, effective, prep, k, method, n_samples, seed, workers)
-    if effective is control:
-        return result
-    return OpenLoopResult(
-        step=result.step,
-        concurrence=result.concurrence,
-        eof=result.eof,
-        method=result.method,
-        control_kind=kind,
-        prep=prep,
-        stat_error=result.stat_error,
-        concurrence_path=result.concurrence_path,
+        stat_error=stat_error,
     )
 
 
@@ -184,7 +90,9 @@ def open_loop_series(
 ) -> list[OpenLoopResult]:
     """All three control arms over steps 0..steps, in plotting order."""
     return [
-        open_loop_point(params, prep, kind, k, method, n_samples, seed, workers)
-        for kind in CONTROL_ORDER
+        run_open_loop(
+            params, TrajectoryControl(kind=kind), prep, k, method, n_samples, seed, workers
+        )
+        for kind in CONTROL_KINDS
         for k in range(params.steps + 1)
     ]

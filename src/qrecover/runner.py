@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,12 +26,13 @@ from .closedloop import (
     uncontrolled_output,
 )
 from .counts import coincidence_probabilities, estimate_p_prime, estimate_theta, simulate_counts
-from .dephasing import NoiseParams
+from .dephasing import CONTROL_KINDS, NoiseParams, TrajectoryControl
 from .entanglement import PreparationModel, eof_from_concurrence
-from .openloop import open_loop_point
+from .openloop import run_open_loop
 
 EXPERIMENTS = ("open_loop", "closed_loop", "assist_scan", "counts_demo")
 FORMATS = ("csv", "jsonl")
+_FLOAT_FIELDS = ("mu", "sigma", "mean_phase", "p", "p_prime", "theta")
 
 OUTPUT_SCHEMAS = {
     "open_loop": {
@@ -129,6 +132,10 @@ class RunConfig:
         if not self.fidelity:
             raise ValueError("fidelity list must be nonempty")
         object.__setattr__(self, "fidelity", tuple(float(f) for f in self.fidelity))
+        named = [(name, getattr(self, name)) for name in _FLOAT_FIELDS]
+        for name, value in named + [("fidelity", f) for f in self.fidelity]:
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} {value!r} must be finite")
         if self.grid_points is not None and self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.experiment == "open_loop":
@@ -173,21 +180,32 @@ def _json_value(value):
 
 
 def write_rows(path: Path, columns: list[str], rows: list[dict], fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row.get(c)) for c in columns])
-        return
-    with open(path, "w") as handle:
-        for row in rows:
-            record = {c: _json_value(row.get(c)) for c in columns}
-            handle.write(json.dumps(record) + "\n")
+    """Write the rows atomically: into a temp file beside ``path``, then rename.
+
+    A failure part way leaves any previous file at ``path`` untouched.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "x", newline="" if fmt == "csv" else None) as handle:
+            if fmt == "csv":
+                writer = csv.writer(handle)
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow([_format_cell(row.get(c)) for c in columns])
+            else:
+                for row in rows:
+                    record = {c: _json_value(row.get(c)) for c in columns}
+                    handle.write(json.dumps(record) + "\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _map_ordered(fn, tasks, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
@@ -206,15 +224,15 @@ def _open_loop_rows(config: RunConfig) -> list[dict]:
         (fidelity, method, kind, k)
         for fidelity in config.fidelity
         for method in methods
-        for kind in ("uncontrolled", "corrected", "echoed")
+        for kind in CONTROL_KINDS
         for k in range(params.steps + 1)
     ]
 
     def evaluate(task):
         fidelity, method, kind, k = task
         prep = PreparationModel.from_fidelity(fidelity)
-        result = open_loop_point(
-            params, prep, kind, k, method, config.n_samples, config.seed
+        result = run_open_loop(
+            params, TrajectoryControl(kind=kind), prep, k, method, config.n_samples, config.seed
         )
         return {
             "mu": params.mu,

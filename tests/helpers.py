@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the package internals: the
 coherence oracle enumerates renewal patterns directly, the pure-state
-concurrence uses the 2|ad - bc| determinant form, and reduced matrices are
-computed with raw einsum contractions.
+concurrence uses the 2|ad - bc| determinant form, reduced matrices are
+computed with raw einsum contractions, and the averaged projector is built
+from the public per-trajectory states one row at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from qrecover.dephasing import PhaseSequence, sample_phase_matrix, trajectory_state
+from qrecover.states import DensityMatrix
 
 
 def coherence_oracle(k, mu, sigma, mean_phase, signs):
@@ -39,6 +43,14 @@ def coherence_oracle(k, mu, sigma, mean_phase, signs):
             value *= np.exp(-1j * w * mean_phase - w * w * sigma * sigma / 2.0)
         total += prob * value
     return -0.5 * total
+
+
+def averaged_projector_oracle(params, control, k, n_samples, seed):
+    """Mean of the trajectory projectors after step k over sampled phase rows."""
+    total = np.zeros((4, 4), dtype=complex)
+    for row in sample_phase_matrix(params, n_samples, seed):
+        total += trajectory_state(PhaseSequence(tuple(row)), k, control).projector().matrix
+    return DensityMatrix(("A", "B"), total / n_samples)
 
 
 def pure_concurrence_oracle(amplitudes):

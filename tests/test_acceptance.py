@@ -24,13 +24,13 @@ from qrecover.dephasing import (
     UNCONTROLLED,
     NoiseParams,
     TrajectoryControl,
-    analytic_coherence_echoed,
-    analytic_coherence_uncontrolled,
+    analytic_coherence,
     monte_carlo_moments,
     sample_sequence,
     trajectory_state,
 )
 from qrecover.entanglement import (
+    PreparationModel,
     PureStateEnsemble,
     concurrence,
     concurrence_x_state,
@@ -38,7 +38,7 @@ from qrecover.entanglement import (
     eof_from_concurrence,
     mixture,
 )
-from qrecover.openloop import concurrence_echoed, concurrence_uncontrolled
+from qrecover.openloop import run_open_loop
 from qrecover.states import DensityMatrix, PureState, bell_state, fidelity_to_pure
 
 from helpers import random_pure_amplitudes, random_x_state
@@ -77,13 +77,15 @@ def test_criterion_1_wootters_agreement():
 
 @report(2, "fully correlated noise: Gaussian decay and echo recovery curves, < 1e-9")
 def test_criterion_2_full_correlation_curves():
+    params = NoiseParams(mu=1.0, sigma=SIGMA)
+    ideal = PreparationModel.ideal()
     for k in range(5):
         expected = math.exp(-0.18 * k * k)
-        value = concurrence_uncontrolled(k, 1.0, SIGMA, 1.0)
+        value = run_open_loop(params, UNCONTROLLED, ideal, k).concurrence
         assert abs(value - expected) < 1e-9, f"uncontrolled k={k}"
     for k in (3, 4):
         expected = math.exp(-0.18 * (k - 4) ** 2)
-        value = concurrence_echoed(k, 1.0, SIGMA, 1.0)
+        value = run_open_loop(params, ECHOED, ideal, k).concurrence
         assert abs(value - expected) < 1e-9, f"echoed k={k}"
 
 
@@ -95,12 +97,12 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
         params = NoiseParams(mu=mu, sigma=SIGMA)
         for k in (1, 2, 3, 4):
             moments = monte_carlo_moments(params, UNCONTROLLED, k, n, seed=300 + k)
-            target = analytic_coherence_uncontrolled(k, mu, SIGMA)
+            target = analytic_coherence(UNCONTROLLED.signs(k, 4), mu, SIGMA)
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"uncontrolled mu={mu} k={k}: {gap:.4f}"
         for k in (3, 4):
             moments = monte_carlo_moments(params, ECHOED, k, n, seed=400 + k)
-            target = analytic_coherence_echoed(k, mu, SIGMA)
+            target = analytic_coherence(ECHOED.signs(k, 4), mu, SIGMA)
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"echoed mu={mu} k={k}: {gap:.4f}"
     elapsed = time.monotonic() - started

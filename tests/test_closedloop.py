@@ -320,3 +320,8 @@ class TestParams:
     def test_consistent_pair_accepted(self):
         params = ClosedLoopParams(p=0.5, p_prime=1.0)
         assert params.p == 0.5
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            ClosedLoopParams(p=0.5, theta=theta)

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrecover.dephasing import (
+    BLOCK_SIZE,
     CORRECTED,
     ECHOED,
     UNCONTROLLED,
     NoiseParams,
     PhaseSequence,
     TrajectoryControl,
-    analytic_coherence_echoed,
-    analytic_coherence_uncontrolled,
+    analytic_coherence,
     monte_carlo_moments,
-    monte_carlo_rho,
     sample_phase_matrix,
     sample_sequence,
     trajectory_state,
@@ -26,7 +27,7 @@ from qrecover.states import (
     maximally_mixed,
 )
 
-from helpers import coherence_oracle
+from helpers import averaged_projector_oracle, coherence_oracle
 
 SIGMA = 0.6
 CHIBAR = math.pi / 2
@@ -34,6 +35,14 @@ CHIBAR = math.pi / 2
 
 def default_params(mu, **kwargs):
     return NoiseParams(mu=mu, sigma=SIGMA, **kwargs)
+
+
+def uncontrolled_coherence(k, mu, sigma, mean_phase=CHIBAR):
+    return analytic_coherence(UNCONTROLLED.signs(k, 4), mu, sigma, mean_phase)
+
+
+def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
+    return analytic_coherence(ECHOED.signs(k, 4), mu, sigma, mean_phase)
 
 
 class TestSampling:
@@ -79,6 +88,37 @@ class TestSampling:
             NoiseParams(mu=0.5, sigma=0.0)
         with pytest.raises(ValueError):
             PhaseSequence((0.1, math.nan))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sigma", math.inf), ("sigma", math.nan), ("mean_phase", math.nan), ("mean_phase", -math.inf)],
+    )
+    def test_non_finite_noise_rejected_by_name(self, field, value):
+        kwargs = {"mu": 0.5, "sigma": SIGMA, field: value}
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**kwargs)
+
+
+class TestSigns:
+    def test_arms_as_sign_vectors(self):
+        assert UNCONTROLLED.signs(3, 4) == (1, 1, 1)
+        assert ECHOED.signs(4, 4) == (1, 1, -1, -1)
+        assert TrajectoryControl("echoed", echo_after_step=1).signs(3, 4) == (1, -1, -1)
+        assert CORRECTED.signs(4, 4) == ()
+        for control in (UNCONTROLLED, ECHOED, CORRECTED):
+            assert control.signs(0, 4) == ()
+
+    def test_arms_coincide_before_their_control_acts(self):
+        for k in (1, 2):
+            assert ECHOED.signs(k, 4) == UNCONTROLLED.signs(k, 4)
+        for k in (1, 2, 3):
+            assert CORRECTED.signs(k, 4) == UNCONTROLLED.signs(k, 4)
+
+    def test_echo_after_the_last_step_never_acts(self):
+        late = TrajectoryControl("echoed", echo_after_step=2)
+        for steps in (1, 2):
+            for k in range(steps + 1):
+                assert late.signs(k, steps) == UNCONTROLLED.signs(k, steps)
 
 
 class TestTrajectoryStates:
@@ -176,7 +216,7 @@ class TestTrajectoryStates:
 
 class TestAnalyticCoherences:
     def test_single_step_magnitude_and_phase(self):
-        value = analytic_coherence_uncontrolled(1, 0.3, SIGMA, CHIBAR)
+        value = uncontrolled_coherence(1, 0.3, SIGMA, CHIBAR)
         assert abs(value) == pytest.approx(0.5 * math.exp(-0.18), abs=1e-12)
         assert abs(value) == pytest.approx(0.4176351, abs=1e-5)
         relative = value / -0.5
@@ -184,51 +224,65 @@ class TestAnalyticCoherences:
 
     def test_full_correlation_magnitudes(self):
         for k in (1, 2, 3, 4):
-            value = analytic_coherence_uncontrolled(k, 1.0, SIGMA)
+            value = uncontrolled_coherence(k, 1.0, SIGMA)
             assert abs(value) == pytest.approx(0.5 * math.exp(-SIGMA**2 * k**2 / 2), abs=1e-12)
 
     def test_vanishing_noise_limit(self):
         for k in (1, 2, 3, 4):
-            value = analytic_coherence_uncontrolled(k, 0.6, 1e-9, CHIBAR)
+            value = uncontrolled_coherence(k, 0.6, 1e-9, CHIBAR)
             expected = -0.5 * np.exp(-1j * k * CHIBAR)
             assert abs(value - expected) < 1e-12
 
     def test_echoed_full_recovery(self):
-        assert analytic_coherence_echoed(4, 1.0, SIGMA) == pytest.approx(-0.5, abs=1e-15)
+        assert echoed_coherence(4, 1.0, SIGMA) == pytest.approx(-0.5, abs=1e-15)
 
     def test_echoed_partial_values(self):
-        assert abs(analytic_coherence_echoed(3, 1.0, SIGMA)) == pytest.approx(
+        assert abs(echoed_coherence(3, 1.0, SIGMA)) == pytest.approx(
             0.5 * math.exp(-SIGMA**2 / 2), abs=1e-12
         )
-        assert abs(analytic_coherence_echoed(4, 0.0, SIGMA)) == pytest.approx(
+        assert abs(echoed_coherence(4, 0.0, SIGMA)) == pytest.approx(
             0.5 * math.exp(-2 * SIGMA**2), abs=1e-12
         )
-        assert abs(analytic_coherence_echoed(4, 0.0, SIGMA)) == pytest.approx(0.2433761, abs=1e-5)
+        assert abs(echoed_coherence(4, 0.0, SIGMA)) == pytest.approx(0.2433761, abs=1e-5)
 
     def test_magnitude_bounded_by_half(self):
         for mu in np.linspace(0, 1, 11):
             for k in (1, 2, 3, 4):
-                assert abs(analytic_coherence_uncontrolled(k, mu, SIGMA)) <= 0.5 + 1e-15
+                assert abs(uncontrolled_coherence(k, mu, SIGMA)) <= 0.5 + 1e-15
             for k in (3, 4):
-                assert abs(analytic_coherence_echoed(k, mu, SIGMA)) <= 0.5 + 1e-15
+                assert abs(echoed_coherence(k, mu, SIGMA)) <= 0.5 + 1e-15
 
     def test_against_enumeration_oracle(self):
         for mu in (0.0, 0.2, 0.37, 0.5, 0.7, 0.9, 1.0):
             for sigma in (0.3, 0.6, 1.1):
                 for k in (1, 2, 3, 4):
                     oracle = coherence_oracle(k, mu, sigma, CHIBAR, [1] * k)
-                    value = analytic_coherence_uncontrolled(k, mu, sigma, CHIBAR)
+                    value = uncontrolled_coherence(k, mu, sigma, CHIBAR)
                     assert abs(value - oracle) < 1e-12
                 for k in (3, 4):
                     oracle = coherence_oracle(k, mu, sigma, CHIBAR, [1, 1] + [-1] * (k - 2))
-                    value = analytic_coherence_echoed(k, mu, sigma, CHIBAR)
+                    value = echoed_coherence(k, mu, sigma, CHIBAR)
                     assert abs(value - oracle) < 1e-12
 
     def test_step_range(self):
-        with pytest.raises(ValueError):
-            analytic_coherence_uncontrolled(5, 0.5, SIGMA)
-        with pytest.raises(ValueError):
-            analytic_coherence_echoed(2, 0.5, SIGMA)
+        with pytest.raises(ValueError, match="outside 0..4"):
+            uncontrolled_coherence(5, 0.5, SIGMA)
+        # before the pulse the echoed arm is the uncontrolled one, not an error
+        assert echoed_coherence(2, 0.5, SIGMA) == uncontrolled_coherence(2, 0.5, SIGMA)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        signs=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=8),
+        mu=st.floats(0.0, 1.0),
+        sigma=st.floats(0.05, 1.5),
+        mean_phase=st.floats(-math.pi, math.pi),
+    )
+    def test_any_sign_vector_matches_the_oracle(self, signs, mu, sigma, mean_phase):
+        oracle = coherence_oracle(len(signs), mu, sigma, mean_phase, signs)
+        assert abs(analytic_coherence(tuple(signs), mu, sigma, mean_phase) - oracle) < 1e-12
+
+    def test_empty_vector_is_the_singlet(self):
+        assert analytic_coherence((), 0.4, SIGMA) == -0.5
 
 
 class TestMonteCarlo:
@@ -238,17 +292,21 @@ class TestMonteCarlo:
         from qrecover.entanglement import concurrence
 
         params = NoiseParams(mu=0.5, sigma=1e-9)
-        rho = monte_carlo_rho(params, UNCONTROLLED, 4, 10_000, seed=2)
+        rho = averaged_projector_oracle(params, UNCONTROLLED, 4, 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
+        moments = monte_carlo_moments(params, UNCONTROLLED, 4, 10_000, seed=2)
+        assert 2 * abs(moments.coherence_mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        rho = monte_carlo_rho(default_params(1.0), UNCONTROLLED, 2, self.N, seed=21)
-        assert abs(rho.matrix[1, 2]) == pytest.approx(0.5 * math.exp(-2 * SIGMA**2), abs=0.01)
+        moments = monte_carlo_moments(default_params(1.0), UNCONTROLLED, 2, self.N, seed=21)
+        assert abs(moments.coherence_mean) == pytest.approx(
+            0.5 * math.exp(-2 * SIGMA**2), abs=0.01
+        )
 
     def test_echoed_matches_closed_form(self):
-        rho = monte_carlo_rho(default_params(0.7), ECHOED, 4, self.N, seed=22)
-        assert abs(rho.matrix[0, 3]) == pytest.approx(
-            abs(analytic_coherence_echoed(4, 0.7, SIGMA)), abs=0.01
+        moments = monte_carlo_moments(default_params(0.7), ECHOED, 4, self.N, seed=22)
+        assert abs(moments.coherence_mean) == pytest.approx(
+            abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
         )
 
     def test_complex_agreement_across_grid(self):
@@ -258,21 +316,35 @@ class TestMonteCarlo:
                 moments = monte_carlo_moments(
                     default_params(mu), UNCONTROLLED, k, self.N, seed=100 + k
                 )
-                target = analytic_coherence_uncontrolled(k, mu, SIGMA)
+                target = uncontrolled_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
             for k in (3, 4):
                 moments = monte_carlo_moments(
                     default_params(mu), ECHOED, k, self.N, seed=200 + k
                 )
-                target = analytic_coherence_echoed(k, mu, SIGMA)
+                target = echoed_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
 
+    def test_coherence_is_the_live_element_of_the_averaged_projector(self):
+        params = default_params(0.3)
+        n = BLOCK_SIZE + 500
+        for control, k, element in (
+            (UNCONTROLLED, 3, (1, 2)),
+            (ECHOED, 4, (0, 3)),
+            (TrajectoryControl("echoed", echo_after_step=1), 2, (0, 3)),
+            (CORRECTED, 4, (1, 2)),
+        ):
+            rho = averaged_projector_oracle(params, control, k, n, seed=5)
+            moments = monte_carlo_moments(params, control, k, n, seed=5)
+            assert abs(rho.matrix[element] - moments.coherence_mean) < 1e-12
+
     def test_populations_fixed_by_the_control(self):
-        rho = monte_carlo_rho(default_params(0.3), UNCONTROLLED, 3, 20_000, seed=5)
+        n = 2_000
+        rho = averaged_projector_oracle(default_params(0.3), UNCONTROLLED, 3, n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
-        rho = monte_carlo_rho(default_params(0.3), ECHOED, 4, 20_000, seed=5)
+        rho = averaged_projector_oracle(default_params(0.3), ECHOED, 4, n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0.5, 0, 0, 0.5], atol=1e-12)
-        rho = monte_carlo_rho(default_params(0.3), CORRECTED, 4, 20_000, seed=5)
+        rho = averaged_projector_oracle(default_params(0.3), CORRECTED, 4, n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_trajectory_unitaries_are_unital(self):
@@ -291,13 +363,40 @@ class TestMonteCarlo:
 
     def test_worker_count_does_not_change_bits(self):
         params = default_params(0.7)
-        serial = monte_carlo_rho(params, UNCONTROLLED, 4, 30_000, seed=3, workers=1)
-        threaded = monte_carlo_rho(params, UNCONTROLLED, 4, 30_000, seed=3, workers=4)
-        assert np.array_equal(serial.matrix, threaded.matrix)
+        serial = monte_carlo_moments(params, UNCONTROLLED, 4, 30_000, seed=3, workers=1)
+        threaded = monte_carlo_moments(params, UNCONTROLLED, 4, 30_000, seed=3, workers=4)
+        assert serial == threaded
 
-    def test_monte_carlo_rho_is_valid_density_matrix(self):
-        rho = monte_carlo_rho(default_params(0.2), UNCONTROLLED, 4, 10_000, seed=7)
+    def test_worker_pool_is_bounded(self, monkeypatch):
+        import qrecover.dephasing as dephasing
+
+        sizes = []
+
+        class RecordingPool(dephasing.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 8)
+        params = default_params(0.7)
+        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
+        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: None)
+        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        assert sizes == [3, 2]
+
+    def test_averaged_projector_is_valid_density_matrix(self):
+        rho = averaged_projector_oracle(default_params(0.2), UNCONTROLLED, 4, 2_000, seed=7)
         assert isinstance(rho, DensityMatrix)
+
+    def test_deterministic_arms_have_zero_error(self):
+        params = default_params(1.0)
+        for control, k in ((UNCONTROLLED, 0), (CORRECTED, 4), (ECHOED, 4)):
+            moments = monte_carlo_moments(params, control, k, 10_000, seed=4)
+            assert moments.coherence_mean == -0.5
+            assert moments.coherence_std_error() == 0.0
 
     def test_coherence_error_estimate_is_calibrated(self):
         # the one-sigma estimate should match the scatter of independent runs

@@ -8,18 +8,11 @@ from qrecover.dephasing import (
     ECHOED,
     UNCONTROLLED,
     NoiseParams,
-    analytic_coherence_echoed,
-    analytic_coherence_uncontrolled,
+    TrajectoryControl,
+    analytic_coherence,
 )
 from qrecover.entanglement import PreparationModel, eof_from_concurrence
-from qrecover.openloop import (
-    concurrence_corrected,
-    concurrence_echoed,
-    concurrence_uncontrolled,
-    open_loop_point,
-    open_loop_series,
-    run_open_loop,
-)
+from qrecover.openloop import open_loop_series, run_open_loop
 
 SIGMA = 0.6
 IDEAL = PreparationModel.ideal()
@@ -30,82 +23,84 @@ def params(mu, **kwargs):
     return NoiseParams(mu=mu, sigma=SIGMA, **kwargs)
 
 
+def uncontrolled(k, mu, prep=IDEAL):
+    return run_open_loop(params(mu), UNCONTROLLED, prep, k).concurrence
+
+
+def echoed(k, mu, prep=IDEAL):
+    return run_open_loop(params(mu), ECHOED, prep, k).concurrence
+
+
+def corrected(prep=IDEAL):
+    return run_open_loop(params(0.5), CORRECTED, prep, 4).concurrence
+
+
 class TestClosedForms:
     def test_fully_correlated_decay(self):
         for k in range(5):
             expected = math.exp(-0.18 * k * k)
-            assert concurrence_uncontrolled(k, 1.0, SIGMA) == pytest.approx(expected, abs=1e-9)
+            assert uncontrolled(k, 1.0) == pytest.approx(expected, abs=1e-9)
 
     def test_terminal_uncontrolled_value(self):
-        assert concurrence_uncontrolled(4, 1.0, SIGMA) == pytest.approx(
-            math.exp(-2.88), abs=1e-12
-        )
-        assert concurrence_uncontrolled(4, 1.0, SIGMA) == pytest.approx(0.05613, abs=1e-5)
+        assert uncontrolled(4, 1.0) == pytest.approx(math.exp(-2.88), abs=1e-12)
+        assert uncontrolled(4, 1.0) == pytest.approx(0.05613, abs=1e-5)
 
     def test_initial_step_is_input_concurrence(self):
         for mu in (0.0, 0.5, 1.0):
-            assert concurrence_uncontrolled(0, mu, SIGMA) == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_uncontrolled(0, 1.0, SIGMA, MEASURED.eta) == pytest.approx(
-            0.92, abs=1e-9
-        )
+            assert uncontrolled(0, mu) == pytest.approx(1.0, abs=1e-12)
+        assert uncontrolled(0, 1.0, MEASURED) == pytest.approx(0.92, abs=1e-9)
 
     def test_echoed_full_recovery_curve(self):
-        assert concurrence_echoed(4, 1.0, SIGMA) == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_echoed(3, 1.0, SIGMA) == pytest.approx(
-            math.exp(-0.18), abs=1e-9
-        )
+        assert echoed(4, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert echoed(3, 1.0) == pytest.approx(math.exp(-0.18), abs=1e-9)
         for k in (3, 4):
             expected = math.exp(-0.18 * (k - 4) ** 2)
-            assert concurrence_echoed(k, 1.0, SIGMA) == pytest.approx(expected, abs=1e-9)
+            assert echoed(k, 1.0) == pytest.approx(expected, abs=1e-9)
 
     def test_echoed_general_mu_equals_twice_the_coherence(self):
         for mu in (0.2, 0.7):
-            expected = 2 * abs(analytic_coherence_echoed(4, mu, SIGMA))
-            assert concurrence_echoed(4, mu, SIGMA) == pytest.approx(expected, abs=1e-12)
+            expected = 2 * abs(analytic_coherence((1, 1, -1, -1), mu, SIGMA))
+            assert echoed(4, mu) == pytest.approx(expected, abs=1e-12)
 
     def test_echoed_with_measured_fidelity(self):
         expected = 2 * max(0.0, MEASURED.eta / 2 - (1 - MEASURED.eta) / 4)
-        assert concurrence_echoed(4, 1.0, SIGMA, MEASURED.eta) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert echoed(4, 1.0, MEASURED) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.92, abs=1e-9)
 
     def test_corrected_is_exact(self):
-        assert concurrence_corrected() == pytest.approx(1.0, abs=1e-15)
-        assert concurrence_corrected(MEASURED.eta) == pytest.approx(0.92, abs=1e-9)
+        assert corrected() == pytest.approx(1.0, abs=1e-15)
+        assert corrected(MEASURED) == pytest.approx(0.92, abs=1e-9)
 
     def test_monotone_decay_in_step(self):
         for mu in (0.0, 0.2, 0.5, 0.7, 1.0):
-            for eta in (1.0, MEASURED.eta):
-                values = [concurrence_uncontrolled(k, mu, SIGMA, eta) for k in range(5)]
+            for prep in (IDEAL, MEASURED):
+                values = [uncontrolled(k, mu, prep) for k in range(5)]
                 for previous, current in zip(values, values[1:]):
                     assert current <= previous + 1e-12
 
     def test_recovery_ordering(self):
         for mu in np.arange(0.1, 1.01, 0.1):
-            echoed = concurrence_echoed(4, float(mu), SIGMA)
-            plain = concurrence_uncontrolled(4, float(mu), SIGMA)
-            assert echoed >= plain - 1e-12
+            assert echoed(4, float(mu)) >= uncontrolled(4, float(mu)) - 1e-12
 
     def test_echo_upturn_for_strong_correlations(self):
         # the k=4 echo value climbs back above k=3 once correlations are
         # strong enough; at sigma = 0.6 that happens near mu = 0.79
         for mu in (0.8, 0.9, 1.0):
-            assert concurrence_echoed(4, mu, SIGMA) >= concurrence_echoed(3, mu, SIGMA) - 1e-12
+            assert echoed(4, mu) >= echoed(3, mu) - 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            concurrence_uncontrolled(5, 0.5, SIGMA)
+            uncontrolled(5, 0.5)
         with pytest.raises(ValueError):
-            concurrence_echoed(2, 0.5, SIGMA)
+            echoed(-1, 0.5)
         with pytest.raises(ValueError):
-            concurrence_uncontrolled(1, 0.5, SIGMA, eta=1.5)
+            uncontrolled(1, 0.5, PreparationModel.from_eta(1.5))
 
 
 class TestRunOpenLoop:
     def test_analytic_uncontrolled_point(self):
         result = run_open_loop(params(0.7), UNCONTROLLED, IDEAL, 3)
-        expected = 2 * abs(analytic_coherence_uncontrolled(3, 0.7, SIGMA))
+        expected = 2 * abs(analytic_coherence((1, 1, 1), 0.7, SIGMA))
         assert result.concurrence == pytest.approx(expected, abs=1e-12)
         assert result.eof == pytest.approx(eof_from_concurrence(expected), abs=1e-12)
 
@@ -135,10 +130,9 @@ class TestRunOpenLoop:
         sampled = run_open_loop(
             params(1.0), UNCONTROLLED, MEASURED, 2, "monte_carlo", n_samples=50_000, seed=13
         )
-        analytic = concurrence_uncontrolled(2, 1.0, SIGMA, MEASURED.eta)
+        analytic = uncontrolled(2, 1.0, MEASURED)
         assert sampled.concurrence == pytest.approx(analytic, abs=0.01)
         assert sampled.stat_error is not None and 0 < sampled.stat_error < 0.01
-        assert sampled.concurrence_path == "x_state"
 
     def test_result_internal_consistency(self):
         result = run_open_loop(params(0.5), UNCONTROLLED, MEASURED, 2)
@@ -147,14 +141,22 @@ class TestRunOpenLoop:
         )
 
     def test_invalid_combinations(self):
-        with pytest.raises(ValueError, match="echoed"):
-            run_open_loop(params(0.5), ECHOED, IDEAL, 2)
-        with pytest.raises(ValueError, match="corrected"):
-            run_open_loop(params(0.5), CORRECTED, IDEAL, 3)
+        # an arm whose control has not acted yet carries the uncontrolled value
+        assert echoed(2, 0.5) == uncontrolled(2, 0.5)
+        assert run_open_loop(params(0.5), CORRECTED, IDEAL, 3).concurrence == uncontrolled(3, 0.5)
         with pytest.raises(ValueError, match="seed"):
             run_open_loop(params(0.5), UNCONTROLLED, IDEAL, 2, "monte_carlo")
         with pytest.raises(ValueError, match="method"):
             run_open_loop(params(0.5), UNCONTROLLED, IDEAL, 2, "exact")
+
+    def test_echo_position_is_honoured(self):
+        early = TrajectoryControl(kind="echoed", echo_after_step=1)
+        analytic = run_open_loop(params(0.3), early, IDEAL, 4)
+        assert analytic.concurrence == pytest.approx(0.46753, abs=1e-5)
+        sampled = run_open_loop(
+            params(0.3), early, IDEAL, 4, "monte_carlo", n_samples=100_000, seed=8
+        )
+        assert abs(sampled.concurrence - analytic.concurrence) < 5 * sampled.stat_error
 
 
 class TestSeries:
@@ -174,8 +176,13 @@ class TestSeries:
         assert by_key[("echoed", 4)].concurrence > by_key[("uncontrolled", 4)].concurrence
 
     def test_point_relabeling_keeps_arm_name(self):
-        point = open_loop_point(params(0.7), IDEAL, "echoed", 1)
+        point = run_open_loop(params(0.7), ECHOED, IDEAL, 1)
         assert point.control_kind == "echoed"
-        assert point.concurrence == pytest.approx(
-            concurrence_uncontrolled(1, 0.7, SIGMA), abs=1e-15
-        )
+        assert point.concurrence == pytest.approx(uncontrolled(1, 0.7), abs=1e-15)
+
+    def test_any_step_count(self):
+        series = open_loop_series(params(0.7, steps=6), IDEAL)
+        assert len(series) == 3 * 7
+        by_key = {(r.control_kind, r.step): r.concurrence for r in series}
+        assert by_key[("corrected", 6)] == pytest.approx(1.0, abs=1e-12)
+        assert by_key[("echoed", 6)] > by_key[("uncontrolled", 6)]

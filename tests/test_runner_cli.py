@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from qrecover import runner
 from qrecover.cli import main
 from qrecover.entanglement import eof_from_concurrence
-from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
+from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run, write_rows
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +73,32 @@ class TestOpenLoopRunner:
             assert row["stat_error"] != ""
             key = (row["control"], row["step"])
             assert float(row["concurrence"]) == pytest.approx(analytic[key], abs=0.05)
+
+    def test_any_step_count_agrees_with_monte_carlo(self, tmp_path):
+        out = tmp_path / "six.csv"
+        code = main(
+            [
+                "open-loop",
+                "--mu", "0.7",
+                "--steps", "6",
+                "--method", "both",
+                "--n-samples", "20000",
+                "--seed", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 * 3 * 7
+        analytic = {
+            (r["control"], r["step"]): float(r["concurrence"])
+            for r in rows
+            if r["method"] == "analytic"
+        }
+        for row in rows:
+            if row["method"] == "monte_carlo":
+                gap = abs(float(row["concurrence"]) - analytic[row["control"], row["step"]])
+                assert gap <= 5 * float(row["stat_error"])
 
     def test_mu_is_required(self, tmp_path, capsys):
         assert main(["open-loop", "--out", str(tmp_path / "x.csv")]) == 2
@@ -165,6 +192,24 @@ class TestCountsDemoRunner:
         assert "seed" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["open-loop", "--mu", "0.5", "--sigma", "inf"], "sigma"),
+            (["open-loop", "--mu", "0.5", "--mean-phase", "nan"], "mean_phase"),
+            (["open-loop", "--mu", "0.5", "--fidelity", "1.0", "nan"], "fidelity"),
+            (["closed-loop", "--theta", "nan"], "theta"),
+            (["counts-demo", "--p", "0.5", "--theta", "nan", "--seed", "1"], "theta"),
+        ],
+    )
+    def test_rejected_by_name_without_a_file(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def test_identical_bytes_across_worker_counts(self, tmp_path):
         args = [
@@ -180,6 +225,30 @@ class TestDeterminism:
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "8", "--out", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
+
+    def test_oversized_pool_gives_identical_bytes(self, tmp_path):
+        args = ["open-loop", "--mu", "0.3", "--method", "monte_carlo", "--n-samples", "9000", "--seed", "4"]
+        out1 = tmp_path / "w1.csv"
+        out64 = tmp_path / "w64.csv"
+        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--workers", "64", "--out", str(out64)]) == 0
+        assert out1.read_bytes() == out64.read_bytes()
+
+    def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(runner.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+        assert runner._map_ordered(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        assert runner._map_ordered(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))
+        assert runner._map_ordered(abs, [-1], 64) == [1]
+        assert sizes == [3, 2]
 
     def test_repeated_runs_are_identical(self, tmp_path):
         args = ["closed-loop", "--sweep", "theta", "--p", "0.5"]
@@ -247,6 +316,23 @@ class TestFormatsAndConfig:
         target = tmp_path / "no_such_dir" / "x.csv"
         assert main(["open-loop", "--mu", "1.0", "--out", str(target)]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, fmt):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        out = tmp_path / f"rows.{fmt}"
+        write_rows(out, ["a"], [{"a": 1.0}], fmt)
+        before = out.read_bytes()
+        rows = [{"a": 2.0}] * 1000 + [{"a": Unprintable()}]
+        with pytest.raises((RuntimeError, TypeError)):
+            write_rows(out, ["a"], rows, fmt)
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestSchema:
