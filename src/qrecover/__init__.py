@@ -14,13 +14,10 @@ from .closedloop import (
     MeasurementOutcome,
     assistance_scan,
     controlled_concurrence_closed,
-    controlled_output,
-    corrected_ensemble,
     measure_environment,
     measurement_ensemble,
     state_after_interaction,
     uncontrolled_concurrence_closed,
-    uncontrolled_output,
 )
 from .counts import (
     CoincidenceCounts,

@@ -14,6 +14,10 @@ the convention under which the protocol reproduces the outcome
 probabilities and recovered concurrences above; tests assert that rotating
 the state and projecting onto |u>, |d> is equivalent to projecting onto the
 rotated kets.
+
+Everything here is computed from these closed forms and direct
+projections; the gate-by-gate construction of the same pipeline is kept in
+the test suite as the reference they are checked against.
 """
 
 from __future__ import annotations
@@ -23,25 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    PureStateEnsemble,
-    concurrence,
-    ensemble_average_eof,
-)
-from .states import (
-    DensityMatrix,
-    LocalOperator,
-    PureState,
-    SIGMA_X,
-    SIGMA_Z,
-    apply_local,
-    apply_two_qubit,
-    bell_state,
-    bit_flip,
-    kron_state,
-    maximally_mixed,
-    partial_trace,
-)
+from .entanglement import PureStateEnsemble, ensemble_average_eof
+from .states import BELL_AMPLITUDES, PureState
 
 REGISTER = ("A", "B", "O")
 OUTCOME_LABELS = ("theta_u", "theta_d")
@@ -94,72 +81,27 @@ class MeasurementOutcome:
     post_state: PureState | None
 
 
-def environment_rotation(p: float) -> LocalOperator:
-    """sqrt(1-p) sigma_z + sqrt(p) sigma_x on O; unitary for every p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p {p!r} outside [0, 1]")
-    return LocalOperator("O", math.sqrt(1.0 - p) * SIGMA_Z + math.sqrt(p) * SIGMA_X)
-
-
-def measurement_rotation(theta: float) -> LocalOperator:
-    """Rotation applied to O so that projecting onto |u>, |d> afterwards
-    measures in the theta-rotated basis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return LocalOperator("O", np.array([[c, s], [-s, c]], dtype=complex))
-
-
 def measurement_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The rotated basis kets (outcome u, outcome d) as 2-vectors."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
 
 
-def controlled_bit_flip() -> np.ndarray:
-    """4x4 gate on (B, O): flip B when O is |d>."""
-    gate = np.zeros((4, 4), dtype=complex)
-    for b in (0, 1):
-        for o in (0, 1):
-            flipped = b ^ o
-            gate[(flipped << 1) | o, (b << 1) | o] = 1.0
-    return gate
-
-
-def initial_state() -> PureState:
-    return kron_state(bell_state("psi_minus"), PureState(("O",), np.array([1.0, 0.0])))
-
-
 def state_after_interaction(p: float) -> PureState:
-    """Three-qubit state after the environment rotation and the controlled flip."""
-    state = apply_local(initial_state(), environment_rotation(p))
-    return apply_two_qubit(state, controlled_bit_flip(), ("B", "O"))
-
-
-def interaction_closed_form(p: float) -> PureState:
-    """sqrt(1-p)|psi->|u> + sqrt(p)|phi->|d>, written out directly."""
+    """sqrt(1-p)|psi->|u> + sqrt(p)|phi->|d>: the three-qubit state after the
+    environment rotation and the controlled flip."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p {p!r} outside [0, 1]")
-    psi = bell_state("psi_minus").amplitudes
-    phi = bell_state("phi_minus").amplitudes
     amps = np.zeros(8, dtype=complex)
-    amps[0::2] = math.sqrt(1.0 - p) * psi
-    amps[1::2] = math.sqrt(p) * phi
+    amps[0::2] = math.sqrt(1.0 - p) * BELL_AMPLITUDES["psi_minus"]
+    amps[1::2] = math.sqrt(p) * BELL_AMPLITUDES["phi_minus"]
     return PureState(REGISTER, amps)
 
 
-def _eta_blend(bell_part: np.ndarray, eta: float) -> DensityMatrix:
-    mixed = maximally_mixed(("A", "B")).matrix
-    return DensityMatrix(("A", "B"), eta * bell_part + (1.0 - eta) * mixed)
-
-
-def uncontrolled_output(p: float, eta: float = 1.0) -> tuple[DensityMatrix, float]:
-    """Pair state after tracing out the environment, and its concurrence."""
-    rho_bell = partial_trace(state_after_interaction(p).projector(), ("A", "B"))
-    rho = _eta_blend(rho_bell.matrix, eta)
-    return rho, concurrence(rho)
-
-
 def uncontrolled_concurrence_closed(p: float, eta: float = 1.0) -> float:
-    """Closed form max{0, 2 eta |1 - 2p| - (1 - eta)} / 2."""
+    """Pair concurrence after tracing out the environment:
+    max{0, 2 eta |1 - 2p| - (1 - eta)} / 2."""
+    ClosedLoopParams(p=p, eta=eta)
     return max(0.0, 2.0 * eta * abs(1.0 - 2.0 * p) - (1.0 - eta)) / 2.0
 
 
@@ -169,11 +111,10 @@ def measure_environment(p: float, theta: float) -> list[MeasurementOutcome]:
     Mixing the branch projectors with their probabilities reproduces the
     traced-out state exactly.
     """
-    rotated = apply_local(state_after_interaction(p), measurement_rotation(theta))
-    slices = rotated.amplitudes.reshape(4, 2)
+    slices = state_after_interaction(p).amplitudes.reshape(4, 2)
     outcomes = []
-    for column, label in enumerate(OUTCOME_LABELS):
-        vector = slices[:, column]
+    for ket, label in zip(measurement_basis(theta), OUTCOME_LABELS):
+        vector = slices @ ket.conj()
         probability = float(np.vdot(vector, vector).real)
         if probability <= 1e-14:
             outcomes.append(MeasurementOutcome(label, 0.0, None))
@@ -193,32 +134,10 @@ def measurement_ensemble(p: float, theta: float) -> PureStateEnsemble:
     return PureStateEnsemble(tuple(members))
 
 
-def corrected_ensemble(p: float, theta: float) -> PureStateEnsemble:
-    """The measured ensemble after flipping B back on the "down" outcome."""
-    members = []
-    for outcome in measure_environment(p, theta):
-        if outcome.post_state is None:
-            continue
-        state = outcome.post_state
-        if outcome.label == "theta_d":
-            state = apply_local(state, bit_flip("B"))
-        members.append((outcome.probability, state))
-    return PureStateEnsemble(tuple(members))
-
-
-def controlled_output(
-    p: float, theta: float, eta: float = 1.0
-) -> tuple[DensityMatrix, float]:
-    """Pair state after measurement plus conditioned correction, and its concurrence."""
-    bell_part = np.zeros((4, 4), dtype=complex)
-    for probability, state in corrected_ensemble(p, theta).members:
-        bell_part += probability * np.outer(state.amplitudes, state.amplitudes.conj())
-    rho = _eta_blend(bell_part, eta)
-    return rho, concurrence(rho)
-
-
 def controlled_concurrence_closed(theta: float, eta: float = 1.0) -> float:
-    """Closed form max{0, eta (1 + 2 |cos 2 theta|) - 1} / 2, independent of p."""
+    """Pair concurrence after measurement plus conditioned correction:
+    max{0, eta (1 + 2 |cos 2 theta|) - 1} / 2, independent of p."""
+    ClosedLoopParams(p=0.0, theta=theta, eta=eta)  # p does not enter
     return max(0.0, eta * (1.0 + 2.0 * abs(math.cos(2.0 * theta))) - 1.0) / 2.0
 
 

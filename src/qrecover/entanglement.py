@@ -2,7 +2,8 @@
 
 Concurrence is computed two ways: the general route through the spin-flipped
 product matrix, and a shortcut valid for density matrices whose only nonzero
-entries sit on the main diagonal and the anti-diagonal ("X" sparsity).  The
+entries sit on the main diagonal and the anti-diagonal ("X" sparsity).  Pure
+ensemble members use the exact pure-state form |psi^T (sy x sy) psi|.  The
 entanglement of formation follows from the concurrence through the binary
 entropy of (1 + sqrt(1 - C^2))/2.
 """
@@ -125,10 +126,14 @@ class PureStateEnsemble:
 
 
 def ensemble_average_eof(ensemble: PureStateEnsemble) -> float:
-    """Probability-weighted entanglement of formation over ensemble members."""
+    """Probability-weighted entanglement of formation over ensemble members.
+
+    Each member's concurrence is Wootters' pure-state form
+    |psi^T (sy x sy) psi|, which is exact and needs no eigensolver.
+    """
     return float(
         sum(
-            p * eof_from_concurrence(concurrence(state.projector()))
+            p * eof_from_concurrence(abs(state.amplitudes @ _SPIN_FLIP @ state.amplitudes))
             for p, state in ensemble.members
             if p > 0.0
         )

@@ -22,8 +22,8 @@ import numpy as np
 from .closedloop import (
     ClosedLoopParams,
     assistance_scan,
-    controlled_output,
-    uncontrolled_output,
+    controlled_concurrence_closed,
+    uncontrolled_concurrence_closed,
 )
 from .counts import coincidence_probabilities, estimate_p_prime, estimate_theta, simulate_counts
 from .dephasing import CONTROL_KINDS, NoiseParams, TrajectoryControl
@@ -69,7 +69,7 @@ OUTPUT_SCHEMAS = {
         "description": (
             "Feedback-experiment entanglement along a p or theta sweep; one "
             "row per (fidelity, grid value, variant).  Values come from the "
-            "constructed output states; stat_error is always empty."
+            "closed forms; stat_error is always empty."
         ),
     },
     "assist_scan": {
@@ -269,8 +269,8 @@ def _closed_loop_rows(config: RunConfig) -> list[dict]:
     def evaluate(task):
         fidelity, p, theta = task
         eta = PreparationModel.from_fidelity(fidelity).eta
-        _, c_unco = uncontrolled_output(p, eta)
-        _, c_cont = controlled_output(p, theta, eta)
+        c_unco = uncontrolled_concurrence_closed(p, eta)
+        c_cont = controlled_concurrence_closed(theta, eta)
         rows = []
         for variant, c in (("uncontrolled", c_unco), ("controlled", c_cont)):
             rows.append(
@@ -280,7 +280,7 @@ def _closed_loop_rows(config: RunConfig) -> list[dict]:
                     "theta": theta,
                     "fidelity": fidelity,
                     "variant": variant,
-                    "method": "constructed",
+                    "method": "analytic",
                     "concurrence": c,
                     "eof": eof_from_concurrence(c),
                     "stat_error": None,

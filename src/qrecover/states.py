@@ -175,66 +175,50 @@ def kron_state(left: PureState, right: PureState) -> PureState:
     return PureState(left.register + right.register, np.kron(left.amplitudes, right.amplitudes))
 
 
-def expand_local(op: LocalOperator, register) -> np.ndarray:
-    """Embed a 2x2 operator into the full register via identity tensoring."""
-    reg = _as_register(register)
-    if op.target not in reg:
-        raise RegisterError(f"qubit {op.target!r} not in register {reg}")
-    full = np.array([[1.0 + 0j]])
-    for label in reg:
-        full = np.kron(full, op.matrix if label == op.target else np.eye(2))
-    return full
+def _apply_gate(state, gate: np.ndarray, targets):
+    """Contract a 2^m x 2^m gate into the (2,)*n tensor of ``state`` on ``targets``.
 
-
-def expand_two_qubit(matrix4: np.ndarray, register, targets) -> np.ndarray:
-    """Embed a 4x4 operator acting on the ordered pair ``targets``.
-
-    The 4x4 matrix is indexed with the first target as the more significant
-    bit of the pair.
+    The gate is indexed with the first target as the most significant bit.
+    Pure states are mapped through U, densities through U . U^dag: U on the
+    row axes, U* on the column axes.
     """
-    reg = _as_register(register)
-    t0, t1 = targets
-    if t0 == t1:
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"cannot apply a gate to {type(state).__name__}")
+    reg = state.register
+    if len(set(targets)) != len(targets):
         raise RegisterError("two-qubit operator needs two distinct targets")
-    for t in (t0, t1):
+    for t in targets:
         if t not in reg:
             raise RegisterError(f"qubit {t!r} not in register {reg}")
-    m4 = np.asarray(matrix4, dtype=complex)
-    if m4.shape != (4, 4):
-        raise ValueError(f"two-qubit operator must be 4x4, got {m4.shape}")
-    n = len(reg)
-    p0, p1 = reg.index(t0), reg.index(t1)
-    dim = 2 ** n
-    full = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        ibits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-        for j in range(dim):
-            jbits = [(j >> (n - 1 - q)) & 1 for q in range(n)]
-            if any(ibits[q] != jbits[q] for q in range(n) if q not in (p0, p1)):
-                continue
-            row = (ibits[p0] << 1) | ibits[p1]
-            col = (jbits[p0] << 1) | jbits[p1]
-            full[i, j] = m4[row, col]
-    return full
+    m, n = len(targets), len(reg)
+    gate = np.asarray(gate, dtype=complex)
+    if gate.shape != (2**m, 2**m):
+        raise ValueError(f"{m}-qubit operator must be {2**m}x{2**m}, got {gate.shape}")
+    gate = gate.reshape((2,) * (2 * m))
+    axes = [reg.index(t) for t in targets]
+
+    def contract(tensor, g, offset):
+        on = [offset + a for a in axes]
+        out = np.tensordot(g, tensor, axes=(list(range(m, 2 * m)), on))
+        return np.moveaxis(out, list(range(m)), on)
+
+    if isinstance(state, PureState):
+        psi = contract(state.amplitudes.reshape((2,) * n), gate, 0)
+        return PureState(reg, psi.reshape(-1))
+    rho = contract(state.matrix.reshape((2,) * (2 * n)), gate, 0)
+    rho = contract(rho, gate.conj(), n)
+    return DensityMatrix(reg, rho.reshape(2**n, 2**n))
 
 
 def apply_local(state, op: LocalOperator):
     """Apply a local operator; pure states are mapped through U, densities through U . U^dag."""
-    full = expand_local(op, state.register)
-    if isinstance(state, PureState):
-        return PureState(state.register, full @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.register, full @ state.matrix @ full.conj().T)
-    raise TypeError(f"cannot apply a local operator to {type(state).__name__}")
+    return _apply_gate(state, op.matrix, (op.target,))
 
 
 def apply_two_qubit(state, matrix4: np.ndarray, targets):
-    full = expand_two_qubit(matrix4, state.register, targets)
-    if isinstance(state, PureState):
-        return PureState(state.register, full @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.register, full @ state.matrix @ full.conj().T)
-    raise TypeError(f"cannot apply a two-qubit operator to {type(state).__name__}")
+    """Apply a 4x4 operator to the ordered pair ``targets``, the first the more significant bit."""
+    t0, t1 = targets
+    return _apply_gate(state, matrix4, (t0, t1))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -3,18 +3,36 @@
 Everything here is deliberately independent of the package internals: the
 coherence oracle enumerates renewal patterns directly, the pure-state
 concurrence uses the 2|ad - bc| determinant form, reduced matrices are
-computed with raw einsum contractions, and the averaged projector is built
-from the public per-trajectory states one row at a time.
+computed with raw einsum contractions, the averaged projector is built
+from the public per-trajectory states one row at a time, and the
+closed-loop pipeline is built gate by gate (rotate the environment, apply
+the controlled flip, rotate the measurement basis, trace out or project,
+flip B back) with the general eigensolver concurrence on the result.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from qrecover.dephasing import PhaseSequence, sample_phase_matrix, trajectory_state
-from qrecover.states import DensityMatrix
+from qrecover.entanglement import PureStateEnsemble, concurrence
+from qrecover.states import (
+    SIGMA_X,
+    SIGMA_Z,
+    DensityMatrix,
+    LocalOperator,
+    PureState,
+    apply_local,
+    apply_two_qubit,
+    bell_state,
+    bit_flip,
+    kron_state,
+    maximally_mixed,
+    partial_trace,
+)
 
 
 def coherence_oracle(k, mu, sigma, mean_phase, signs):
@@ -98,3 +116,77 @@ def random_unitary(rng, dim=2):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# Closed-loop pipeline, gate by gate.
+
+
+def environment_rotation(p):
+    """sqrt(1-p) sigma_z + sqrt(p) sigma_x on O; unitary for every p in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p {p!r} outside [0, 1]")
+    return LocalOperator("O", math.sqrt(1.0 - p) * SIGMA_Z + math.sqrt(p) * SIGMA_X)
+
+
+def measurement_rotation(theta):
+    """Rotation applied to O so that projecting onto |u>, |d> afterwards
+    measures in the theta-rotated basis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return LocalOperator("O", np.array([[c, s], [-s, c]], dtype=complex))
+
+
+def controlled_bit_flip():
+    """4x4 gate on (B, O): flip B when O is |d>."""
+    gate = np.zeros((4, 4), dtype=complex)
+    for b in (0, 1):
+        for o in (0, 1):
+            gate[((b ^ o) << 1) | o, (b << 1) | o] = 1.0
+    return gate
+
+
+def initial_state():
+    return kron_state(bell_state("psi_minus"), PureState(("O",), np.array([1.0, 0.0])))
+
+
+def interaction_by_gates(p):
+    """Three-qubit state after the environment rotation and the controlled flip."""
+    state = apply_local(initial_state(), environment_rotation(p))
+    return apply_two_qubit(state, controlled_bit_flip(), ("B", "O"))
+
+
+def eta_blend(bell_part, eta):
+    mixed = maximally_mixed(("A", "B")).matrix
+    return DensityMatrix(("A", "B"), eta * bell_part + (1.0 - eta) * mixed)
+
+
+def uncontrolled_output(p, eta=1.0):
+    """Pair state after tracing out the environment, and its concurrence."""
+    rho_bell = partial_trace(interaction_by_gates(p).projector(), ("A", "B"))
+    rho = eta_blend(rho_bell.matrix, eta)
+    return rho, concurrence(rho)
+
+
+def corrected_ensemble(p, theta):
+    """Rotate O, project onto |u>, |d>, and flip B back on the "down" outcome."""
+    rotated = apply_local(interaction_by_gates(p), measurement_rotation(theta))
+    slices = rotated.amplitudes.reshape(4, 2)
+    members = []
+    for column in (0, 1):
+        vector = slices[:, column]
+        probability = float(np.vdot(vector, vector).real)
+        if probability <= 1e-14:
+            continue
+        state = PureState(("A", "B"), vector / math.sqrt(probability))
+        if column == 1:
+            state = apply_local(state, bit_flip("B"))
+        members.append((probability, state))
+    return PureStateEnsemble(tuple(members))
+
+
+def controlled_output(p, theta, eta=1.0):
+    """Pair state after measurement plus conditioned correction, and its concurrence."""
+    bell_part = np.zeros((4, 4), dtype=complex)
+    for probability, state in corrected_ensemble(p, theta).members:
+        bell_part += probability * np.outer(state.amplitudes, state.amplitudes.conj())
+    rho = eta_blend(bell_part, eta)
+    return rho, concurrence(rho)

@@ -14,9 +14,7 @@ from qrecover.cli import main
 from qrecover.closedloop import (
     assistance_scan,
     controlled_concurrence_closed,
-    controlled_output,
     uncontrolled_concurrence_closed,
-    uncontrolled_output,
 )
 from qrecover.counts import CoincidenceCounts, estimate_p_prime, estimate_theta
 from qrecover.dephasing import (
@@ -41,7 +39,12 @@ from qrecover.entanglement import (
 from qrecover.openloop import run_open_loop
 from qrecover.states import DensityMatrix, PureState, bell_state, fidelity_to_pure
 
-from helpers import random_pure_amplitudes, random_x_state
+from helpers import (
+    controlled_output,
+    random_pure_amplitudes,
+    random_x_state,
+    uncontrolled_output,
+)
 
 SIGMA = 0.6
 
@@ -147,7 +150,7 @@ def test_criterion_6_closed_loop_controlled():
         assert np.abs(rho.matrix - target).max() < 1e-12, f"state at theta={theta}"
 
 
-@report(7, "imperfect-preparation closed forms match constructed outputs, < 1e-10")
+@report(7, "imperfect-preparation closed forms match gate-built outputs, < 1e-10")
 def test_criterion_7_imperfect_preparation():
     for eta in (0.86667, 0.93333, 0.946667):
         for p in np.linspace(0.0, 1.0, 41):

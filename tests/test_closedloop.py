@@ -6,29 +6,30 @@ import pytest
 from qrecover.closedloop import (
     ClosedLoopParams,
     assistance_scan,
-    controlled_bit_flip,
     controlled_concurrence_closed,
-    controlled_output,
-    corrected_ensemble,
-    environment_rotation,
-    interaction_closed_form,
     measure_environment,
-    measurement_basis,
     measurement_ensemble,
-    measurement_rotation,
     state_after_interaction,
     uncontrolled_concurrence_closed,
-    uncontrolled_output,
 )
 from qrecover.entanglement import concurrence, ensemble_average_eof, eof_from_concurrence
 from qrecover.states import (
     SIGMA_X,
+    apply_local,
     bell_state,
-    expand_local,
-    expand_two_qubit,
     kron_state,
     partial_trace,
     PureState,
+)
+
+from helpers import (
+    controlled_bit_flip,
+    controlled_output,
+    corrected_ensemble,
+    environment_rotation,
+    interaction_by_gates,
+    measurement_rotation,
+    uncontrolled_output,
 )
 
 ETAS = (0.86667, 0.93333, 0.946667)  # measured-fidelity mixing weights
@@ -63,8 +64,8 @@ class TestGates:
 class TestInteraction:
     def test_constructive_equals_closed_form(self):
         for p in P_GRID:
-            built = state_after_interaction(float(p))
-            direct = interaction_closed_form(float(p))
+            built = interaction_by_gates(float(p))
+            direct = state_after_interaction(float(p))
             np.testing.assert_allclose(built.amplitudes, direct.amplitudes, atol=1e-12)
 
     def test_limits(self):
@@ -180,11 +181,11 @@ class TestMeasurement:
     def test_rotate_then_project_equals_projecting_on_rotated_kets(self):
         for p in (0.3, 0.5, 0.8):
             for theta in (0.0, 0.35, 1.1):
-                psi = state_after_interaction(p).amplitudes.reshape(4, 2)
-                ket_u, ket_d = measurement_basis(theta)
+                rotated = apply_local(interaction_by_gates(p), measurement_rotation(theta))
+                slices = rotated.amplitudes.reshape(4, 2)
                 outcomes = measure_environment(p, theta)
-                for ket, outcome in zip((ket_u, ket_d), outcomes):
-                    branch = psi @ ket.conj()
+                for column, outcome in enumerate(outcomes):
+                    branch = slices[:, column]
                     assert np.vdot(branch, branch).real == pytest.approx(
                         outcome.probability, abs=1e-12
                     )
@@ -247,7 +248,6 @@ class TestControlled:
         # mix, entirely with dense matrices; must equal the linearity route
         from qrecover.entanglement import PreparationModel, werner
 
-        register = ("A", "B", "O")
         for eta in (1.0, 0.93333):
             for p in (0.25, 0.5, 0.7):
                 for theta in (0.0, 0.5, math.pi / 4):
@@ -255,9 +255,9 @@ class TestControlled:
                     env = np.zeros((2, 2), dtype=complex)
                     env[0, 0] = 1.0
                     rho = np.kron(rho_in, env)
-                    r_env = expand_local(environment_rotation(p), register)
-                    gate = expand_two_qubit(controlled_bit_flip(), register, ("B", "O"))
-                    r_meas = expand_local(measurement_rotation(theta), register)
+                    r_env = np.kron(np.eye(4), environment_rotation(p).matrix)
+                    gate = np.kron(np.eye(2), controlled_bit_flip())
+                    r_meas = np.kron(np.eye(4), measurement_rotation(theta).matrix)
                     for u in (r_env, gate, r_meas):
                         rho = u @ rho @ u.conj().T
                     blocks = rho.reshape(4, 2, 4, 2)
@@ -297,9 +297,10 @@ class TestAssistanceScan:
         assert scan.best_eof == pytest.approx(1.0, abs=1e-9)
 
     def test_curve_matches_eof_of_cos2theta_at_half(self):
-        scan = assistance_scan(0.5, n_theta=13)
-        expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in scan.thetas]
-        np.testing.assert_allclose(scan.eofs, expected, atol=1e-7)
+        for n_theta in (13, 1001):
+            scan = assistance_scan(0.5, n_theta=n_theta)
+            expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in scan.thetas]
+            np.testing.assert_allclose(scan.eofs, expected, rtol=0, atol=1e-12)
 
 
 class TestParams:
@@ -325,3 +326,38 @@ class TestParams:
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValueError, match="theta"):
             ClosedLoopParams(p=0.5, theta=theta)
+
+
+class TestClosedFormDomain:
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((math.nan,), "^theta "),
+            ((math.inf,), "^theta "),
+            ((0.1, 1.7), "^eta "),
+            ((0.1, -0.2), "^eta "),
+            ((0.1, math.nan), "^eta "),
+        ],
+    )
+    def test_controlled_rejects(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            controlled_concurrence_closed(*args)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((1.5,), "^p "),
+            ((-0.1,), "^p "),
+            ((math.nan,), "^p "),
+            ((0.3, 1.7), "^eta "),
+            ((0.3, math.nan), "^eta "),
+        ],
+    )
+    def test_uncontrolled_rejects(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            uncontrolled_concurrence_closed(*args)
+
+    def test_domain_edges_accepted(self):
+        assert uncontrolled_concurrence_closed(0.0, 0.0) == 0.0
+        assert uncontrolled_concurrence_closed(1.0, 1.0) == 1.0
+        assert controlled_concurrence_closed(math.pi / 2, 1.0) == 1.0

@@ -150,6 +150,18 @@ class TestEnsembles:
         assert ensemble_average_eof(ens) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(EOF_AT_COS_QUARTER_PI, abs=1e-12)
 
+    def test_member_concurrence_matches_determinant_oracle(self):
+        rng = np.random.default_rng(31)
+        for i in range(600):
+            amps = random_pure_amplitudes(rng)
+            if i % 3:  # near-product states, where C is small
+                product = np.kron(random_pure_amplitudes(rng, 2), random_pure_amplitudes(rng, 2))
+                amps = product + 10.0 ** -(3 * (i % 3)) * amps
+                amps /= np.linalg.norm(amps)
+            ens = PureStateEnsemble(((1.0, PureState(("A", "B"), amps)),))
+            expected = eof_from_concurrence(pure_concurrence_oracle(amps))
+            assert ensemble_average_eof(ens) == pytest.approx(expected, rel=0, abs=1e-12)
+
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             PureStateEnsemble(((0.5, bell_state("psi_minus")),))

@@ -143,6 +143,28 @@ class TestClosedLoopRunner:
                 eof_from_concurrence(float(row["concurrence"])), abs=1e-9
             )
 
+    def test_near_unit_fidelity_rows_equal_the_closed_forms(self):
+        fidelity = 0.999999
+        eta = (4 * fidelity - 1) / 3
+        for sweep, point in (("p", {"theta": 0.3}), ("theta", {"p": 0.2})):
+            config = RunConfig(
+                experiment="closed_loop",
+                out="unused.csv",
+                sweep=sweep,
+                fidelity=(fidelity,),
+                grid_points=41,
+                **point,
+            )
+            rows = runner._closed_loop_rows(config)
+            assert {row["method"] for row in rows} == {"analytic"}
+            for row in rows:
+                if row["variant"] == "controlled":
+                    c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * row["theta"]))) - 1) / 2
+                else:
+                    c = max(0.0, 2 * eta * abs(1 - 2 * row["p"]) - (1 - eta)) / 2
+                assert abs(row["concurrence"] - c) < 1e-12
+                assert abs(row["eof"] - eof_from_concurrence(c)) < 1e-12
+
     def test_p_prime_accepted_and_converted(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["closed-loop", "--sweep", "theta", "--p-prime", "1.0", "--out", str(out)]) == 0
@@ -201,6 +223,7 @@ class TestNonFiniteInputs:
             (["open-loop", "--mu", "0.5", "--fidelity", "1.0", "nan"], "fidelity"),
             (["closed-loop", "--theta", "nan"], "theta"),
             (["counts-demo", "--p", "0.5", "--theta", "nan", "--seed", "1"], "theta"),
+            (["closed-loop", "--sweep", "theta", "--p", "1.02", "--fidelity", "0.9"], "p 1.02"),
         ],
     )
     def test_rejected_by_name_without_a_file(self, tmp_path, capsys, argv, field):

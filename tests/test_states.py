@@ -10,8 +10,6 @@ from qrecover.states import (
     apply_two_qubit,
     bell_state,
     bit_flip,
-    expand_local,
-    expand_two_qubit,
     fidelity_to_pure,
     kron_state,
     maximally_mixed,
@@ -20,7 +18,12 @@ from qrecover.states import (
 )
 from qrecover.entanglement import PreparationModel, werner
 
-from helpers import random_density_matrix, random_unitary, reduced_matrix_oracle
+from helpers import (
+    random_density_matrix,
+    random_pure_amplitudes,
+    random_unitary,
+    reduced_matrix_oracle,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -133,31 +136,84 @@ class TestApplyLocal:
 
 
 class TestEmbedding:
-    def test_expand_local_equals_kron(self):
+    def test_apply_local_equals_kron(self):
         op = LocalOperator("B", random_unitary(RNG))
+        state = PureState(("A", "B"), random_pure_amplitudes(RNG))
         np.testing.assert_allclose(
-            expand_local(op, ("A", "B")), np.kron(np.eye(2), op.matrix), atol=1e-12
+            apply_local(state, op).amplitudes,
+            np.kron(np.eye(2), op.matrix) @ state.amplitudes,
+            atol=1e-12,
         )
         np.testing.assert_allclose(
-            expand_local(LocalOperator("A", op.matrix), ("A", "B")),
-            np.kron(op.matrix, np.eye(2)),
+            apply_local(state, LocalOperator("A", op.matrix)).amplitudes,
+            np.kron(op.matrix, np.eye(2)) @ state.amplitudes,
             atol=1e-12,
         )
 
-    def test_expand_local_three_qubits(self):
+    def test_apply_local_three_qubits(self):
         op = LocalOperator("O", random_unitary(RNG))
+        state = PureState(("A", "B", "O"), random_pure_amplitudes(RNG, 8))
         np.testing.assert_allclose(
-            expand_local(op, ("A", "B", "O")),
-            np.kron(np.eye(4), op.matrix),
+            apply_local(state, op).amplitudes,
+            np.kron(np.eye(4), op.matrix) @ state.amplitudes,
             atol=1e-12,
         )
 
-    def test_expand_two_qubit_adjacent_pair(self):
+    def test_apply_two_qubit_adjacent_pair(self):
         m4 = np.kron(random_unitary(RNG), random_unitary(RNG))
         full = np.kron(np.eye(2), m4)
+        state = PureState(("A", "B", "O"), random_pure_amplitudes(RNG, 8))
         np.testing.assert_allclose(
-            expand_two_qubit(m4, ("A", "B", "O"), ("B", "O")), full, atol=1e-12
+            apply_two_qubit(state, m4, ("B", "O")).amplitudes,
+            full @ state.amplitudes,
+            atol=1e-12,
         )
+
+    def test_apply_two_qubit_reversed_pair(self):
+        # on ("O", "B") the first target O is the more significant bit of m4
+        m4 = random_unitary(RNG, 4)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        full = np.kron(np.eye(2), swap @ m4 @ swap)
+        state = PureState(("A", "B", "O"), random_pure_amplitudes(RNG, 8))
+        np.testing.assert_allclose(
+            apply_two_qubit(state, m4, ("O", "B")).amplitudes,
+            full @ state.amplitudes,
+            atol=1e-12,
+        )
+
+    def test_apply_two_qubit_non_adjacent_pair(self):
+        # (A, B, O) -> (A, O, B) is a swap of the last two qubits
+        m4 = random_unitary(RNG, 4)
+        swap = np.kron(np.eye(2), np.eye(4)[[0, 2, 1, 3]])
+        full = swap @ np.kron(m4, np.eye(2)) @ swap
+        state = PureState(("A", "B", "O"), random_pure_amplitudes(RNG, 8))
+        np.testing.assert_allclose(
+            apply_two_qubit(state, m4, ("A", "O")).amplitudes,
+            full @ state.amplitudes,
+            atol=1e-12,
+        )
+
+    def test_apply_two_qubit_to_density_matrix(self):
+        m4 = random_unitary(RNG, 4)
+        swap = np.kron(np.eye(2), np.eye(4)[[0, 2, 1, 3]])
+        full = swap @ np.kron(m4, np.eye(2)) @ swap
+        rho = DensityMatrix(("A", "B", "O"), random_density_matrix(RNG, 8))
+        np.testing.assert_allclose(
+            apply_two_qubit(rho, m4, ("A", "O")).matrix,
+            full @ rho.matrix @ full.conj().T,
+            atol=1e-12,
+        )
+
+    def test_gate_shape_and_targets_checked(self):
+        state = PureState(("A", "B", "O"), random_pure_amplitudes(RNG, 8))
+        with pytest.raises(RegisterError, match="distinct"):
+            apply_two_qubit(state, np.eye(4), ("B", "B"))
+        with pytest.raises(RegisterError, match="not in register"):
+            apply_two_qubit(state, np.eye(4), ("B", "C"))
+        with pytest.raises(ValueError, match="4x4"):
+            apply_two_qubit(state, np.eye(2), ("A", "B"))
+        with pytest.raises(TypeError):
+            apply_local(np.ones(8), bit_flip("A"))
 
     def test_two_qubit_application_on_pure_state(self):
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
