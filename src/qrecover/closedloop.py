@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import PureStateEnsemble, ensemble_average_eof
+from .entanglement import PureStateEnsemble, check_eta, ensemble_average_eof
 from .states import BELL_AMPLITUDES, PureState
 
 REGISTER = ("A", "B", "O")
@@ -52,8 +52,7 @@ class ClosedLoopParams:
             raise ValueError(f"p {self.p!r} outside [0, 1]")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta {self.theta!r} must be finite")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta {self.eta!r} outside [0, 1]")
+        check_eta(self.eta)
         if self.p_prime is not None:
             if self.p_prime < 0.0:
                 raise ValueError(f"attenuation ratio {self.p_prime!r} must be >= 0")
@@ -111,7 +110,15 @@ def measure_environment(p: float, theta: float) -> list[MeasurementOutcome]:
     Mixing the branch projectors with their probabilities reproduces the
     traced-out state exactly.
     """
-    slices = state_after_interaction(p).amplitudes.reshape(4, 2)
+    return _measure(_pair_slices(p), theta)
+
+
+def _pair_slices(p: float) -> np.ndarray:
+    # row j: the pair amplitude j paired with O in |u>, |d>
+    return state_after_interaction(p).amplitudes.reshape(4, 2)
+
+
+def _measure(slices: np.ndarray, theta: float) -> list[MeasurementOutcome]:
     outcomes = []
     for ket, label in zip(measurement_basis(theta), OUTCOME_LABELS):
         vector = slices @ ket.conj()
@@ -126,9 +133,13 @@ def measure_environment(p: float, theta: float) -> list[MeasurementOutcome]:
 
 def measurement_ensemble(p: float, theta: float) -> PureStateEnsemble:
     """The pure-state ensemble tagged by the measurement outcome."""
+    return _ensemble(_pair_slices(p), theta)
+
+
+def _ensemble(slices: np.ndarray, theta: float) -> PureStateEnsemble:
     members = [
         (outcome.probability, outcome.post_state)
-        for outcome in measure_environment(p, theta)
+        for outcome in _measure(slices, theta)
         if outcome.post_state is not None
     ]
     return PureStateEnsemble(tuple(members))
@@ -161,9 +172,8 @@ def assistance_scan(p: float, n_theta: int = 181) -> AssistanceScan:
     if n_theta < 2:
         raise ValueError("n_theta must be >= 2")
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
-    eofs = np.array(
-        [ensemble_average_eof(measurement_ensemble(p, theta)) for theta in thetas]
-    )
+    slices = _pair_slices(p)
+    eofs = np.array([ensemble_average_eof(_ensemble(slices, theta)) for theta in thetas])
     best = int(np.argmax(eofs >= eofs.max() - 1e-12))
     return AssistanceScan(
         thetas=thetas,

@@ -17,14 +17,17 @@ form and ``monte_carlo_moments`` by sampling.
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
-(seed, j).  Results for a given (seed, n_samples) are bit-identical no
-matter how many workers participate, because blocks are reduced in index
-order.
+(seed, j).  One draw per block serves every sign vector a job asks for, so
+all arms, steps and fidelities of a job share the same samples and extra
+vectors cost no extra draws.  Results for a given (seed, n_samples) are
+bit-identical no matter how many workers participate, because blocks are
+reduced in index order.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -204,43 +207,75 @@ class MonteCarloMoments:
 
 
 def _block_moments(args):
-    params, signs, seed, block_index, count = args
+    params, sign_vectors, seed, block_index, count = args
     phases = _block_phases(params, seed, block_index, count)
-    z = -0.5 * np.exp(-1j * (phases[:, : len(signs)] @ np.asarray(signs, dtype=float)))
-    return z.sum(), (z * z).sum()
+    sums = []
+    for signs in sign_vectors:
+        z = -0.5 * np.exp(-1j * (phases[:, : len(signs)] @ np.asarray(signs, dtype=float)))
+        sums.append((z.sum(), (z * z).sum()))
+    return sums
+
+
+def _in_order(pool, tasks, window: int):
+    """Block sums in index order, with at most ``window`` blocks in flight.
+
+    ``pool.map`` would queue one future per block up front, which at
+    n_samples = 1e6 (245 blocks) adds about half a MiB to peak memory.
+    """
+    pending = collections.deque()
+    for task in tasks:
+        pending.append(pool.submit(_block_moments, task))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _accumulate(totals, block_sums) -> None:
+    # blocks arrive in index order, so the sums do not depend on the worker count
+    for sums in block_sums:
+        for total, (z_sum, z2_sum) in zip(totals, sums):
+            total[0] += z_sum
+            total[1] += z2_sum
 
 
 def monte_carlo_moments(
     params: NoiseParams,
-    control: TrajectoryControl,
-    k: int,
+    sign_vectors,
     n_samples: int,
     seed: int,
     workers: int = 1,
-) -> MonteCarloMoments:
-    """Average the live coherence after step k over n_samples noise realizations."""
+) -> tuple[MonteCarloMoments, ...]:
+    """Average the live coherence of each sign vector over n_samples noise realizations.
+
+    Every block of phases is drawn once and reduced for all the vectors;
+    the moments come back in the order of ``sign_vectors``.  Blocks go to
+    a pool of min(workers, blocks, cpu count) threads.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    signs = control.signs(k, params.steps)
-    tasks = []
-    for start in range(0, n_samples, BLOCK_SIZE):
-        count = min(BLOCK_SIZE, n_samples - start)
-        tasks.append((params, signs, seed, start // BLOCK_SIZE, count))
+    sign_vectors = tuple(tuple(signs) for signs in sign_vectors)
+    for signs in sign_vectors:
+        if len(signs) > params.steps:
+            raise ValueError(f"sign vector {signs!r} longer than {params.steps} steps")
+    tasks = [
+        (params, sign_vectors, seed, start // BLOCK_SIZE, min(BLOCK_SIZE, n_samples - start))
+        for start in range(0, n_samples, BLOCK_SIZE)
+    ]
+    totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_moments, tasks))
+            _accumulate(totals, _in_order(pool, tasks, window=2 * workers))
     else:
-        results = [_block_moments(t) for t in tasks]
-    z_total = 0.0 + 0.0j
-    z2_total = 0.0 + 0.0j
-    for z_sum, z2_sum in results:
-        z_total += z_sum
-        z2_total += z2_sum
-    return MonteCarloMoments(
-        coherence_mean=z_total / n_samples,
-        coherence_square_mean=z2_total / n_samples,
-        n_samples=n_samples,
+        _accumulate(totals, map(_block_moments, tasks))
+    return tuple(
+        MonteCarloMoments(
+            coherence_mean=z_total / n_samples,
+            coherence_square_mean=z2_total / n_samples,
+            n_samples=n_samples,
+        )
+        for z_total, z2_total in totals
     )
 
 

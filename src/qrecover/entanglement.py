@@ -149,6 +149,12 @@ def mixture(ensemble: PureStateEnsemble) -> DensityMatrix:
     return DensityMatrix(register, total)
 
 
+def check_eta(eta: float) -> None:
+    """Reject a singlet weight eta outside [0, 1] (NaN included)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta {eta!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class PreparationModel:
     """Imperfectly prepared singlet: eta |psi-><psi-| + (1 - eta) 1/4.
@@ -161,8 +167,7 @@ class PreparationModel:
     fidelity: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta {self.eta!r} outside [0, 1]")
+        check_eta(self.eta)
         if not 0.25 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity {self.fidelity!r} outside [1/4, 1]")
         if abs(self.eta - (4.0 * self.fidelity - 1.0) / 3.0) > 1e-12:

@@ -1,9 +1,10 @@
 """Sweep runner: declarative configs in, deterministic data files out.
 
-Grid points may be evaluated concurrently, but rows are always written in
-grid order, so a given config and seed produce byte-identical files for any
-worker count.  Floats are serialized with 9 significant digits in both the
-CSV and the JSON-lines formats.
+Rows are built serially and written in grid order.  ``workers`` only
+spreads the Monte Carlo blocks of an open-loop job over threads, and blocks
+are reduced in index order, so a given config and seed produce
+byte-identical files for any worker count.  Floats are serialized with 9
+significant digits in both the CSV and the JSON-lines formats.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +26,9 @@ from .closedloop import (
     uncontrolled_concurrence_closed,
 )
 from .counts import coincidence_probabilities, estimate_p_prime, estimate_theta, simulate_counts
-from .dephasing import CONTROL_KINDS, NoiseParams, TrajectoryControl
+from .dephasing import NoiseParams
 from .entanglement import PreparationModel, eof_from_concurrence
-from .openloop import run_open_loop
+from .openloop import open_loop_series
 
 EXPERIMENTS = ("open_loop", "closed_loop", "assist_scan", "counts_demo")
 FORMATS = ("csv", "jsonl")
@@ -203,14 +203,6 @@ def write_rows(path: Path, columns: list[str], rows: list[dict], fmt: str) -> No
         raise
 
 
-def _map_ordered(fn, tasks, workers: int) -> list:
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 def _open_loop_rows(config: RunConfig) -> list[dict]:
     params = NoiseParams(
         mu=config.mu,
@@ -220,33 +212,24 @@ def _open_loop_rows(config: RunConfig) -> list[dict]:
         clip_to_hardware=config.clip_to_hardware,
     )
     methods = ("analytic", "monte_carlo") if config.method == "both" else (config.method,)
-    tasks = [
-        (fidelity, method, kind, k)
-        for fidelity in config.fidelity
-        for method in methods
-        for kind in CONTROL_KINDS
-        for k in range(params.steps + 1)
-    ]
-
-    def evaluate(task):
-        fidelity, method, kind, k = task
-        prep = PreparationModel.from_fidelity(fidelity)
-        result = run_open_loop(
-            params, TrajectoryControl(kind=kind), prep, k, method, config.n_samples, config.seed
-        )
-        return {
+    preps = [PreparationModel.from_fidelity(fidelity) for fidelity in config.fidelity]
+    results = open_loop_series(
+        params, preps, methods, config.n_samples, config.seed, config.workers
+    )
+    return [
+        {
             "mu": params.mu,
             "sigma": params.sigma,
-            "fidelity": fidelity,
-            "control": kind,
-            "method": method,
-            "step": k,
+            "fidelity": result.prep.fidelity,
+            "control": result.control_kind,
+            "method": result.method,
+            "step": result.step,
             "concurrence": result.concurrence,
             "eof": result.eof,
             "stat_error": result.stat_error,
         }
-
-    return _map_ordered(evaluate, tasks, config.workers)
+        for result in results
+    ]
 
 
 def _closed_loop_rows(config: RunConfig) -> list[dict]:
@@ -260,36 +243,27 @@ def _closed_loop_rows(config: RunConfig) -> list[dict]:
         grid = np.linspace(0.0, math.pi / 2.0, n)
         p = config.resolved_p(default=0.5)
         points = [(p, float(theta)) for theta in grid]
-    tasks = [
-        (fidelity, p, theta)
-        for fidelity in config.fidelity
-        for (p, theta) in points
-    ]
-
-    def evaluate(task):
-        fidelity, p, theta = task
+    rows = []
+    for fidelity in config.fidelity:
         eta = PreparationModel.from_fidelity(fidelity).eta
-        c_unco = uncontrolled_concurrence_closed(p, eta)
-        c_cont = controlled_concurrence_closed(theta, eta)
-        rows = []
-        for variant, c in (("uncontrolled", c_unco), ("controlled", c_cont)):
-            rows.append(
-                {
-                    "sweep": config.sweep,
-                    "p": p,
-                    "theta": theta,
-                    "fidelity": fidelity,
-                    "variant": variant,
-                    "method": "analytic",
-                    "concurrence": c,
-                    "eof": eof_from_concurrence(c),
-                    "stat_error": None,
-                }
-            )
-        return rows
-
-    nested = _map_ordered(evaluate, tasks, config.workers)
-    return [row for rows in nested for row in rows]
+        for p, theta in points:
+            c_unco = uncontrolled_concurrence_closed(p, eta)
+            c_cont = controlled_concurrence_closed(theta, eta)
+            for variant, c in (("uncontrolled", c_unco), ("controlled", c_cont)):
+                rows.append(
+                    {
+                        "sweep": config.sweep,
+                        "p": p,
+                        "theta": theta,
+                        "fidelity": fidelity,
+                        "variant": variant,
+                        "method": "analytic",
+                        "concurrence": c,
+                        "eof": eof_from_concurrence(c),
+                        "stat_error": None,
+                    }
+                )
+    return rows
 
 
 def _assist_scan_rows(config: RunConfig) -> list[dict]:

@@ -99,12 +99,12 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
     for mu in (0.2, 0.7, 1.0):
         params = NoiseParams(mu=mu, sigma=SIGMA)
         for k in (1, 2, 3, 4):
-            moments = monte_carlo_moments(params, UNCONTROLLED, k, n, seed=300 + k)
+            (moments,) = monte_carlo_moments(params, [UNCONTROLLED.signs(k, 4)], n, seed=300 + k)
             target = analytic_coherence(UNCONTROLLED.signs(k, 4), mu, SIGMA)
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"uncontrolled mu={mu} k={k}: {gap:.4f}"
         for k in (3, 4):
-            moments = monte_carlo_moments(params, ECHOED, k, n, seed=400 + k)
+            (moments,) = monte_carlo_moments(params, [ECHOED.signs(k, 4)], n, seed=400 + k)
             target = analytic_coherence(ECHOED.signs(k, 4), mu, SIGMA)
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"echoed mu={mu} k={k}: {gap:.4f}"

@@ -302,6 +302,22 @@ class TestAssistanceScan:
             expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in scan.thetas]
             np.testing.assert_allclose(scan.eofs, expected, rtol=0, atol=1e-12)
 
+    def test_interaction_state_is_built_once_per_scan(self, monkeypatch):
+        import qrecover.closedloop as closedloop
+
+        calls = []
+        build = closedloop.state_after_interaction
+
+        def counting(p):
+            calls.append(p)
+            return build(p)
+
+        monkeypatch.setattr(closedloop, "state_after_interaction", counting)
+        scan = assistance_scan(0.3, n_theta=101)
+        assert calls == [0.3]
+        for theta, eof in zip(scan.thetas[::10], scan.eofs[::10]):
+            assert eof == ensemble_average_eof(measurement_ensemble(0.3, theta))
+
 
 class TestParams:
     def test_attenuation_ratio_conversion(self):

@@ -294,17 +294,19 @@ class TestMonteCarlo:
         params = NoiseParams(mu=0.5, sigma=1e-9)
         rho = averaged_projector_oracle(params, UNCONTROLLED, 4, 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
-        moments = monte_carlo_moments(params, UNCONTROLLED, 4, 10_000, seed=2)
+        (moments,) = monte_carlo_moments(params, [UNCONTROLLED.signs(4, 4)], 10_000, seed=2)
         assert 2 * abs(moments.coherence_mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        moments = monte_carlo_moments(default_params(1.0), UNCONTROLLED, 2, self.N, seed=21)
+        (moments,) = monte_carlo_moments(
+            default_params(1.0), [UNCONTROLLED.signs(2, 4)], self.N, seed=21
+        )
         assert abs(moments.coherence_mean) == pytest.approx(
             0.5 * math.exp(-2 * SIGMA**2), abs=0.01
         )
 
     def test_echoed_matches_closed_form(self):
-        moments = monte_carlo_moments(default_params(0.7), ECHOED, 4, self.N, seed=22)
+        (moments,) = monte_carlo_moments(default_params(0.7), [ECHOED.signs(4, 4)], self.N, seed=22)
         assert abs(moments.coherence_mean) == pytest.approx(
             abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
         )
@@ -313,14 +315,14 @@ class TestMonteCarlo:
         tol = 5 / math.sqrt(self.N)
         for mu in (0.0, 0.2, 0.7, 1.0):
             for k in (1, 2, 3, 4):
-                moments = monte_carlo_moments(
-                    default_params(mu), UNCONTROLLED, k, self.N, seed=100 + k
+                (moments,) = monte_carlo_moments(
+                    default_params(mu), [UNCONTROLLED.signs(k, 4)], self.N, seed=100 + k
                 )
                 target = uncontrolled_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
             for k in (3, 4):
-                moments = monte_carlo_moments(
-                    default_params(mu), ECHOED, k, self.N, seed=200 + k
+                (moments,) = monte_carlo_moments(
+                    default_params(mu), [ECHOED.signs(k, 4)], self.N, seed=200 + k
                 )
                 target = echoed_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
@@ -335,7 +337,7 @@ class TestMonteCarlo:
             (CORRECTED, 4, (1, 2)),
         ):
             rho = averaged_projector_oracle(params, control, k, n, seed=5)
-            moments = monte_carlo_moments(params, control, k, n, seed=5)
+            (moments,) = monte_carlo_moments(params, [control.signs(k, 4)], n, seed=5)
             assert abs(rho.matrix[element] - moments.coherence_mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
@@ -363,9 +365,39 @@ class TestMonteCarlo:
 
     def test_worker_count_does_not_change_bits(self):
         params = default_params(0.7)
-        serial = monte_carlo_moments(params, UNCONTROLLED, 4, 30_000, seed=3, workers=1)
-        threaded = monte_carlo_moments(params, UNCONTROLLED, 4, 30_000, seed=3, workers=4)
+        vectors = [UNCONTROLLED.signs(4, 4), ECHOED.signs(4, 4), ()]
+        serial = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=1)
+        threaded = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("steps", [4, 6])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_one_pass_equals_per_vector_reduction_bitwise(self, steps, clip):
+        params = default_params(0.6, steps=steps, clip_to_hardware=clip)
+        n, seed = 2 * BLOCK_SIZE + 300, 17
+        vectors = tuple(
+            dict.fromkeys(
+                TrajectoryControl(kind).signs(k, steps)
+                for kind in ("uncontrolled", "corrected", "echoed")
+                for k in range(steps + 1)
+            )
+        )
+        moments = monte_carlo_moments(params, vectors, n, seed)
+        phases = sample_phase_matrix(params, n, seed)
+        for signs, got in zip(vectors, moments):
+            # one arm's reduction: block sums of z and z^2, added in block order
+            z_total = z2_total = 0.0 + 0.0j
+            for start in range(0, n, BLOCK_SIZE):
+                block = phases[start : start + BLOCK_SIZE, : len(signs)]
+                z = -0.5 * np.exp(-1j * (block @ np.asarray(signs, dtype=float)))
+                z_total += z.sum()
+                z2_total += (z * z).sum()
+            assert got.coherence_mean == z_total / n
+            assert got.coherence_square_mean == z2_total / n
+
+    def test_sign_vector_longer_than_the_process_rejected(self):
+        with pytest.raises(ValueError, match="longer than 4 steps"):
+            monte_carlo_moments(default_params(0.5), [(1,) * 5], 100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
         import qrecover.dephasing as dephasing
@@ -380,11 +412,12 @@ class TestMonteCarlo:
         monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 8)
         params = default_params(0.7)
-        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        vectors = [UNCONTROLLED.signs(4, 4)]
+        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
         monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
-        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
         monkeypatch.setattr(dephasing.os, "cpu_count", lambda: None)
-        monte_carlo_moments(params, UNCONTROLLED, 4, 3 * BLOCK_SIZE, seed=3, workers=64)
+        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
         assert sizes == [3, 2]
 
     def test_averaged_projector_is_valid_density_matrix(self):
@@ -394,7 +427,7 @@ class TestMonteCarlo:
     def test_deterministic_arms_have_zero_error(self):
         params = default_params(1.0)
         for control, k in ((UNCONTROLLED, 0), (CORRECTED, 4), (ECHOED, 4)):
-            moments = monte_carlo_moments(params, control, k, 10_000, seed=4)
+            (moments,) = monte_carlo_moments(params, [control.signs(k, 4)], 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
 
@@ -403,8 +436,9 @@ class TestMonteCarlo:
         params = default_params(0.7)
         values = []
         for seed in range(40):
-            m = monte_carlo_moments(params, UNCONTROLLED, 3, 5_000, seed=seed)
+            (m,) = monte_carlo_moments(params, [UNCONTROLLED.signs(3, 4)], 5_000, seed=seed)
             values.append(abs(m.coherence_mean))
         observed = np.std(values)
-        predicted = monte_carlo_moments(params, UNCONTROLLED, 3, 5_000, seed=0).coherence_std_error()
+        (moments,) = monte_carlo_moments(params, [UNCONTROLLED.signs(3, 4)], 5_000, seed=0)
+        predicted = moments.coherence_std_error()
         assert predicted == pytest.approx(observed, rel=0.5)

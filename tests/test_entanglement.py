@@ -196,6 +196,16 @@ class TestPreparationModel:
         with pytest.raises(ValueError, match="inconsistent"):
             PreparationModel(eta=0.9, fidelity=0.9)
 
+    @pytest.mark.parametrize("eta", [1.5, -0.2, float("nan")])
+    def test_eta_range_message_matches_closed_loop(self, eta):
+        from qrecover.closedloop import ClosedLoopParams
+
+        message = rf"^eta {eta!r} outside \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            PreparationModel.from_eta(eta)
+        with pytest.raises(ValueError, match=message):
+            ClosedLoopParams(p=0.5, eta=eta)
+
     def test_werner_limits(self):
         ideal = werner(PreparationModel.ideal())
         np.testing.assert_allclose(

@@ -161,7 +161,7 @@ class TestRunOpenLoop:
 
 class TestSeries:
     def test_series_shape_and_fill(self):
-        series = open_loop_series(params(0.7), IDEAL)
+        series = open_loop_series(params(0.7), [IDEAL])
         assert len(series) == 15
         by_key = {(r.control_kind, r.step): r for r in series}
         for k in (0, 1, 2):
@@ -181,7 +181,7 @@ class TestSeries:
         assert point.concurrence == pytest.approx(uncontrolled(1, 0.7), abs=1e-15)
 
     def test_any_step_count(self):
-        series = open_loop_series(params(0.7, steps=6), IDEAL)
+        series = open_loop_series(params(0.7, steps=6), [IDEAL])
         assert len(series) == 3 * 7
         by_key = {(r.control_kind, r.step): r.concurrence for r in series}
         assert by_key[("corrected", 6)] == pytest.approx(1.0, abs=1e-12)

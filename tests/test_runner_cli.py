@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from qrecover import runner
+from qrecover import dephasing, runner
 from qrecover.cli import main
+from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
 from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run, write_rows
 
@@ -257,21 +259,72 @@ class TestDeterminism:
         assert main(args + ["--workers", "64", "--out", str(out64)]) == 0
         assert out1.read_bytes() == out64.read_bytes()
 
-    def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch):
+    def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch, tmp_path):
         sizes = []
+        init = ThreadPoolExecutor.__init__
 
-        class RecordingPool(runner.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def recording_init(pool, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            init(pool, max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
-        assert runner._map_ordered(abs, [-1, -2, -3], 64) == [1, 2, 3]
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-        assert runner._map_ordered(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))
-        assert runner._map_ordered(abs, [-1], 64) == [1]
-        assert sizes == [3, 2]
+        # every pool in the process, wherever its class was imported
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", recording_init)
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
+        sampled = [
+            "open-loop",
+            "--mu", "0.7",
+            "--method", "monte_carlo",
+            "--n-samples", str(3 * BLOCK_SIZE),
+            "--seed", "2",
+            "--fidelity", "1.0", "0.9",
+        ]
+        assert main(sampled + ["--workers", "64", "--out", str(tmp_path / "o.csv")]) == 0
+        assert sizes == [2]
+        closed = ["closed-loop", "--sweep", "p", "--fidelity", "1.0", "0.9"]
+        assert main(closed + ["--workers", "64", "--out", str(tmp_path / "c.csv")]) == 0
+        assert sizes == [2]
+
+    def test_method_both_bytes_across_worker_counts(self, monkeypatch, tmp_path):
+        # more cores than blocks, so the pool really takes 1, 2 and 5 threads
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 64)
+        args = [
+            "open-loop",
+            "--mu", "0.3",
+            "--steps", "6",
+            "--method", "both",
+            "--n-samples", str(4 * BLOCK_SIZE + 7),
+            "--seed", "12",
+            "--fidelity", "1.0", "0.9",
+        ]
+        files = []
+        for workers in (1, 2, 64):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    def test_one_draw_per_block_for_every_row(self, monkeypatch, tmp_path):
+        calls = []
+        draw = dephasing._block_phases
+
+        def counting(params, seed, block_index, count):
+            calls.append(block_index)
+            return draw(params, seed, block_index, count)
+
+        monkeypatch.setattr(dephasing, "_block_phases", counting)
+        out = tmp_path / "both.csv"
+        argv = [
+            "open-loop",
+            "--mu", "0.7",
+            "--method", "both",
+            "--fidelity", "1.0", "0.96", "0.9",
+            "--n-samples", str(3 * BLOCK_SIZE + 1),
+            "--seed", "3",
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert sorted(calls) == [0, 1, 2, 3]
+        assert len(read_csv(out)) == 3 * 2 * 3 * 5
 
     def test_repeated_runs_are_identical(self, tmp_path):
         args = ["closed-loop", "--sweep", "theta", "--p", "0.5"]
