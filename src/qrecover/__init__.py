@@ -11,12 +11,9 @@ count-statistics tools, plus a sweep runner and CLI.
 from .closedloop import (
     AssistanceScan,
     ClosedLoopParams,
-    MeasurementOutcome,
     assistance_scan,
     controlled_concurrence_closed,
-    measure_environment,
-    measurement_ensemble,
-    state_after_interaction,
+    measurement_branches,
     uncontrolled_concurrence_closed,
 )
 from .counts import (

@@ -11,13 +11,13 @@ p, with concurrence |cos 2 theta|.
 The measurement basis kets are cos(theta)|u> + sin(theta)|d> and
 -sin(theta)|u> + cos(theta)|d>: a real rotation of the path basis.  That is
 the convention under which the protocol reproduces the outcome
-probabilities and recovered concurrences above; tests assert that rotating
-the state and projecting onto |u>, |d> is equivalent to projecting onto the
-rotated kets.
+probabilities and recovered concurrences above.
 
-Everything here is computed from these closed forms and direct
-projections; the gate-by-gate construction of the same pipeline is kept in
-the test suite as the reference they are checked against.
+Everything here is a closed form: the traced-out and the corrected pair
+concurrences, and the probability and concurrence of each measurement
+branch.  No quantum state is built.  The gate-by-gate construction of the
+same pipeline (rotate O, flip B, rotate the measurement basis, project)
+is kept in the test suite as the reference these are checked against.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import PureStateEnsemble, check_eta, ensemble_average_eof
-from .states import BELL_AMPLITUDES, PureState
-
-REGISTER = ("A", "B", "O")
-OUTCOME_LABELS = ("theta_u", "theta_d")
+from .entanglement import check_eta, eof_from_concurrence
 
 
 @dataclass(frozen=True)
@@ -68,35 +64,6 @@ class ClosedLoopParams:
         return cls(p=p_prime / (1.0 + p_prime), theta=theta, eta=eta, p_prime=p_prime)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One branch of the environment measurement.
-
-    ``post_state`` is None for a zero-probability branch.
-    """
-
-    label: str
-    probability: float
-    post_state: PureState | None
-
-
-def measurement_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rotated basis kets (outcome u, outcome d) as 2-vectors."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
-
-
-def state_after_interaction(p: float) -> PureState:
-    """sqrt(1-p)|psi->|u> + sqrt(p)|phi->|d>: the three-qubit state after the
-    environment rotation and the controlled flip."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p {p!r} outside [0, 1]")
-    amps = np.zeros(8, dtype=complex)
-    amps[0::2] = math.sqrt(1.0 - p) * BELL_AMPLITUDES["psi_minus"]
-    amps[1::2] = math.sqrt(p) * BELL_AMPLITUDES["phi_minus"]
-    return PureState(REGISTER, amps)
-
-
 def uncontrolled_concurrence_closed(p: float, eta: float = 1.0) -> float:
     """Pair concurrence after tracing out the environment:
     max{0, 2 eta |1 - 2p| - (1 - eta)} / 2."""
@@ -104,52 +71,36 @@ def uncontrolled_concurrence_closed(p: float, eta: float = 1.0) -> float:
     return max(0.0, 2.0 * eta * abs(1.0 - 2.0 * p) - (1.0 - eta)) / 2.0
 
 
-def measure_environment(p: float, theta: float) -> list[MeasurementOutcome]:
-    """Both branches of the rotated-basis measurement of O.
+def measurement_branches(
+    p: float, theta: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(probability, concurrence) of outcome u, then of outcome d.
 
-    Mixing the branch projectors with their probabilities reproduces the
-    traced-out state exactly.
+    Outcome u projects O onto cos(theta)|u> + sin(theta)|d>, leaving the pair
+    in a real mix of |psi-> (weight (1-p) cos^2 theta) and |phi->
+    (weight p sin^2 theta); outcome d swaps cos and sin.  The two Bell
+    states enter the pure-state concurrence |psi^T (sy x sy) psi| (Wootters,
+    PRL 80, 2245, 1998) with opposite signs, so a branch's concurrence is the
+    difference of its weights over their sum.  A branch with probability <= 1e-14 is reported
+    as (0, 0).
     """
-    return _measure(_pair_slices(p), theta)
+    ClosedLoopParams(p=p, theta=theta)
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    return _branch((1.0 - p) * c2, p * s2), _branch((1.0 - p) * s2, p * c2)
 
 
-def _pair_slices(p: float) -> np.ndarray:
-    # row j: the pair amplitude j paired with O in |u>, |d>
-    return state_after_interaction(p).amplitudes.reshape(4, 2)
-
-
-def _measure(slices: np.ndarray, theta: float) -> list[MeasurementOutcome]:
-    outcomes = []
-    for ket, label in zip(measurement_basis(theta), OUTCOME_LABELS):
-        vector = slices @ ket.conj()
-        probability = float(np.vdot(vector, vector).real)
-        if probability <= 1e-14:
-            outcomes.append(MeasurementOutcome(label, 0.0, None))
-            continue
-        post = PureState(("A", "B"), vector / math.sqrt(probability))
-        outcomes.append(MeasurementOutcome(label, probability, post))
-    return outcomes
-
-
-def measurement_ensemble(p: float, theta: float) -> PureStateEnsemble:
-    """The pure-state ensemble tagged by the measurement outcome."""
-    return _ensemble(_pair_slices(p), theta)
-
-
-def _ensemble(slices: np.ndarray, theta: float) -> PureStateEnsemble:
-    members = [
-        (outcome.probability, outcome.post_state)
-        for outcome in _measure(slices, theta)
-        if outcome.post_state is not None
-    ]
-    return PureStateEnsemble(tuple(members))
+def _branch(psi_weight: float, phi_weight: float) -> tuple[float, float]:
+    probability = psi_weight + phi_weight
+    if probability <= 1e-14:
+        return 0.0, 0.0
+    return probability, abs(phi_weight - psi_weight) / probability
 
 
 def controlled_concurrence_closed(theta: float, eta: float = 1.0) -> float:
     """Pair concurrence after measurement plus conditioned correction:
-    max{0, eta (1 + 2 |cos 2 theta|) - 1} / 2, independent of p."""
+    max{0, 2 eta |cos 2 theta| - (1 - eta)} / 2, independent of p."""
     ClosedLoopParams(p=0.0, theta=theta, eta=eta)  # p does not enter
-    return max(0.0, eta * (1.0 + 2.0 * abs(math.cos(2.0 * theta))) - 1.0) / 2.0
+    return max(0.0, 2.0 * eta * abs(math.cos(2.0 * theta)) - (1.0 - eta)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -172,8 +123,12 @@ def assistance_scan(p: float, n_theta: int = 181) -> AssistanceScan:
     if n_theta < 2:
         raise ValueError("n_theta must be >= 2")
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
-    slices = _pair_slices(p)
-    eofs = np.array([ensemble_average_eof(_ensemble(slices, theta)) for theta in thetas])
+    eofs = np.array(
+        [
+            sum(prob * eof_from_concurrence(c) for prob, c in measurement_branches(p, theta))
+            for theta in thetas
+        ]
+    )
     best = int(np.argmax(eofs >= eofs.max() - 1e-12))
     return AssistanceScan(
         thetas=thetas,

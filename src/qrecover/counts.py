@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .closedloop import measure_environment, state_after_interaction
+from .closedloop import measurement_branches
 
 SPLIT_FIELDS = ("c_hh_d", "c_vv_d", "c_hv_u", "c_vh_u")
 ANGLE_FIELDS = ("c_hv_1", "c_vh_1", "c_hv_0", "c_vh_0")
@@ -113,24 +113,26 @@ def simulate_counts(
 def coincidence_probabilities(p: float, theta: float) -> dict[str, float]:
     """Per-label detection probabilities implied by the feedback protocol.
 
-    The split group comes from the unrotated post-interaction state; the
-    angle group from the rotated measurement branches.  The mode-1/mode-0
-    ratio works out to tan^2(theta) for every p.
+    The split group comes from the unrotated post-interaction state
+    sqrt(1-p) |psi->|u> + sqrt(p) |phi->|d>: HH and VV on the down path carry
+    p/2 each, HV and VH on the up path (1-p)/2 each.  In the angle group, HV
+    and VH see only the |psi-> part of each measurement branch:
+    (1-p) cos^2(theta)/2 each on mode 0 (outcome u) and (1-p) sin^2(theta)/2
+    each on mode 1 (outcome d), or 0 when the branch has probability 0.  The
+    mode-1/mode-0 ratio works out to tan^2(theta) for every p.
     """
-    amps = state_after_interaction(p).amplitudes.reshape(2, 2, 2)  # (A, B, O)
-    weight = np.abs(amps) ** 2
-    probs = {
-        "c_hh_d": float(weight[0, 0, 1]),
-        "c_vv_d": float(weight[1, 1, 1]),
-        "c_hv_u": float(weight[0, 1, 0]),
-        "c_vh_u": float(weight[1, 0, 0]),
+    (mode0, _), (mode1, _) = measurement_branches(p, theta)
+    down = p / 2.0
+    up = (1.0 - p) / 2.0
+    angle0 = up * math.cos(theta) ** 2 if mode0 > 0.0 else 0.0
+    angle1 = up * math.sin(theta) ** 2 if mode1 > 0.0 else 0.0
+    return {
+        "c_hh_d": down,
+        "c_vv_d": down,
+        "c_hv_u": up,
+        "c_vh_u": up,
+        "c_hv_0": angle0,
+        "c_vh_0": angle0,
+        "c_hv_1": angle1,
+        "c_vh_1": angle1,
     }
-    for outcome, suffix in zip(measure_environment(p, theta), ("0", "1")):
-        if outcome.post_state is None:
-            probs[f"c_hv_{suffix}"] = 0.0
-            probs[f"c_vh_{suffix}"] = 0.0
-            continue
-        branch = np.abs(outcome.post_state.amplitudes) ** 2 * outcome.probability
-        probs[f"c_hv_{suffix}"] = float(branch[1])
-        probs[f"c_vh_{suffix}"] = float(branch[2])
-    return probs

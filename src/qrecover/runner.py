@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -33,6 +34,16 @@ from .openloop import open_loop_series
 EXPERIMENTS = ("open_loop", "closed_loop", "assist_scan", "counts_demo")
 FORMATS = ("csv", "jsonl")
 _FLOAT_FIELDS = ("mu", "sigma", "mean_phase", "p", "p_prime", "theta")
+_FIELD_TYPES = (
+    ("a string", str, ("experiment", "out", "format", "method", "sweep")),
+    (
+        "an integer",
+        numbers.Integral,
+        ("workers", "seed", "steps", "n_samples", "grid_points", "total_pairs"),
+    ),
+    ("a number", numbers.Real, _FLOAT_FIELDS),
+    ("true or false", bool, ("clip_to_hardware",)),
+)
 
 OUTPUT_SCHEMAS = {
     "open_loop": {
@@ -123,6 +134,7 @@ class RunConfig:
     total_pairs: int = 4000
 
     def __post_init__(self):
+        self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected {EXPERIMENTS}")
         if self.format not in FORMATS:
@@ -150,6 +162,23 @@ class RunConfig:
         if self.experiment == "counts_demo" and self.seed is None:
             raise ValueError("counts_demo requires a seed")
 
+    def _check_types(self):
+        """Reject a value of the wrong type by field name, before any use.
+
+        A field whose default is None may be None.
+        """
+        for description, kind, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and self.__dataclass_fields__[name].default is None:
+                    continue
+                if not _is_a(value, kind):
+                    raise ValueError(f"{name} must be {description}, got {value!r}")
+        if not isinstance(self.fidelity, (tuple, list)) or not all(
+            _is_a(f, numbers.Real) for f in self.fidelity
+        ):
+            raise ValueError(f"fidelity must be a list of numbers, got {self.fidelity!r}")
+
     def resolved_p(self, default: float | None = None) -> float | None:
         if self.p_prime is not None:
             params = ClosedLoopParams.from_p_prime(self.p_prime)
@@ -159,6 +188,11 @@ class RunConfig:
                 )
             return params.p
         return self.p if self.p is not None else default
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a bool is a bool and never a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _format_float(value: float) -> str:
@@ -321,12 +355,12 @@ _BUILDERS = {
 
 def run(config: RunConfig) -> Path:
     """Evaluate the configured sweep and write the data file; returns its path."""
+    path = Path(config.out)
+    if not path.parent.exists():
+        raise OSError(f"output directory {path.parent} does not exist")
     rows = _BUILDERS[config.experiment](config)
     if not rows:
         raise ValueError("sweep produced no rows")
-    path = Path(config.out)
-    if path.parent and not path.parent.exists():
-        raise OSError(f"output directory {path.parent} does not exist")
     columns = OUTPUT_SCHEMAS[config.experiment]["columns"]
     write_rows(path, columns, rows, config.format)
     return path

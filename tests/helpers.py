@@ -7,7 +7,8 @@ computed with raw einsum contractions, the averaged projector is built
 from the public per-trajectory states one row at a time, and the
 closed-loop pipeline is built gate by gate (rotate the environment, apply
 the controlled flip, rotate the measurement basis, trace out or project,
-flip B back) with the general eigensolver concurrence on the result.
+flip B back) with the general eigensolver concurrence on the result.  The
+package computes the same quantities from closed forms only.
 """
 
 from __future__ import annotations
@@ -166,21 +167,32 @@ def uncontrolled_output(p, eta=1.0):
     return rho, concurrence(rho)
 
 
-def corrected_ensemble(p, theta):
-    """Rotate O, project onto |u>, |d>, and flip B back on the "down" outcome."""
+def measured_ensemble(p, theta):
+    """Rotate O and project onto |u>, |d>: (probability, pair state) per outcome.
+
+    The outcomes come in the order u, d; a branch with probability <= 1e-14
+    is (0.0, None).
+    """
     rotated = apply_local(interaction_by_gates(p), measurement_rotation(theta))
     slices = rotated.amplitudes.reshape(4, 2)
-    members = []
+    branches = []
     for column in (0, 1):
         vector = slices[:, column]
         probability = float(np.vdot(vector, vector).real)
         if probability <= 1e-14:
-            continue
-        state = PureState(("A", "B"), vector / math.sqrt(probability))
-        if column == 1:
-            state = apply_local(state, bit_flip("B"))
-        members.append((probability, state))
-    return PureStateEnsemble(tuple(members))
+            branches.append((0.0, None))
+        else:
+            branches.append((probability, PureState(("A", "B"), vector / math.sqrt(probability))))
+    return tuple(branches)
+
+
+def corrected_ensemble(p, theta):
+    """The measured branches, with B flipped back on the "down" outcome."""
+    (p_up, up), (p_down, down) = measured_ensemble(p, theta)
+    if down is not None:
+        down = apply_local(down, bit_flip("B"))
+    members = ((p_up, up), (p_down, down))
+    return PureStateEnsemble(tuple(m for m in members if m[1] is not None))
 
 
 def controlled_output(p, theta, eta=1.0):

@@ -7,15 +7,17 @@ from qrecover.closedloop import (
     ClosedLoopParams,
     assistance_scan,
     controlled_concurrence_closed,
-    measure_environment,
-    measurement_ensemble,
-    state_after_interaction,
+    measurement_branches,
     uncontrolled_concurrence_closed,
 )
-from qrecover.entanglement import concurrence, ensemble_average_eof, eof_from_concurrence
+from qrecover.entanglement import (
+    PureStateEnsemble,
+    concurrence,
+    ensemble_average_eof,
+    eof_from_concurrence,
+)
 from qrecover.states import (
     SIGMA_X,
-    apply_local,
     bell_state,
     kron_state,
     partial_trace,
@@ -28,13 +30,31 @@ from helpers import (
     corrected_ensemble,
     environment_rotation,
     interaction_by_gates,
+    measured_ensemble,
     measurement_rotation,
+    pure_concurrence_oracle,
     uncontrolled_output,
 )
 
 ETAS = (0.86667, 0.93333, 0.946667)  # measured-fidelity mixing weights
 P_GRID = np.linspace(0.0, 1.0, 21)
 THETA_GRID = np.linspace(0.0, math.pi / 2, 19)
+# the oracle grid: both limits of p and theta, and the diagonal angle
+BRANCH_P = (0.0, 0.3, 0.5, 1.0)
+BRANCH_THETA = (0.0, 0.35, math.pi / 4, 1.1, math.pi / 2)
+
+
+def interaction_closed_form(p):
+    """sqrt(1-p)|psi->|u> + sqrt(p)|phi->|d>, written out."""
+    up = kron_state(bell_state("psi_minus"), PureState(("O",), np.array([1.0, 0.0])))
+    down = kron_state(bell_state("phi_minus"), PureState(("O",), np.array([0.0, 1.0])))
+    return math.sqrt(1.0 - p) * up.amplitudes + math.sqrt(p) * down.amplitudes
+
+
+def measured_oracle_eof(p, theta):
+    """Average EoF of the gate-built measured ensemble."""
+    members = tuple(m for m in measured_ensemble(p, theta) if m[1] is not None)
+    return ensemble_average_eof(PureStateEnsemble(members))
 
 
 class TestGates:
@@ -65,27 +85,28 @@ class TestInteraction:
     def test_constructive_equals_closed_form(self):
         for p in P_GRID:
             built = interaction_by_gates(float(p))
-            direct = state_after_interaction(float(p))
-            np.testing.assert_allclose(built.amplitudes, direct.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(
+                built.amplitudes, interaction_closed_form(float(p)), atol=1e-12
+            )
 
     def test_limits(self):
         up = PureState(("O",), np.array([1.0, 0]))
         down = PureState(("O",), np.array([0, 1.0]))
-        zero = state_after_interaction(0.0)
+        zero = interaction_by_gates(0.0)
         assert abs(zero.overlap(kron_state(bell_state("psi_minus"), up))) == pytest.approx(
             1.0, abs=1e-12
         )
-        one = state_after_interaction(1.0)
+        one = interaction_by_gates(1.0)
         assert abs(one.overlap(kron_state(bell_state("phi_minus"), down))) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_balanced_point_has_no_pair_entanglement(self):
-        rho = partial_trace(state_after_interaction(0.5).projector(), ("A", "B"))
+        rho = partial_trace(interaction_by_gates(0.5).projector(), ("A", "B"))
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_point_traces_to_equal_bell_mixture(self):
-        rho = partial_trace(state_after_interaction(0.5).projector(), ("A", "B"))
+        rho = partial_trace(interaction_by_gates(0.5).projector(), ("A", "B"))
         expected = 0.5 * (
             bell_state("psi_minus").projector().matrix
             + bell_state("phi_minus").projector().matrix
@@ -93,8 +114,11 @@ class TestInteraction:
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_after_interaction(1.2)
+        for p in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match="^p "):
+                measurement_branches(p, 0.3)
+            with pytest.raises(ValueError, match="^p "):
+                assistance_scan(p)
 
 
 class TestUncontrolled:
@@ -132,73 +156,69 @@ class TestUncontrolled:
 class TestMeasurement:
     def test_natural_basis_selects_the_bell_ensemble(self):
         for p in (0.2, 0.5, 0.8):
-            up, down = measure_environment(p, 0.0)
-            assert up.probability == pytest.approx(1 - p, abs=1e-12)
-            assert down.probability == pytest.approx(p, abs=1e-12)
-            assert abs(up.post_state.overlap(bell_state("psi_minus"))) == pytest.approx(
-                1.0, abs=1e-12
-            )
-            assert abs(down.post_state.overlap(bell_state("phi_minus"))) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert measurement_branches(p, 0.0) == ((1 - p, 1.0), (p, 1.0))
+            (_, up), (_, down) = measured_ensemble(p, 0.0)
+            assert abs(up.overlap(bell_state("psi_minus"))) == pytest.approx(1.0, abs=1e-12)
+            assert abs(down.overlap(bell_state("phi_minus"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_at_general_angle(self):
         for p in (0.0, 0.3, 0.5, 1.0):
             for theta in THETA_GRID:
-                up, down = measure_environment(float(p), float(theta))
+                (p_up, _), (p_down, _) = measurement_branches(float(p), float(theta))
                 c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-                assert up.probability == pytest.approx((1 - p) * c2 + p * s2, abs=1e-12)
-                assert down.probability == pytest.approx((1 - p) * s2 + p * c2, abs=1e-12)
-                assert up.probability + down.probability == pytest.approx(1.0, abs=1e-10)
+                assert p_up == pytest.approx((1 - p) * c2 + p * s2, abs=1e-12)
+                assert p_down == pytest.approx((1 - p) * s2 + p * c2, abs=1e-12)
+                assert p_up + p_down == pytest.approx(1.0, abs=1e-10)
 
     def test_balanced_members_have_cos2theta_concurrence(self):
         for theta in THETA_GRID:
-            outcomes = measure_environment(0.5, float(theta))
-            for outcome in outcomes:
-                assert outcome.probability == pytest.approx(0.5, abs=1e-12)
-                value = concurrence(outcome.post_state.projector())
+            for probability, c in measurement_branches(0.5, float(theta)):
+                assert probability == pytest.approx(0.5, abs=1e-12)
+                assert c == pytest.approx(abs(math.cos(2 * theta)), abs=1e-12)
+            for _, state in measured_ensemble(0.5, float(theta)):
+                value = concurrence(state.projector())
                 assert value == pytest.approx(abs(math.cos(2 * theta)), abs=1e-9)
 
     def test_diagonal_angle_regains_nothing(self):
-        outcomes = measure_environment(0.5, math.pi / 4)
-        for outcome in outcomes:
-            assert concurrence(outcome.post_state.projector()) == pytest.approx(
-                0.0, abs=1e-10
-            )
+        for _, c in measurement_branches(0.5, math.pi / 4):
+            assert c == pytest.approx(0.0, abs=1e-15)
+        for _, state in measured_ensemble(0.5, math.pi / 4):
+            assert concurrence(state.projector()) == pytest.approx(0.0, abs=1e-10)
 
     def test_mixture_reproduces_traced_state(self):
         for p in (0.0, 0.3, 0.5, 0.9):
-            traced = partial_trace(state_after_interaction(p).projector(), ("A", "B"))
+            traced = partial_trace(interaction_by_gates(p).projector(), ("A", "B"))
             for theta in (0.0, 0.4, math.pi / 4, 1.2):
                 total = np.zeros((4, 4), dtype=complex)
-                for outcome in measure_environment(p, theta):
-                    if outcome.post_state is None:
+                for probability, state in measured_ensemble(p, theta):
+                    if state is None:
                         continue
-                    amps = outcome.post_state.amplitudes
-                    total += outcome.probability * np.outer(amps, amps.conj())
+                    amps = state.amplitudes
+                    total += probability * np.outer(amps, amps.conj())
                 np.testing.assert_allclose(total, traced.matrix, atol=1e-12)
 
     def test_rotate_then_project_equals_projecting_on_rotated_kets(self):
-        for p in (0.3, 0.5, 0.8):
-            for theta in (0.0, 0.35, 1.1):
-                rotated = apply_local(interaction_by_gates(p), measurement_rotation(theta))
-                slices = rotated.amplitudes.reshape(4, 2)
-                outcomes = measure_environment(p, theta)
-                for column, outcome in enumerate(outcomes):
-                    branch = slices[:, column]
-                    assert np.vdot(branch, branch).real == pytest.approx(
-                        outcome.probability, abs=1e-12
-                    )
-                    if outcome.post_state is not None:
-                        normalized = branch / np.linalg.norm(branch)
-                        np.testing.assert_allclose(
-                            normalized, outcome.post_state.amplitudes, atol=1e-12
-                        )
+        # the closed form projects onto the rotated kets; the oracle rotates
+        # O gate by gate and projects onto |u>, |d>
+        for p in BRANCH_P:
+            for theta in BRANCH_THETA:
+                closed = measurement_branches(p, theta)
+                for (probability, c), (expected, state) in zip(
+                    closed, measured_ensemble(p, theta)
+                ):
+                    assert probability == pytest.approx(expected, abs=1e-12)
+                    if state is None:
+                        assert (probability, c) == (0.0, 0.0)
+                    else:
+                        oracle = pure_concurrence_oracle(state.amplitudes)
+                        assert c == pytest.approx(oracle, abs=1e-12)
 
     def test_zero_probability_branch_has_no_state(self):
-        up, down = measure_environment(0.0, 0.0)
-        assert down.probability == 0.0 and down.post_state is None
-        assert up.probability == pytest.approx(1.0, abs=1e-12)
+        for p, theta, empty in ((0.0, 0.0, 1), (1.0, 0.0, 0), (0.0, math.pi / 2, 0)):
+            branches = measurement_branches(p, theta)
+            assert branches[empty] == (0.0, 0.0)
+            assert measured_ensemble(p, theta)[empty] == (0.0, None)
+            assert branches[1 - empty] == (1.0, 1.0)
 
 
 class TestControlled:
@@ -270,8 +290,8 @@ class TestControlled:
 class TestEnsembles:
     def test_measured_ensemble_average_eof_natural_basis(self):
         for p in (0.0, 0.3, 0.5):
-            ens = measurement_ensemble(p, 0.0)
-            assert ensemble_average_eof(ens) == pytest.approx(1.0, abs=1e-9)
+            assert measured_oracle_eof(p, 0.0) == pytest.approx(1.0, abs=1e-9)
+            assert assistance_scan(p).eofs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_corrected_ensemble_members_collapse_at_natural_basis(self):
         ens = corrected_ensemble(0.4, 0.0)
@@ -302,21 +322,11 @@ class TestAssistanceScan:
             expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in scan.thetas]
             np.testing.assert_allclose(scan.eofs, expected, rtol=0, atol=1e-12)
 
-    def test_interaction_state_is_built_once_per_scan(self, monkeypatch):
-        import qrecover.closedloop as closedloop
-
-        calls = []
-        build = closedloop.state_after_interaction
-
-        def counting(p):
-            calls.append(p)
-            return build(p)
-
-        monkeypatch.setattr(closedloop, "state_after_interaction", counting)
-        scan = assistance_scan(0.3, n_theta=101)
-        assert calls == [0.3]
-        for theta, eof in zip(scan.thetas[::10], scan.eofs[::10]):
-            assert eof == ensemble_average_eof(measurement_ensemble(0.3, theta))
+    def test_matches_the_oracle_ensemble_eof(self):
+        for p in BRANCH_P:
+            scan = assistance_scan(p, n_theta=9)  # includes 0, pi/4 and pi/2
+            for theta, eof in zip(scan.thetas, scan.eofs):
+                assert eof == pytest.approx(measured_oracle_eof(p, float(theta)), abs=1e-12)
 
 
 class TestParams:
@@ -372,6 +382,12 @@ class TestClosedFormDomain:
     def test_uncontrolled_rejects(self, args, field):
         with pytest.raises(ValueError, match=field):
             uncontrolled_concurrence_closed(*args)
+
+    @pytest.mark.parametrize("n", [91, 1001])
+    def test_unit_eta_is_abs_cos_2theta_bit_for_bit(self, n):
+        for theta in np.linspace(0.0, math.pi / 2, n):
+            theta = float(theta)
+            assert controlled_concurrence_closed(theta, 1.0) == abs(math.cos(2 * theta))
 
     def test_domain_edges_accepted(self):
         assert uncontrolled_concurrence_closed(0.0, 0.0) == 0.0

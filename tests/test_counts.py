@@ -13,6 +13,8 @@ from qrecover.counts import (
     simulate_counts,
 )
 
+from helpers import measured_ensemble
+
 DELTA_P_AT_EQUAL_HUNDREDS = 0.1  # sqrt(4 * 0.0025) for counts (100, 100, 100, 100)
 DELTA_P_AT_50_50_200_200 = 0.027950849718747368
 DELTA_THETA_AT_R0_800 = 0.017677669529663688  # 0.5 / sqrt(800)
@@ -144,6 +146,28 @@ class TestProtocolProbabilities:
             assert probs["c_vv_d"] == pytest.approx(p / 2, abs=1e-12)
             assert probs["c_hv_u"] == pytest.approx((1 - p) / 2, abs=1e-12)
             assert probs["c_vh_u"] == pytest.approx((1 - p) / 2, abs=1e-12)
+
+    def test_angle_group_matches_the_projected_branches(self):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for theta in (0.0, 0.35, math.pi / 4, 1.1, math.pi / 2):
+                probs = coincidence_probabilities(p, theta)
+                for suffix, (probability, state) in zip("01", measured_ensemble(p, theta)):
+                    weight = [0.0] * 4 if state is None else np.abs(state.amplitudes) ** 2
+                    assert probs[f"c_hv_{suffix}"] == pytest.approx(
+                        probability * weight[1], abs=1e-12
+                    )
+                    assert probs[f"c_vh_{suffix}"] == pytest.approx(
+                        probability * weight[2], abs=1e-12
+                    )
+
+    def test_zero_branch_pairs_are_exactly_zero(self):
+        # cos^2(pi/2) and sin^2(1e-8) are tiny but not 0; a branch of
+        # probability <= 1e-14 is 0, so no Poisson draw is made for it
+        at_right_angle = coincidence_probabilities(0.0, math.pi / 2)
+        assert at_right_angle["c_hv_0"] == at_right_angle["c_vh_0"] == 0.0
+        near_zero = coincidence_probabilities(0.0, 1e-8)
+        assert near_zero["c_hv_1"] == near_zero["c_vh_1"] == 0.0
+        assert near_zero["c_hv_0"] == 0.5
 
     def test_angle_group_ratio_is_tan_squared_for_any_p(self):
         for p in (0.2, 0.5, 0.7):

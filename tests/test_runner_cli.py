@@ -11,6 +11,7 @@ from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
 from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run, write_rows
+from qrecover.states import DensityMatrix, PureState
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -235,6 +236,38 @@ class TestNonFiniteInputs:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestConfigFileTypes:
+    @pytest.mark.parametrize(
+        "verb, values, field",
+        [
+            ("open-loop", {"mu": "0.3"}, "mu"),
+            ("open-loop", {"mu": True}, "mu"),
+            ("open-loop", {"mu": 0.3, "workers": "2"}, "workers"),
+            ("open-loop", {"mu": 0.3, "seed": 1.5}, "seed"),
+            ("open-loop", {"mu": 0.3, "fidelity": "0.9"}, "fidelity"),
+            ("open-loop", {"mu": 0.3, "fidelity": [1.0, "0.9"]}, "fidelity"),
+            ("open-loop", {"mu": 0.3, "clip_to_hardware": 1}, "clip_to_hardware"),
+            ("closed-loop", {"sweep": 1}, "sweep"),
+            ("assist-scan", {"p": 0.3, "grid_points": 3.5}, "grid_points"),
+            ("counts-demo", {"seed": 1, "total_pairs": "4000"}, "total_pairs"),
+        ],
+    )
+    def test_rejected_by_name_without_a_file(self, tmp_path, capsys, verb, values, field):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main([verb, "--config", str(config), "--out", str(out)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_integers_count_as_numbers(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mu": 1, "sigma": 1, "fidelity": 1}))
+        out = tmp_path / "x.csv"
+        assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 0
+        assert out.exists()
+
+
 class TestDeterminism:
     def test_identical_bytes_across_worker_counts(self, tmp_path):
         args = [
@@ -388,10 +421,44 @@ class TestFormatsAndConfig:
         assert main(["open-loop", "--mu", "1.0"]) == 2
         assert "output path" in capsys.readouterr().err
 
-    def test_unwritable_path_rejected(self, tmp_path, capsys):
+    def test_unwritable_path_rejected(self, tmp_path, capsys, monkeypatch):
+        # the directory is checked before any row is built
+        calls = []
+
+        def refuse(config):
+            calls.append(config)
+            raise AssertionError("rows built for an unwritable path")
+
+        monkeypatch.setitem(runner._BUILDERS, "open_loop", refuse)
         target = tmp_path / "no_such_dir" / "x.csv"
-        assert main(["open-loop", "--mu", "1.0", "--out", str(target)]) == 2
+        argv = ["open-loop", "--mu", "1.0", "--method", "monte_carlo", "--seed", "1"]
+        assert main(argv + ["--out", str(target)]) == 2
         assert "does not exist" in capsys.readouterr().err
+        assert calls == []
+
+
+class TestNoVerbBuildsAQuantumState:
+    """Every verb runs on closed forms and coherence moments alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["open-loop", "--mu", "0.7", "--method", "both", "--n-samples", "2000", "--seed", "1"],
+            ["closed-loop", "--sweep", "theta", "--fidelity", "1.0", "0.9"],
+            ["assist-scan", "--p", "0.3"],
+            ["counts-demo", "--p", "0.4", "--theta", "0.3", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_runs_with_state_construction_forbidden(self, tmp_path, monkeypatch, argv):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.stat().st_size > 0
 
 
 class TestAtomicWrites:
