@@ -74,12 +74,17 @@ def estimate_p_prime(counts: CoincidenceCounts) -> tuple[float, float]:
 def estimate_theta(counts: CoincidenceCounts) -> tuple[float, float]:
     """Measurement angle arctan(sqrt(R)) with R the mode-1/mode-0 count ratio.
 
-    delta theta = (C_hv_0 + C_vh_0)^(-1/2) (1 + R)^(-1/2) / 2.
+    delta theta = (C_hv_0 + C_vh_0)^(-1/2) (1 + R)^(-1/2) / 2.  With no
+    mode-0 counts the angle is pi/2 and the error (C_hv_1 + C_vh_1)^(-1/2) / 2;
+    with no counts in either mode it is undefined.
     """
     mode0 = counts.c_hv_0 + counts.c_vh_0
+    mode1 = counts.c_hv_1 + counts.c_vh_1
     if mode0 <= 0:
-        raise EstimationError("mode-0 counts sum to zero; angle undefined")
-    ratio = (counts.c_hv_1 + counts.c_vh_1) / mode0
+        if mode1 <= 0:
+            raise EstimationError("mode-0 and mode-1 counts sum to zero; angle undefined")
+        return math.pi / 2, 0.5 / math.sqrt(mode1)
+    ratio = mode1 / mode0
     theta = math.atan(math.sqrt(ratio))
     delta = 0.5 / math.sqrt(mode0) / math.sqrt(1.0 + ratio)
     return float(theta), float(delta)

@@ -141,6 +141,8 @@ class RunConfig:
             raise ValueError(f"unknown format {self.format!r}; expected {FORMATS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed {self.seed!r} must be >= 0")
         if not self.fidelity:
             raise ValueError("fidelity list must be nonempty")
         object.__setattr__(self, "fidelity", tuple(float(f) for f in self.fidelity))
@@ -159,8 +161,12 @@ class RunConfig:
                 raise ValueError("monte_carlo rows require a seed")
         if self.experiment == "closed_loop" and self.sweep not in ("p", "theta"):
             raise ValueError(f"sweep must be 'p' or 'theta', got {self.sweep!r}")
-        if self.experiment == "counts_demo" and self.seed is None:
-            raise ValueError("counts_demo requires a seed")
+        if self.experiment == "counts_demo":
+            if self.seed is None:
+                raise ValueError("counts_demo requires a seed")
+            # the count ratio identifies an angle only in the first quadrant
+            if self.theta is not None and not 0.0 <= self.theta <= math.pi / 2:
+                raise ValueError(f"theta {self.theta!r} outside [0, pi/2]")
 
     def _check_types(self):
         """Reject a value of the wrong type by field name, before any use.
@@ -358,6 +364,8 @@ def run(config: RunConfig) -> Path:
     path = Path(config.out)
     if not path.parent.exists():
         raise OSError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise OSError(f"output path {path} is a directory")
     rows = _BUILDERS[config.experiment](config)
     if not rows:
         raise ValueError("sweep produced no rows")

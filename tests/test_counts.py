@@ -104,9 +104,14 @@ class TestAngle:
         resampled = bootstrap_std(observed, estimate_theta)
         assert delta == pytest.approx(resampled, rel=0.1)
 
-    def test_zero_denominator_raises(self):
-        with pytest.raises(EstimationError):
-            estimate_theta(CoincidenceCounts(c_hv_1=10, c_vh_1=10))
+    def test_no_mode0_counts_give_a_right_angle(self):
+        theta, delta = estimate_theta(CoincidenceCounts(c_hv_1=10, c_vh_1=10))
+        assert theta == math.pi / 2
+        assert delta == 0.5 / math.sqrt(20)
+
+    def test_no_counts_in_either_mode_raise(self):
+        with pytest.raises(EstimationError, match="angle undefined"):
+            estimate_theta(CoincidenceCounts(c_hh_d=10, c_hv_u=10))
 
 
 class TestSimulateCounts:

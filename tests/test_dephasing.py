@@ -284,6 +284,13 @@ class TestAnalyticCoherences:
     def test_empty_vector_is_the_singlet(self):
         assert analytic_coherence((), 0.4, SIGMA) == -0.5
 
+    @pytest.mark.parametrize("sigma", [1e155, 1e300])
+    def test_huge_sigma_dephases_without_overflow(self, sigma):
+        for k in range(1, 5):
+            assert analytic_coherence(UNCONTROLLED.signs(k, 4), 0.5, sigma) == 0.0
+        # only the trajectories whose four phases are all equal keep the echo
+        assert analytic_coherence(ECHOED.signs(4, 4), 0.5, sigma) == -0.5 * 0.5**3
+
 
 class TestMonteCarlo:
     N = 100_000
@@ -372,7 +379,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("steps", [4, 6])
     @pytest.mark.parametrize("clip", [False, True])
-    def test_one_pass_equals_per_vector_reduction_bitwise(self, steps, clip):
+    def test_one_pass_matches_per_vector_reduction(self, steps, clip):
         params = default_params(0.6, steps=steps, clip_to_hardware=clip)
         n, seed = 2 * BLOCK_SIZE + 300, 17
         vectors = tuple(
@@ -392,12 +399,38 @@ class TestMonteCarlo:
                 z = -0.5 * np.exp(-1j * (block @ np.asarray(signs, dtype=float)))
                 z_total += z.sum()
                 z2_total += (z * z).sum()
-            assert got.coherence_mean == z_total / n
-            assert got.coherence_square_mean == z2_total / n
+            # a product of k unit factors against one exp of the phase sum
+            tolerance = 4 * max(len(signs), 1) * np.finfo(float).eps
+            assert abs(got.coherence_mean - z_total / n) <= tolerance
+            assert abs(got.coherence_square_mean - z2_total / n) <= tolerance
+
+    def test_a_vector_does_not_depend_on_the_others_in_its_pass(self):
+        # shared prefixes, a vector that is a prefix of an earlier one, a
+        # repeat and the empty vector, against each vector reduced alone
+        params = default_params(0.6, steps=6)
+        vectors = [
+            (1, 1, -1, -1, -1),
+            (1, 1, 1),
+            (1, 1),
+            (),
+            (1, -1),
+            (1, 1, -1),
+            (1, 1, 1),
+            (-1, -1, 1, 1, -1, -1),
+            (1, 1, 1, 1, 1, 1),
+        ]
+        together = monte_carlo_moments(params, vectors, 2 * BLOCK_SIZE + 300, seed=8)
+        for signs, got in zip(vectors, together):
+            assert monte_carlo_moments(params, [signs], 2 * BLOCK_SIZE + 300, seed=8) == (got,)
 
     def test_sign_vector_longer_than_the_process_rejected(self):
         with pytest.raises(ValueError, match="longer than 4 steps"):
             monte_carlo_moments(default_params(0.5), [(1,) * 5], 100, seed=1)
+
+    @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (0.5,)])
+    def test_sign_vector_entries_other_than_plus_minus_one_rejected(self, signs):
+        with pytest.raises(ValueError, match=r"only \+1 and -1"):
+            monte_carlo_moments(default_params(0.5), [signs], 100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
         import qrecover.dephasing as dephasing
@@ -428,6 +461,17 @@ class TestMonteCarlo:
         params = default_params(1.0)
         for control, k in ((UNCONTROLLED, 0), (CORRECTED, 4), (ECHOED, 4)):
             (moments,) = monte_carlo_moments(params, [control.signs(k, 4)], 10_000, seed=4)
+            assert moments.coherence_mean == -0.5
+            assert moments.coherence_std_error() == 0.0
+
+    @pytest.mark.parametrize("steps, flips", [(6, (3,)), (8, (2, 4, 6))])
+    def test_balanced_vectors_at_full_correlation_are_exact(self, steps, flips):
+        # every phase of a trajectory is equal, so the signed sum is exactly 0
+        signs = tuple((-1) ** sum(k >= f for f in flips) for k in range(steps))
+        assert sum(signs) == 0
+        for clip in (False, True):
+            params = default_params(1.0, steps=steps, clip_to_hardware=clip)
+            (moments,) = monte_carlo_moments(params, [signs], 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
 

@@ -22,6 +22,14 @@ def read_csv(path):
 
 
 class TestOpenLoopRunner:
+    @pytest.mark.parametrize("sigma", ["1e155", "1e300"])
+    def test_huge_sigma_dephases_without_overflow(self, tmp_path, sigma):
+        out = tmp_path / "huge.csv"
+        assert main(["open-loop", "--mu", "0.5", "--sigma", sigma, "--out", str(out)]) == 0
+        for row in read_csv(out):
+            if row["control"] == "uncontrolled" and row["step"] != "0":
+                assert float(row["concurrence"]) == 0.0
+
     def test_row_count_contract(self, tmp_path):
         out = tmp_path / "open_loop_mu10.csv"
         code = main(
@@ -216,6 +224,14 @@ class TestCountsDemoRunner:
         assert main(["counts-demo", "--p", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_right_angle_is_estimated(self, tmp_path):
+        out = tmp_path / "counts.csv"
+        argv = ["counts-demo", "--p", "0.5", "--theta", str(math.pi / 2), "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        angle_row = read_csv(out)[1]
+        assert float(angle_row["estimate"]) == pytest.approx(math.pi / 2, abs=1e-8)
+        assert 0.0 < float(angle_row["stat_error"]) < 0.02
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -227,6 +243,10 @@ class TestNonFiniteInputs:
             (["closed-loop", "--theta", "nan"], "theta"),
             (["counts-demo", "--p", "0.5", "--theta", "nan", "--seed", "1"], "theta"),
             (["closed-loop", "--sweep", "theta", "--p", "1.02", "--fidelity", "0.9"], "p 1.02"),
+            (["counts-demo", "--p", "0.5", "--theta", "-0.3", "--seed", "1"], "theta -0.3"),
+            (["counts-demo", "--p", "0.5", "--theta", "2.0", "--seed", "1"], "theta 2.0"),
+            (["open-loop", "--mu", "0.5", "--method", "both", "--seed", "-1"], "seed -1"),
+            (["counts-demo", "--p", "0.5", "--seed", "-1"], "seed -1"),
         ],
     )
     def test_rejected_by_name_without_a_file(self, tmp_path, capsys, argv, field):
@@ -435,6 +455,20 @@ class TestFormatsAndConfig:
         assert main(argv + ["--out", str(target)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert calls == []
+
+    def test_directory_as_out_rejected(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def refuse(config):
+            calls.append(config)
+            raise AssertionError("rows built for a directory path")
+
+        monkeypatch.setitem(runner._BUILDERS, "open_loop", refuse)
+        argv = ["open-loop", "--mu", "1.0", "--method", "monte_carlo", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"output path {tmp_path} is a directory" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNoVerbBuildsAQuantumState:
