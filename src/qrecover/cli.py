@@ -3,18 +3,23 @@
 Verbs: ``open-loop``, ``closed-loop``, ``assist-scan``, ``counts-demo``.
 Every parameter can also come from a declarative config file (JSON or YAML)
 passed with ``--config``; flags given on the command line override file
-values.  Exit status is 0 on success and 2 on any precondition failure,
-with a diagnostic on stderr.
+values; PyYAML is imported only when a YAML config is read.  Exit status
+is 0 on success and 2 on any precondition failure, with a diagnostic on
+stderr.
+
+``main`` may be called in-process any number of times (sweep scripts, the
+tests); every call after the first parses with the parser the first one
+built, since parsing does not change it.  ``build_parser`` still returns a
+fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
-
-import yaml
 
 from .runner import RunConfig, run
 
@@ -90,12 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def load_config_file(path: str) -> dict:
-    text = Path(path).read_text()
     if path.endswith(".json"):
-        data = json.loads(text)
+        parse, malformed = json.loads, json.JSONDecodeError
     else:
-        data = yaml.safe_load(text)
+        import yaml
+
+        parse, malformed = yaml.safe_load, yaml.YAMLError
+    try:
+        data = parse(Path(path).read_text())
+    except malformed as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -128,8 +143,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         path = run(config)

@@ -332,6 +332,9 @@ def monte_carlo_moments(
             _accumulate(totals, _in_order(pool, tasks, window=2 * workers))
     else:
         _accumulate(totals, map(_block_moments, tasks))
+    if not all(cmath.isfinite(z_total) for z_total, _ in totals):
+        # a draw beyond the float range became inf, and cos(inf) is NaN
+        raise ValueError(f"sigma {params.sigma!r} too large to sample: phase draws overflow")
     return tuple(
         MonteCarloMoments(
             coherence_mean=z_total / n_samples,

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from qrecover import dephasing, runner
+from qrecover import cli, dephasing, runner
 from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
@@ -22,13 +25,31 @@ def read_csv(path):
 
 
 class TestOpenLoopRunner:
-    @pytest.mark.parametrize("sigma", ["1e155", "1e300"])
+    @pytest.mark.parametrize("sigma", ["1e155", "1e300", "1e308"])
     def test_huge_sigma_dephases_without_overflow(self, tmp_path, sigma):
         out = tmp_path / "huge.csv"
         assert main(["open-loop", "--mu", "0.5", "--sigma", sigma, "--out", str(out)]) == 0
         for row in read_csv(out):
             if row["control"] == "uncontrolled" and row["step"] != "0":
                 assert float(row["concurrence"]) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["monte_carlo", "both"])
+    def test_sampling_beyond_the_float_range_is_rejected(self, tmp_path, capsys, method):
+        out = tmp_path / "x.csv"
+        argv = ["open-loop", "--mu", "0.5", "--sigma", "1e308", "--method", method]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert "sigma 1e+308" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "extra", [["--sigma", "1e307"], ["--sigma", "1e308", "--clip-to-hardware"]]
+    )
+    def test_sampling_with_finite_phases_succeeds(self, tmp_path, extra):
+        out = tmp_path / "x.csv"
+        argv = ["open-loop", "--mu", "0.5", "--method", "monte_carlo", "--seed", "1"]
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        assert all(math.isfinite(float(row["concurrence"])) for row in read_csv(out))
 
     def test_row_count_contract(self, tmp_path):
         out = tmp_path / "open_loop_mu10.csv"
@@ -437,6 +458,28 @@ class TestFormatsAndConfig:
         assert main(["open-loop", "--config", str(config)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text", [("run.yaml", "a: [1\n"), ("run.json", '{"mu": 0.5,')]
+    )
+    def test_malformed_config_names_the_file(self, tmp_path, capsys, name, text):
+        config = tmp_path / name
+        config.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config file {config}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_yaml_is_imported_only_for_yaml_configs(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        code = "import sys, qrecover.cli; print('yaml' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
     def test_missing_out_rejected(self, capsys):
         assert main(["open-loop", "--mu", "1.0"]) == 2
         assert "output path" in capsys.readouterr().err
@@ -530,3 +573,96 @@ class TestSchema:
     def test_run_returns_path(self, tmp_path):
         config = RunConfig(experiment="assist_scan", out=str(tmp_path / "s.csv"), p=0.5)
         assert run(config) == tmp_path / "s.csv"
+
+
+# Two jobs of each verb, in csv and jsonl, with the verbs interleaved.
+_BATTERY = [
+    ["open-loop", "--mu", "0.7", "--method", "both", "--n-samples", "5000", "--seed", "3"],
+    ["closed-loop", "--sweep", "theta", "--p", "0.5", "--grid-points", "7"],
+    ["assist-scan", "--p", "0.3", "--grid-points", "9"],
+    ["counts-demo", "--p", "0.4", "--theta", "0.3", "--seed", "1"],
+    ["open-loop", "--mu", "0.3", "--steps", "5", "--fidelity", "1.0", "0.9"],
+    ["closed-loop", "--sweep", "p", "--theta", "0", "--fidelity", "1.0", "0.95"],
+    ["assist-scan", "--p-prime", "2.0", "--grid-points", "5"],
+    ["counts-demo", "--p", "0.5", "--theta", "0.7", "--total-pairs", "900", "--seed", "2"],
+]
+
+
+def _run_battery(directory: Path) -> dict[str, bytes]:
+    directory.mkdir()
+    for i, argv in enumerate(_BATTERY):
+        for fmt in ("csv", "jsonl"):
+            out = directory / f"job{i}.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestSharedParser:
+    """In-process ``main`` calls share one parser; ``build_parser`` stays fresh."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    def test_built_once_for_many_calls(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        files = _run_battery(tmp_path / "jobs")
+        assert len(files) == 2 * len(_BATTERY)
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_bytes_match_a_fresh_parser_per_call(self, tmp_path, monkeypatch):
+        shared = _run_battery(tmp_path / "shared")
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        assert _run_battery(tmp_path / "fresh") == shared
+
+    def test_rejected_call_leaves_the_next_correct(self, tmp_path, capsys):
+        expected = _run_battery(tmp_path / "before")
+        with pytest.raises(SystemExit) as exited:
+            main(["open-loop", "--mu", "0.5", "--method", "nope", "--out", "x.csv"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["open-loop", "--steps", "two", "--out", "x.csv"])
+        assert _run_battery(tmp_path / "after") == expected
+
+    def test_concurrent_calls_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_shared_parser", cli.build_parser)
+            serial = _run_battery(tmp_path / "serial")
+        # more threads than cores, racing from an empty cache, switching often
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                dirs = [tmp_path / f"thread{i}" for i in range(4)]
+                runs = list(pool.map(_run_battery, dirs, timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert runs == [serial] * 4
+
+    @pytest.mark.parametrize(
+        "verb", [None, "open-loop", "closed-loop", "assist-scan", "counts-demo"]
+    )
+    def test_help_matches_a_fresh_parser(self, capsys, verb):
+        argv = ([verb] if verb else []) + ["--help"]
+        texts = []
+        # the second main call reuses the parser the first one built
+        for parse in (main, main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exited:
+                parse(argv)
+            assert exited.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: qrecover")
+        assert texts[1:] == texts[:1] * 2
