@@ -73,4 +73,4 @@ from .states import (
     phase_shift,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -23,14 +23,22 @@ vectors cost no extra draws.  Results for a given (seed, n_samples) are
 bit-identical no matter how many workers participate, because blocks are
 reduced in index order.
 
-The per-block kernel evaluates e^{-i chi_j} once per trajectory and step
-(a cosine and a sine) and forms each vector's e^{-i sum_j s_j chi_j} as the
-running product of those factors, conjugated where s_j = -1.  A vector
-extends the product of the longest prefix it shares with an earlier vector
-of the same pass, always multiplying left to right, so its value does not
-depend on the other vectors.  Exactness rule: where a mixed-sign vector's
-signed phase sum is exactly 0, its factor is exactly 1, as e^{-i 0} is; so
-at mu = 1 a balanced vector gives the coherence -1/2 with zero error.
+Sampling is keep-first: a block first draws the keep decisions of every
+trajectory and step, then one normal per fresh phase only, about
+1 + (steps - 1)(1 - mu) of them per trajectory; kept phases index the
+value they repeat.  A draw beyond the float range is rejected there,
+before any trigonometry.
+
+The per-block kernel evaluates e^{i chi} once per fresh phase (a cosine
+and a sine), gathers those into one factor per trajectory and step, and
+forms each vector's e^{i sum_j s_j chi_j} as the running product of the
+factors, conjugated where s_j = -1; the conjugates of its sums are the
+sums of e^{-i sum_j s_j chi_j}.  A vector extends the product of the
+longest prefix it shares with an earlier vector of the same pass, always
+multiplying left to right, so its value does not depend on the other
+vectors.  Exactness rule: where a mixed-sign vector's signed phase sum is
+exactly 0, its factor is exactly 1, as e^{-i 0} is; so at mu = 1 a
+balanced vector gives the coherence -1/2 with zero error.
 """
 
 from __future__ import annotations
@@ -133,21 +141,33 @@ CORRECTED = TrajectoryControl(kind="corrected")
 ECHOED = TrajectoryControl(kind="echoed")
 
 
-def _combine(fresh: np.ndarray, stay: np.ndarray, clip: bool) -> np.ndarray:
-    """Turn independent draws plus keep-decisions into correlated sequences."""
-    phases = fresh.copy()
-    for k in range(1, phases.shape[1]):
-        phases[:, k] = np.where(stay[:, k - 1], phases[:, k - 1], phases[:, k])
-    if clip:
-        np.clip(phases, 0.0, math.pi, out=phases)
-    return phases
+def _draw(params: NoiseParams, rng: np.random.Generator, count: int):
+    """Fresh phase values of ``count`` sequences and the (count, steps) index into them.
+
+    The keep decisions come first: step 1 is always fresh, and each later
+    step is redrawn where its uniform draw is >= mu, so it keeps the previous
+    phase with probability mu.  Then one normal per fresh phase, in row-major
+    order, so a kept phase's index is the running count of the fresh mask.
+    """
+    index = np.empty((count, params.steps), dtype=np.intp)
+    index[:, 0] = 1
+    np.greater_equal(rng.random((count, params.steps - 1)), params.mu, out=index[:, 1:])
+    # the running count of fresh phases, in place: a bool cumsum is 3x slower
+    np.cumsum(index, out=index.reshape(-1))
+    index -= 1
+    values = rng.normal(params.mean_phase, params.sigma, size=int(index[-1, -1]) + 1)
+    if params.clip_to_hardware:
+        np.clip(values, 0.0, math.pi, out=values)
+    if not np.isfinite(values).all():
+        # a draw beyond the float range became inf; its cosine would be NaN
+        raise ValueError(f"sigma {params.sigma!r} too large to sample: phase draws overflow")
+    return values, index
 
 
 def sample_sequence(params: NoiseParams, rng: np.random.Generator) -> PhaseSequence:
     """Draw one phase sequence from an explicit random stream."""
-    fresh = rng.normal(params.mean_phase, params.sigma, size=(1, params.steps))
-    stay = rng.random(size=(1, params.steps - 1)) < params.mu
-    return PhaseSequence(tuple(_combine(fresh, stay, params.clip_to_hardware)[0]))
+    values, index = _draw(params, rng, 1)
+    return PhaseSequence(tuple(values.take(index[0])))
 
 
 def sample_phase_matrix(params: NoiseParams, n_samples: int, seed: int) -> np.ndarray:
@@ -157,15 +177,14 @@ def sample_phase_matrix(params: NoiseParams, n_samples: int, seed: int) -> np.nd
     blocks = []
     for start in range(0, n_samples, BLOCK_SIZE):
         count = min(BLOCK_SIZE, n_samples - start)
-        blocks.append(_block_phases(params, seed, start // BLOCK_SIZE, count))
+        values, index = _block_draws(params, seed, start // BLOCK_SIZE, count)
+        blocks.append(values.take(index))
     return np.vstack(blocks)
 
 
-def _block_phases(params: NoiseParams, seed: int, block_index: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, block_index])
-    fresh = rng.normal(params.mean_phase, params.sigma, size=(count, params.steps))
-    stay = rng.random(size=(count, params.steps - 1)) < params.mu
-    return _combine(fresh, stay, params.clip_to_hardware)
+def _block_draws(params: NoiseParams, seed: int, block_index: int, count: int):
+    """The draws of block ``block_index``, from its own (seed, block_index) substream."""
+    return _draw(params, np.random.default_rng([seed, block_index]), count)
 
 
 def trajectory_state(
@@ -243,16 +262,20 @@ def _reuse_plan(sign_vectors):
 def _block_moments(args):
     """Sums of z and z^2 over one block, for each sign vector of the plan.
 
-    z = -w/2 with w = prod_j e^{-i s_j chi_j}: the block's e^{-i chi_j} are
-    evaluated once, as cos and -sin, and a vector extends the product of
-    the longest prefix it shares with an earlier one.
+    z = -w/2 with w = prod_j e^{-i s_j chi_j}.  The block's e^{i chi} are
+    evaluated once per fresh phase, as a cosine and a sine, and gathered
+    into one kick per trajectory and step; a vector extends the product of
+    the longest prefix it shares with an earlier one.  That product is the
+    conjugate of w, so its two sums are conjugated.
     """
     params, (plan, kept), seed, block_index, count = args
-    phases = _block_phases(params, seed, block_index, count)
-    kicks = np.empty((params.steps, count), dtype=complex)
-    np.cos(phases.T, out=kicks.real)
-    np.sin(phases.T, out=kicks.imag)
-    np.negative(kicks.imag, out=kicks.imag)
+    values, index = _block_draws(params, seed, block_index, count)
+    rotations = np.empty(values.size, dtype=complex)
+    np.cos(values, out=rotations.real)
+    np.sin(values, out=rotations.imag)
+    kicks = rotations.take(index.T)
+    del rotations
+    phases = None
     products = {}
     sums = []
     for signs, known, drops in plan:
@@ -270,9 +293,11 @@ def _block_moments(args):
         if -1 in signs and 1 in signs:
             # e^{-i 0} is exactly 1, but a kick times its conjugate may miss
             # 1 by an ulp; at mu = 1 that would leave a residue of ~1e-19
+            if phases is None:
+                phases = values.take(index)
             total = phases[:, : len(signs)] @ np.asarray(signs, dtype=float)
             w = np.where(total == 0.0, 1.0, w)
-        sums.append((-0.5 * w.sum(), 0.25 * (w * w).sum()))
+        sums.append((-0.5 * w.sum().conjugate(), 0.25 * np.dot(w, w).conjugate()))
     return sums
 
 
@@ -332,9 +357,6 @@ def monte_carlo_moments(
             _accumulate(totals, _in_order(pool, tasks, window=2 * workers))
     else:
         _accumulate(totals, map(_block_moments, tasks))
-    if not all(cmath.isfinite(z_total) for z_total, _ in totals):
-        # a draw beyond the float range became inf, and cos(inf) is NaN
-        raise ValueError(f"sigma {params.sigma!r} too large to sample: phase draws overflow")
     return tuple(
         MonteCarloMoments(
             coherence_mean=z_total / n_samples,

@@ -64,6 +64,27 @@ def coherence_oracle(k, mu, sigma, mean_phase, signs):
     return -0.5 * total
 
 
+def keep_first_oracle(params, rng, count):
+    """(count, steps) phases of the keep-first rule, one row and step at a time.
+
+    All keep decisions are drawn first, uniform draws < mu keeping the
+    previous phase; then one normal per fresh phase, row by row.
+    """
+    redraw = rng.random((count, params.steps - 1)) >= params.mu
+    fresh = rng.normal(params.mean_phase, params.sigma, size=count + int(redraw.sum()))
+    if params.clip_to_hardware:
+        fresh = np.clip(fresh, 0.0, math.pi)
+    values = iter(fresh)
+    rows = []
+    for r in range(count):
+        row = [next(values)]
+        for k in range(1, params.steps):
+            row.append(next(values) if redraw[r, k - 1] else row[-1])
+        rows.append(row)
+    assert next(values, None) is None
+    return np.array(rows)
+
+
 def averaged_projector_oracle(params, control, k, n_samples, seed):
     """Mean of the trajectory projectors after step k over sampled phase rows."""
     total = np.zeros((4, 4), dtype=complex)

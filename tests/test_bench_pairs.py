@@ -1,0 +1,79 @@
+"""The summary of tools/bench_pairs.py, on synthetic results (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "peak_rss_mib": "lower", "throughput": "higher"}
+
+
+def result(wall, rss, failed=0, throughput=None):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mib": {"value": rss, "unit": "MiB"}}
+    if throughput is not None:
+        metrics["throughput"] = {"value": throughput, "unit": "1/s"}
+    return {"correct": True, "attempted": 4, "failed": failed, "metrics": metrics}
+
+
+def runs_of(pairs, workload="mc_echo"):
+    runs = []
+    for index, (seed, base, head) in enumerate(pairs):
+        first = "base" if index % 2 == 0 else "head"
+        runs.append({"workload": workload, "seed": seed, "side": "base", "first": first, "result": base})
+        runs.append({"workload": workload, "seed": seed, "side": "head", "first": first, "result": head})
+    return runs
+
+
+def test_spread_and_pair_wins():
+    pairs = [
+        (1, result(0.050, 40.0), result(0.040, 41.0)),
+        (2, result(0.056, 40.0), result(0.041, 40.0)),
+        (3, result(0.052, 40.0), result(0.039, 40.5, failed=1)),
+        (4, result(0.054, 41.0), result(0.060, 41.0)),
+    ]
+    summary = bench_pairs.summarize(runs_of(pairs), BETTER)
+    entry = summary["mc_echo"]
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["first"] == ["base", "head", "base", "head"]
+    assert entry["failed"] == {"base": [0, 0, 0, 0], "head": [0, 0, 1, 0]}
+    assert entry["attempted"]["head"] == [4] * 4
+    wall = entry["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["better"] == "lower"
+    assert (wall["head_wins"], wall["base_wins"], wall["ties"]) == (3, 1, 0)
+    assert wall["base"]["values"] == [0.050, 0.056, 0.052, 0.054]
+    assert wall["base"]["median"] == pytest.approx(0.053)
+    assert wall["base"]["min"] == 0.050
+    # inclusive quartiles of 0.050, 0.052, 0.054, 0.056
+    assert wall["base"]["q1"] == pytest.approx(0.0515)
+    assert wall["base"]["q3"] == pytest.approx(0.0545)
+    assert wall["base_iqr"] == pytest.approx(0.003)
+    assert wall["head"]["median"] == pytest.approx(0.0405)
+    assert wall["median_change"] == pytest.approx(0.0405 / 0.053 - 1)
+    rss = entry["metrics"]["peak_rss_mib"]
+    assert (rss["head_wins"], rss["base_wins"], rss["ties"]) == (0, 2, 2)
+    # absent from the results, so not summarised
+    assert "throughput" not in entry["metrics"]
+
+
+def test_higher_is_better_metrics_and_single_runs():
+    pairs = [(7, result(1.0, 1.0, throughput=10.0), result(1.0, 1.0, throughput=12.0))]
+    summary = bench_pairs.summarize(runs_of(pairs, "small_jobs"), BETTER)
+    metric = summary["small_jobs"]["metrics"]["throughput"]
+    assert (metric["head_wins"], metric["base_wins"], metric["ties"]) == (1, 0, 0)
+    assert metric["base"] == {"median": 10.0, "min": 10.0, "q1": 10.0, "q3": 10.0, "values": [10.0]}
+    assert summary["small_jobs"]["metrics"]["wall_s"]["ties"] == 1
+
+
+def test_workloads_are_kept_apart_and_a_missing_side_is_an_error():
+    runs = runs_of([(1, result(1.0, 1.0), result(0.5, 1.0))], "a")
+    runs += runs_of([(1, result(2.0, 1.0), result(3.0, 1.0))], "b")
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert summary["a"]["metrics"]["wall_s"]["head_wins"] == 1
+    assert summary["b"]["metrics"]["wall_s"]["base_wins"] == 1
+    with pytest.raises(ValueError, match="lacks a run"):
+        bench_pairs.summarize(runs[:-1], BETTER)

@@ -19,6 +19,7 @@ from qrecover.dephasing import (
     sample_sequence,
     trajectory_state,
 )
+from qrecover import dephasing
 from qrecover.states import (
     DensityMatrix,
     apply_local,
@@ -27,7 +28,7 @@ from qrecover.states import (
     maximally_mixed,
 )
 
-from helpers import averaged_projector_oracle, coherence_oracle
+from helpers import averaged_projector_oracle, coherence_oracle, keep_first_oracle
 
 SIGMA = 0.6
 CHIBAR = math.pi / 2
@@ -80,6 +81,40 @@ class TestSampling:
         params = default_params(0.2, clip_to_hardware=True)
         phases = sample_phase_matrix(params, 20_000, seed=1)
         assert phases.min() >= 0.0 and phases.max() <= math.pi
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_blocks_follow_the_keep_first_rule(self, mu, steps, clip):
+        params = NoiseParams(mu=mu, sigma=2.0, steps=steps, clip_to_hardware=clip)
+        n, seed = BLOCK_SIZE + 5, 21
+        expected = np.vstack(
+            [
+                keep_first_oracle(params, np.random.default_rng([seed, j]), count)
+                for j, count in enumerate((BLOCK_SIZE, 5))
+            ]
+        )
+        assert np.array_equal(sample_phase_matrix(params, n, seed), expected)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
+    def test_a_block_draws_one_normal_per_fresh_phase(self, mu):
+        params = default_params(mu, steps=5)
+        count, seed, block = 1000, 8, 3
+        values, index = dephasing._block_draws(params, seed, block, count)
+        decisions = np.random.default_rng([seed, block]).random((count, 4))
+        assert values.size == count + np.count_nonzero(decisions >= mu)
+        if mu == 0.0:
+            assert values.size == count * params.steps
+        if mu == 1.0:
+            assert values.size == count
+
+    @pytest.mark.parametrize("mu", [0.0, 0.4, 1.0])
+    def test_sample_sequence_follows_the_keep_first_rule(self, mu):
+        params = default_params(mu, steps=6)
+        for seed in range(20):
+            seq = sample_sequence(params, np.random.default_rng(seed))
+            expected = keep_first_oracle(params, np.random.default_rng(seed), 1)[0]
+            assert seq.phases == tuple(expected)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

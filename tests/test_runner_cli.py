@@ -33,13 +33,15 @@ class TestOpenLoopRunner:
             if row["control"] == "uncontrolled" and row["step"] != "0":
                 assert float(row["concurrence"]) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["monte_carlo", "both"])
     def test_sampling_beyond_the_float_range_is_rejected(self, tmp_path, capsys, method):
         out = tmp_path / "x.csv"
         argv = ["open-loop", "--mu", "0.5", "--sigma", "1e308", "--method", method]
         assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
-        assert "sigma 1e+308" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "qrecover: error: sigma 1e+308 too large to sample: phase draws overflow\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -50,6 +52,28 @@ class TestOpenLoopRunner:
         argv = ["open-loop", "--mu", "0.5", "--method", "monte_carlo", "--seed", "1"]
         assert main(argv + extra + ["--out", str(out)]) == 0
         assert all(math.isfinite(float(row["concurrence"])) for row in read_csv(out))
+
+    @pytest.mark.parametrize("mu", ["0", "0.3", "0.7", "1"])
+    @pytest.mark.parametrize("steps", ["1", "4", "6"])
+    def test_monte_carlo_rows_agree_with_their_analytic_twins(self, tmp_path, mu, steps):
+        # 5 standard errors, as perfbench's checker allows; clipping is left
+        # out because analytic rows do not model it
+        out = tmp_path / "both.csv"
+        argv = ["open-loop", "--mu", mu, "--steps", steps, "--method", "both"]
+        argv += ["--fidelity", "1.0", "0.9", "--n-samples", "100000", "--seed", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = {}
+        for row in read_csv(out):
+            rows.setdefault((row["fidelity"], row["control"], row["step"]), {})[row["method"]] = row
+        assert len(rows) == 2 * 3 * (int(steps) + 1)
+        for key, pair in rows.items():
+            exact = float(pair["analytic"]["concurrence"])
+            sampled = float(pair["monte_carlo"]["concurrence"])
+            error = float(pair["monte_carlo"]["stat_error"])
+            if error == 0.0:
+                assert sampled == exact, key
+            else:
+                assert abs(sampled - exact) <= 5.0 * error, key
 
     def test_row_count_contract(self, tmp_path):
         out = tmp_path / "open_loop_mu10.csv"
@@ -379,13 +403,13 @@ class TestDeterminism:
 
     def test_one_draw_per_block_for_every_row(self, monkeypatch, tmp_path):
         calls = []
-        draw = dephasing._block_phases
+        draw = dephasing._block_draws
 
         def counting(params, seed, block_index, count):
             calls.append(block_index)
             return draw(params, seed, block_index, count)
 
-        monkeypatch.setattr(dephasing, "_block_phases", counting)
+        monkeypatch.setattr(dephasing, "_block_draws", counting)
         out = tmp_path / "both.csv"
         argv = [
             "open-loop",
@@ -559,6 +583,15 @@ class TestSchema:
     def test_repo_schema_file_matches_code(self):
         shipped = json.loads((REPO_ROOT / "output_schema.json").read_text())
         assert shipped == output_schema()
+
+    def test_package_version_matches_pyproject(self):
+        import re
+
+        import qrecover
+
+        text = (REPO_ROOT / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+        assert qrecover.__version__ == declared
 
     def test_runconfig_validation(self):
         with pytest.raises(ValueError, match="experiment"):
