@@ -2,10 +2,11 @@
 
 Two protocols are covered: open-loop echo control of a pair dephased by
 correlated random phases, and closed-loop correction conditioned on
-measuring a qubit environment.  Everything needed to reproduce the theory
-curves lives here: state primitives, entanglement measures, the noise
-model with its closed forms, the feedback pipeline, and Poissonian
-count-statistics tools, plus a sweep runner and CLI.
+measuring a qubit environment.  The theory curves come from closed forms
+and one Monte Carlo kernel, with no quantum state built: the noise model
+with its closed coherence and Monte Carlo moments, the eta-mixed
+concurrence and entanglement of formation, the feedback pipeline's closed
+forms, and Poissonian count-statistics tools, plus a sweep runner and CLI.
 """
 
 from .closedloop import (
@@ -30,26 +31,15 @@ from .dephasing import (
     UNCONTROLLED,
     MonteCarloMoments,
     NoiseParams,
-    PhaseSequence,
     TrajectoryControl,
     analytic_coherence,
     monte_carlo_moments,
-    sample_phase_matrix,
-    sample_sequence,
-    trajectory_state,
 )
 from .entanglement import (
     PreparationModel,
-    PureStateEnsemble,
-    XStateError,
     binary_entropy,
-    concurrence,
-    concurrence_with_path,
-    concurrence_x_state,
-    ensemble_average_eof,
     eof_from_concurrence,
-    mixture,
-    werner,
+    mixed_concurrence,
 )
 from .openloop import (
     OpenLoopResult,
@@ -57,20 +47,5 @@ from .openloop import (
     run_open_loop,
 )
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
-from .states import (
-    DensityMatrix,
-    LocalOperator,
-    PureState,
-    RegisterError,
-    apply_local,
-    apply_two_qubit,
-    bell_state,
-    bit_flip,
-    fidelity_to_pure,
-    kron_state,
-    maximally_mixed,
-    partial_trace,
-    phase_shift,
-)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import check_eta, eof_from_concurrence
+from .entanglement import check_eta, eof_from_concurrence, mixed_concurrence
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ class ClosedLoopParams:
 
 def uncontrolled_concurrence_closed(p: float, eta: float = 1.0) -> float:
     """Pair concurrence after tracing out the environment:
-    max{0, 2 eta |1 - 2p| - (1 - eta)} / 2."""
+    max{0, 2 eta |1 - 2p| - (1 - eta)} / 2, the live coherence being |1 - 2p|/2."""
     ClosedLoopParams(p=p, eta=eta)
-    return max(0.0, 2.0 * eta * abs(1.0 - 2.0 * p) - (1.0 - eta)) / 2.0
+    return mixed_concurrence(abs(1.0 - 2.0 * p) / 2.0, eta)
 
 
 def measurement_branches(
@@ -98,9 +98,10 @@ def _branch(psi_weight: float, phi_weight: float) -> tuple[float, float]:
 
 def controlled_concurrence_closed(theta: float, eta: float = 1.0) -> float:
     """Pair concurrence after measurement plus conditioned correction:
-    max{0, 2 eta |cos 2 theta| - (1 - eta)} / 2, independent of p."""
+    max{0, 2 eta |cos 2 theta| - (1 - eta)} / 2, independent of p, the live
+    coherence being |cos 2 theta|/2."""
     ClosedLoopParams(p=0.0, theta=theta, eta=eta)  # p does not enter
-    return max(0.0, 2.0 * eta * abs(math.cos(2.0 * theta)) - (1.0 - eta)) / 2.0
+    return mixed_concurrence(abs(math.cos(2.0 * theta)) / 2.0, eta)
 
 
 @dataclass(frozen=True)

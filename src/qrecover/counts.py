@@ -111,7 +111,11 @@ def simulate_counts(
     draws = {}
     for f in fields(CoincidenceCounts):
         prob = probabilities.get(f.name, 0.0)
-        draws[f.name] = int(rng.poisson(prob * total_pairs)) if prob > 0.0 else 0
+        try:
+            draws[f.name] = int(rng.poisson(prob * total_pairs)) if prob > 0.0 else 0
+        except (ValueError, OverflowError) as exc:
+            # a mean beyond the sampler's range (numpy: "lam value too large")
+            raise ValueError(f"total_pairs {total_pairs!r} too large to sample: {exc}") from exc
     return CoincidenceCounts(**draws)
 
 

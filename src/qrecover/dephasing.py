@@ -6,14 +6,17 @@ mean ``mean_phase`` and standard deviation ``sigma``; each chi_k repeats the
 previous value with probability ``mu`` and is redrawn otherwise, which makes
 ``mu`` the correlation coefficient between adjacent phases.
 
-Trajectory states use the convention that after k uncontrolled steps the
-pair state is (|HV> - e^{i phi_k} |VH>) / sqrt(2) with phi_k the running
-phase sum; after a mid-sequence bit flip on B ("echoed" control) the state
-is (|HH> - e^{i psi_k} |VV>) / sqrt(2) where the phases acquired after the
-flip enter psi_k with a minus sign.  Either way the live coherence is
+After k uncontrolled steps the pair state is
+(|HV> - e^{i phi_k} |VH>) / sqrt(2) with phi_k the running phase sum;
+after a mid-sequence bit flip on B ("echoed" control) it is
+(|HH> - e^{i psi_k} |VV>) / sqrt(2), the phases acquired after the flip
+entering psi_k with a minus sign.  Either way the live coherence is
 -<e^{-i sum_j s_j chi_j}>/2 for the arm's sign vector s (see
 ``TrajectoryControl.signs``); ``analytic_coherence`` evaluates it in closed
-form and ``monte_carlo_moments`` by sampling.
+form and ``monte_carlo_moments`` by sampling.  No state is built here: the
+per-trajectory states and their average are the test suite's oracle
+(``trajectory_state`` and ``averaged_projector_oracle`` in
+``tests/helpers.py``), which the coherence is checked against.
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
@@ -52,13 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState
-
 BLOCK_SIZE = 4096
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
-CORRECTION_VARIANTS = ("ideal", "hardware")
 
 
 @dataclass(frozen=True)
@@ -84,38 +83,20 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
-class PhaseSequence:
-    """One realization of the random phases, in radians."""
-
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        phases = tuple(float(x) for x in self.phases)
-        if not all(math.isfinite(x) for x in phases):
-            raise ValueError("phases must be finite")
-        object.__setattr__(self, "phases", phases)
-
-
-@dataclass(frozen=True)
 class TrajectoryControl:
     """Which control is applied along a trajectory.
 
     ``echo_after_step`` is the step after which the bit flip acts for the
     echoed control.  The corrected control applies the compensating phase
-    at the final step; ``correction_variant`` selects between appending it
-    after all noise steps ("ideal") or replacing the final noise step by it
-    ("hardware"); both return the exact initial state.
+    at the final step, which returns the exact initial state.
     """
 
     kind: str = "uncontrolled"
     echo_after_step: int = 2
-    correction_variant: str = "ideal"
 
     def __post_init__(self):
         if self.kind not in CONTROL_KINDS:
             raise ValueError(f"unknown control kind {self.kind!r}")
-        if self.correction_variant not in CORRECTION_VARIANTS:
-            raise ValueError(f"unknown correction variant {self.correction_variant!r}")
         if self.echo_after_step < 1:
             raise ValueError("echo_after_step must be >= 1")
 
@@ -164,55 +145,9 @@ def _draw(params: NoiseParams, rng: np.random.Generator, count: int):
     return values, index
 
 
-def sample_sequence(params: NoiseParams, rng: np.random.Generator) -> PhaseSequence:
-    """Draw one phase sequence from an explicit random stream."""
-    values, index = _draw(params, rng, 1)
-    return PhaseSequence(tuple(values.take(index[0])))
-
-
-def sample_phase_matrix(params: NoiseParams, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, steps) phase matrix assembled from the fixed block substreams."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    blocks = []
-    for start in range(0, n_samples, BLOCK_SIZE):
-        count = min(BLOCK_SIZE, n_samples - start)
-        values, index = _block_draws(params, seed, start // BLOCK_SIZE, count)
-        blocks.append(values.take(index))
-    return np.vstack(blocks)
-
-
 def _block_draws(params: NoiseParams, seed: int, block_index: int, count: int):
     """The draws of block ``block_index``, from its own (seed, block_index) substream."""
     return _draw(params, np.random.default_rng([seed, block_index]), count)
-
-
-def trajectory_state(
-    seq: PhaseSequence, k: int, control: TrajectoryControl = UNCONTROLLED
-) -> PureState:
-    """Pure state of the pair after step k of one noise realization.
-
-    k = 0 is the initial singlet.  The corrected control returns the exact
-    singlet at its correction step; the echoed control switches to the
-    outer-coherence form once the flip has acted.
-    """
-    signs = control.signs(k, len(seq.phases))
-    phase = sum(s * chi for s, chi in zip(signs, seq.phases))
-    amps = np.zeros(4, dtype=complex)
-    if -1 in signs:  # the flip has acted: outer-coherence form
-        amps[0] = _INV_SQRT2
-        amps[3] = -np.exp(1j * phase) * _INV_SQRT2
-    else:
-        amps[1] = _INV_SQRT2
-        amps[2] = -np.exp(1j * phase) * _INV_SQRT2
-    return PureState(("A", "B"), amps)
-
-
-def correction_phase(seq: PhaseSequence, control: TrajectoryControl = CORRECTED) -> float:
-    """The compensating phase the corrected control applies at its step."""
-    if control.correction_variant == "hardware":
-        return -float(np.sum(seq.phases[:-1]))
-    return -float(np.sum(seq.phases))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ whose live coherence comes from the closed form in :mod:`qrecover.dephasing`
 or from Monte Carlo averaging.  For an imperfectly prepared input (mixing
 weight eta) the channel is unital, so the output is eta times the
 ideal-input output plus (1 - eta)/4 times the identity; the concurrence then
-reduces to 2 max{0, eta |coherence| - (1 - eta)/4}.
+reduces to 2 max{0, eta |coherence| - (1 - eta)/4}
+(``entanglement.mixed_concurrence``).  The closed form assumes unclipped
+Gaussian phases, so analytic values with ``clip_to_hardware`` are refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .dephasing import (
     analytic_coherence,
     monte_carlo_moments,
 )
-from .entanglement import PreparationModel, eof_from_concurrence
+from .entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
 
@@ -38,15 +40,16 @@ class OpenLoopResult:
     stat_error: float | None = None
 
 
-def _mixed_concurrence(coherence_magnitude: float, eta: float) -> float:
-    return float(min(1.0, max(0.0, 2.0 * (eta * coherence_magnitude - (1.0 - eta) / 4.0))))
-
-
 def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
     """Each sign vector's coherence and one-sigma error (None for the closed form)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "analytic":
+        if params.clip_to_hardware:
+            raise ValueError(
+                "clip_to_hardware is not modelled by the analytic method; "
+                "use method monte_carlo"
+            )
         return {
             signs: (analytic_coherence(signs, params.mu, params.sigma, params.mean_phase), None)
             for signs in sign_vectors
@@ -61,7 +64,7 @@ def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
 
 
 def _result(k, control, prep, method, coherence, std_error) -> OpenLoopResult:
-    c = _mixed_concurrence(abs(coherence), prep.eta)
+    c = mixed_concurrence(abs(coherence), prep.eta)
     return OpenLoopResult(
         step=k,
         concurrence=c,

@@ -4,11 +4,12 @@ Everything here is deliberately independent of the package internals: the
 coherence oracle enumerates renewal patterns directly, the pure-state
 concurrence uses the 2|ad - bc| determinant form, reduced matrices are
 computed with raw einsum contractions, the averaged projector is built
-from the public per-trajectory states one row at a time, and the
-closed-loop pipeline is built gate by gate (rotate the environment, apply
-the controlled flip, rotate the measurement basis, trace out or project,
-flip B back) with the general eigensolver concurrence on the result.  The
-package computes the same quantities from closed forms only.
+from per-trajectory states one phase row at a time, and the closed-loop
+pipeline is built gate by gate (rotate the environment, apply the
+controlled flip, rotate the measurement basis, trace out or project, flip
+B back) with the general eigensolver concurrence on the result.  The
+states and the concurrence come from ``oracle``; the package computes the
+same quantities from closed forms only.
 """
 
 from __future__ import annotations
@@ -18,22 +19,27 @@ import math
 
 import numpy as np
 
-from qrecover.dephasing import PhaseSequence, sample_phase_matrix, trajectory_state
-from qrecover.entanglement import PureStateEnsemble, concurrence
-from qrecover.states import (
+from qrecover.dephasing import BLOCK_SIZE, UNCONTROLLED, _block_draws
+
+from oracle import (
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     LocalOperator,
     PureState,
+    PureStateEnsemble,
     apply_local,
     apply_two_qubit,
     bell_state,
     bit_flip,
+    concurrence,
     kron_state,
     maximally_mixed,
+    mixture,
     partial_trace,
 )
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def coherence_oracle(k, mu, sigma, mean_phase, signs):
@@ -85,11 +91,45 @@ def keep_first_oracle(params, rng, count):
     return np.array(rows)
 
 
+def sample_phase_matrix(params, n_samples, seed):
+    """(n_samples, steps) phases from the package's fixed block substreams.
+
+    These are the phases the Monte Carlo kernel reduces, row for row.
+    """
+    blocks = []
+    for start in range(0, n_samples, BLOCK_SIZE):
+        count = min(BLOCK_SIZE, n_samples - start)
+        values, index = _block_draws(params, seed, start // BLOCK_SIZE, count)
+        blocks.append(values.take(index))
+    return np.vstack(blocks)
+
+
+def trajectory_state(phases, k, control=UNCONTROLLED):
+    """Pure state of the pair after step k of one row of phases.
+
+    After k uncontrolled steps the state is (|HV> - e^{i phi} |VH>)/sqrt(2)
+    with phi the running phase sum.  Once the echo's bit flip on B has acted
+    it is (|HH> - e^{i psi} |VV>)/sqrt(2), the later phases entering psi
+    with a minus sign.  k = 0 and the corrected arm's last step are the
+    exact singlet.
+    """
+    signs = control.signs(k, len(phases))
+    phase = sum(s * chi for s, chi in zip(signs, phases))
+    amps = np.zeros(4, dtype=complex)
+    if -1 in signs:  # the flip has acted: outer-coherence form
+        amps[0] = _INV_SQRT2
+        amps[3] = -np.exp(1j * phase) * _INV_SQRT2
+    else:
+        amps[1] = _INV_SQRT2
+        amps[2] = -np.exp(1j * phase) * _INV_SQRT2
+    return PureState(("A", "B"), amps)
+
+
 def averaged_projector_oracle(params, control, k, n_samples, seed):
     """Mean of the trajectory projectors after step k over sampled phase rows."""
     total = np.zeros((4, 4), dtype=complex)
     for row in sample_phase_matrix(params, n_samples, seed):
-        total += trajectory_state(PhaseSequence(tuple(row)), k, control).projector().matrix
+        total += trajectory_state(row, k, control).projector().matrix
     return DensityMatrix(("A", "B"), total / n_samples)
 
 
@@ -110,17 +150,6 @@ def reduced_matrix_oracle(amplitudes, n_qubits, keep_positions):
     reduced = np.einsum(rho, row + col, out)
     dim = 2 ** len(keep)
     return reduced.reshape(dim, dim)
-
-
-def random_x_state(rng):
-    """Random valid density matrix with the X sparsity pattern."""
-    diag = rng.dirichlet(np.ones(4))
-    m = np.diag(diag).astype(complex)
-    outer = rng.random() * np.sqrt(diag[0] * diag[3]) * np.exp(2j * np.pi * rng.random())
-    inner = rng.random() * np.sqrt(diag[1] * diag[2]) * np.exp(2j * np.pi * rng.random())
-    m[0, 3], m[3, 0] = outer, np.conj(outer)
-    m[1, 2], m[2, 1] = inner, np.conj(inner)
-    return m
 
 
 def random_density_matrix(rng, dim=4):
@@ -218,8 +247,5 @@ def corrected_ensemble(p, theta):
 
 def controlled_output(p, theta, eta=1.0):
     """Pair state after measurement plus conditioned correction, and its concurrence."""
-    bell_part = np.zeros((4, 4), dtype=complex)
-    for probability, state in corrected_ensemble(p, theta).members:
-        bell_part += probability * np.outer(state.amplitudes, state.amplitudes.conj())
-    rho = eta_blend(bell_part, eta)
+    rho = eta_blend(mixture(corrected_ensemble(p, theta)).matrix, eta)
     return rho, concurrence(rho)

@@ -1,11 +1,15 @@
-"""Quantum state and operator primitives for small labeled qubit registers.
+"""State toolkit of the test oracles: qubit registers, gates, partial trace
+and the general two-qubit concurrence.
 
-Basis convention, shared by every module in this package: register labels
-are ordered most-significant-first, with the polarization encoding
-H -> 0, V -> 1 and the path encoding u -> 0, d -> 1.  The computational
-index of |x1 x2 ... xn> is sum_i x_i * 2**(n - i), so on register (A, B)
-the basis order is HH, HV, VH, VV and on (A, B, O) the last label varies
-fastest.
+The package computes every quantity from closed forms and builds no quantum
+state.  The tests build the same states here, gate by gate, and check the
+closed forms against them.
+
+Basis convention: register labels are ordered most-significant-first, with
+the polarization encoding H -> 0, V -> 1 and the path encoding u -> 0,
+d -> 1.  The computational index of |x1 x2 ... xn> is
+sum_i x_i * 2**(n - i), so on register (A, B) the basis order is
+HH, HV, VH, VV and on (A, B, O) the last label varies fastest.
 
 Global phases are never normalized away; compare pure states through
 overlap magnitudes or projectors.
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qrecover.entanglement import eof_from_concurrence
+
 ATOL_NORM = 1e-12
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
@@ -25,6 +31,7 @@ EIGENVALUE_FLOOR = -1e-10
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 BELL_AMPLITUDES = {
     "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
@@ -32,10 +39,6 @@ BELL_AMPLITUDES = {
     "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
     "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
 }
-
-
-class RegisterError(ValueError):
-    """A qubit label or register did not match the operand it was used with."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -46,9 +49,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _as_register(register) -> tuple[str, ...]:
     reg = tuple(str(label) for label in register)
     if not reg:
-        raise RegisterError("register must contain at least one qubit label")
+        raise ValueError("register must contain at least one qubit label")
     if len(set(reg)) != len(reg):
-        raise RegisterError(f"duplicate qubit labels in register {reg}")
+        raise ValueError(f"duplicate qubit labels in register {reg}")
     return reg
 
 
@@ -63,7 +66,7 @@ class PureState:
         reg = _as_register(self.register)
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** len(reg),):
-            raise RegisterError(
+            raise ValueError(
                 f"amplitude vector of length {amps.shape} does not match register {reg}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
@@ -76,17 +79,13 @@ class PureState:
     def num_qubits(self) -> int:
         return len(self.register)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         if self.register != other.register:
-            raise RegisterError(f"registers differ: {self.register} vs {other.register}")
+            raise ValueError(f"registers differ: {self.register} vs {other.register}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
@@ -102,7 +101,7 @@ class DensityMatrix:
         m = np.ascontiguousarray(self.matrix, dtype=complex)
         dim = 2 ** len(reg)
         if m.shape != (dim, dim):
-            raise RegisterError(f"matrix of shape {m.shape} does not match register {reg}")
+            raise ValueError(f"matrix of shape {m.shape} does not match register {reg}")
         if np.abs(m - m.conj().T).max() > ATOL_HERMITIAN:
             raise ValueError("matrix is not Hermitian")
         trace = m.trace()
@@ -112,14 +111,6 @@ class DensityMatrix:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "register", reg)
         object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.register)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +132,6 @@ class LocalOperator:
 
 def bit_flip(target: str) -> LocalOperator:
     return LocalOperator(target, SIGMA_X)
-
-
-def phase_shift(target: str, phi: float) -> LocalOperator:
-    """diag(1, e^{i phi}) on the target qubit."""
-    return LocalOperator(target, np.diag([1.0, np.exp(1j * phi)]))
 
 
 def bell_state(kind: str, register=("A", "B")) -> PureState:
@@ -171,7 +157,7 @@ def kron_state(left: PureState, right: PureState) -> PureState:
     """Tensor product of two pure states on disjoint registers."""
     common = set(left.register) & set(right.register)
     if common:
-        raise RegisterError(f"registers overlap on {sorted(common)}")
+        raise ValueError(f"registers overlap on {sorted(common)}")
     return PureState(left.register + right.register, np.kron(left.amplitudes, right.amplitudes))
 
 
@@ -186,10 +172,10 @@ def _apply_gate(state, gate: np.ndarray, targets):
         raise TypeError(f"cannot apply a gate to {type(state).__name__}")
     reg = state.register
     if len(set(targets)) != len(targets):
-        raise RegisterError("two-qubit operator needs two distinct targets")
+        raise ValueError("two-qubit operator needs two distinct targets")
     for t in targets:
         if t not in reg:
-            raise RegisterError(f"qubit {t!r} not in register {reg}")
+            raise ValueError(f"qubit {t!r} not in register {reg}")
     m, n = len(targets), len(reg)
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2**m, 2**m):
@@ -227,9 +213,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reg = rho.register
     unknown = keep_set - set(reg)
     if unknown:
-        raise RegisterError(f"labels {sorted(unknown)} not in register {reg}")
+        raise ValueError(f"labels {sorted(unknown)} not in register {reg}")
     if keep_set == set(reg):
-        raise RegisterError("keep must be a strict subset of the register")
+        raise ValueError("keep must be a strict subset of the register")
     n = len(reg)
     keep_pos = [i for i, label in enumerate(reg) if label in keep_set]
     tensor = rho.matrix.reshape((2,) * (2 * n))
@@ -245,8 +231,81 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def fidelity_to_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi| rho |psi>, clamped to [0, 1]."""
     if rho.register != psi.register:
-        raise RegisterError(f"registers differ: {rho.register} vs {psi.register}")
+        raise ValueError(f"registers differ: {rho.register} vs {psi.register}")
     value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
     if abs(value.imag) > 1e-12:
         raise ValueError(f"fidelity came out non-real: {value!r}")
     return float(min(1.0, max(0.0, value.real)))
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Concurrence of a two-qubit density matrix (Wootters, PRL 80, 2245, 1998).
+
+    Takes the eigenvalues of rho (sy x sy) rho* (sy x sy) with a general
+    complex eigensolver and returns max(0, l1 - l2 - l3 - l4) of the square
+    roots, sorted descending.  Real parts below 1e-12 of the largest
+    eigenvalue are numerically indistinguishable from zero and are clamped
+    before the square root (which would otherwise amplify 1e-16-level noise
+    to 1e-8).  Residual imaginary parts above 1e-8 indicate a numerical
+    pathology and raise.
+    """
+    if rho.matrix.shape != (4, 4):
+        raise ValueError(f"concurrence is defined for two qubits, got dimension {len(rho.matrix)}")
+    m = rho.matrix
+    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
+    eigenvalues = np.linalg.eigvals(m @ flipped)
+    if np.abs(eigenvalues.imag).max() > 1e-8:
+        raise ArithmeticError(
+            f"spin-flip spectrum has imaginary parts up to {np.abs(eigenvalues.imag).max():.3e}"
+        )
+    floor = 1e-12 * max(eigenvalues.real.max(), 0.0)
+    real_parts = np.where(eigenvalues.real > floor, eigenvalues.real, 0.0)
+    lam = np.sqrt(real_parts)
+    lam[::-1].sort()
+    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+
+
+@dataclass(frozen=True, eq=False)
+class PureStateEnsemble:
+    """Weighted pure states on a two-qubit register, probabilities summing to one."""
+
+    members: tuple[tuple[float, PureState], ...]
+
+    def __post_init__(self):
+        members = tuple((float(p), state) for p, state in self.members)
+        if not members:
+            raise ValueError("ensemble must have at least one member")
+        total = 0.0
+        for p, state in members:
+            if not -1e-12 <= p <= 1.0 + 1e-12:
+                raise ValueError(f"probability {p!r} outside [0, 1]")
+            if state.num_qubits != 2:
+                raise ValueError("ensemble members must be two-qubit states")
+            total += p
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "members", members)
+
+
+def ensemble_average_eof(ensemble: PureStateEnsemble) -> float:
+    """Probability-weighted entanglement of formation over ensemble members.
+
+    Each member's concurrence is Wootters' pure-state form
+    |psi^T (sy x sy) psi|, which is exact and needs no eigensolver.
+    """
+    return float(
+        sum(
+            p * eof_from_concurrence(abs(state.amplitudes @ _SPIN_FLIP @ state.amplitudes))
+            for p, state in ensemble.members
+            if p > 0.0
+        )
+    )
+
+
+def mixture(ensemble: PureStateEnsemble) -> DensityMatrix:
+    """The density matrix realized by forgetting which member occurred."""
+    register = ensemble.members[0][1].register
+    total = np.zeros((4, 4), dtype=complex)
+    for p, state in ensemble.members:
+        total += p * np.outer(state.amplitudes, state.amplitudes.conj())
+    return DensityMatrix(register, total)

@@ -18,32 +18,32 @@ from qrecover.closedloop import (
 )
 from qrecover.counts import CoincidenceCounts, estimate_p_prime, estimate_theta
 from qrecover.dephasing import (
+    CORRECTED,
     ECHOED,
     UNCONTROLLED,
     NoiseParams,
-    TrajectoryControl,
     analytic_coherence,
     monte_carlo_moments,
-    sample_sequence,
-    trajectory_state,
 )
-from qrecover.entanglement import (
-    PreparationModel,
-    PureStateEnsemble,
-    concurrence,
-    concurrence_x_state,
-    ensemble_average_eof,
-    eof_from_concurrence,
-    mixture,
-)
+from qrecover.entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
 from qrecover.openloop import run_open_loop
-from qrecover.states import DensityMatrix, PureState, bell_state, fidelity_to_pure
 
 from helpers import (
     controlled_output,
     random_pure_amplitudes,
-    random_x_state,
+    sample_phase_matrix,
+    trajectory_state,
     uncontrolled_output,
+)
+from oracle import (
+    DensityMatrix,
+    PureState,
+    PureStateEnsemble,
+    bell_state,
+    concurrence,
+    ensemble_average_eof,
+    fidelity_to_pure,
+    mixture,
 )
 
 SIGMA = 0.6
@@ -65,14 +65,21 @@ def report(number, description):
     return decorate
 
 
-@report(1, "X-form shortcut agrees with general concurrence on 1000 states, < 1e-9, < 5 s")
+@report(1, "eta-mixed closed form agrees with general concurrence on 1000 states, < 1e-9, < 5 s")
 def test_criterion_1_wootters_agreement():
+    # eta times a dephased Bell pair (coherence z on the inner or the outer
+    # pair of the X pattern) plus (1 - eta)/4 times the identity
     rng = np.random.default_rng(1234)
     started = time.monotonic()
     worst = 0.0
-    for _ in range(1000):
-        rho = DensityMatrix(("A", "B"), random_x_state(rng))
-        worst = max(worst, abs(concurrence_x_state(rho) - concurrence(rho)))
+    for i in range(1000):
+        eta, z = rng.random(), 0.5 * rng.random() * np.exp(2j * np.pi * rng.random())
+        pair = (1, 2) if i % 2 else (0, 3)
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[pair, pair] = 0.5
+        bell[pair], bell[pair[::-1]] = z, np.conj(z)
+        rho = DensityMatrix(("A", "B"), eta * bell + (1.0 - eta) * np.eye(4) / 4)
+        worst = max(worst, abs(mixed_concurrence(abs(z), eta) - concurrence(rho)))
     elapsed = time.monotonic() - started
     assert worst < 1e-9, f"max discrepancy {worst:.3e}"
     assert elapsed < 5.0, f"took {elapsed:.1f} s"
@@ -115,16 +122,11 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
 @report(4, "corrected trajectories return the exact initial state, fidelity 1 < 1e-12")
 def test_criterion_4_corrected_is_exact_per_trajectory():
     singlet = bell_state("psi_minus")
-    rng = np.random.default_rng(42)
-    for variant in ("ideal", "hardware"):
-        control = TrajectoryControl(kind="corrected", correction_variant=variant)
-        for mu in (0.2, 0.7, 1.0):
-            params = NoiseParams(mu=mu, sigma=SIGMA)
-            for _ in range(2000):
-                seq = sample_sequence(params, rng)
-                state = trajectory_state(seq, 4, control)
-                fidelity = fidelity_to_pure(state.projector(), singlet)
-                assert abs(fidelity - 1.0) < 1e-12
+    for mu in (0.2, 0.7, 1.0):
+        for row in sample_phase_matrix(NoiseParams(mu=mu, sigma=SIGMA), 4000, seed=42):
+            state = trajectory_state(row, 4, CORRECTED)
+            fidelity = fidelity_to_pure(state.projector(), singlet)
+            assert abs(fidelity - 1.0) < 1e-12
 
 
 @report(5, "closed-loop uncontrolled concurrence equals |1-2p| on the p grid, < 1e-10")

@@ -10,30 +10,29 @@ from qrecover.closedloop import (
     measurement_branches,
     uncontrolled_concurrence_closed,
 )
-from qrecover.entanglement import (
-    PureStateEnsemble,
-    concurrence,
-    ensemble_average_eof,
-    eof_from_concurrence,
-)
-from qrecover.states import (
-    SIGMA_X,
-    bell_state,
-    kron_state,
-    partial_trace,
-    PureState,
-)
+from qrecover.entanglement import PreparationModel, eof_from_concurrence
 
 from helpers import (
     controlled_bit_flip,
     controlled_output,
     corrected_ensemble,
     environment_rotation,
+    eta_blend,
     interaction_by_gates,
     measured_ensemble,
     measurement_rotation,
     pure_concurrence_oracle,
     uncontrolled_output,
+)
+from oracle import (
+    SIGMA_X,
+    PureState,
+    PureStateEnsemble,
+    bell_state,
+    concurrence,
+    ensemble_average_eof,
+    kron_state,
+    partial_trace,
 )
 
 ETAS = (0.86667, 0.93333, 0.946667)  # measured-fidelity mixing weights
@@ -266,12 +265,11 @@ class TestControlled:
     def test_full_density_pipeline_oracle(self):
         # evolve the eta-mixed input through the gates, measure, correct, and
         # mix, entirely with dense matrices; must equal the linearity route
-        from qrecover.entanglement import PreparationModel, werner
-
+        singlet = bell_state("psi_minus").projector().matrix
         for eta in (1.0, 0.93333):
             for p in (0.25, 0.5, 0.7):
                 for theta in (0.0, 0.5, math.pi / 4):
-                    rho_in = werner(PreparationModel.from_eta(eta)).matrix
+                    rho_in = eta_blend(singlet, PreparationModel.from_eta(eta).eta).matrix
                     env = np.zeros((2, 2), dtype=complex)
                     env[0, 0] = 1.0
                     rho = np.kron(rho_in, env)

@@ -119,6 +119,11 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts({"c_hh_d": 0.5}, 0, seed=1)
 
+    @pytest.mark.parametrize("total_pairs", [10**30, 10**400])
+    def test_overflowing_mean_names_total_pairs(self, total_pairs):
+        with pytest.raises(ValueError, match=f"^total_pairs {total_pairs} too large to sample"):
+            simulate_counts({"c_hh_d": 0.25}, total_pairs, seed=1)
+
     def test_rejects_unknown_labels_and_negative_probabilities(self):
         with pytest.raises(ValueError, match="unknown"):
             simulate_counts({"c_xx_d": 0.5}, 100, seed=1)

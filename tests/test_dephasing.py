@@ -11,24 +11,28 @@ from qrecover.dephasing import (
     ECHOED,
     UNCONTROLLED,
     NoiseParams,
-    PhaseSequence,
     TrajectoryControl,
     analytic_coherence,
     monte_carlo_moments,
-    sample_phase_matrix,
-    sample_sequence,
-    trajectory_state,
 )
 from qrecover import dephasing
-from qrecover.states import (
+
+from helpers import (
+    averaged_projector_oracle,
+    coherence_oracle,
+    keep_first_oracle,
+    sample_phase_matrix,
+    trajectory_state,
+)
+from oracle import (
     DensityMatrix,
+    LocalOperator,
     apply_local,
     bell_state,
     bit_flip,
+    concurrence,
     maximally_mixed,
 )
-
-from helpers import averaged_projector_oracle, coherence_oracle, keep_first_oracle
 
 SIGMA = 0.6
 CHIBAR = math.pi / 2
@@ -48,10 +52,8 @@ def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
 
 class TestSampling:
     def test_full_correlation_freezes_the_sequence(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            seq = sample_sequence(default_params(1.0), rng)
-            assert len(set(seq.phases)) == 1
+        for row in sample_phase_matrix(default_params(1.0), 50, seed=3):
+            assert len(set(row)) == 1
 
     def test_zero_correlation_uncorrelated_adjacent(self):
         phases = sample_phase_matrix(default_params(0.0), 100_000, seed=11)
@@ -108,21 +110,11 @@ class TestSampling:
         if mu == 1.0:
             assert values.size == count
 
-    @pytest.mark.parametrize("mu", [0.0, 0.4, 1.0])
-    def test_sample_sequence_follows_the_keep_first_rule(self, mu):
-        params = default_params(mu, steps=6)
-        for seed in range(20):
-            seq = sample_sequence(params, np.random.default_rng(seed))
-            expected = keep_first_oracle(params, np.random.default_rng(seed), 1)[0]
-            assert seq.phases == tuple(expected)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             NoiseParams(mu=1.2, sigma=0.6)
         with pytest.raises(ValueError):
             NoiseParams(mu=0.5, sigma=0.0)
-        with pytest.raises(ValueError):
-            PhaseSequence((0.1, math.nan))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -158,95 +150,64 @@ class TestSigns:
 
 class TestTrajectoryStates:
     def test_step_zero_is_the_singlet(self):
-        seq = PhaseSequence((0.3, 0.4, 0.5, 0.6))
         for control in (UNCONTROLLED, CORRECTED, ECHOED):
-            state = trajectory_state(seq, 0, control)
+            state = trajectory_state((0.3, 0.4, 0.5, 0.6), 0, control)
             assert abs(state.overlap(bell_state("psi_minus"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_turn_sum_gives_triplet(self):
-        seq = PhaseSequence((CHIBAR, CHIBAR, CHIBAR, CHIBAR))
-        state = trajectory_state(seq, 2, UNCONTROLLED)
+        state = trajectory_state((CHIBAR, CHIBAR, CHIBAR, CHIBAR), 2, UNCONTROLLED)
         assert abs(state.overlap(bell_state("psi_plus"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncontrolled_amplitudes_carry_phase_sum(self):
-        seq = PhaseSequence((0.2, 0.5, 0.9, 1.1))
-        state = trajectory_state(seq, 3, UNCONTROLLED)
-        phase = sum(seq.phases[:3])
+        phases = (0.2, 0.5, 0.9, 1.1)
+        state = trajectory_state(phases, 3, UNCONTROLLED)
+        phase = sum(phases[:3])
         expected = np.array([0, 1, -np.exp(1j * phase), 0]) / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_echoed_frozen_sequence_recovers_phi_minus(self):
         chi = 0.8123
-        seq = PhaseSequence((chi, chi, chi, chi))
-        state = trajectory_state(seq, 4, ECHOED)
+        state = trajectory_state((chi, chi, chi, chi), 4, ECHOED)
         assert abs(state.overlap(bell_state("phi_minus"))) == pytest.approx(1.0, abs=1e-12)
-        from qrecover.entanglement import concurrence
-
         assert concurrence(state.projector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_echoed_amplitudes_mirror_sign_flip(self):
-        seq = PhaseSequence((0.2, 0.5, 0.9, 1.1))
-        state = trajectory_state(seq, 4, ECHOED)
+        state = trajectory_state((0.2, 0.5, 0.9, 1.1), 4, ECHOED)
         phase = 0.2 + 0.5 - 0.9 - 1.1
         expected = np.array([1, 0, 0, -np.exp(1j * phase)]) / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_echoed_before_pulse_equals_uncontrolled(self):
-        seq = PhaseSequence((0.2, 0.5, 0.9, 1.1))
+        phases = (0.2, 0.5, 0.9, 1.1)
         for k in (1, 2):
-            echoed = trajectory_state(seq, k, ECHOED)
-            plain = trajectory_state(seq, k, UNCONTROLLED)
+            echoed = trajectory_state(phases, k, ECHOED)
+            plain = trajectory_state(phases, k, UNCONTROLLED)
             np.testing.assert_allclose(echoed.amplitudes, plain.amplitudes, atol=1e-15)
 
-    def test_correction_phase_undoes_the_accumulated_phase(self):
-        from qrecover.dephasing import correction_phase
-        from qrecover.states import LocalOperator
-
-        seq = PhaseSequence((0.4, 1.3, 0.7, 2.1))
-        ideal = TrajectoryControl(kind="corrected", correction_variant="ideal")
-        hardware = TrajectoryControl(kind="corrected", correction_variant="hardware")
-        assert correction_phase(seq, ideal) == pytest.approx(-sum(seq.phases), abs=1e-15)
-        assert correction_phase(seq, hardware) == pytest.approx(-sum(seq.phases[:3]), abs=1e-15)
-        # applying the compensating phase after the noisy evolution restores the singlet
-        for control, steps_run in ((ideal, 4), (hardware, 3)):
-            noisy = trajectory_state(seq, steps_run, UNCONTROLLED)
-            gate = np.diag([np.exp(1j * correction_phase(seq, control)), 1.0])
-            fixed = apply_local(noisy, LocalOperator("B", gate))
-            assert abs(fixed.overlap(bell_state("psi_minus"))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_corrected_returns_exact_singlet_both_variants(self):
-        rng = np.random.default_rng(17)
+    def test_corrected_returns_exact_singlet(self):
         singlet = bell_state("psi_minus")
-        for variant in ("ideal", "hardware"):
-            control = TrajectoryControl(kind="corrected", correction_variant=variant)
-            for _ in range(200):
-                seq = sample_sequence(default_params(0.4), rng)
-                state = trajectory_state(seq, 4, control)
-                assert abs(state.overlap(singlet)) == pytest.approx(1.0, abs=1e-12)
+        for row in sample_phase_matrix(default_params(0.4), 400, seed=17):
+            state = trajectory_state(row, 4, CORRECTED)
+            assert abs(state.overlap(singlet)) == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_constructed_state_matches_formula(self):
         # stepwise phase gates (phase on the first basis component of B) and a
         # mid-sequence bit flip must reproduce the closed-form trajectory state
         # up to a global phase
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            seq = sample_sequence(default_params(0.3), rng)
+        for row in sample_phase_matrix(default_params(0.3), 25, seed=5):
             for control, k in ((UNCONTROLLED, 2), (UNCONTROLLED, 4), (ECHOED, 3), (ECHOED, 4)):
                 state = bell_state("psi_minus")
                 for j in range(k):
                     if control.kind == "echoed" and j == control.echo_after_step:
                         state = apply_local(state, bit_flip("B"))
-                    gate = np.diag([np.exp(1j * seq.phases[j]), 1.0])
-                    from qrecover.states import LocalOperator
-
+                    gate = np.diag([np.exp(1j * row[j]), 1.0])
                     state = apply_local(state, LocalOperator("B", gate))
-                formula = trajectory_state(seq, k, control)
+                formula = trajectory_state(row, k, control)
                 assert abs(state.overlap(formula)) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_range_checked(self):
-        seq = PhaseSequence((0.1, 0.2, 0.3, 0.4))
         with pytest.raises(ValueError):
-            trajectory_state(seq, 5, UNCONTROLLED)
+            trajectory_state((0.1, 0.2, 0.3, 0.4), 5, UNCONTROLLED)
 
 
 class TestAnalyticCoherences:
@@ -331,8 +292,6 @@ class TestMonteCarlo:
     N = 100_000
 
     def test_noiseless_limit_keeps_full_entanglement(self):
-        from qrecover.entanglement import concurrence
-
         params = NoiseParams(mu=0.5, sigma=1e-9)
         rho = averaged_projector_oracle(params, UNCONTROLLED, 4, 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
@@ -392,14 +351,10 @@ class TestMonteCarlo:
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_trajectory_unitaries_are_unital(self):
-        from qrecover.states import LocalOperator
-
-        rng = np.random.default_rng(8)
         flat = maximally_mixed(("A", "B"))
-        for _ in range(20):
-            seq = sample_sequence(default_params(0.5), rng)
+        for row in sample_phase_matrix(default_params(0.5), 20, seed=8):
             state = flat
-            for j, chi in enumerate(seq.phases):
+            for j, chi in enumerate(row):
                 if j == 2:
                     state = apply_local(state, bit_flip("B"))
                 state = apply_local(state, LocalOperator("B", np.diag([np.exp(1j * chi), 1.0])))

@@ -3,24 +3,28 @@ import pytest
 
 from qrecover.entanglement import (
     PreparationModel,
-    PureStateEnsemble,
-    XStateError,
     binary_entropy,
-    concurrence,
-    concurrence_with_path,
-    concurrence_x_state,
-    ensemble_average_eof,
     eof_from_concurrence,
-    mixture,
-    werner,
 )
-from qrecover.states import DensityMatrix, PureState, bell_state, maximally_mixed
 
 from helpers import (
+    eta_blend,
     pure_concurrence_oracle,
+    random_density_matrix,
     random_pure_amplitudes,
     random_unitary,
-    random_x_state,
+)
+from oracle import (
+    DensityMatrix,
+    LocalOperator,
+    PureState,
+    PureStateEnsemble,
+    apply_local,
+    bell_state,
+    concurrence,
+    ensemble_average_eof,
+    maximally_mixed,
+    mixture,
 )
 
 RNG = np.random.default_rng(73)
@@ -39,7 +43,8 @@ class TestConcurrence:
         assert concurrence(maximally_mixed(("A", "B"))) == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_at_measured_fidelity(self):
-        rho = werner(PreparationModel.from_fidelity(0.96))
+        singlet = bell_state("psi_minus").projector().matrix
+        rho = eta_blend(singlet, PreparationModel.from_fidelity(0.96).eta)
         assert concurrence(rho) == pytest.approx(WERNER_96_CONCURRENCE, abs=1e-9)
 
     def test_matches_determinant_form_on_pure_states(self):
@@ -51,9 +56,6 @@ class TestConcurrence:
             )
 
     def test_local_unitary_invariance(self):
-        from helpers import random_density_matrix
-        from qrecover.states import LocalOperator, apply_local
-
         for _ in range(50):
             rho = DensityMatrix(("A", "B"), random_density_matrix(RNG))
             rotated = apply_local(rho, LocalOperator("A", random_unitary(RNG)))
@@ -63,40 +65,6 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="two qubits"):
             concurrence(maximally_mixed(("A", "B", "O")))
-
-
-class TestXStateShortcut:
-    def test_singlet(self):
-        assert concurrence_x_state(bell_state("psi_minus").projector()) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_classical_mixture(self):
-        rho = DensityMatrix(("A", "B"), np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
-        assert concurrence_x_state(rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_agrees_with_general_concurrence(self):
-        rng = np.random.default_rng(1234)
-        worst = 0.0
-        for _ in range(1000):
-            rho = DensityMatrix(("A", "B"), random_x_state(rng))
-            worst = max(worst, abs(concurrence_x_state(rho) - concurrence(rho)))
-        assert worst < 1e-9
-
-    def test_non_x_input_raises(self):
-        amps = random_pure_amplitudes(RNG)
-        rho = DensityMatrix(("A", "B"), np.outer(amps, amps.conj()))
-        with pytest.raises(XStateError):
-            concurrence_x_state(rho)
-
-    def test_path_reporting(self):
-        value, path = concurrence_with_path(bell_state("psi_minus").projector())
-        assert path == "x_state" and value == pytest.approx(1.0, abs=1e-12)
-        amps = random_pure_amplitudes(np.random.default_rng(9))
-        rho = DensityMatrix(("A", "B"), np.outer(amps, amps.conj()))
-        value, path = concurrence_with_path(rho)
-        assert path == "wootters"
-        assert value == pytest.approx(concurrence(rho), abs=1e-12)
 
 
 class TestEntanglementOfFormation:
@@ -206,10 +174,15 @@ class TestPreparationModel:
         with pytest.raises(ValueError, match=message):
             ClosedLoopParams(p=0.5, eta=eta)
 
+    @pytest.mark.parametrize("fidelity", [0.2, 1.5, float("nan")])
+    def test_out_of_range_fidelity_is_named(self, fidelity):
+        message = rf"^fidelity {fidelity!r} outside \[1/4, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            PreparationModel.from_fidelity(fidelity)
+
     def test_werner_limits(self):
-        ideal = werner(PreparationModel.ideal())
-        np.testing.assert_allclose(
-            ideal.matrix, bell_state("psi_minus").projector().matrix, atol=1e-12
-        )
-        flat = werner(PreparationModel.from_eta(0.0))
+        singlet = bell_state("psi_minus").projector().matrix
+        ideal = eta_blend(singlet, PreparationModel.ideal().eta)
+        np.testing.assert_allclose(ideal.matrix, singlet, atol=1e-12)
+        flat = eta_blend(singlet, PreparationModel.from_eta(0.0).eta)
         np.testing.assert_allclose(flat.matrix, np.eye(4) / 4, atol=1e-12)

@@ -23,7 +23,24 @@ GOLDEN_RUNS = {
     "counts_demo_p0.5_theta1.5_seed1": ["counts-demo", "--p", "0.5", "--theta", "1.5", "--seed", "1"],
     "counts_demo_p0.5_theta1.5_seed2": ["counts-demo", "--p", "0.5", "--theta", "1.5", "--seed", "2"],
     "closed_loop_theta_91": ["closed-loop", "--sweep", "theta", "--grid-points", "91"],
+    "open_loop_both_mu0.7_seed1": [
+        "open-loop", "--mu", "0.7", "--fidelity", "1.0", "0.96",
+        "--method", "both", "--n-samples", "5000", "--seed", "1",
+    ],
+    "open_loop_mc_clipped_mu0.7_seed1": [
+        "open-loop", "--mu", "0.7", "--sigma", "1.2", "--method", "monte_carlo",
+        "--clip-to-hardware", "--n-samples", "5000", "--seed", "1",
+    ],
 }
+GOLDEN_RUNS.update(
+    {
+        f"open_loop_mu{mu}_steps{steps}": [
+            "open-loop", "--mu", mu, "--steps", steps, "--fidelity", "1.0", "0.96",
+        ]
+        for mu in ("0.3", "0.7", "1.0")
+        for steps in ("4", "7")
+    }
+)
 
 
 def write_golden(name: str, fmt: str, directory: Path) -> Path:

@@ -149,6 +149,17 @@ class TestRunOpenLoop:
         with pytest.raises(ValueError, match="method"):
             run_open_loop(params(0.5), UNCONTROLLED, IDEAL, 2, "exact")
 
+    def test_analytic_values_refuse_clipped_phases(self):
+        # the closed form assumes unclipped Gaussian phases
+        clipped = params(0.7, clip_to_hardware=True)
+        with pytest.raises(ValueError, match="clip_to_hardware"):
+            run_open_loop(clipped, UNCONTROLLED, IDEAL, 2)
+        for methods in (("analytic",), ("analytic", "monte_carlo")):
+            with pytest.raises(ValueError, match="clip_to_hardware"):
+                open_loop_series(clipped, [IDEAL], methods, n_samples=100, seed=1)
+        sampled = open_loop_series(clipped, [IDEAL], ("monte_carlo",), n_samples=100, seed=1)
+        assert len(sampled) == 3 * 5
+
     def test_echo_position_is_honoured(self):
         early = TrajectoryControl(kind="echoed", echo_after_step=1)
         analytic = run_open_loop(params(0.3), early, IDEAL, 4)

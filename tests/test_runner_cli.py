@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
 from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run, write_rows
-from qrecover.states import DensityMatrix, PureState
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -292,6 +292,14 @@ class TestNonFiniteInputs:
             (["counts-demo", "--p", "0.5", "--theta", "2.0", "--seed", "1"], "theta 2.0"),
             (["open-loop", "--mu", "0.5", "--method", "both", "--seed", "-1"], "seed -1"),
             (["counts-demo", "--p", "0.5", "--seed", "-1"], "seed -1"),
+            (["open-loop", "--mu", "0.5", "--fidelity", "0.2"], "fidelity 0.2 outside"),
+            (["closed-loop", "--fidelity", "1.0", "0.2"], "fidelity 0.2 outside"),
+            (["counts-demo", "--total-pairs", f"{10**30}", "--seed", "1"], f"total_pairs {10**30}"),
+            (["open-loop", "--mu", "0.7", "--clip-to-hardware"], "clip_to_hardware"),
+            (
+                ["open-loop", "--mu", "0.7", "--clip-to-hardware", "--method", "both", "--seed", "1"],
+                "clip_to_hardware",
+            ),
         ],
     )
     def test_rejected_by_name_without_a_file(self, tmp_path, capsys, argv, field):
@@ -538,6 +546,29 @@ class TestFormatsAndConfig:
         assert list(tmp_path.iterdir()) == []
 
 
+CORE_MODULES = [
+    "qrecover",
+    "qrecover.cli",
+    "qrecover.closedloop",
+    "qrecover.counts",
+    "qrecover.dephasing",
+    "qrecover.entanglement",
+    "qrecover.openloop",
+    "qrecover.runner",
+]
+# names of 0.2.0 that left the package: the state toolkit and the
+# general concurrence live in the test oracle now, the rest is gone
+REMOVED_NAMES = {
+    "states", "DensityMatrix", "LocalOperator", "PureState", "RegisterError",
+    "apply_local", "apply_two_qubit", "bell_state", "bit_flip", "fidelity_to_pure",
+    "kron_state", "maximally_mixed", "partial_trace", "phase_shift",
+    "concurrence", "concurrence_x_state", "concurrence_with_path", "XStateError",
+    "X_SPARSITY_ATOL", "PureStateEnsemble", "ensemble_average_eof", "mixture", "werner",
+    "PhaseSequence", "sample_sequence", "sample_phase_matrix", "trajectory_state",
+    "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
+}
+
+
 class TestNoVerbBuildsAQuantumState:
     """Every verb runs on closed forms and coherence moments alone."""
 
@@ -551,15 +582,30 @@ class TestNoVerbBuildsAQuantumState:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_runs_with_state_construction_forbidden(self, tmp_path, monkeypatch, argv):
-        def refuse(self):
-            raise AssertionError(f"{type(self).__name__} built")
+    def test_runs_with_state_construction_forbidden(self, tmp_path, argv):
+        # a fresh interpreter in which importing the test oracle fails; after
+        # the verb, only the core modules of the package are loaded
+        code = (
+            "import json, sys\n"
+            "sys.modules['oracle'] = sys.modules['helpers'] = None\n"
+            "from qrecover.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'x.csv')]!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'qrecover')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == CORE_MODULES
+        assert (tmp_path / "x.csv").stat().st_size > 0
 
-        monkeypatch.setattr(PureState, "__post_init__", refuse)
-        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
-        out = tmp_path / "x.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-        assert out.stat().st_size > 0
+    def test_removed_names_are_gone(self):
+        for module in CORE_MODULES:
+            loaded = importlib.import_module(module)
+            assert sorted(REMOVED_NAMES & set(vars(loaded))) == [], module
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("qrecover.states")
+        assert "correction_variant" not in dephasing.TrajectoryControl.__dataclass_fields__
 
 
 class TestAtomicWrites:
@@ -592,6 +638,11 @@ class TestSchema:
         text = (REPO_ROOT / "pyproject.toml").read_text()
         declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
         assert qrecover.__version__ == declared
+
+    def test_readme_library_example_runs(self):
+        text = (REPO_ROOT / "README.md").read_text()
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
     def test_runconfig_validation(self):
         with pytest.raises(ValueError, match="experiment"):
