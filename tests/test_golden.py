@@ -22,7 +22,19 @@ GOLDEN_RUNS = {
     "counts_demo_p0.4_theta0.3_seed2": ["counts-demo", "--p", "0.4", "--theta", "0.3", "--seed", "2"],
     "counts_demo_p0.5_theta1.5_seed1": ["counts-demo", "--p", "0.5", "--theta", "1.5", "--seed", "1"],
     "counts_demo_p0.5_theta1.5_seed2": ["counts-demo", "--p", "0.5", "--theta", "1.5", "--seed", "2"],
+    "assist_scan_p0": ["assist-scan", "--p", "0", "--grid-points", "181"],
+    "assist_scan_p1": ["assist-scan", "--p", "1", "--grid-points", "181"],
+    "assist_scan_p0.3_grid5": ["assist-scan", "--p", "0.3", "--grid-points", "5"],
     "closed_loop_theta_91": ["closed-loop", "--sweep", "theta", "--grid-points", "91"],
+    "closed_loop_theta_p0.2_91": [
+        "closed-loop", "--sweep", "theta", "--p", "0.2", "--fidelity", "1.0", "0.93",
+        "--grid-points", "91",
+    ],
+    # the exact-zero cell at theta = pi/4 and the rows at F = 0.999999
+    "closed_loop_p_theta_pi4_101": [
+        "closed-loop", "--sweep", "p", "--theta", "0.7853981633974483",
+        "--fidelity", "1.0", "0.9", "0.999999", "--grid-points", "101",
+    ],
     "open_loop_both_mu0.7_seed1": [
         "open-loop", "--mu", "0.7", "--fidelity", "1.0", "0.96",
         "--method", "both", "--n-samples", "5000", "--seed", "1",
