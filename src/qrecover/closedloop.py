@@ -23,11 +23,26 @@ is kept in the test suite as the reference these are checked against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import check_eta, eof_from_concurrence, mixed_concurrence
+from .entanglement import (
+    as_result,
+    check_eta,
+    check_range,
+    eof_from_concurrence,
+    mixed_concurrence,
+)
+
+
+def _check_weight(name: str, value) -> np.ndarray:
+    return check_range(name, value, 0.0, 1.0, "outside [0, 1]")
+
+
+def _check_finite(name: str, value) -> np.ndarray:
+    return check_range(name, value, -sys.float_info.max, sys.float_info.max, "must be finite")
 
 
 @dataclass(frozen=True)
@@ -44,10 +59,8 @@ class ClosedLoopParams:
     p_prime: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p {self.p!r} outside [0, 1]")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta {self.theta!r} must be finite")
+        _check_weight("p", self.p)
+        _check_finite("theta", self.theta)
         check_eta(self.eta)
         if self.p_prime is not None:
             if self.p_prime < 0.0:
@@ -64,16 +77,18 @@ class ClosedLoopParams:
         return cls(p=p_prime / (1.0 + p_prime), theta=theta, eta=eta, p_prime=p_prime)
 
 
-def uncontrolled_concurrence_closed(p: float, eta: float = 1.0) -> float:
+def uncontrolled_concurrence_closed(p, eta=1.0):
     """Pair concurrence after tracing out the environment:
-    max{0, 2 eta |1 - 2p| - (1 - eta)} / 2, the live coherence being |1 - 2p|/2."""
-    ClosedLoopParams(p=p, eta=eta)
-    return mixed_concurrence(abs(1.0 - 2.0 * p) / 2.0, eta)
+    max{0, 2 eta |1 - 2p| - (1 - eta)} / 2, the live coherence being |1 - 2p|/2.
+
+    ``p`` and ``eta`` are numbers or arrays, which broadcast.
+    """
+    p = _check_weight("p", p)
+    check_eta(eta)
+    return mixed_concurrence(np.abs(1.0 - 2.0 * p) / 2.0, eta)
 
 
-def measurement_branches(
-    p: float, theta: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def measurement_branches(p, theta):
     """(probability, concurrence) of outcome u, then of outcome d.
 
     Outcome u projects O onto cos(theta)|u> + sin(theta)|d>, leaving the pair
@@ -82,26 +97,32 @@ def measurement_branches(
     states enter the pure-state concurrence |psi^T (sy x sy) psi| (Wootters,
     PRL 80, 2245, 1998) with opposite signs, so a branch's concurrence is the
     difference of its weights over their sum.  A branch with probability <= 1e-14 is reported
-    as (0, 0).
+    as (0, 0).  ``p`` and ``theta`` are numbers or arrays, which broadcast.
     """
-    ClosedLoopParams(p=p, theta=theta)
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    return _branch((1.0 - p) * c2, p * s2), _branch((1.0 - p) * s2, p * c2)
-
-
-def _branch(psi_weight: float, phi_weight: float) -> tuple[float, float]:
+    p = _check_weight("p", p)
+    theta = _check_finite("theta", theta)
+    # float_power is the libm pow of Python's x ** 2, which x * x misses in the last bit
+    c2, s2 = np.float_power(np.cos(theta), 2.0), np.float_power(np.sin(theta), 2.0)
+    # outcome u, then d, on a leading axis
+    psi_weight = np.array(((1.0 - p) * c2, (1.0 - p) * s2))
+    phi_weight = np.array((p * s2, p * c2))
     probability = psi_weight + phi_weight
-    if probability <= 1e-14:
-        return 0.0, 0.0
-    return probability, abs(phi_weight - psi_weight) / probability
+    live = probability > 1e-14
+    concurrence = np.abs(phi_weight - psi_weight) / np.where(live, probability, 1.0) * live
+    probability = probability * live
+    return tuple((as_result(probability[i]), as_result(concurrence[i])) for i in (0, 1))
 
 
-def controlled_concurrence_closed(theta: float, eta: float = 1.0) -> float:
+def controlled_concurrence_closed(theta, eta=1.0):
     """Pair concurrence after measurement plus conditioned correction:
     max{0, 2 eta |cos 2 theta| - (1 - eta)} / 2, independent of p, the live
-    coherence being |cos 2 theta|/2."""
-    ClosedLoopParams(p=0.0, theta=theta, eta=eta)  # p does not enter
-    return mixed_concurrence(abs(math.cos(2.0 * theta)) / 2.0, eta)
+    coherence being |cos 2 theta|/2.
+
+    ``theta`` and ``eta`` are numbers or arrays, which broadcast.
+    """
+    theta = _check_finite("theta", theta)
+    check_eta(eta)
+    return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
 @dataclass(frozen=True)
@@ -124,12 +145,9 @@ def assistance_scan(p: float, n_theta: int = 181) -> AssistanceScan:
     if n_theta < 2:
         raise ValueError("n_theta must be >= 2")
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
-    eofs = np.array(
-        [
-            sum(prob * eof_from_concurrence(c) for prob, c in measurement_branches(p, theta))
-            for theta in thetas
-        ]
-    )
+    (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, thetas)
+    eof_u, eof_d = eof_from_concurrence(np.array((c_u, c_d)))
+    eofs = prob_u * eof_u + prob_d * eof_d
     best = int(np.argmax(eofs >= eofs.max() - 1e-12))
     return AssistanceScan(
         thetas=thetas,

@@ -16,34 +16,58 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def binary_entropy(x: float) -> float:
-    """-x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def as_result(values: np.ndarray):
+    """A Python float for a 0-d result, else the array itself."""
+    return float(values) if values.ndim == 0 else values
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation as a function of concurrence."""
-    if not -1e-9 <= c <= 1.0 + 1e-9:
-        raise ValueError(f"concurrence {c!r} outside [0, 1]")
-    c = min(1.0, max(0.0, c))
+def check_range(name: str, value, low: float, high: float, complaint: str) -> np.ndarray:
+    """``value`` as a float array, once every element lies in [low, high].
+
+    Otherwise raise ValueError "<name> <value> <complaint>" for the first
+    element outside, NaN included: a scalar by its repr, an array element
+    as a float.
+    """
+    values = np.asarray(value, dtype=float)
+    # a NaN element makes min and max NaN, and both comparisons false
+    if values.size and not (low <= values.min() and values.max() <= high):
+        outside = ~((values >= low) & (values <= high))
+        bad = value if values.ndim == 0 else float(values[outside][0])
+        raise ValueError(f"{name} {bad!r} {complaint}")
+    return values
+
+
+def binary_entropy(x):
+    """-x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention.
+
+    ``x`` is a number or an array of them; outside (0, 1) the entropy is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    live = (x > 0.0) & (x < 1.0)
+    x = np.where(live, x, 0.5)
+    return as_result((-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)) * live)
+
+
+def eof_from_concurrence(c):
+    """Entanglement of formation as a function of concurrence (a number or an array)."""
+    c = check_range("concurrence", c, -1e-9, 1.0 + 1e-9, "outside [0, 1]").clip(0.0, 1.0)
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
-def mixed_concurrence(coherence_magnitude: float, eta: float) -> float:
+def mixed_concurrence(coherence_magnitude, eta):
     """Concurrence 2 max{0, eta |z| - (1 - eta)/4} of the eta-mixed X state.
 
     ``coherence_magnitude`` is |z| of the ideal-input output, at most 1/2;
-    eta weighs it against the maximally mixed state.
+    eta weighs it against the maximally mixed state.  Both may be arrays,
+    which broadcast.
     """
-    return float(min(1.0, max(0.0, 2.0 * (eta * coherence_magnitude - (1.0 - eta) / 4.0))))
+    z = np.asarray(coherence_magnitude, dtype=float)
+    return as_result((2.0 * (eta * z - (1.0 - eta) / 4.0)).clip(0.0, 1.0))
 
 
-def check_eta(eta: float) -> None:
+def check_eta(eta) -> None:
     """Reject a singlet weight eta outside [0, 1] (NaN included)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta {eta!r} outside [0, 1]")
+    check_range("eta", eta, 0.0, 1.0, "outside [0, 1]")
 
 
 def _check_fidelity(fidelity: float) -> None:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dephasing import (
     CONTROL_KINDS,
     NoiseParams,
@@ -63,17 +65,23 @@ def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
     }
 
 
-def _result(k, control, prep, method, coherence, std_error) -> OpenLoopResult:
-    c = mixed_concurrence(abs(coherence), prep.eta)
-    return OpenLoopResult(
-        step=k,
-        concurrence=c,
-        eof=eof_from_concurrence(c),
-        method=method,
-        control_kind=control.kind,
-        prep=prep,
-        stat_error=None if std_error is None else 2.0 * prep.eta * std_error,
-    )
+def _results(points, prep, method) -> list[OpenLoopResult]:
+    """The results at ``points``, (control, k, coherence, one-sigma error) each."""
+    magnitudes = [abs(coherence) for _, _, coherence, _ in points]
+    concurrences = mixed_concurrence(np.array(magnitudes), prep.eta)
+    eofs = eof_from_concurrence(concurrences)
+    return [
+        OpenLoopResult(
+            step=k,
+            concurrence=c,
+            eof=eof,
+            method=method,
+            control_kind=control.kind,
+            prep=prep,
+            stat_error=None if std_error is None else 2.0 * prep.eta * std_error,
+        )
+        for (control, k, _, std_error), c, eof in zip(points, concurrences.tolist(), eofs.tolist())
+    ]
 
 
 def run_open_loop(
@@ -93,7 +101,7 @@ def run_open_loop(
     """
     signs = control.signs(k, params.steps)
     coherences = _coherences(params, (signs,), method, n_samples, seed, workers)
-    return _result(k, control, prep, method, *coherences[signs])
+    return _results([(control, k, *coherences[signs])], prep, method)[0]
 
 
 def open_loop_series(
@@ -123,8 +131,12 @@ def open_loop_series(
         for method in methods
     }
     return [
-        _result(k, control, prep, method, *coherences[method][s])
+        result
         for prep in preps
         for method in methods
-        for (control, k), s in zip(points, signs)
+        for result in _results(
+            [(control, k, *coherences[method][s]) for (control, k), s in zip(points, signs)],
+            prep,
+            method,
+        )
     ]

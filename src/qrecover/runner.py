@@ -10,12 +10,12 @@ significant digits in both the CSV and the JSON-lines formats.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 import os
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,13 @@ from .closedloop import (
     controlled_concurrence_closed,
     uncontrolled_concurrence_closed,
 )
-from .counts import coincidence_probabilities, estimate_p_prime, estimate_theta, simulate_counts
+from .counts import (
+    EstimationError,
+    coincidence_probabilities,
+    estimate_p_prime,
+    estimate_theta,
+    simulate_counts,
+)
 from .dephasing import NoiseParams
 from .entanglement import PreparationModel, eof_from_concurrence
 from .openloop import open_loop_series
@@ -201,49 +207,73 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.9g}"
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _format_float(value)
-    return str(value)
+def _cells(values, rows: int, fmt: str) -> list[str]:
+    """The text of one column, one cell per row.
+
+    ``values`` is a sequence with one value per row, or one value that
+    repeats on every row and is formatted once.  A column holds floats
+    (9 significant digits; a JSON line holds the float they spell),
+    integers or strings, and None is an empty cell (null in JSON lines).
+    """
+    repeated = not isinstance(values, _SEQUENCES)
+    if repeated:
+        values = [values]
+    elif isinstance(values, np.ndarray):
+        values = values.tolist()
+    empty = "null" if fmt == "jsonl" else ""
+    kind = type(next((v for v in values if v is not None), None))
+    if issubclass(kind, float) and fmt == "jsonl":
+        cells = [empty if v is None else repr(float(format(v, ".9g"))) for v in values]
+    elif issubclass(kind, float):
+        cells = [empty if v is None else format(v, ".9g") for v in values]
+    elif kind is str and fmt == "jsonl":
+        cells = [encode_basestring_ascii(v) for v in values]
+    else:
+        cells = [empty if v is None else str(v) for v in values]
+    return cells * rows if repeated else cells
 
 
-def _json_value(value):
-    if isinstance(value, float):
-        return float(_format_float(value))
-    return value
+def _row_count(table: dict) -> int:
+    lengths = {len(v) for v in table.values() if isinstance(v, _SEQUENCES)}
+    if len(lengths) != 1:
+        raise ValueError(f"a table needs columns of one length, got lengths {sorted(lengths)}")
+    return lengths.pop()
 
 
-def write_rows(path: Path, columns: list[str], rows: list[dict], fmt: str) -> None:
-    """Write the rows atomically: into a temp file beside ``path``, then rename.
+def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
+    """Write ``table`` atomically: into a temp file beside ``path``, then rename.
 
-    A failure part way leaves any previous file at ``path`` untouched.
+    ``table`` maps each column to its values (see ``_cells``); each column
+    is formatted once, then the rows go out in order.  A failure part way
+    leaves any previous file at ``path`` untouched.
     """
     path = Path(path)
+    rows = _row_count(table)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(temp, "x", newline="" if fmt == "csv" else None) as handle:
+            cells = [_cells(table[column], rows, fmt) for column in columns]
             if fmt == "csv":
                 writer = csv.writer(handle)
                 writer.writerow(columns)
-                for row in rows:
-                    writer.writerow([_format_cell(row.get(c)) for c in columns])
+                writer.writerows(zip(*cells))
             else:
-                for row in rows:
-                    record = {c: _json_value(row.get(c)) for c in columns}
-                    handle.write(json.dumps(record) + "\n")
+                # the bytes of json.dumps({column: value, ...}) for each row
+                cells = [
+                    [f"{encode_basestring_ascii(column)}: {cell}" for cell in column_cells]
+                    for column, column_cells in zip(columns, cells)
+                ]
+                handle.writelines(f"{{{', '.join(row)}}}\n" for row in zip(*cells))
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-def _open_loop_rows(config: RunConfig) -> list[dict]:
+def _open_loop_rows(config: RunConfig) -> dict:
     params = NoiseParams(
         mu=config.mu,
         sigma=config.sigma,
@@ -256,99 +286,81 @@ def _open_loop_rows(config: RunConfig) -> list[dict]:
     results = open_loop_series(
         params, preps, methods, config.n_samples, config.seed, config.workers
     )
-    return [
-        {
-            "mu": params.mu,
-            "sigma": params.sigma,
-            "fidelity": result.prep.fidelity,
-            "control": result.control_kind,
-            "method": result.method,
-            "step": result.step,
-            "concurrence": result.concurrence,
-            "eof": result.eof,
-            "stat_error": result.stat_error,
-        }
-        for result in results
-    ]
+    return {
+        "mu": params.mu,
+        "sigma": params.sigma,
+        "fidelity": [result.prep.fidelity for result in results],
+        "control": [result.control_kind for result in results],
+        "method": [result.method for result in results],
+        "step": [result.step for result in results],
+        "concurrence": [result.concurrence for result in results],
+        "eof": [result.eof for result in results],
+        "stat_error": [result.stat_error for result in results],
+    }
 
 
-def _closed_loop_rows(config: RunConfig) -> list[dict]:
+def _closed_loop_rows(config: RunConfig) -> dict:
+    """Rows run fidelity-major, then grid point, then variant (uncontrolled first)."""
     if config.sweep == "p":
-        n = config.grid_points or 101
-        grid = np.linspace(0.0, 1.0, n)
-        theta = config.theta if config.theta is not None else 0.0
-        points = [(float(p), theta) for p in grid]
+        grid = np.linspace(0.0, 1.0, config.grid_points or 101)
+        p, theta = grid, config.theta if config.theta is not None else 0.0
     else:
-        n = config.grid_points or 91
-        grid = np.linspace(0.0, math.pi / 2.0, n)
-        p = config.resolved_p(default=0.5)
-        points = [(p, float(theta)) for theta in grid]
-    rows = []
-    for fidelity in config.fidelity:
-        eta = PreparationModel.from_fidelity(fidelity).eta
-        for p, theta in points:
-            c_unco = uncontrolled_concurrence_closed(p, eta)
-            c_cont = controlled_concurrence_closed(theta, eta)
-            for variant, c in (("uncontrolled", c_unco), ("controlled", c_cont)):
-                rows.append(
-                    {
-                        "sweep": config.sweep,
-                        "p": p,
-                        "theta": theta,
-                        "fidelity": fidelity,
-                        "variant": variant,
-                        "method": "analytic",
-                        "concurrence": c,
-                        "eof": eof_from_concurrence(c),
-                        "stat_error": None,
-                    }
-                )
-    return rows
+        grid = np.linspace(0.0, math.pi / 2.0, config.grid_points or 91)
+        p, theta = config.resolved_p(default=0.5), grid
+    fidelity = config.fidelity
+    eta = np.array([[PreparationModel.from_fidelity(f).eta] for f in fidelity])
+    concurrence = np.empty((len(fidelity), grid.size, 2))
+    concurrence[..., 0] = uncontrolled_concurrence_closed(p, eta)
+    concurrence[..., 1] = controlled_concurrence_closed(theta, eta)
+    concurrence = concurrence.ravel()
+    table = {
+        "sweep": config.sweep,
+        "p": p,
+        "theta": theta,
+        "fidelity": np.array(fidelity).repeat(2 * grid.size),
+        "variant": ["uncontrolled", "controlled"] * (grid.size * len(fidelity)),
+        "method": "analytic",
+        "concurrence": concurrence,
+        "eof": eof_from_concurrence(concurrence),
+        "stat_error": None,
+    }
+    # the swept column holds each grid value on both variant rows, per fidelity
+    table[config.sweep] = grid.repeat(2).tolist() * len(fidelity)
+    return table
 
 
-def _assist_scan_rows(config: RunConfig) -> list[dict]:
+def _assist_scan_rows(config: RunConfig) -> dict:
     p = config.resolved_p()
     if p is None:
         raise ValueError("assist_scan requires p (or p_prime)")
     scan = assistance_scan(p, config.grid_points or 181)
-    return [
-        {
-            "p": p,
-            "theta": float(theta),
-            "ensemble_eof": float(eof),
-            "is_best": int(i == scan.best_index),
-        }
-        for i, (theta, eof) in enumerate(zip(scan.thetas, scan.eofs))
-    ]
+    is_best = np.zeros(scan.thetas.size, dtype=int)
+    is_best[scan.best_index] = 1
+    return {"p": p, "theta": scan.thetas, "ensemble_eof": scan.eofs, "is_best": is_best}
 
 
-def _counts_demo_rows(config: RunConfig) -> list[dict]:
+def _counts_demo_rows(config: RunConfig) -> dict:
     p = config.resolved_p(default=0.5)
     theta = config.theta if config.theta is not None else 0.0
     if p >= 1.0:
         raise ValueError("counts_demo requires p < 1 (finite attenuation ratio)")
     probabilities = coincidence_probabilities(p, theta)
     counts = simulate_counts(probabilities, config.total_pairs, config.seed)
-    ratio, ratio_err = estimate_p_prime(counts)
-    angle, angle_err = estimate_theta(counts)
-    return [
-        {
-            "quantity": "p_prime",
-            "total_pairs": config.total_pairs,
-            "seed": config.seed,
-            "true_value": p / (1.0 - p),
-            "estimate": ratio,
-            "stat_error": ratio_err,
-        },
-        {
-            "quantity": "theta",
-            "total_pairs": config.total_pairs,
-            "seed": config.seed,
-            "true_value": theta,
-            "estimate": angle,
-            "stat_error": angle_err,
-        },
-    ]
+    try:
+        ratio, ratio_err = estimate_p_prime(counts)
+        angle, angle_err = estimate_theta(counts)
+    except EstimationError as exc:
+        raise EstimationError(
+            f"total_pairs {config.total_pairs!r} is too small for the drawn counts: {exc}"
+        ) from exc
+    return {
+        "quantity": ["p_prime", "theta"],
+        "total_pairs": config.total_pairs,
+        "seed": config.seed,
+        "true_value": [p / (1.0 - p), theta],
+        "estimate": [ratio, angle],
+        "stat_error": [ratio_err, angle_err],
+    }
 
 
 _BUILDERS = {
@@ -366,11 +378,8 @@ def run(config: RunConfig) -> Path:
         raise OSError(f"output directory {path.parent} does not exist")
     if path.is_dir():
         raise OSError(f"output path {path} is a directory")
-    rows = _BUILDERS[config.experiment](config)
-    if not rows:
-        raise ValueError("sweep produced no rows")
-    columns = OUTPUT_SCHEMAS[config.experiment]["columns"]
-    write_rows(path, columns, rows, config.format)
+    table = _BUILDERS[config.experiment](config)
+    write_rows(path, OUTPUT_SCHEMAS[config.experiment]["columns"], table, config.format)
     return path
 
 

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrecover.closedloop import (
     ClosedLoopParams,
@@ -391,3 +394,137 @@ class TestClosedFormDomain:
         assert uncontrolled_concurrence_closed(0.0, 0.0) == 0.0
         assert uncontrolled_concurrence_closed(1.0, 1.0) == 1.0
         assert controlled_concurrence_closed(math.pi / 2, 1.0) == 1.0
+
+
+UNIT = st.floats(0.0, 1.0)
+ANGLE = st.floats(-4.0, 4.0)
+# The oracle's eigenvalue floor (1e-12 of the largest) drops a Bell weight w
+# in (1e-12, 1e-5) and then misses by about w; keep such weights out.
+ORACLE_ETA = st.one_of(st.floats(0.0, 0.999), st.just(1.0))
+ORACLE_P = UNIT.filter(lambda p: not 1e-12 < min(p, 1.0 - p) < 1e-5)
+ORACLE_ANGLE = ANGLE.filter(
+    lambda t: not 1e-12 < min(math.cos(t) ** 2, math.sin(t) ** 2) < 1e-5
+)
+NOT_A_WEIGHT = st.sampled_from([math.nan, -0.25, 1.5, math.inf])
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def grids(elements, max_size=40):
+    return st.lists(elements, min_size=1, max_size=max_size)
+
+
+def with_one_bad_element(grid, index, bad):
+    return np.insert(np.array(grid, dtype=float), index % (len(grid) + 1), bad)
+
+
+def named(field, bad):
+    return rf"^{field} {re.escape(repr(bad))} "
+
+
+def branches_by_math(p, theta):
+    """The branch closed form in Python scalar arithmetic, the reference for the arrays."""
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+
+    def branch(psi_weight, phi_weight):
+        probability = psi_weight + phi_weight
+        if probability <= 1e-14:
+            return 0.0, 0.0
+        return probability, abs(phi_weight - psi_weight) / probability
+
+    return branch((1.0 - p) * c2, p * s2), branch((1.0 - p) * s2, p * c2)
+
+
+def mixed_by_math(z, eta):
+    return min(1.0, max(0.0, 2.0 * (eta * z - (1.0 - eta) / 4.0)))
+
+
+class TestArrayClosedForms:
+    """Each closed form on a grid equals its calls on the grid's Python floats, bit for bit."""
+
+    @given(grids(UNIT), grids(UNIT, max_size=4))
+    def test_uncontrolled_is_elementwise_bit_for_bit(self, ps, etas):
+        table = uncontrolled_concurrence_closed(np.array(ps)[:, None], np.array(etas))
+        scalars = [[uncontrolled_concurrence_closed(p, eta) for eta in etas] for p in ps]
+        assert table.tolist() == scalars
+        assert scalars == [[mixed_by_math(abs(1.0 - 2.0 * p) / 2.0, e) for e in etas] for p in ps]
+        assert all(type(c) is float for row in scalars for c in row)
+
+    @given(grids(ANGLE), grids(UNIT, max_size=4))
+    def test_controlled_is_elementwise_bit_for_bit(self, thetas, etas):
+        table = controlled_concurrence_closed(np.array(thetas)[:, None], np.array(etas))
+        scalars = [[controlled_concurrence_closed(t, eta) for eta in etas] for t in thetas]
+        assert table.tolist() == scalars
+        assert scalars == [
+            [mixed_by_math(abs(math.cos(2.0 * t)) / 2.0, e) for e in etas] for t in thetas
+        ]
+        assert all(type(c) is float for row in scalars for c in row)
+
+    @given(grids(UNIT, max_size=8), grids(ANGLE, max_size=8))
+    def test_branches_are_elementwise_bit_for_bit(self, ps, thetas):
+        branches = measurement_branches(np.array(ps)[:, None], np.array(thetas))
+        for i, p in enumerate(ps):
+            for j, theta in enumerate(thetas):
+                scalar = measurement_branches(p, theta)
+                assert all(type(v) is float for branch in scalar for v in branch)
+                assert tuple((b[0][i, j], b[1][i, j]) for b in branches) == scalar
+                assert scalar == branches_by_math(p, theta)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.77, 1.0])
+    def test_branches_on_dense_grids_are_the_scalar_math_bit_for_bit(self, p):
+        # about 1 in 1000 of x * x differ from x ** 2 in the last bit; these grids hold such x
+        rng = np.random.default_rng(17)
+        thetas = np.concatenate([np.linspace(0.0, math.pi / 2, 1001), rng.uniform(-4, 4, 2000)])
+        (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, thetas)
+        arrays = list(zip(zip(prob_u.tolist(), c_u.tolist()), zip(prob_d.tolist(), c_d.tolist())))
+        assert arrays == [branches_by_math(p, theta) for theta in thetas.tolist()]
+
+    @given(UNIT, st.integers(2, 60))
+    def test_assistance_scan_is_the_branch_average_bit_for_bit(self, p, n_theta):
+        scan = assistance_scan(p, n_theta)
+        for theta, eof in zip(scan.thetas.tolist(), scan.eofs.tolist()):
+            (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, theta)
+            assert eof == prob_u * eof_from_concurrence(c_u) + prob_d * eof_from_concurrence(c_d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(grids(ORACLE_P, max_size=5), ORACLE_ETA)
+    def test_uncontrolled_matches_the_wootters_oracle(self, ps, eta):
+        for p, c in zip(ps, uncontrolled_concurrence_closed(np.array(ps), eta)):
+            assert c == pytest.approx(uncontrolled_output(p, eta)[1], abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(grids(ORACLE_ANGLE, max_size=5), ORACLE_ETA)
+    def test_controlled_matches_the_wootters_oracle(self, thetas, eta):
+        for theta, c in zip(thetas, controlled_concurrence_closed(np.array(thetas), eta)):
+            assert c == pytest.approx(controlled_output(0.3, theta, eta)[1], abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(UNIT, grids(ANGLE, max_size=5))
+    def test_branches_match_the_projected_pure_states(self, p, thetas):
+        (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, np.array(thetas))
+        for i, theta in enumerate(thetas):
+            for (probability, c), (expected, state) in zip(
+                ((prob_u[i], c_u[i]), (prob_d[i], c_d[i])), measured_ensemble(p, theta)
+            ):
+                assert probability == pytest.approx(expected, abs=1e-12)
+                if state is not None:
+                    assert c == pytest.approx(pure_concurrence_oracle(state.amplitudes), abs=1e-12)
+
+    @given(grids(UNIT), st.integers(0, 40), NOT_A_WEIGHT)
+    def test_one_bad_weight_is_named(self, ps, index, bad):
+        values = with_one_bad_element(ps, index, bad)
+        with pytest.raises(ValueError, match=named("p", bad)):
+            uncontrolled_concurrence_closed(values)
+        with pytest.raises(ValueError, match=named("p", bad)):
+            measurement_branches(values, 0.3)
+        with pytest.raises(ValueError, match=named("eta", bad)):
+            uncontrolled_concurrence_closed(0.3, values)
+        with pytest.raises(ValueError, match=named("eta", bad)):
+            controlled_concurrence_closed(0.3, values)
+
+    @given(grids(ANGLE), st.integers(0, 40), NOT_FINITE)
+    def test_one_non_finite_angle_is_named(self, thetas, index, bad):
+        values = with_one_bad_element(thetas, index, bad)
+        with pytest.raises(ValueError, match=named("theta", bad) + "must be finite"):
+            controlled_concurrence_closed(values)
+        with pytest.raises(ValueError, match=named("theta", bad) + "must be finite"):
+            measurement_branches(0.3, values)

@@ -1,15 +1,22 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrecover.entanglement import (
     PreparationModel,
     binary_entropy,
     eof_from_concurrence,
+    mixed_concurrence,
 )
 
 from helpers import (
     eta_blend,
     pure_concurrence_oracle,
+    reduced_matrix_oracle,
     random_density_matrix,
     random_pure_amplitudes,
     random_unitary,
@@ -186,3 +193,65 @@ class TestPreparationModel:
         np.testing.assert_allclose(ideal.matrix, singlet, atol=1e-12)
         flat = eta_blend(singlet, PreparationModel.from_eta(0.0).eta)
         np.testing.assert_allclose(flat.matrix, np.eye(4) / 4, atol=1e-12)
+
+
+UNIT = st.floats(0.0, 1.0)
+COHERENCE = st.floats(0.0, 0.5)
+# singlet weights away from (0.999, 1), where the oracle's eigenvalue floor
+# (1e-12 of the largest) clips the spin-flip spectrum and misses by ~1e-6
+ORACLE_ETA = st.one_of(st.floats(0.0, 0.999), st.just(1.0))
+
+
+def grids(elements, max_size=40):
+    return st.lists(elements, min_size=1, max_size=max_size)
+
+
+def with_one_bad_element(grid, index, bad):
+    return np.insert(np.array(grid, dtype=float), index % (len(grid) + 1), bad)
+
+
+class TestArrayForms:
+    """Each closed form on an array equals its scalar calls, element by element, bit for bit."""
+
+    @given(grids(st.floats(-1e-9, 1.0 + 1e-9)))
+    def test_eof_is_elementwise_bit_for_bit(self, cs):
+        scalars = [eof_from_concurrence(c) for c in cs]
+        assert all(type(value) is float for value in scalars)
+        assert eof_from_concurrence(np.array(cs)).tolist() == scalars
+
+    @given(grids(st.floats(-0.5, 1.5)))
+    def test_binary_entropy_is_elementwise_bit_for_bit(self, xs):
+        assert binary_entropy(np.array(xs)).tolist() == [binary_entropy(x) for x in xs]
+
+    @given(grids(COHERENCE, max_size=12), grids(UNIT, max_size=6))
+    def test_mixed_concurrence_broadcasts_bit_for_bit(self, zs, etas):
+        table = mixed_concurrence(np.array(zs)[:, None], np.array(etas))
+        assert table.tolist() == [[mixed_concurrence(z, eta) for eta in etas] for z in zs]
+        assert all(type(mixed_concurrence(z, etas[0])) is float for z in zs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grids(UNIT, max_size=6))
+    def test_eof_is_the_entropy_of_the_reduced_pure_state(self, cs):
+        # cos(a)|01> + sin(a)|10> with sin(2a) = c has concurrence c
+        for c, eof in zip(cs, eof_from_concurrence(np.array(cs))):
+            half = math.asin(c) / 2
+            amplitudes = np.array([0.0, math.cos(half), math.sin(half), 0.0])
+            assert pure_concurrence_oracle(amplitudes) == pytest.approx(c, abs=1e-12)
+            weights = np.linalg.eigvalsh(reduced_matrix_oracle(amplitudes, 2, (0,)))
+            entropy = -sum(w * math.log2(w) for w in weights if w > 0.0)
+            assert eof == pytest.approx(entropy, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grids(COHERENCE, max_size=6), ORACLE_ETA)
+    def test_mixed_concurrence_matches_the_wootters_oracle(self, zs, eta):
+        for z, c in zip(zs, mixed_concurrence(np.array(zs), eta)):
+            bell = np.zeros((4, 4))
+            bell[(1, 2), (1, 2)] = 0.5
+            bell[1, 2] = bell[2, 1] = z
+            rho = DensityMatrix(("A", "B"), eta * bell + (1.0 - eta) * np.eye(4) / 4)
+            assert c == pytest.approx(concurrence(rho), abs=1e-12)
+
+    @given(grids(UNIT), st.integers(0, 40), st.sampled_from([math.nan, -0.5, 1.5, math.inf]))
+    def test_one_bad_concurrence_is_named(self, cs, index, bad):
+        with pytest.raises(ValueError, match=rf"^concurrence {re.escape(repr(bad))} outside"):
+            eof_from_concurrence(with_one_bad_element(cs, index, bad))

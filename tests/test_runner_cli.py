@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrecover import cli, dephasing, runner
@@ -211,15 +212,19 @@ class TestClosedLoopRunner:
                 grid_points=41,
                 **point,
             )
-            rows = runner._closed_loop_rows(config)
-            assert {row["method"] for row in rows} == {"analytic"}
-            for row in rows:
-                if row["variant"] == "controlled":
-                    c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * row["theta"]))) - 1) / 2
+            table = runner._closed_loop_rows(config)
+            assert table["method"] == "analytic"
+            n = len(table["variant"])
+            ps, thetas = (np.broadcast_to(table[name], n) for name in ("p", "theta"))
+            for variant, p, theta, concurrence, eof in zip(
+                table["variant"], ps, thetas, table["concurrence"], table["eof"]
+            ):
+                if variant == "controlled":
+                    c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * theta))) - 1) / 2
                 else:
-                    c = max(0.0, 2 * eta * abs(1 - 2 * row["p"]) - (1 - eta)) / 2
-                assert abs(row["concurrence"] - c) < 1e-12
-                assert abs(row["eof"] - eof_from_concurrence(c)) < 1e-12
+                    c = max(0.0, 2 * eta * abs(1 - 2 * p) - (1 - eta)) / 2
+                assert abs(concurrence - c) < 1e-12
+                assert abs(eof - eof_from_concurrence(c)) < 1e-12
 
     def test_p_prime_accepted_and_converted(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -276,6 +281,22 @@ class TestCountsDemoRunner:
         angle_row = read_csv(out)[1]
         assert float(angle_row["estimate"]) == pytest.approx(math.pi / 2, abs=1e-8)
         assert 0.0 < float(angle_row["stat_error"]) < 0.02
+
+    @pytest.mark.parametrize(
+        "p, theta, estimator_message",
+        [
+            ("0.5", "0.3", "mode-0 and mode-1 counts sum to zero; angle undefined"),
+            ("0.9", str(math.pi / 2), "up-path counts sum to zero; ratio undefined"),
+        ],
+    )
+    def test_too_few_pairs_names_total_pairs(self, tmp_path, capsys, p, theta, estimator_message):
+        out = tmp_path / "counts.csv"
+        argv = ["counts-demo", "--p", p, "--theta", theta, "--total-pairs", "1", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "total_pairs 1 is too small for the drawn counts" in err
+        assert estimator_message in err
+        assert not out.exists()
 
 
 class TestNonFiniteInputs:
@@ -616,13 +637,35 @@ class TestAtomicWrites:
                 raise RuntimeError("cannot format")
 
         out = tmp_path / f"rows.{fmt}"
-        write_rows(out, ["a"], [{"a": 1.0}], fmt)
+        write_rows(out, ["a"], {"a": [1.0]}, fmt)
         before = out.read_bytes()
-        rows = [{"a": 2.0}] * 1000 + [{"a": Unprintable()}]
+        table = {"a": [2.0] * 1001, "b": [1] * 1000 + [Unprintable()]}
         with pytest.raises((RuntimeError, TypeError)):
-            write_rows(out, ["a"], rows, fmt)
+            write_rows(out, ["a", "b"], table, fmt)
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_failed_rename_keeps_the_previous_file(self, tmp_path, fmt, monkeypatch):
+        out = tmp_path / f"rows.{fmt}"
+        write_rows(out, ["a"], {"a": [1.0]}, fmt)
+        before = out.read_bytes()
+
+        def refuse(source, target):
+            assert Path(source).read_bytes()  # the new rows were written in full
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(runner.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_rows(out, ["a"], {"a": [2.0] * 1000}, fmt)
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="one length"):
+            write_rows(out, ["a", "b"], {"a": [1.0, 2.0], "b": [1]}, "csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSchema:
