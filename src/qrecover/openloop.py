@@ -65,10 +65,10 @@ def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
     }
 
 
-def _results(points, prep, method) -> list[OpenLoopResult]:
-    """The results at ``points``, (control, k, coherence, one-sigma error) each."""
-    magnitudes = [abs(coherence) for _, _, coherence, _ in points]
-    concurrences = mixed_concurrence(np.array(magnitudes), prep.eta)
+def _results(points, coherences, prep, method) -> list[OpenLoopResult]:
+    """The results at ``points``, (control, k) each, from their (coherence, error) pairs."""
+    magnitudes = np.array([abs(coherence) for coherence, _ in coherences])
+    concurrences = mixed_concurrence(magnitudes, prep.eta)
     eofs = eof_from_concurrence(concurrences)
     return [
         OpenLoopResult(
@@ -80,7 +80,9 @@ def _results(points, prep, method) -> list[OpenLoopResult]:
             prep=prep,
             stat_error=None if std_error is None else 2.0 * prep.eta * std_error,
         )
-        for (control, k, _, std_error), c, eof in zip(points, concurrences.tolist(), eofs.tolist())
+        for (control, k), (_, std_error), c, eof in zip(
+            points, coherences, concurrences.tolist(), eofs.tolist()
+        )
     ]
 
 
@@ -101,7 +103,7 @@ def run_open_loop(
     """
     signs = control.signs(k, params.steps)
     coherences = _coherences(params, (signs,), method, n_samples, seed, workers)
-    return _results([(control, k, *coherences[signs])], prep, method)[0]
+    return _results([(control, k)], [coherences[signs]], prep, method)[0]
 
 
 def open_loop_series(
@@ -134,9 +136,5 @@ def open_loop_series(
         result
         for prep in preps
         for method in methods
-        for result in _results(
-            [(control, k, *coherences[method][s]) for (control, k), s in zip(points, signs)],
-            prep,
-            method,
-        )
+        for result in _results(points, [coherences[method][s] for s in signs], prep, method)
     ]
