@@ -1,10 +1,13 @@
 """Sweep runner: declarative configs in, deterministic data files out.
 
-Rows are built serially and written in grid order.  ``workers`` only
-spreads the Monte Carlo blocks of an open-loop job over threads, and blocks
-are reduced in index order, so a given config and seed produce
-byte-identical files for any worker count.  Floats are serialized with 9
-significant digits in both the CSV and the JSON-lines formats.
+Each experiment builds its table as columns: a mapping from every output
+column to its values in grid order, or to one value that repeats on every
+row.  The closed forms evaluate a whole grid per call, and ``write_rows``
+formats each column once, then writes the rows.  ``workers`` only spreads
+the Monte Carlo blocks of an open-loop job over threads, and blocks are
+reduced in index order, so a given config and seed produce byte-identical
+files for any worker count.  Floats are serialized with 9 significant
+digits in both the CSV and the JSON-lines formats.
 """
 
 from __future__ import annotations
