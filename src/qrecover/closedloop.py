@@ -59,8 +59,10 @@ class ClosedLoopParams:
     p_prime: float | None = None
 
     def __post_init__(self):
-        _check_weight("p", self.p)
-        _check_finite("theta", self.theta)
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p {self.p!r} outside [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta {self.theta!r} must be finite")
         check_eta(self.eta)
         if self.p_prime is not None:
             if self.p_prime < 0.0:
@@ -84,7 +86,7 @@ def uncontrolled_concurrence_closed(p, eta=1.0):
     ``p`` and ``eta`` are numbers or arrays, which broadcast.
     """
     p = _check_weight("p", p)
-    check_eta(eta)
+    _check_weight("eta", eta)
     return mixed_concurrence(np.abs(1.0 - 2.0 * p) / 2.0, eta)
 
 
@@ -103,12 +105,13 @@ def measurement_branches(p, theta):
     theta = _check_finite("theta", theta)
     # float_power is the libm pow of Python's x ** 2, which x * x misses in the last bit
     c2, s2 = np.float_power(np.cos(theta), 2.0), np.float_power(np.sin(theta), 2.0)
+    q = 1.0 - p
     # outcome u, then d, on a leading axis
-    psi_weight = np.array(((1.0 - p) * c2, (1.0 - p) * s2))
-    phi_weight = np.array((p * s2, p * c2))
+    psi_weight, phi_weight = np.array((q * c2, q * s2)), np.array((p * s2, p * c2))
     probability = psi_weight + phi_weight
     live = probability > 1e-14
-    concurrence = np.abs(phi_weight - psi_weight) / np.where(live, probability, 1.0) * live
+    # the floor only keeps the division finite where the branch is dropped
+    concurrence = np.abs(phi_weight - psi_weight) / np.maximum(probability, 1e-14) * live
     probability = probability * live
     return tuple((as_result(probability[i]), as_result(concurrence[i])) for i in (0, 1))
 
@@ -121,7 +124,7 @@ def controlled_concurrence_closed(theta, eta=1.0):
     ``theta`` and ``eta`` are numbers or arrays, which broadcast.
     """
     theta = _check_finite("theta", theta)
-    check_eta(eta)
+    _check_weight("eta", eta)
     return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
