@@ -233,7 +233,7 @@ def _cells(values, rows: int, fmt: str) -> list[str]:
     elif issubclass(kind, float):
         cells = [empty if v is None else format(v, ".9g") for v in values]
     elif kind is str and fmt == "jsonl":
-        cells = [encode_basestring_ascii(v) for v in values]
+        cells = [empty if v is None else encode_basestring_ascii(v) for v in values]
     else:
         cells = [empty if v is None else str(v) for v in values]
     return cells * rows if repeated else cells
