@@ -11,7 +11,6 @@ forms, and Poissonian count-statistics tools, plus a sweep runner and CLI.
 
 from .closedloop import (
     AssistanceScan,
-    ClosedLoopParams,
     assistance_scan,
     controlled_concurrence_closed,
     measurement_branches,
@@ -41,11 +40,7 @@ from .entanglement import (
     eof_from_concurrence,
     mixed_concurrence,
 )
-from .openloop import (
-    OpenLoopResult,
-    open_loop_series,
-    run_open_loop,
-)
+from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -137,8 +137,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("an output path is required (--out or config 'out')")
     if isinstance(merged.get("fidelity"), (int, float)):
         merged["fidelity"] = (merged["fidelity"],)
-    allowed = set(RunConfig.__dataclass_fields__)
-    merged = {key: value for key, value in merged.items() if key in allowed}
     return RunConfig(**merged)
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .entanglement import (
     as_result,
-    check_eta,
     check_range,
     eof_from_concurrence,
     mixed_concurrence,
@@ -43,40 +42,6 @@ def _check_weight(name: str, value) -> np.ndarray:
 
 def _check_finite(name: str, value) -> np.ndarray:
     return check_range(name, value, -sys.float_info.max, sys.float_info.max, "must be finite")
-
-
-@dataclass(frozen=True)
-class ClosedLoopParams:
-    """Knobs of the feedback experiment.
-
-    ``p`` is the environment rotation weight; ``p_prime``, when given, is the
-    attenuation ratio p/(1-p) it was set through and must be consistent.
-    """
-
-    p: float
-    theta: float = 0.0
-    eta: float = 1.0
-    p_prime: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p {self.p!r} outside [0, 1]")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta {self.theta!r} must be finite")
-        check_eta(self.eta)
-        if self.p_prime is not None:
-            if self.p_prime < 0.0:
-                raise ValueError(f"attenuation ratio {self.p_prime!r} must be >= 0")
-            if abs(self.p - self.p_prime / (1.0 + self.p_prime)) > 1e-12:
-                raise ValueError(
-                    f"p {self.p!r} inconsistent with attenuation ratio {self.p_prime!r}"
-                )
-
-    @classmethod
-    def from_p_prime(cls, p_prime: float, theta: float = 0.0, eta: float = 1.0):
-        if p_prime < 0.0:
-            raise ValueError(f"attenuation ratio {p_prime!r} must be >= 0")
-        return cls(p=p_prime / (1.0 + p_prime), theta=theta, eta=eta, p_prime=p_prime)
 
 
 def uncontrolled_concurrence_closed(p, eta=1.0):

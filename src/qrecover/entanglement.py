@@ -70,12 +70,6 @@ def mixed_concurrence(coherence_magnitude, eta):
     return as_result((2.0 * (eta * z - (1.0 - eta) / 4.0)).clip(0.0, 1.0))
 
 
-def check_eta(eta: float) -> None:
-    """Reject a singlet weight eta outside [0, 1] (NaN included)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta {eta!r} outside [0, 1]")
-
-
 def _check_fidelity(fidelity: float) -> None:
     if not 0.25 <= fidelity <= 1.0:
         raise ValueError(f"fidelity {fidelity!r} outside [1/4, 1]")
@@ -93,7 +87,8 @@ class PreparationModel:
     fidelity: float
 
     def __post_init__(self):
-        check_eta(self.eta)
+        if not 0.0 <= self.eta <= 1.0:  # NaN included
+            raise ValueError(f"eta {self.eta!r} outside [0, 1]")
         _check_fidelity(self.fidelity)
         if abs(self.eta - (4.0 * self.fidelity - 1.0) / 3.0) > 1e-12:
             raise ValueError(

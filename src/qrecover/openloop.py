@@ -8,12 +8,15 @@ ideal-input output plus (1 - eta)/4 times the identity; the concurrence then
 reduces to 2 max{0, eta |coherence| - (1 - eta)/4}
 (``entanglement.mixed_concurrence``).  The closed form assumes unclipped
 Gaussian phases, so analytic values with ``clip_to_hardware`` are refused.
+
+``open_loop_series`` returns a job's rows as one column table; one array
+call each gives the concurrence and the entanglement of formation of
+every row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +30,6 @@ from .dephasing import (
 from .entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
-
-
-@dataclass(frozen=True)
-class OpenLoopResult:
-    """Entanglement of the pair at one step of one control arm."""
-
-    step: int
-    concurrence: float
-    eof: float
-    method: str
-    control_kind: str
-    prep: PreparationModel
-    stat_error: float | None = None
 
 
 def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
@@ -65,47 +55,6 @@ def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
     }
 
 
-def _results(points, coherences, prep, method) -> list[OpenLoopResult]:
-    """The results at ``points``, (control, k) each, from their (coherence, error) pairs."""
-    magnitudes = np.array([abs(coherence) for coherence, _ in coherences])
-    concurrences = mixed_concurrence(magnitudes, prep.eta)
-    eofs = eof_from_concurrence(concurrences)
-    return [
-        OpenLoopResult(
-            step=k,
-            concurrence=c,
-            eof=eof,
-            method=method,
-            control_kind=control.kind,
-            prep=prep,
-            stat_error=None if std_error is None else 2.0 * prep.eta * std_error,
-        )
-        for (control, k), (_, std_error), c, eof in zip(
-            points, coherences, concurrences.tolist(), eofs.tolist()
-        )
-    ]
-
-
-def run_open_loop(
-    params: NoiseParams,
-    control: TrajectoryControl,
-    prep: PreparationModel,
-    k: int,
-    method: str = "analytic",
-    n_samples: int = 100_000,
-    seed: int | None = None,
-    workers: int = 1,
-) -> OpenLoopResult:
-    """Entanglement at step k for one control arm, by closed form or sampling.
-
-    Before the echo or the correction acts, an arm carries the uncontrolled
-    value under its own label, since the arms coincide there.
-    """
-    signs = control.signs(k, params.steps)
-    coherences = _coherences(params, (signs,), method, n_samples, seed, workers)
-    return _results([(control, k)], [coherences[signs]], prep, method)[0]
-
-
 def open_loop_series(
     params: NoiseParams,
     preps: Sequence[PreparationModel],
@@ -113,28 +62,48 @@ def open_loop_series(
     n_samples: int = 100_000,
     seed: int | None = None,
     workers: int = 1,
-) -> list[OpenLoopResult]:
+) -> dict:
     """All three control arms over steps 0..steps, for each preparation and method.
 
-    Results run preparation-major, then method, then arm (``CONTROL_KINDS``
-    order), then step.  Each distinct sign vector's coherence is computed
-    once per method, and Monte Carlo draws its samples once for all of
-    them, so extra preparations cost no extra samples.
+    Returns the open-loop table: a mapping from each column (``fidelity``,
+    ``control``, ``method``, ``step``, ``concurrence``, ``eof``,
+    ``stat_error``) to its values, one per row.  Rows run
+    preparation-major, then method, then arm (``CONTROL_KINDS`` order),
+    then step.  Before the echo or the correction acts, an arm carries the
+    uncontrolled value under its own label, since the arms coincide there.
+    ``stat_error`` is the propagated one-sigma error of a Monte Carlo row
+    and None on an analytic row.
+
+    Each distinct sign vector's coherence is computed once per method, and
+    Monte Carlo draws its samples once for all of them, so extra
+    preparations cost no extra samples.
     """
-    points = [
-        (TrajectoryControl(kind=kind), k)
+    steps = range(params.steps + 1)
+    signs = [
+        TrajectoryControl(kind=kind).signs(k, params.steps)
         for kind in CONTROL_KINDS
-        for k in range(params.steps + 1)
+        for k in steps
     ]
-    signs = [control.signs(k, params.steps) for control, k in points]
     distinct = tuple(dict.fromkeys(signs))
-    coherences = {
-        method: _coherences(params, distinct, method, n_samples, seed, workers)
-        for method in methods
+    magnitudes, std_errors = [], []
+    for method in methods:
+        coherences = _coherences(params, distinct, method, n_samples, seed, workers)
+        magnitudes.append([abs(coherences[s][0]) for s in signs])
+        std_errors.append([coherences[s][1] for s in signs])
+    eta = np.array([[[prep.eta]] for prep in preps])
+    concurrence = mixed_concurrence(np.array(magnitudes), eta).ravel()
+    blocks = len(preps) * len(methods)
+    return {
+        "fidelity": np.repeat([prep.fidelity for prep in preps], len(methods) * len(signs)),
+        "control": [kind for kind in CONTROL_KINDS for _ in steps] * blocks,
+        "method": [method for method in methods for _ in signs] * len(preps),
+        "step": list(steps) * len(CONTROL_KINDS) * blocks,
+        "concurrence": concurrence,
+        "eof": eof_from_concurrence(concurrence),
+        "stat_error": [
+            None if error is None else 2.0 * prep.eta * error
+            for prep in preps
+            for errors in std_errors
+            for error in errors
+        ],
     }
-    return [
-        result
-        for prep in preps
-        for method in methods
-        for result in _results(points, [coherences[method][s] for s in signs], prep, method)
-    ]

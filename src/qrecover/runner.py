@@ -2,12 +2,15 @@
 
 Each experiment builds its table as columns: a mapping from every output
 column to its values in grid order, or to one value that repeats on every
-row.  The closed forms evaluate a whole grid per call, and ``write_rows``
-formats each column once, then writes the rows.  ``workers`` only spreads
-the Monte Carlo blocks of an open-loop job over threads, and blocks are
-reduced in index order, so a given config and seed produce byte-identical
-files for any worker count.  Floats are serialized with 9 significant
-digits in both the CSV and the JSON-lines formats.
+row.  The open-loop table is ``openloop.open_loop_series`` with the mu
+and sigma columns added.  The closed forms evaluate a whole grid per
+call, and ``write_rows`` formats each column once, then writes the rows.
+``workers`` only spreads the Monte Carlo blocks of an open-loop job over
+threads, and blocks are reduced in index order, so a given config and
+seed produce byte-identical files for any worker count.  Float fields are
+held as floats, however a config file spells them, and floats are
+serialized with 9 significant digits in both the CSV and the JSON-lines
+formats.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .closedloop import (
-    ClosedLoopParams,
     assistance_scan,
     controlled_concurrence_closed,
     uncontrolled_concurrence_closed,
@@ -154,11 +156,11 @@ class RunConfig:
             raise ValueError(f"seed {self.seed!r} must be >= 0")
         if not self.fidelity:
             raise ValueError("fidelity list must be nonempty")
-        object.__setattr__(self, "fidelity", tuple(float(f) for f in self.fidelity))
-        named = [(name, getattr(self, name)) for name in _FLOAT_FIELDS]
-        for name, value in named + [("fidelity", f) for f in self.fidelity]:
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} {value!r} must be finite")
+        for name in _FLOAT_FIELDS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
+        fidelity = tuple(_finite_float("fidelity", f) for f in self.fidelity)
+        object.__setattr__(self, "fidelity", fidelity)
         if self.grid_points is not None and self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.experiment == "open_loop":
@@ -168,8 +170,12 @@ class RunConfig:
                 raise ValueError(f"unknown method {self.method!r}")
             if self.method in ("monte_carlo", "both") and self.seed is None:
                 raise ValueError("monte_carlo rows require a seed")
-        if self.experiment == "closed_loop" and self.sweep not in ("p", "theta"):
-            raise ValueError(f"sweep must be 'p' or 'theta', got {self.sweep!r}")
+        if self.experiment == "closed_loop":
+            if self.sweep not in ("p", "theta"):
+                raise ValueError(f"sweep must be 'p' or 'theta', got {self.sweep!r}")
+            for name in ("p", "p_prime") if self.sweep == "p" else ("theta",):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} cannot be fixed in a sweep over {self.sweep}")
         if self.experiment == "counts_demo":
             if self.seed is None:
                 raise ValueError("counts_demo requires a seed")
@@ -195,14 +201,26 @@ class RunConfig:
             raise ValueError(f"fidelity must be a list of numbers, got {self.fidelity!r}")
 
     def resolved_p(self, default: float | None = None) -> float | None:
-        if self.p_prime is not None:
-            params = ClosedLoopParams.from_p_prime(self.p_prime)
-            if self.p is not None and abs(self.p - params.p) > 1e-12:
-                raise ValueError(
-                    f"p {self.p!r} and p_prime {self.p_prime!r} are inconsistent"
-                )
-            return params.p
-        return self.p if self.p is not None else default
+        """``p``, or the weight p'/(1 + p') of a given attenuation ratio p'."""
+        if self.p_prime is None:
+            return self.p if self.p is not None else default
+        if self.p_prime < 0.0:
+            raise ValueError(f"attenuation ratio {self.p_prime!r} must be >= 0")
+        p = self.p_prime / (1.0 + self.p_prime)
+        if self.p is not None and abs(self.p - p) > 1e-12:
+            raise ValueError(f"p {self.p!r} and p_prime {self.p_prime!r} are inconsistent")
+        return p
+
+
+def _finite_float(name: str, value) -> float:
+    """A real number as a float, once it is finite and within the float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value!r} is beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} {value!r} must be finite")
+    return number
 
 
 def _is_a(value, kind: type) -> bool:
@@ -286,20 +304,8 @@ def _open_loop_rows(config: RunConfig) -> dict:
     )
     methods = ("analytic", "monte_carlo") if config.method == "both" else (config.method,)
     preps = [PreparationModel.from_fidelity(fidelity) for fidelity in config.fidelity]
-    results = open_loop_series(
-        params, preps, methods, config.n_samples, config.seed, config.workers
-    )
-    return {
-        "mu": params.mu,
-        "sigma": params.sigma,
-        "fidelity": [result.prep.fidelity for result in results],
-        "control": [result.control_kind for result in results],
-        "method": [result.method for result in results],
-        "step": [result.step for result in results],
-        "concurrence": [result.concurrence for result in results],
-        "eof": [result.eof for result in results],
-        "stat_error": [result.stat_error for result in results],
-    }
+    table = open_loop_series(params, preps, methods, config.n_samples, config.seed, config.workers)
+    return {"mu": params.mu, "sigma": params.sigma, **table}
 
 
 def _closed_loop_rows(config: RunConfig) -> dict:

@@ -26,7 +26,7 @@ from qrecover.dephasing import (
     monte_carlo_moments,
 )
 from qrecover.entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
-from qrecover.openloop import run_open_loop
+from qrecover.openloop import open_loop_series
 
 from helpers import (
     controlled_output,
@@ -87,16 +87,14 @@ def test_criterion_1_wootters_agreement():
 
 @report(2, "fully correlated noise: Gaussian decay and echo recovery curves, < 1e-9")
 def test_criterion_2_full_correlation_curves():
-    params = NoiseParams(mu=1.0, sigma=SIGMA)
-    ideal = PreparationModel.ideal()
+    table = open_loop_series(NoiseParams(mu=1.0, sigma=SIGMA), [PreparationModel.ideal()])
+    value = dict(zip(zip(table["control"], table["step"]), table["concurrence"]))
     for k in range(5):
         expected = math.exp(-0.18 * k * k)
-        value = run_open_loop(params, UNCONTROLLED, ideal, k).concurrence
-        assert abs(value - expected) < 1e-9, f"uncontrolled k={k}"
+        assert abs(value["uncontrolled", k] - expected) < 1e-9, f"uncontrolled k={k}"
     for k in (3, 4):
         expected = math.exp(-0.18 * (k - 4) ** 2)
-        value = run_open_loop(params, ECHOED, ideal, k).concurrence
-        assert abs(value - expected) < 1e-9, f"echoed k={k}"
+        assert abs(value["echoed", k] - expected) < 1e-9, f"echoed k={k}"
 
 
 @report(3, "Monte Carlo coherences match closed forms within 0.01 at N=1e5, < 60 s")

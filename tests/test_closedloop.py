@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrecover.closedloop import (
-    ClosedLoopParams,
     assistance_scan,
     controlled_concurrence_closed,
     measurement_branches,
     uncontrolled_concurrence_closed,
 )
 from qrecover.entanglement import PreparationModel, eof_from_concurrence
+from qrecover.runner import RunConfig
 
 from helpers import (
     controlled_bit_flip,
@@ -330,29 +330,30 @@ class TestAssistanceScan:
                 assert eof == pytest.approx(measured_oracle_eof(p, float(theta)), abs=1e-12)
 
 
+def resolved_p(**fields):
+    return RunConfig(experiment="assist_scan", out="x.csv", **fields).resolved_p()
+
+
 class TestParams:
     def test_attenuation_ratio_conversion(self):
-        params = ClosedLoopParams.from_p_prime(1.0)
-        assert params.p == pytest.approx(0.5, abs=1e-15)
-        params = ClosedLoopParams.from_p_prime(0.25)
-        assert params.p == pytest.approx(0.2, abs=1e-12)
+        assert resolved_p(p_prime=1.0) == pytest.approx(0.5, abs=1e-15)
+        assert resolved_p(p_prime=0.25) == pytest.approx(0.2, abs=1e-12)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
-            ClosedLoopParams.from_p_prime(-0.1)
+            resolved_p(p_prime=-0.1)
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            ClosedLoopParams(p=0.4, p_prime=1.0)
+            resolved_p(p=0.4, p_prime=1.0)
 
     def test_consistent_pair_accepted(self):
-        params = ClosedLoopParams(p=0.5, p_prime=1.0)
-        assert params.p == 0.5
+        assert resolved_p(p=0.5, p_prime=1.0) == 0.5
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValueError, match="theta"):
-            ClosedLoopParams(p=0.5, theta=theta)
+            resolved_p(p=0.5, theta=theta)
 
 
 class TestClosedFormDomain:

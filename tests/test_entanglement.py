@@ -173,13 +173,13 @@ class TestPreparationModel:
 
     @pytest.mark.parametrize("eta", [1.5, -0.2, float("nan")])
     def test_eta_range_message_matches_closed_loop(self, eta):
-        from qrecover.closedloop import ClosedLoopParams
+        from qrecover.closedloop import uncontrolled_concurrence_closed
 
         message = rf"^eta {eta!r} outside \[0, 1\]$"
         with pytest.raises(ValueError, match=message):
             PreparationModel.from_eta(eta)
         with pytest.raises(ValueError, match=message):
-            ClosedLoopParams(p=0.5, eta=eta)
+            uncontrolled_concurrence_closed(0.5, eta)
 
     @pytest.mark.parametrize("fidelity", [0.2, 1.5, float("nan")])
     def test_out_of_range_fidelity_is_named(self, fidelity):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -361,6 +362,52 @@ class TestConfigFileTypes:
         assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_integer_values_write_the_bytes_of_their_floats(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"p": 0, "grid_points": 5, "format": "jsonl"}))
+        from_file, from_flag = tmp_path / "file.jsonl", tmp_path / "flag.jsonl"
+        assert main(["assist-scan", "--config", str(config), "--out", str(from_file)]) == 0
+        argv = ["assist-scan", "--p", "0", "--grid-points", "5", "--format", "jsonl"]
+        assert main(argv + ["--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+        assert b'"p": 0.0,' in from_file.read_bytes()
+
+    @pytest.mark.parametrize(
+        "verb, values, field",
+        [
+            ("assist-scan", {"p": 10**400}, "p"),
+            ("open-loop", {"mu": 0.3, "fidelity": [1.0, 10**400]}, "fidelity"),
+        ],
+    )
+    def test_integers_beyond_the_float_range_are_named(
+        self, tmp_path, capsys, verb, values, field
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main([verb, "--config", str(config), "--out", str(out)]) == 2
+        assert f"{field} {10**400} is beyond the float range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+
+class TestSweptParameter:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--sweep", "p", "--p", "0.3"], "p"),
+            (["--p", "0.3"], "p"),
+            (["--sweep", "p", "--p-prime", "-5"], "p_prime"),
+            (["--sweep", "theta", "--theta", "0.3"], "theta"),
+        ],
+    )
+    def test_a_fixed_value_for_the_swept_parameter_is_refused(
+        self, tmp_path, capsys, argv, field
+    ):
+        out = tmp_path / "x.csv"
+        assert main(["closed-loop", *argv, "--out", str(out)]) == 2
+        assert f"{field} cannot be fixed in a sweep over" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_identical_bytes_across_worker_counts(self, tmp_path):
@@ -533,6 +580,16 @@ class TestFormatsAndConfig:
         )
         assert done.stdout.strip() == "False"
 
+    def test_every_flag_is_a_config_field(self):
+        verbs = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(verbs.choices) == sorted(cli._VERB_TO_EXPERIMENT)
+        for verb, parser in verbs.choices.items():
+            dests = {action.dest for action in parser._actions} - {"help", "config"}
+            assert dests <= set(RunConfig.__dataclass_fields__), verb
+
     def test_missing_out_rejected(self, capsys):
         assert main(["open-loop", "--mu", "1.0"]) == 2
         assert "output path" in capsys.readouterr().err
@@ -587,6 +644,7 @@ REMOVED_NAMES = {
     "X_SPARSITY_ATOL", "PureStateEnsemble", "ensemble_average_eof", "mixture", "werner",
     "PhaseSequence", "sample_sequence", "sample_phase_matrix", "trajectory_state",
     "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
+    "OpenLoopResult", "run_open_loop", "ClosedLoopParams", "check_eta",
 }
 
 
