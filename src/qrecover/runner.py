@@ -4,7 +4,10 @@ Each experiment builds its table as columns: a mapping from every output
 column to its values in grid order, or to one value that repeats on every
 row.  The open-loop table is ``openloop.open_loop_series`` with the mu
 and sigma columns added.  The closed forms evaluate a whole grid per
-call, and ``write_rows`` formats each column once, then writes the rows.
+call, and ``write_rows`` formats the file column by column (all float
+cells of a column in one ``%`` call, each distinct label once), joins
+the rows and writes the file with one write.  The bytes are those of
+``csv.writer`` and of ``json.dumps`` of each row.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, and blocks are reduced in index order, so a given config and
 seed produce byte-identical files for any worker count.  Float fields are
@@ -15,10 +18,10 @@ formats.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import os
+import re
 import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -229,32 +232,51 @@ def _is_a(value, kind: type) -> bool:
 
 
 _SEQUENCES = (list, tuple, np.ndarray)
+# csv.writer's minimal quoting: a field holding one of these is quoted
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _cells(values, rows: int, fmt: str) -> list[str]:
     """The text of one column, one cell per row.
 
     ``values`` is a sequence with one value per row, or one value that
-    repeats on every row and is formatted once.  A column holds floats
-    (9 significant digits; a JSON line holds the float they spell),
-    integers or strings, and None is an empty cell (null in JSON lines).
+    repeats on ``rows`` rows and is formatted once.  Each cell is written
+    by its own type: a float with 9 significant digits (a JSON line holds
+    the float they spell), anything else as ``_label`` writes it.  The
+    float cells of a column take one ``%`` call, and each distinct other
+    value is encoded once.
     """
-    repeated = not isinstance(values, _SEQUENCES)
-    if repeated:
-        values = [values]
-    elif isinstance(values, np.ndarray):
+    if not isinstance(values, _SEQUENCES):
+        return _cells([values], 1, fmt) * rows
+    if isinstance(values, np.ndarray):
         values = values.tolist()
-    empty = "null" if fmt == "jsonl" else ""
-    kind = type(next((v for v in values if v is not None), None))
-    if issubclass(kind, float) and fmt == "jsonl":
-        cells = [empty if v is None else repr(float(format(v, ".9g"))) for v in values]
-    elif issubclass(kind, float):
-        cells = [empty if v is None else format(v, ".9g") for v in values]
-    elif kind is str and fmt == "jsonl":
-        cells = [empty if v is None else encode_basestring_ascii(v) for v in values]
-    else:
-        cells = [empty if v is None else str(v) for v in values]
-    return cells * rows if repeated else cells
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        # each type's cells are formatted together, then put back in row order
+        text = {
+            kind: iter(_cells([v for v in values if type(v) is kind], 0, fmt)) for kind in kinds
+        }
+        return [next(text[type(v)]) for v in values]
+    if any(issubclass(kind, float) for kind in kinds):
+        text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
+        if fmt == "jsonl":
+            text = ("%r\n" * len(text) % tuple(map(float, text))).split("\n")[:-1]
+        return text
+    # equal values of one type have one text
+    labels = {value: _label(value, fmt) for value in dict.fromkeys(values)}
+    return list(map(labels.__getitem__, values))
+
+
+def _label(value, fmt: str) -> str:
+    """The text of a cell that is not a float, or of a CSV header field."""
+    if fmt == "jsonl":
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
 def _row_count(table: dict) -> int:
@@ -267,27 +289,30 @@ def _row_count(table: dict) -> int:
 def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     """Write ``table`` atomically: into a temp file beside ``path``, then rename.
 
-    ``table`` maps each column to its values (see ``_cells``); each column
-    is formatted once, then the rows go out in order.  A failure part way
-    leaves any previous file at ``path`` untouched.
+    ``table`` maps each column to its values (see ``_cells``).  The file,
+    the bytes ``csv.writer`` writes (header, then rows) or those of
+    ``json.dumps({column: value, ...})`` and a newline per row, is formatted
+    in full and then written with one write.  A failure part way leaves any
+    previous file at ``path`` untouched.
     """
     path = Path(path)
     rows = _row_count(table)
+    cells = [_cells(table[column], rows, fmt) for column in columns]
+    if fmt == "csv":
+        header = ",".join([_label(column, fmt) for column in columns])
+        lines = [header, *map(",".join, zip(*cells))]
+        if len(columns) == 1:
+            # csv.writer quotes the field of a row whose one field is empty
+            lines = [line or '""' for line in lines]
+        text = "\r\n".join(lines) + "\r\n"
+    else:
+        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
+        line = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        text = "".join(map(line.__mod__, zip(*cells)))
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(temp, "x", newline="" if fmt == "csv" else None) as handle:
-            cells = [_cells(table[column], rows, fmt) for column in columns]
-            if fmt == "csv":
-                writer = csv.writer(handle)
-                writer.writerow(columns)
-                writer.writerows(zip(*cells))
-            else:
-                # the bytes of json.dumps({column: value, ...}) for each row
-                cells = [
-                    [f"{encode_basestring_ascii(column)}: {cell}" for cell in column_cells]
-                    for column, column_cells in zip(columns, cells)
-                ]
-                handle.writelines(f"{{{', '.join(row)}}}\n" for row in zip(*cells))
+            handle.write(text)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -1,6 +1,9 @@
-"""The summary of tools/bench_pairs.py, on synthetic results (no benchmark runs)."""
+"""The summaries of tools/bench_pairs.py and tools/ab_inprocess.py on synthetic
+results, and the export-and-load step of tools/ab_inprocess.py (no benchmark runs)."""
 
 import importlib.util
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,48 @@ def test_workloads_are_kept_apart_and_a_missing_side_is_an_error():
     assert summary["b"]["metrics"]["wall_s"]["base_wins"] == 1
     with pytest.raises(ValueError, match="lacks a run"):
         bench_pairs.summarize(runs[:-1], BETTER)
+
+
+AB_TOOL = TOOL.parent / "ab_inprocess.py"
+ab_spec = importlib.util.spec_from_file_location("ab_inprocess", AB_TOOL)
+ab_inprocess = importlib.util.module_from_spec(ab_spec)
+ab_spec.loader.exec_module(ab_inprocess)
+
+
+def test_an_exported_revision_loads_as_a_package_of_its_own(tmp_path):
+    if not (bench_pairs.ROOT / ".git").exists():
+        pytest.skip("needs the git repository to export a revision from")
+    from qrecover import cli as installed
+
+    tree = bench_pairs.export("HEAD", tmp_path / "tree")
+    name = "qrecover_exported"
+    argv = ["assist-scan", "--p", "0.3", "--grid-points", "5", "--out"]
+    try:
+        cli, runner = ab_inprocess.load_package(tree, name)
+        assert runner.__name__ == f"{name}.runner" and cli is not installed
+        assert Path(runner.__file__).parent == tree / "src" / "qrecover"
+        out = tmp_path / "scan.csv"
+        config = cli.config_from_args(cli.build_parser().parse_args(argv + [str(out)]))
+        table = runner._BUILDERS[config.experiment](config)
+        runner.write_rows(out, runner.OUTPUT_SCHEMAS[config.experiment]["columns"], table, "csv")
+        assert installed.main(argv + [str(tmp_path / "ref.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[module]
+
+
+def test_paired_differences_and_their_interval():
+    base = {index: 100_000 + 1_000 * index for index in range(20)}
+    head = {index: value - 10_000 for index, value in base.items()}
+    times = {
+        "base": {stage: dict(base) for stage in ab_inprocess.STAGES},
+        "head": {stage: dict(head) for stage in ab_inprocess.STAGES},
+    }
+    summary = ab_inprocess.summarize(times, random.Random(1))
+    write = summary["write"]
+    assert write["pairs"] == 20 and write["head_wins"] == 20
+    assert write["median_difference"] == pytest.approx(-10.0)
+    assert write["interval_95"] == [pytest.approx(-10.0), pytest.approx(-10.0)]
+    assert write["base_median"] == pytest.approx(109.5)
+    assert write["head_median"] == pytest.approx(99.5)

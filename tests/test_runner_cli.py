@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrecover import cli, dephasing, runner
 from qrecover.cli import main
@@ -719,11 +722,134 @@ class TestAtomicWrites:
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_failed_single_write_keeps_the_previous_file(self, tmp_path, fmt, monkeypatch):
+        out = tmp_path / f"rows.{fmt}"
+        write_rows(out, ["a"], {"a": [1.0]}, fmt)
+        before = out.read_bytes()
+        writes = []
+
+        class FailingHandle:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                writes.append(text)
+                raise OSError("disk full")
+
+        def failing_open(*args, **kwargs):
+            return FailingHandle(open(*args, **kwargs))
+
+        monkeypatch.setattr(runner, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_rows(out, ["a"], {"a": [2.0] * 1000}, fmt)
+        # the whole file went to the one write call
+        assert len(writes) == 1 and writes[0].count("\n") == 1000 + (fmt == "csv")
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         out = tmp_path / "rows.csv"
         with pytest.raises(ValueError, match="one length"):
             write_rows(out, ["a", "b"], {"a": [1.0, 2.0], "b": [1]}, "csv")
         assert list(tmp_path.iterdir()) == []
+
+
+def stdlib_bytes(path, columns, table, fmt):
+    """The file the standard library writes for ``table``: ``csv.writer``
+    (header, then rows) or ``json.dumps`` of each row, floats at 9 digits."""
+    rows = max(len(v) for v in table.values() if isinstance(v, (list, tuple)))
+    columns_of_rows = [
+        list(v) if isinstance(v, (list, tuple)) else [v] * rows
+        for v in (table[column] for column in columns)
+    ]
+    records = [list(row) for row in zip(*columns_of_rows)]
+    if fmt == "csv":
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(
+                [format(v, ".9g") if isinstance(v, float) else v for v in row] for row in records
+            )
+    else:
+        with open(path, "w") as handle:
+            for row in records:
+                values = [float(format(v, ".9g")) if isinstance(v, float) else v for v in row]
+                handle.write(json.dumps(dict(zip(columns, values))) + "\n")
+    return Path(path).read_bytes()
+
+
+# the characters csv.writer quotes for, "%", blanks, NUL and non-ASCII text
+TEXT = st.text(
+    st.sampled_from(list(',"\r\n %\t\x00ab') + ["\u00e9", "\u20ac", "\U0001f600"]), max_size=5
+)
+CELL = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]),
+    TEXT,
+)
+
+
+@st.composite
+def tables(draw):
+    """1 to 5 named columns; the first holds one cell per row, any other
+    may instead hold one value repeated on every row."""
+    columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    rows = draw(st.integers(0, 6))
+    table = {}
+    for index, column in enumerate(columns):
+        if index and draw(st.booleans()):
+            table[column] = draw(CELL)
+        else:
+            cells = draw(st.lists(CELL, min_size=rows, max_size=rows))
+            table[column] = draw(st.sampled_from([list, tuple]))(cells)
+    return columns, table
+
+
+class TestWriterMatchesTheStandardLibrary:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables())
+    @example(table=(["a"], {"a": [None, "", 1.0]}))
+    @example(table=([""], {"": [None]}))
+    @example(table=(["a", "b"], {"a": [None, None], "b": None}))
+    def test_bytes_equal_csv_writer_and_json_dumps(self, fmt, table):
+        columns, table = table
+        with tempfile.TemporaryDirectory() as directory:
+            out, expected = Path(directory, "rows"), Path(directory, "expected")
+            write_rows(out, columns, table, fmt)
+            assert out.read_bytes() == stdlib_bytes(expected, columns, table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_array_columns_equal_their_lists(self, tmp_path, fmt):
+        values = {"x": np.array([0.0, -0.0, 5e-324, 1e308, 0.1 + 0.2]), "n": np.arange(5)}
+        write_rows(tmp_path / "arrays", ["x", "n"], values, fmt)
+        lists = {name: column.tolist() for name, column in values.items()}
+        expected = stdlib_bytes(tmp_path / "expected", ["x", "n"], lists, fmt)
+        assert (tmp_path / "arrays").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("csv", "a\r\n1\r\n0.3\r\n"), ("jsonl", '{"a": 1}\n{"a": 0.3}\n')]
+    )
+    def test_a_float_after_an_integer_keeps_nine_digits(self, tmp_path, fmt, text):
+        write_rows(tmp_path / "rows", ["a"], {"a": [1, 0.1 + 0.2]}, fmt)
+        assert (tmp_path / "rows").read_bytes() == text.encode()
+
+    def test_bools_are_json_booleans(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        write_rows(out, ["a"], {"a": [True, 0.5, False]}, "jsonl")
+        assert out.read_text() == '{"a": true}\n{"a": 0.5}\n{"a": false}\n'
+        values = [json.loads(line)["a"] for line in out.read_text().splitlines()]
+        assert values == [True, 0.5, False]
 
 
 class TestSchema:
