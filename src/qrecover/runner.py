@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import re
 import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -233,7 +232,7 @@ def _is_a(value, kind: type) -> bool:
 
 _SEQUENCES = (list, tuple, np.ndarray)
 # csv.writer's minimal quoting: a field holding one of these is quoted
-_CSV_QUOTED = re.compile(r'[,"\r\n]')
+_CSV_QUOTED = frozenset(',"\r\n')
 
 
 def _cells(values, rows: int, fmt: str) -> list[str]:
@@ -276,7 +275,7 @@ def _label(value, fmt: str) -> str:
             return "true" if value else "false"
         return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
     text = "" if value is None else str(value)
-    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+    return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
 def _row_count(table: dict) -> int:
