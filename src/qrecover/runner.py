@@ -256,13 +256,13 @@ def _cells(values, rows: int, fmt: str) -> list[str]:
             kind: iter(_cells([v for v in values if type(v) is kind], 0, fmt)) for kind in kinds
         }
         return [next(text[type(v)]) for v in values]
-    if any(issubclass(kind, float) for kind in kinds):
+    if kinds and issubclass(kinds.pop(), float):
         text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
-        if fmt == "jsonl":
-            text = ("%r\n" * len(text) % tuple(map(float, text))).split("\n")[:-1]
-        return text
+        return list(map(repr, map(float, text))) if fmt == "jsonl" else text
     # equal values of one type have one text
-    labels = {value: _label(value, fmt) for value in dict.fromkeys(values)}
+    labels = dict.fromkeys(values)
+    for value in labels:
+        labels[value] = _label(value, fmt)
     return list(map(labels.__getitem__, values))
 
 
@@ -305,8 +305,8 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
             lines = [line or '""' for line in lines]
         text = "\r\n".join(lines) + "\r\n"
     else:
-        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
-        line = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        keys = [encode_basestring_ascii(column).replace("%", "%%") + ": %s" for column in columns]
+        line = "{" + ", ".join(keys) + "}\n"
         text = "".join(map(line.__mod__, zip(*cells)))
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
