@@ -305,8 +305,9 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
             lines = [line or '""' for line in lines]
         text = "\r\n".join(lines) + "\r\n"
     else:
-        keys = [encode_basestring_ascii(column).replace("%", "%%") + ": %s" for column in columns]
-        line = "{" + ", ".join(keys) + "}\n"
+        # one %-template per row, so a "%" in a column name is doubled
+        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
+        line = "{" + ", ".join([f"{key}: %s" for key in keys]) + "}\n"
         text = "".join(map(line.__mod__, zip(*cells)))
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
