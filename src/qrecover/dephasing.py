@@ -22,9 +22,12 @@ Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
 (seed, j).  One draw per block serves every sign vector a job asks for, so
 all arms, steps and fidelities of a job share the same samples and extra
-vectors cost no extra draws.  Results for a given (seed, n_samples) are
-bit-identical no matter how many workers participate, because blocks are
-reduced in index order.
+vectors cost no extra draws.  With w workers, each of w pool threads runs
+one strided loop over the blocks (blocks i, i + w, i + 2w, ...) and writes
+each block's sums into that block's row of a table; the caller only waits
+for the w loops, then adds the rows up in block order.  Results for a
+given (seed, n_samples) are therefore bit-identical no matter how many
+workers participate.  One worker runs the same loop without a pool.
 
 Sampling is keep-first: a block first draws the keep decisions of every
 trajectory and step, then one normal per fresh phase only, about
@@ -39,17 +42,18 @@ factors, conjugated where s_j = -1; the conjugates of its sums are the
 sums of e^{-i sum_j s_j chi_j}.  A vector extends the product of the
 longest prefix it shares with an earlier vector of the same pass, always
 multiplying left to right, so its value does not depend on the other
-vectors.  Exactness rule: where a mixed-sign vector's signed phase sum is
-exactly 0, its factor is exactly 1, as e^{-i 0} is; so at mu = 1 a
-balanced vector gives the coherence -1/2 with zero error.
+vectors.  Exactness rule: where a mixed-sign vector's +1 phases and its
+-1 phases, each side added up in step order, have equal sums, its factor
+is exactly 1, as e^{-i 0} is; so at mu = 1 a balanced vector gives the
+coherence -1/2 with zero error, in any summation order of the BLAS library.
 """
 
 from __future__ import annotations
 
 import cmath
-import collections
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -227,36 +231,38 @@ def _block_moments(args):
             del products[prefix]
         if -1 in signs and 1 in signs:
             # e^{-i 0} is exactly 1, but a kick times its conjugate may miss
-            # 1 by an ulp; at mu = 1 that would leave a residue of ~1e-19
+            # 1 by an ulp; at mu = 1 that would leave a residue of ~1e-19.
+            # Each side's phases are added in step order, so equal counts of
+            # one value tie bit for bit (a signed sum in one gemv need not
+            # reach 0: its order is the BLAS library's)
             if phases is None:
-                phases = values.take(index)
-            total = phases[:, : len(signs)] @ np.asarray(signs, dtype=float)
-            w = np.where(total == 0.0, 1.0, w)
+                phases = values.take(index.T)
+            plus = minus = 0.0
+            for s, phase in zip(signs, phases):
+                if s > 0:
+                    plus += phase
+                else:
+                    minus += phase
+            w = np.where(plus == minus, 1.0, w)
         sums.append((-0.5 * w.sum().conjugate(), 0.25 * np.dot(w, w).conjugate()))
     return sums
 
 
-def _in_order(pool, tasks, window: int):
-    """Block sums in index order, with at most ``window`` blocks in flight.
+def _share(params, plan, seed, n_samples, first, stride, table, stop) -> None:
+    """Write the sums of blocks first, first + stride, ... into their rows of ``table``.
 
-    ``pool.map`` would queue one future per block up front, which at
-    n_samples = 1e6 (245 blocks) adds about half a MiB to peak memory.
+    Stops before its next block once ``stop`` is set, and sets it when a
+    block fails, so one failing share ends the others early.
     """
-    pending = collections.deque()
-    for task in tasks:
-        pending.append(pool.submit(_block_moments, task))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def _accumulate(totals, block_sums) -> None:
-    # blocks arrive in index order, so the sums do not depend on the worker count
-    for sums in block_sums:
-        for total, (z_sum, z2_sum) in zip(totals, sums):
-            total[0] += z_sum
-            total[1] += z2_sum
+    try:
+        for block_index in range(first, len(table), stride):
+            if stop.is_set():
+                return
+            count = min(BLOCK_SIZE, n_samples - block_index * BLOCK_SIZE)
+            table[block_index] = _block_moments((params, plan, seed, block_index, count))
+    except BaseException:
+        stop.set()
+        raise
 
 
 def monte_carlo_moments(
@@ -269,8 +275,10 @@ def monte_carlo_moments(
     """Average the live coherence of each sign vector over n_samples noise realizations.
 
     Every block of phases is drawn once and reduced for all the vectors;
-    the moments come back in the order of ``sign_vectors``.  Blocks go to
-    a pool of min(workers, blocks, cpu count) threads.
+    the moments come back in the order of ``sign_vectors``.  Each of
+    min(workers, blocks, cpu count) pool threads reduces one strided share
+    of the blocks into a per-block table, and the caller only waits for
+    them, then adds the table up in block order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -281,17 +289,25 @@ def monte_carlo_moments(
         if not all(s in (1, -1) for s in signs):
             raise ValueError(f"sign vector {signs!r} must hold only +1 and -1")
     plan = _reuse_plan(sign_vectors)
-    tasks = [
-        (params, plan, seed, start // BLOCK_SIZE, min(BLOCK_SIZE, n_samples - start))
-        for start in range(0, n_samples, BLOCK_SIZE)
+    blocks = -(-n_samples // BLOCK_SIZE)
+    table = [None] * blocks
+    workers = min(workers, blocks, os.cpu_count() or 1)
+    stop = threading.Event()
+    shares = [
+        (params, plan, seed, n_samples, first, workers, table, stop) for first in range(workers)
     ]
-    totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            _accumulate(totals, _in_order(pool, tasks, window=2 * workers))
+            for future in [pool.submit(_share, *share) for share in shares]:
+                future.result()
     else:
-        _accumulate(totals, map(_block_moments, tasks))
+        _share(*shares[0])
+    totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
+    # rows in block order, so the sums do not depend on the worker count
+    for sums in table:
+        for total, (z_sum, z2_sum) in zip(totals, sums):
+            total[0] += z_sum
+            total[1] += z2_sum
     return tuple(
         MonteCarloMoments(
             coherence_mean=z_total / n_samples,

@@ -9,8 +9,9 @@ cells of a column in one ``%`` call, each distinct label once), joins
 the rows and writes the file with one write.  The bytes are those of
 ``csv.writer`` and of ``json.dumps`` of each row.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
-threads, and blocks are reduced in index order, so a given config and
-seed produce byte-identical files for any worker count.  Float fields are
+threads, one strided share of the blocks per thread, and the block sums
+are added up in block order, so a given config and seed produce
+byte-identical files for any worker count.  Float fields are
 held as floats, however a config file spells them, and floats are
 serialized with 9 significant digits in both the CSV and the JSON-lines
 formats.

@@ -1,4 +1,6 @@
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,6 +369,50 @@ class TestMonteCarlo:
         threaded = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=4)
         assert serial == threaded
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 5 * BLOCK_SIZE + 3]),
+        mu=st.floats(0.0, 1.0),
+        sigma=st.floats(0.05, 3.0),
+        clip=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uneven_shares_do_not_change_bits(self, n, mu, sigma, clip, seed):
+        # enough cores that up to 4 threads share 1 to 6 blocks unevenly
+        params = NoiseParams(mu=mu, sigma=sigma, clip_to_hardware=clip)
+        vectors = [UNCONTROLLED.signs(4, 4), ECHOED.signs(3, 4), ECHOED.signs(4, 4), ()]
+        with mock.patch.object(dephasing.os, "cpu_count", lambda: 8):
+            serial, *threaded = (
+                monte_carlo_moments(params, vectors, n, seed, workers) for workers in (1, 2, 3, 4)
+            )
+        for moments in threaded:
+            assert moments == serial
+
+    def test_a_failing_share_stops_the_others(self, monkeypatch):
+        draw = dephasing._block_draws
+        failed = threading.Event()
+        drawn = []
+
+        def failing_draws(params, seed, block_index, count):
+            if block_index == 0:
+                failed.set()
+                raise ValueError("block 0 failed")
+            # the other share starts its first block only once block 0 has failed
+            failed.wait(timeout=10)
+            drawn.append(block_index)
+            return draw(params, seed, block_index, count)
+
+        monkeypatch.setattr(dephasing, "_block_draws", failing_draws)
+        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="block 0 failed"):
+            monte_carlo_moments(
+                default_params(0.7), [ECHOED.signs(4, 4)], 20 * BLOCK_SIZE, seed=3, workers=2
+            )
+        assert threading.active_count() == threads
+        # the second share holds the ten odd blocks; it stops at its next block
+        assert set(drawn) < set(range(1, 20, 2))
+
     @pytest.mark.parametrize("steps", [4, 6])
     @pytest.mark.parametrize("clip", [False, True])
     def test_one_pass_matches_per_vector_reduction(self, steps, clip):
@@ -464,6 +510,22 @@ class TestMonteCarlo:
             (moments,) = monte_carlo_moments(params, [signs], 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
+
+    def test_exactness_rule_does_not_depend_on_summation_order(self):
+        # one gemv over the signed phases missed 0 for these: at steps 7,
+        # (1, 1, 1, -1, -1, -1) gave -0.5000000000000001 at seed 7, and
+        # (1,) * e + (-1,) * e first missed at e = 9
+        (moments,) = monte_carlo_moments(
+            NoiseParams(mu=1.0, sigma=0.6, steps=7), [(1, 1, 1, -1, -1, -1)], 1, seed=7
+        )
+        assert (moments.coherence_mean, moments.coherence_square_mean) == (-0.5, 0.25)
+        vectors = [(1,) * e + (-1,) * e for e in range(1, 33)]
+        vectors += [(1, -1, -1, 1) * k for k in range(1, 17)]
+        for sigma in (0.1, 0.6, 1.3):
+            params = NoiseParams(mu=1.0, sigma=sigma, steps=64)
+            for signs, moments in zip(vectors, monte_carlo_moments(params, vectors, 5000, seed=3)):
+                assert moments.coherence_mean == -0.5, signs
+                assert moments.coherence_square_mean == 0.25, signs
 
     def test_coherence_error_estimate_is_calibrated(self):
         # the one-sigma estimate should match the scatter of independent runs
