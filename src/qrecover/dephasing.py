@@ -32,26 +32,33 @@ workers participate.  One worker runs the same loop without a pool.
 Sampling is keep-first: a block first draws the keep decisions of every
 trajectory and step, then one normal per fresh phase only, about
 1 + (steps - 1)(1 - mu) of them per trajectory; kept phases index the
-value they repeat.  A draw beyond the float range is rejected there,
-before any trigonometry.
+value they repeat.  The index is built step-major, one integer add per
+step, so every later gather reads it contiguously.  A draw beyond the
+float range is rejected there, before any trigonometry.
 
 The per-block kernel evaluates e^{i chi} once per fresh phase (a cosine
-and a sine), gathers those into one factor per trajectory and step, and
+and a sine), gathers those into one factor per step and trajectory, and
 forms each vector's e^{i sum_j s_j chi_j} as the running product of the
-factors, conjugated where s_j = -1; the conjugates of its sums are the
-sums of e^{-i sum_j s_j chi_j}.  A vector extends the product of the
-longest prefix it shares with an earlier vector of the same pass, always
+factors, conjugated where s_j = -1.  A block returns the raw sums of that
+product and of its square; their conjugates, scaled by -1/2 and 1/4, are
+the sums of z and z^2, and the caller scales the block-ordered totals
+once, which gives the same bits because conjugating and scaling by a
+power of two are exact.  A vector extends the product of the longest
+prefix it shares with an earlier vector of the same pass, always
 multiplying left to right, so its value does not depend on the other
 vectors.  Exactness rule: where a mixed-sign vector's +1 phases and its
 -1 phases, each side added up in step order, have equal sums, its factor
 is exactly 1, as e^{-i 0} is; so at mu = 1 a balanced vector gives the
-coherence -1/2 with zero error, in any summation order of the BLAS library.
+coherence -1/2 with zero error, in any summation order of the BLAS
+library.  The two side sums are carried along the prefix walk next to
+the product, so a vector adds only the phases of the steps it walks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -133,20 +140,26 @@ def _draw(params: NoiseParams, rng: np.random.Generator, count: int):
     step is redrawn where its uniform draw is >= mu, so it keeps the previous
     phase with probability mu.  Then one normal per fresh phase, in row-major
     order, so a kept phase's index is the running count of the fresh mask.
+    The index is built step-major, as a (steps, count) array: row k is row
+    k - 1 plus the fresh mask of step k, and each sequence's offset is the
+    running total of the fresh counts of the sequences before it.  It comes
+    back as the transposed view, whose ``.T`` is contiguous again.
     """
-    index = np.empty((count, params.steps), dtype=np.intp)
-    index[:, 0] = 1
-    np.greater_equal(rng.random((count, params.steps - 1)), params.mu, out=index[:, 1:])
-    # the running count of fresh phases, in place: a bool cumsum is 3x slower
-    np.cumsum(index, out=index.reshape(-1))
-    index -= 1
-    values = rng.normal(params.mean_phase, params.sigma, size=int(index[-1, -1]) + 1)
+    fresh = (rng.random((count, params.steps - 1)) >= params.mu).T
+    index = np.empty((params.steps, count), dtype=np.intp)
+    index[0] = 0
+    for k in range(1, params.steps):
+        np.add(index[k - 1], fresh[k - 1], out=index[k])
+    totals = index[-1] + 1
+    ends = np.cumsum(totals)
+    index += ends - totals
+    values = rng.normal(params.mean_phase, params.sigma, size=int(ends[-1]))
     if params.clip_to_hardware:
         np.clip(values, 0.0, math.pi, out=values)
     if not np.isfinite(values).all():
         # a draw beyond the float range became inf; its cosine would be NaN
         raise ValueError(f"sigma {params.sigma!r} too large to sample: phase draws overflow")
-    return values, index
+    return values, index.T
 
 
 def _block_draws(params: NoiseParams, seed: int, block_index: int, count: int):
@@ -199,52 +212,52 @@ def _reuse_plan(sign_vectors):
 
 
 def _block_moments(args):
-    """Sums of z and z^2 over one block, for each sign vector of the plan.
+    """Sums of w and w^2 over one block, for each sign vector of the plan.
 
-    z = -w/2 with w = prod_j e^{-i s_j chi_j}.  The block's e^{i chi} are
-    evaluated once per fresh phase, as a cosine and a sine, and gathered
-    into one kick per trajectory and step; a vector extends the product of
-    the longest prefix it shares with an earlier one.  That product is the
-    conjugate of w, so its two sums are conjugated.
+    w = prod_j e^{i s_j chi_j}, so the coherence is z = -conj(w)/2:
+    ``monte_carlo_moments`` conjugates and scales the block-ordered totals
+    once.  The block's e^{i chi} are evaluated once per fresh phase, as a
+    cosine and a sine, and gathered into one kick per step and trajectory;
+    a vector extends the product of the longest prefix it shares with an
+    earlier one.  Each side's phase sum is carried along the walk next to
+    the product, so the exactness rule costs one add per step walked.
     """
     params, (plan, kept), seed, block_index, count = args
     values, index = _block_draws(params, seed, block_index, count)
+    index = index.T
     rotations = np.empty(values.size, dtype=complex)
     np.cos(values, out=rotations.real)
     np.sin(values, out=rotations.imag)
-    kicks = rotations.take(index.T)
+    kicks = rotations.take(index)
     del rotations
-    phases = None
+    phases = values.take(index)
     products = {}
     sums = []
     for signs, known, drops in plan:
         if not signs:
-            sums.append((complex(-0.5 * count), complex(0.25 * count)))
+            sums.append((complex(count), complex(count)))
             continue
-        w = products[signs[:known]] if known else None
+        w, plus, minus = products[signs[:known]] if known else (None, None, None)
         for k in range(known, len(signs)):
-            kick = kicks[k] if signs[k] > 0 else kicks[k].conj()
+            if signs[k] > 0:
+                kick = kicks[k]
+                plus = phases[k] if plus is None else plus + phases[k]
+            else:
+                kick = kicks[k].conj()
+                minus = phases[k] if minus is None else minus + phases[k]
             w = kick if w is None else w * kick
             if signs[: k + 1] in kept:
-                products[signs[: k + 1]] = w
+                products[signs[: k + 1]] = w, plus, minus
         for prefix in drops:
             del products[prefix]
-        if -1 in signs and 1 in signs:
+        if plus is not None and minus is not None:
             # e^{-i 0} is exactly 1, but a kick times its conjugate may miss
             # 1 by an ulp; at mu = 1 that would leave a residue of ~1e-19.
             # Each side's phases are added in step order, so equal counts of
             # one value tie bit for bit (a signed sum in one gemv need not
             # reach 0: its order is the BLAS library's)
-            if phases is None:
-                phases = values.take(index.T)
-            plus = minus = 0.0
-            for s, phase in zip(signs, phases):
-                if s > 0:
-                    plus += phase
-                else:
-                    minus += phase
             w = np.where(plus == minus, 1.0, w)
-        sums.append((-0.5 * w.sum().conjugate(), 0.25 * np.dot(w, w).conjugate()))
+        sums.append((w.sum(), np.dot(w, w)))
     return sums
 
 
@@ -278,10 +291,14 @@ def monte_carlo_moments(
     the moments come back in the order of ``sign_vectors``.  Each of
     min(workers, blocks, cpu count) pool threads reduces one strided share
     of the blocks into a per-block table, and the caller only waits for
-    them, then adds the table up in block order.
+    them, then adds the table up in block order.  The table holds the sums
+    of w = e^{i s.chi} and w^2; the totals are conjugated and scaled to
+    those of z = -conj(w)/2 and z^2 once per call.  ``n_samples`` and
+    ``workers`` must be integers >= 1 (a bool is not a count).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    for name, count in (("n_samples", n_samples), ("workers", workers)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     sign_vectors = tuple(tuple(signs) for signs in sign_vectors)
     for signs in sign_vectors:
         if len(signs) > params.steps:
@@ -305,16 +322,18 @@ def monte_carlo_moments(
     totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
     # rows in block order, so the sums do not depend on the worker count
     for sums in table:
-        for total, (z_sum, z2_sum) in zip(totals, sums):
-            total[0] += z_sum
-            total[1] += z2_sum
+        for total, (w_sum, w2_sum) in zip(totals, sums):
+            total[0] += w_sum
+            total[1] += w2_sum
+    # conjugating and scaling by a power of two are exact, so scaling the
+    # totals once gives the bits of scaling every block's sums
     return tuple(
         MonteCarloMoments(
-            coherence_mean=z_total / n_samples,
-            coherence_square_mean=z2_total / n_samples,
+            coherence_mean=-0.5 * w_total.conjugate() / n_samples,
+            coherence_square_mean=0.25 * w2_total.conjugate() / n_samples,
             n_samples=n_samples,
         )
-        for z_total, z2_total in totals
+        for w_total, w2_total in totals
     )
 
 

@@ -86,16 +86,18 @@ class TestSampling:
         phases = sample_phase_matrix(params, 20_000, seed=1)
         assert phases.min() >= 0.0 and phases.max() <= math.pi
 
-    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("steps", [1, 4, 12])
     @pytest.mark.parametrize("clip", [False, True])
-    def test_blocks_follow_the_keep_first_rule(self, mu, steps, clip):
+    @pytest.mark.parametrize("last", [1, 5])
+    def test_blocks_follow_the_keep_first_rule(self, mu, steps, clip, last):
+        # a full block, then a last block of 1 or 5 sequences
         params = NoiseParams(mu=mu, sigma=2.0, steps=steps, clip_to_hardware=clip)
-        n, seed = BLOCK_SIZE + 5, 21
+        n, seed = BLOCK_SIZE + last, 21
         expected = np.vstack(
             [
                 keep_first_oracle(params, np.random.default_rng([seed, j]), count)
-                for j, count in enumerate((BLOCK_SIZE, 5))
+                for j, count in enumerate((BLOCK_SIZE, last))
             ]
         )
         assert np.array_equal(sample_phase_matrix(params, n, seed), expected)
@@ -458,6 +460,64 @@ class TestMonteCarlo:
         together = monte_carlo_moments(params, vectors, 2 * BLOCK_SIZE + 300, seed=8)
         for signs, got in zip(vectors, together):
             assert monte_carlo_moments(params, [signs], 2 * BLOCK_SIZE + 300, seed=8) == (got,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        steps=st.integers(1, 12),
+        mu=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        sigma=st.floats(0.05, 3.0),
+        clip=st.booleans(),
+        n=st.sampled_from([1, 300, BLOCK_SIZE + 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_pass_gives_each_vector_its_value_alone(
+        self, data, steps, mu, sigma, clip, n, seed
+    ):
+        # vectors that extend earlier ones (mixed prefixes among them),
+        # prefixes of earlier vectors, repeats and the empty vector, in a
+        # shuffled order: each must equal its pass of one vector
+        signs = st.sampled_from((1, -1))
+        vectors = []
+        for _ in range(data.draw(st.integers(1, 8), label="vectors")):
+            kind = data.draw(st.sampled_from(("new", "extend", "prefix", "repeat", "empty")))
+            if kind == "new" or not vectors:
+                vector = tuple(data.draw(st.lists(signs, min_size=1, max_size=steps)))
+            else:
+                earlier = data.draw(st.sampled_from(vectors))
+                if kind == "extend":
+                    more = data.draw(st.lists(signs, max_size=steps - len(earlier)))
+                    vector = earlier + tuple(more)
+                elif kind == "prefix":
+                    vector = earlier[: data.draw(st.integers(0, len(earlier)))]
+                else:
+                    vector = earlier if kind == "repeat" else ()
+            vectors.append(vector)
+        vectors = data.draw(st.permutations(vectors), label="order")
+        params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
+        with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
+            for workers in (1, 2):
+                together = monte_carlo_moments(params, vectors, n, seed, workers)
+                for signs, got in zip(vectors, together):
+                    alone = monte_carlo_moments(params, [signs], n, seed, workers)
+                    assert alone == (got,), signs
+
+    @pytest.mark.parametrize(
+        "name, n_samples, workers",
+        [
+            ("workers", 100, 0),
+            ("workers", 100, -1),
+            ("workers", 100, 2.5),
+            ("workers", 100, True),
+            ("n_samples", 1e5, 1),
+            ("n_samples", 0, 1),
+            ("n_samples", -3, 1),
+            ("n_samples", True, 1),
+        ],
+    )
+    def test_counts_must_be_positive_integers(self, name, n_samples, workers):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            monte_carlo_moments(default_params(0.5), [(1,)], n_samples, seed=1, workers=workers)
 
     def test_sign_vector_longer_than_the_process_rejected(self):
         with pytest.raises(ValueError, match="longer than 4 steps"):

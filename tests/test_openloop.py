@@ -167,6 +167,13 @@ class TestTableRows:
         with pytest.raises(ValueError, match="method"):
             open_loop_series(params(0.5), [IDEAL], ("exact",))
 
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+    def test_monte_carlo_rows_refuse_a_bad_worker_count_by_name(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            open_loop_series(
+                params(0.5), [IDEAL], ("monte_carlo",), n_samples=100, seed=1, workers=workers
+            )
+
     def test_analytic_values_refuse_clipped_phases(self):
         # the closed form assumes unclipped Gaussian phases
         clipped = params(0.7, clip_to_hardware=True)
