@@ -1,13 +1,18 @@
 """Sweep runner: declarative configs in, deterministic data files out.
 
-Each experiment builds its table as columns: a mapping from every output
-column to its values in grid order, or to one value that repeats on every
-row.  The open-loop table is ``openloop.open_loop_series`` with the mu
-and sigma columns added.  The closed forms evaluate a whole grid per
-call, and ``write_rows`` formats the file column by column (all float
-cells of a column in one ``%`` call, each distinct label once), joins
-the rows and writes the file with one write.  The bytes are those of
-``csv.writer`` and of ``json.dumps`` of each row.
+Each experiment builds its table as columns on a row grid, whose cells in
+C order are the file's rows: an ndarray column broadcasts against the
+grid (numpy's rule), a list or tuple holds one value per row, and any
+other value is one value on every row, the 0-d case of the same rule.
+The closed-loop table has the grid (fidelity, grid point, variant): its
+fidelities are an (F, 1, 1) array, the swept values (1, G, 1), the two
+variants (2,) and the concurrences (F, G, 2).  The open-loop table is
+``openloop.open_loop_series``, one value per row, with the mu and sigma
+columns added.  ``write_rows`` formats each column once at its own shape
+(its float cells in one ``%`` call, each distinct label once), spreads
+the texts over the grid and writes the whole file from one row template
+with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
+of ``json.dumps`` of each row.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, one strided share of the blocks per thread, and the block sums
 are added up in block order, so a given config and seed produce
@@ -19,11 +24,14 @@ formats.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 import os
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -171,6 +179,9 @@ class RunConfig:
                 raise ValueError("open_loop requires mu")
             if self.method not in ("analytic", "monte_carlo", "both"):
                 raise ValueError(f"unknown method {self.method!r}")
+            # checked for every method, so a config is right or wrong for all of them
+            if self.n_samples < 1:
+                raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
             if self.method in ("monte_carlo", "both") and self.seed is None:
                 raise ValueError("monte_carlo rows require a seed")
         if self.experiment == "closed_loop":
@@ -231,40 +242,38 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-_SEQUENCES = (list, tuple, np.ndarray)
 # csv.writer's minimal quoting: a field holding one of these is quoted
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _cells(values, rows: int, fmt: str) -> list[str]:
-    """The text of one column, one cell per row.
+def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
+    """The template field of a column's values, and its %-arguments, one per value.
 
-    ``values`` is a sequence with one value per row, or one value that
-    repeats on ``rows`` rows and is formatted once.  Each cell is written
-    by its own type: a float with 9 significant digits (a JSON line holds
-    the float they spell), anything else as ``_label`` writes it.  The
-    float cells of a column take one ``%`` call, and each distinct other
-    value is encoded once.
+    Each cell is written by its own type: a float with 9 significant digits
+    (a JSON line holds the float they spell), anything else as ``_label``
+    writes it.  The field is ``%s`` and the arguments are the texts: the
+    floats take one ``%`` call, and each distinct other value is encoded
+    once.  With ``inline``, a CSV column of floats is instead the field
+    ``%.9g`` and its arguments are the floats.
     """
-    if not isinstance(values, _SEQUENCES):
-        return _cells([values], 1, fmt) * rows
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     kinds = set(map(type, values))
     if len(kinds) > 1:
-        # each type's cells are formatted together, then put back in row order
+        # each type's cells are formatted together, then put back in order
         text = {
-            kind: iter(_cells([v for v in values if type(v) is kind], 0, fmt)) for kind in kinds
+            kind: iter(_column([v for v in values if type(v) is kind], fmt, False)[1])
+            for kind in kinds
         }
-        return [next(text[type(v)]) for v in values]
+        return "%s", [next(text[type(v)]) for v in values]
     if kinds and issubclass(kinds.pop(), float):
+        if inline and fmt == "csv":
+            return "%.9g", values
         text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
-        return list(map(repr, map(float, text))) if fmt == "jsonl" else text
+        return "%s", list(map(repr, map(float, text))) if fmt == "jsonl" else text
     # equal values of one type have one text
     labels = dict.fromkeys(values)
     for value in labels:
         labels[value] = _label(value, fmt)
-    return list(map(labels.__getitem__, values))
+    return "%s", list(map(labels.__getitem__, values))
 
 
 def _label(value, fmt: str) -> str:
@@ -279,44 +288,130 @@ def _label(value, fmt: str) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _row_count(table: dict) -> int:
-    lengths = {len(v) for v in table.values() if isinstance(v, _SEQUENCES)}
-    if len(lengths) != 1:
-        raise ValueError(f"a table needs columns of one length, got lengths {sorted(lengths)}")
-    return lengths.pop()
+def _row_grid(table: dict) -> tuple[int, ...]:
+    """The shape of the table's row grid, whose cells in C order are the rows.
+
+    It is the broadcast shape of the ndarray columns, or ``(n,)`` when
+    they have no axis and the lists and tuples hold n values each; every
+    list or tuple must hold one value per row.
+    """
+    arrays, lengths = [], set()
+    for values in table.values():
+        if isinstance(values, np.ndarray):
+            arrays.append(values)
+        elif isinstance(values, (list, tuple)):
+            lengths.add(len(values))
+    shapes = {array.shape for array in arrays}
+    try:
+        # a table with one shape or none needs no numpy call
+        grid = next(iter(shapes), ()) if len(shapes) < 2 else np.broadcast(*arrays).shape
+    except ValueError:
+        grid = None
+    if grid == () and len(lengths) == 1:
+        grid = (*lengths,)
+    if not grid or not lengths <= {math.prod(grid)}:
+        raise ValueError(
+            f"a table needs columns of one length, got lengths {sorted(lengths)} "
+            f"and array shapes {sorted(shapes)}"
+        )
+    return grid
+
+
+def _spread(values: list, shape: tuple[int, ...], grid: tuple[int, ...]) -> list:
+    """The cells of an array of ``shape``, ``values`` in C order, broadcast to ``grid``."""
+    shape = (1,) * (len(grid) - len(shape)) + shape
+    block = 1  # the cells of one step along the axis, in the spread part
+    for size, own in zip(reversed(grid), reversed(shape)):
+        if own != size:
+            if block == 1:
+                # each cell repeated, from ``size`` iterators over the same list
+                values = list(chain.from_iterable(zip(*[values] * size)))
+            elif len(values) == block:
+                values = values * size
+            else:
+                values = [
+                    value
+                    for start in range(0, len(values), block)
+                    for value in values[start : start + block] * size
+                ]
+        block *= size
+    return values
+
+
+def _file_text(columns: list[str], table: dict, fmt: str) -> str:
+    """The whole file: one row template, applied to every row by one ``%``.
+
+    Each column is formatted once at its own shape (``_column``).  The
+    text of a column with one value is part of the template; any other
+    column's arguments are spread over the row grid in C order.  A CSV
+    column with a float on every row is a ``%.9g`` field, formatted by the
+    ``%`` itself.
+    """
+    grid = _row_grid(table)
+    rows = math.prod(grid)
+    # csv.writer quotes the field of a row whose one field is empty
+    quote_empty = fmt == "csv" and len(columns) == 1
+    fields, cells = [], []
+    for column in columns:
+        values = table[column]
+        if isinstance(values, np.ndarray):
+            shape, values = values.shape, values.ravel().tolist()
+        else:
+            shape = grid
+            values = values if isinstance(values, (list, tuple)) else [values]
+        field, values = _column(values, fmt, len(values) == rows > 1)
+        if quote_empty and field == "%s":
+            values = [text or '""' for text in values]
+        if len(values) == 1:
+            # the same text on every row is part of the template
+            fields.append(values[0].replace("%", "%%"))
+        else:
+            fields.append(field)
+            cells.append(values if len(values) == rows else _spread(values, shape, grid))
+    # the %-arguments: each row's cells, row after row
+    arguments = [None] * (rows * len(cells))
+    for index, values in enumerate(cells):
+        arguments[index :: len(cells)] = values
+    head, keys = _names(tuple(columns), fmt)
+    if fmt == "csv":
+        template = ",".join(fields) + "\r\n"
+    else:
+        template = "{" + ", ".join([f"{key}: {field}" for key, field in zip(keys, fields)]) + "}\n"
+    return head + template * rows % tuple(arguments)
+
+
+@functools.lru_cache(maxsize=16)
+def _names(columns: tuple[str, ...], fmt: str) -> tuple[str, tuple[str, ...]]:
+    """The column names as a file spells them: the CSV header line, or the
+    JSON key of each column, "%" doubled for the row template."""
+    if fmt == "csv":
+        header = ",".join([_label(column, fmt) for column in columns])
+        return (header or '""') + "\r\n", ()
+    return "", tuple(encode_basestring_ascii(column).replace("%", "%%") for column in columns)
 
 
 def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     """Write ``table`` atomically: into a temp file beside ``path``, then rename.
 
-    ``table`` maps each column to its values (see ``_cells``).  The file,
-    the bytes ``csv.writer`` writes (header, then rows) or those of
-    ``json.dumps({column: value, ...})`` and a newline per row, is formatted
-    in full and then written with one write.  A failure part way leaves any
-    previous file at ``path`` untouched.
+    ``table`` maps each column to its values on a row grid (``_row_grid``):
+    an ndarray broadcasts against the grid, a list or tuple holds one value
+    per row, and any other value is one value on every row.  The rows are
+    the grid's cells in C order.  The file, the bytes ``csv.writer`` writes
+    (header, then rows) or those of ``json.dumps({column: value, ...})`` and
+    a newline per row, is formatted in full (``_file_text``) and then written
+    with one write.  A failure part way leaves any previous file at ``path``
+    untouched.
     """
-    path = Path(path)
-    rows = _row_count(table)
-    cells = [_cells(table[column], rows, fmt) for column in columns]
-    if fmt == "csv":
-        header = ",".join([_label(column, fmt) for column in columns])
-        lines = [header, *map(",".join, zip(*cells))]
-        if len(columns) == 1:
-            # csv.writer quotes the field of a row whose one field is empty
-            lines = [line or '""' for line in lines]
-        text = "\r\n".join(lines) + "\r\n"
-    else:
-        # one %-template per row, so a "%" in a column name is doubled
-        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
-        line = "{" + ", ".join([f"{key}: %s" for key in keys]) + "}\n"
-        text = "".join(map(line.__mod__, zip(*cells)))
-    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    text = _file_text(columns, table, fmt)
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(temp, "x", newline="" if fmt == "csv" else None) as handle:
             handle.write(text)
         os.replace(temp, path)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
         raise
 
 
@@ -334,33 +429,40 @@ def _open_loop_rows(config: RunConfig) -> dict:
     return {"mu": params.mu, "sigma": params.sigma, **table}
 
 
+# the variant axis of a closed-loop table; read-only, since every table shares it
+_VARIANTS = np.array(["uncontrolled", "controlled"])
+_VARIANTS.flags.writeable = False
+
+
 def _closed_loop_rows(config: RunConfig) -> dict:
-    """Rows run fidelity-major, then grid point, then variant (uncontrolled first)."""
+    """The table on the row grid (fidelity, grid point, variant).
+
+    ``fidelity`` has shape (F, 1, 1), the swept column (1, G, 1), ``variant``
+    (2,) with the uncontrolled variant first, and ``concurrence`` and ``eof``
+    (F, G, 2); the other columns are one value each.
+    """
     if config.sweep == "p":
         grid = np.linspace(0.0, 1.0, config.grid_points or 101)
         p, theta = grid, config.theta if config.theta is not None else 0.0
     else:
         grid = np.linspace(0.0, math.pi / 2.0, config.grid_points or 91)
         p, theta = config.resolved_p(default=0.5), grid
-    fidelity = config.fidelity
-    eta = np.array([[PreparationModel.from_fidelity(f).eta] for f in fidelity])
-    concurrence = np.empty((len(fidelity), grid.size, 2))
+    eta = np.array([[PreparationModel.from_fidelity(f).eta] for f in config.fidelity])
+    concurrence = np.empty((len(config.fidelity), grid.size, 2))
     concurrence[..., 0] = uncontrolled_concurrence_closed(p, eta)
     concurrence[..., 1] = controlled_concurrence_closed(theta, eta)
-    concurrence = concurrence.ravel()
     table = {
         "sweep": config.sweep,
         "p": p,
         "theta": theta,
-        "fidelity": np.array(fidelity).repeat(2 * grid.size),
-        "variant": ["uncontrolled", "controlled"] * (grid.size * len(fidelity)),
+        "fidelity": np.array(config.fidelity).reshape(-1, 1, 1),
+        "variant": _VARIANTS,
         "method": "analytic",
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
         "stat_error": None,
     }
-    # the swept column holds each grid value on both variant rows, per fidelity
-    table[config.sweep] = grid.repeat(2).tolist() * len(fidelity)
+    table[config.sweep] = grid.reshape(1, -1, 1)
     return table
 
 

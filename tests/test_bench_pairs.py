@@ -125,3 +125,27 @@ def test_paired_differences_and_their_interval():
     assert write["interval_95"] == [pytest.approx(-10.0), pytest.approx(-10.0)]
     assert write["base_median"] == pytest.approx(109.5)
     assert write["head_median"] == pytest.approx(99.5)
+
+
+def test_a_regression_in_one_verb_shows_in_its_own_summary():
+    specs = [{"verb": "open-loop"}] * 16 + [{"verb": "closed-loop"}] * 4
+    base = {index: 100_000 + 1_000 * index for index in range(20)}
+    head = {index: value + (5_000 if index >= 16 else -10_000) for index, value in base.items()}
+    times = {
+        "base": {stage: dict(base) for stage in ab_inprocess.STAGES},
+        "head": {stage: dict(head) for stage in ab_inprocess.STAGES},
+    }
+    keys = ab_inprocess.by_verb(specs)
+    assert keys == {"open-loop": list(range(16)), "closed-loop": [16, 17, 18, 19]}
+    overall = ab_inprocess.summarize(times, random.Random(1))["write"]
+    assert overall["median_difference"] == pytest.approx(-10.0) and overall["head_wins"] == 16
+    verb = ab_inprocess.summarize(
+        times, random.Random(1), ab_inprocess.VERB_STAGES, keys["closed-loop"]
+    )
+    assert set(verb) == {"build", "write"}
+    write = verb["write"]
+    assert write["pairs"] == 4 and write["head_wins"] == 0
+    assert write["median_difference"] == pytest.approx(5.0)
+    assert write["interval_95"] == [pytest.approx(5.0), pytest.approx(5.0)]
+    assert write["base_median"] == pytest.approx(117.5)
+    assert write["head_median"] == pytest.approx(122.5)

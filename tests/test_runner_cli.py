@@ -165,6 +165,16 @@ class TestOpenLoopRunner:
         assert main(["open-loop", "--out", str(tmp_path / "x.csv")]) == 2
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["analytic", "monte_carlo", "both"])
+    @pytest.mark.parametrize("n_samples", ["-5", "0"])
+    def test_sample_count_is_checked_for_every_method(self, tmp_path, capsys, method, n_samples):
+        out = tmp_path / "x.csv"
+        argv = ["open-loop", "--mu", "0.5", "--method", method, "--n-samples", n_samples]
+        seed = [] if method == "analytic" else ["--seed", "1"]
+        assert main(argv + seed + ["--out", str(out)]) == 2
+        assert f"n_samples must be an integer >= 1, got {n_samples}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClosedLoopRunner:
     def test_p_sweep_uncontrolled_profile(self, tmp_path):
@@ -218,11 +228,10 @@ class TestClosedLoopRunner:
             )
             table = runner._closed_loop_rows(config)
             assert table["method"] == "analytic"
-            n = len(table["variant"])
-            ps, thetas = (np.broadcast_to(table[name], n) for name in ("p", "theta"))
-            for variant, p, theta, concurrence, eof in zip(
-                table["variant"], ps, thetas, table["concurrence"], table["eof"]
-            ):
+            names = ("variant", "p", "theta", "concurrence", "eof")
+            columns = [a.ravel() for a in np.broadcast_arrays(*(table[n] for n in names))]
+            assert len(columns[0]) == 2 * 41
+            for variant, p, theta, concurrence, eof in zip(*columns):
                 if variant == "controlled":
                     c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * theta))) - 1) / 2
                 else:
@@ -345,6 +354,8 @@ class TestConfigFileTypes:
             ("open-loop", {"mu": 0.3, "fidelity": "0.9"}, "fidelity"),
             ("open-loop", {"mu": 0.3, "fidelity": [1.0, "0.9"]}, "fidelity"),
             ("open-loop", {"mu": 0.3, "clip_to_hardware": 1}, "clip_to_hardware"),
+            ("open-loop", {"mu": 0.3, "n_samples": True}, "n_samples"),
+            ("open-loop", {"mu": 0.3, "n_samples": 1e5}, "n_samples"),
             ("closed-loop", {"sweep": 1}, "sweep"),
             ("assist-scan", {"p": 0.3, "grid_points": 3.5}, "grid_points"),
             ("counts-demo", {"seed": 1, "total_pairs": "4000"}, "total_pairs"),
@@ -815,6 +826,49 @@ def tables(draw):
     return columns, table
 
 
+# the cells of an ndarray column, by dtype: an object array holds any cell
+ARRAY_CELLS = {
+    "object": CELL,
+    "float": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0])
+    ),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def broadcast_tables(draw):
+    """1 to 5 named columns on a row grid of 1 to 3 axes.  The first is an
+    ndarray with at least one axis; any other is an ndarray, a list with
+    one cell per row, or one value.  Each ndarray keeps a trailing run of
+    the grid's axes, any of them cut to 1, so no column need have the
+    grid's full shape."""
+    axes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    kinds = ["array"] + [draw(st.sampled_from(["array", "list", "value"])) for _ in columns[1:]]
+    shapes = {}
+    for column, kind in zip(columns, kinds):
+        if kind == "array":
+            first = draw(st.integers(0, len(axes) - (column == columns[0])))
+            shapes[column] = tuple(size if draw(st.booleans()) else 1 for size in axes[first:])
+    rows = math.prod(np.broadcast_shapes(*shapes.values()))
+    table = {}
+    for column, kind in zip(columns, kinds):
+        if kind == "array":
+            shape = shapes[column]
+            dtype = draw(st.sampled_from(sorted(ARRAY_CELLS)))
+            cells = draw(st.lists(ARRAY_CELLS[dtype], min_size=math.prod(shape), max_size=math.prod(shape)))
+            array = np.empty(len(cells), dtype=dtype)
+            array[:] = cells
+            table[column] = array.reshape(shape)
+        elif kind == "list":
+            table[column] = draw(st.lists(CELL, min_size=rows, max_size=rows))
+        else:
+            table[column] = draw(CELL)
+    return columns, table
+
+
 class TestWriterMatchesTheStandardLibrary:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @settings(max_examples=300, deadline=None)
@@ -828,6 +882,39 @@ class TestWriterMatchesTheStandardLibrary:
             out, expected = Path(directory, "rows"), Path(directory, "expected")
             write_rows(out, columns, table, fmt)
             assert out.read_bytes() == stdlib_bytes(expected, columns, table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @settings(max_examples=300, deadline=None)
+    @given(table=broadcast_tables())
+    @example(table=(["a", "b"], {"a": np.arange(3.0).reshape(3, 1), "b": np.array([["x,y", None]])}))
+    @example(table=(["a"], {"a": np.array([[-0.0, 0.0]])}))
+    def test_broadcast_columns_equal_their_expanded_lists(self, fmt, table):
+        columns, table = table
+        grid = np.broadcast_shapes(*[v.shape for v in table.values() if isinstance(v, np.ndarray)])
+        expanded = {
+            column: np.broadcast_to(values, grid).ravel().tolist()
+            if isinstance(values, np.ndarray)
+            else values
+            for column, values in table.items()
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            out, expected = Path(directory, "rows"), Path(directory, "expected")
+            write_rows(out, columns, table, fmt)
+            assert out.read_bytes() == stdlib_bytes(expected, columns, expanded, fmt)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"a": np.zeros((2, 3)), "b": np.zeros(2)},
+            {"a": np.zeros((2, 1)), "b": np.zeros((1, 3)), "c": np.zeros((3, 1))},
+            {"a": np.zeros((1, 0)), "b": np.zeros(2)},
+            {"a": np.zeros((2, 3)), "b": [1.0] * 3},
+        ],
+    )
+    def test_arrays_that_do_not_broadcast_are_refused(self, tmp_path, table):
+        with pytest.raises(ValueError, match="one length"):
+            write_rows(tmp_path / "rows.csv", list(table), table, "csv")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_array_columns_equal_their_lists(self, tmp_path, fmt):

@@ -21,9 +21,12 @@ difference is head minus base.
 
 The file records, for the builder, ``write_rows`` and their sum: each
 side's median, the median paired difference and a 95% bootstrap interval
-of it (resampled pairs, seeded), and the count of pairs the head won.  It
-also records whether every job wrote the same bytes on both sides, with
-the revisions and the Python and numpy versions.
+of it (resampled pairs, seeded), and the count of pairs the head won.
+Under ``verbs`` it records the same for the builder and ``write_rows`` of
+each CLI verb's jobs alone, so that a change to one verb's tables is not
+averaged away among the others.  It also records whether every job wrote
+the same bytes on both sides, with the revisions and the Python and numpy
+versions.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ bench_pairs = load_module("bench_pairs", Path(__file__).resolve().with_name("ben
 ROOT = bench_pairs.ROOT
 SIDES = bench_pairs.SIDES
 STAGES = ("build", "write", "total")
+VERB_STAGES = ("build", "write")
 BOOTSTRAP = 2000
 
 
@@ -76,26 +80,36 @@ def median_interval(diffs: list[float], rng: random.Random) -> tuple[float, floa
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
-def summarize(times: dict, rng: random.Random) -> dict:
+def summarize(times: dict, rng: random.Random, stages=STAGES, keys=None) -> dict:
     """Per stage: medians, paired differences and head wins, in microseconds.
 
-    ``times[side][stage]`` maps each pair key to that side's nanoseconds.
+    ``times[side][stage]`` maps each pair key to that side's nanoseconds;
+    ``keys``, when given, keeps only those pairs.
     """
     summary = {}
-    for stage in STAGES:
+    for stage in stages:
         base, head = times["base"][stage], times["head"][stage]
-        diffs = [(head[key] - base[key]) / 1e3 for key in base]
+        pairs = list(base) if keys is None else keys
+        diffs = [(head[key] - base[key]) / 1e3 for key in pairs]
         low, high = median_interval(diffs, rng)
         summary[stage] = {
             "unit": "us",
             "pairs": len(diffs),
-            "base_median": statistics.median(base.values()) / 1e3,
-            "head_median": statistics.median(head.values()) / 1e3,
+            "base_median": statistics.median(base[key] for key in pairs) / 1e3,
+            "head_median": statistics.median(head[key] for key in pairs) / 1e3,
             "median_difference": statistics.median(diffs),
             "interval_95": [low, high],
             "head_wins": sum(d < 0 for d in diffs),
         }
     return summary
+
+
+def by_verb(specs: list[dict]) -> dict:
+    """The indices of the job specs of each CLI verb."""
+    keys = {}
+    for index, spec in enumerate(specs):
+        keys.setdefault(spec["verb"], []).append(index)
+    return keys
 
 
 def main(argv=None) -> int:
@@ -162,13 +176,20 @@ def main(argv=None) -> int:
         "jobs": len(specs),
         "identical_bytes": identical,
         "stages": summarize(times, rng),
+        "verbs": {
+            verb: summarize(times, rng, VERB_STAGES, keys)
+            for verb, keys in sorted(by_verb(specs).items())
+        },
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
-    for stage, entry in summary["stages"].items():
-        print(f"{stage}: base {entry['base_median']:.1f} us, head {entry['head_median']:.1f} us, "
-              f"paired median {entry['median_difference']:+.1f} us "
-              f"[{entry['interval_95'][0]:+.1f}, {entry['interval_95'][1]:+.1f}], "
-              f"head wins {entry['head_wins']}/{entry['pairs']}", file=sys.stderr)
+    report = [("", summary["stages"])] + [(f"{verb} ", s) for verb, s in summary["verbs"].items()]
+    for prefix, stages in report:
+        for stage, entry in stages.items():
+            print(f"{prefix}{stage}: base {entry['base_median']:.1f} us, "
+                  f"head {entry['head_median']:.1f} us, "
+                  f"paired median {entry['median_difference']:+.1f} us "
+                  f"[{entry['interval_95'][0]:+.1f}, {entry['interval_95'][1]:+.1f}], "
+                  f"head wins {entry['head_wins']}/{entry['pairs']}", file=sys.stderr)
     return 0
 
 
