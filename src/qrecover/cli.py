@@ -10,7 +10,11 @@ stderr.
 ``main`` may be called in-process any number of times (sweep scripts, the
 tests); every call after the first parses with the parser the first one
 built, since parsing does not change it.  ``build_parser`` still returns a
-fresh parser on each call.
+fresh parser on each call.  When the first argument names a verb, ``main``
+parses the rest with that verb's own subparser, which is what the full
+parser would hand them to; any other argv, or one that leaves an argument
+over, goes through the full parser, so its usage line and errors are
+unchanged.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairs per setting (default 4000; illustrative, not a measured value)",
     )
 
+    # each verb's subparser, for main to parse a verb's arguments with directly
+    parser.verb_parsers = sub.choices
     return parser
 
 
@@ -140,8 +146,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv``, from the verb's subparser if it can."""
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb_parser = parser.verb_parsers.get(argv[0]) if argv else None
+    if verb_parser is not None:
+        args, extra = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+        if not extra:
+            return args
+    # the full parser names the left-over arguments under its own usage line
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = config_from_args(args)
         path = run(config)

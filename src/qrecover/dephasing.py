@@ -288,12 +288,12 @@ def monte_carlo_moments(
     """Average the live coherence of each sign vector over n_samples noise realizations.
 
     Every block of phases is drawn once and reduced for all the vectors;
-    the moments come back in the order of ``sign_vectors``.  Each of
-    min(workers, blocks, cpu count) pool threads reduces one strided share
-    of the blocks into a per-block table, and the caller only waits for
-    them, then adds the table up in block order.  The table holds the sums
-    of w = e^{i s.chi} and w^2; the totals are conjugated and scaled to
-    those of z = -conj(w)/2 and z^2 once per call.  ``n_samples`` and
+    the moments come back in the order of ``sign_vectors``.  The blocks
+    fall into min(workers, blocks, cpu count) strided shares, each reduced
+    into a per-block table: the caller reduces the first share while pool
+    threads reduce the others, then it adds the table up in block order.
+    The table holds the sums of w = e^{i s.chi} and w^2; the totals are
+    conjugated and scaled to those of z = -conj(w)/2 and z^2 once per call.  ``n_samples`` and
     ``workers`` must be integers >= 1 (a bool is not a count).
     """
     for name, count in (("n_samples", n_samples), ("workers", workers)):
@@ -313,12 +313,12 @@ def monte_carlo_moments(
     shares = [
         (params, plan, seed, n_samples, first, workers, table, stop) for first in range(workers)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(_share, *share) for share in shares]:
-                future.result()
-    else:
+    # with one share the pool is never given a task, so it starts no thread
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(_share, *share) for share in shares[1:]]
         _share(*shares[0])
+        for future in futures:
+            future.result()
     totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
     # rows in block order, so the sums do not depend on the worker count
     for sums in table:

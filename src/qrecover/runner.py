@@ -237,8 +237,19 @@ def _finite_float(name: str, value) -> float:
     return number
 
 
+# the builtin types that are each kind of field, checked before the numbers ABCs
+_EXACT_TYPES = {
+    str: (str,),
+    numbers.Integral: (int,),
+    numbers.Real: (float, int),
+    bool: (bool,),
+}
+
+
 def _is_a(value, kind: type) -> bool:
     """isinstance, except that a bool is a bool and never a number."""
+    if type(value) in _EXACT_TYPES[kind]:
+        return True
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
@@ -253,8 +264,9 @@ def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
     (a JSON line holds the float they spell), anything else as ``_label``
     writes it.  The field is ``%s`` and the arguments are the texts: the
     floats take one ``%`` call, and each distinct other value is encoded
-    once.  With ``inline``, a CSV column of floats is instead the field
-    ``%.9g`` and its arguments are the floats.
+    once.  With ``inline``, a column of ints is instead the field ``%d``,
+    and a CSV column of floats the field ``%.9g``; the arguments are then
+    the values themselves.
     """
     kinds = set(map(type, values))
     if len(kinds) > 1:
@@ -264,7 +276,10 @@ def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
             for kind in kinds
         }
         return "%s", [next(text[type(v)]) for v in values]
-    if kinds and issubclass(kinds.pop(), float):
+    kind = kinds.pop() if kinds else None
+    if kind is int and inline:
+        return "%d", values
+    if kind and issubclass(kind, float):
         if inline and fmt == "csv":
             return "%.9g", values
         text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
@@ -343,9 +358,9 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
 
     Each column is formatted once at its own shape (``_column``).  The
     text of a column with one value is part of the template; any other
-    column's arguments are spread over the row grid in C order.  A CSV
-    column with a float on every row is a ``%.9g`` field, formatted by the
-    ``%`` itself.
+    column's arguments are spread over the row grid in C order.  A column
+    with an int on every row is a ``%d`` field, and a CSV column with a
+    float on every row a ``%.9g`` field, formatted by the ``%`` itself.
     """
     grid = _row_grid(table)
     rows = math.prod(grid)

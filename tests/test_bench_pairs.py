@@ -142,10 +142,38 @@ def test_a_regression_in_one_verb_shows_in_its_own_summary():
     verb = ab_inprocess.summarize(
         times, random.Random(1), ab_inprocess.VERB_STAGES, keys["closed-loop"]
     )
-    assert set(verb) == {"build", "write"}
+    assert set(verb) == {"build", "write", "job"}
     write = verb["write"]
     assert write["pairs"] == 4 and write["head_wins"] == 0
     assert write["median_difference"] == pytest.approx(5.0)
     assert write["interval_95"] == [pytest.approx(5.0), pytest.approx(5.0)]
     assert write["base_median"] == pytest.approx(117.5)
     assert write["head_median"] == pytest.approx(122.5)
+
+
+def test_the_null_run_gives_each_stage_its_interval_width():
+    # base against itself: differences spread evenly over -4 .. +4 us
+    base = {index: 100_000 + 1_000 * index for index in range(20)}
+    null = {index: value + 1_000 * (index % 9 - 4) for index, value in base.items()}
+    shift = {"build": -10_000, "write": -2_000, "total": -12_000, "job": +20_000}
+    times = {
+        "base": {stage: dict(base) for stage in ab_inprocess.STAGES},
+        "null": {stage: dict(null) for stage in ab_inprocess.STAGES},
+        "head": {
+            stage: {index: v + shift[stage] + 1_000 * (index % 3 - 1) for index, v in base.items()}
+            for stage in ab_inprocess.STAGES
+        },
+    }
+    assert "job" in ab_inprocess.STAGES and "job" in ab_inprocess.VERB_STAGES
+    null_summary = ab_inprocess.summarize(times, random.Random(2), sides=("base", "null"))
+    assert null_summary["job"]["median_difference"] == pytest.approx(0.0, abs=1.0)
+    summary = ab_inprocess.add_null(ab_inprocess.summarize(times, random.Random(1)), null_summary)
+    for stage, entry in summary.items():
+        low, high = null_summary[stage]["interval_95"]
+        assert entry["null_interval_95"] == [low, high]
+        assert entry["null_width"] == pytest.approx(high - low) and 0 < high - low < 8
+    # 10 and 12 us gains and a 20 us loss clear the null width; a 2 us gain does not
+    assert {stage: entry["clear_of_null"] for stage, entry in summary.items()} == {
+        "build": True, "write": False, "total": True, "job": True,
+    }
+    assert summary["job"]["head_wins"] == 0

@@ -529,25 +529,37 @@ class TestMonteCarlo:
             monte_carlo_moments(default_params(0.5), [signs], 100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
-        import qrecover.dephasing as dephasing
+        share = dephasing._share
+        shares, submitted = [], []
 
-        sizes = []
+        def recording_share(*args):
+            # (first block, share count, whether the caller runs it)
+            shares[-1].append((args[4], args[5], threading.current_thread() is caller))
+            share(*args)
 
         class RecordingPool(dephasing.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+            def submit(self, *args, **kwargs):
+                submitted[-1] += 1
+                return super().submit(*args, **kwargs)
 
+        monkeypatch.setattr(dephasing, "_share", recording_share)
         monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 8)
+        caller = threading.current_thread()
         params = default_params(0.7)
         vectors = [UNCONTROLLED.signs(4, 4)]
-        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
-        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
-        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
-        monkeypatch.setattr(dephasing.os, "cpu_count", lambda: None)
-        monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
-        assert sizes == [3, 2]
+        for cores in (8, 2, None):
+            monkeypatch.setattr(dephasing.os, "cpu_count", lambda: cores)
+            shares.append([])
+            submitted.append(0)
+            monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
+        # min(workers, blocks, cores) shares; the caller runs the first, and
+        # the pool is given the others, one thread each at most
+        assert [sorted(calls) for calls in shares] == [
+            [(0, 3, True), (1, 3, False), (2, 3, False)],
+            [(0, 2, True), (1, 2, False)],
+            [(0, 1, True)],
+        ]
+        assert submitted == [2, 1, 0]
 
     def test_averaged_projector_is_valid_density_matrix(self):
         rho = averaged_projector_oracle(default_params(0.2), UNCONTROLLED, 4, 2_000, seed=7)

@@ -376,6 +376,33 @@ class TestConfigFileTypes:
         assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_numpy_scalars_are_accepted_as_their_builtins(self, tmp_path):
+        common = {"experiment": "assist_scan", "format": "jsonl"}
+        numpy_config = RunConfig(
+            out=str(tmp_path / "numpy.jsonl"),
+            seed=np.int64(3),
+            grid_points=np.int64(5),
+            p=np.float64(0.3),
+            fidelity=(1.0, np.float64(0.9)),
+            **common,
+        )
+        plain = RunConfig(
+            out=str(tmp_path / "plain.jsonl"), seed=3, grid_points=5, p=0.3, fidelity=(1.0, 0.9),
+            **common,
+        )
+        assert type(numpy_config.p) is float
+        assert list(map(type, numpy_config.fidelity)) == [float, float]
+        assert run(numpy_config).read_bytes() == run(plain).read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value, description",
+        [("clip_to_hardware", np.bool_(True), "true or false"), ("p", True, "a number")],
+    )
+    def test_a_bool_is_not_a_number_nor_a_numpy_bool_a_bool(self, field, value, description):
+        with pytest.raises(ValueError) as raised:
+            RunConfig(experiment="open_loop", out="x.csv", mu=0.5, **{field: value})
+        assert str(raised.value) == f"{field} must be {description}, got {value!r}"
+
     def test_integer_values_write_the_bytes_of_their_floats(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"p": 0, "grid_points": 5, "format": "jsonl"}))
@@ -448,15 +475,20 @@ class TestDeterminism:
         assert out1.read_bytes() == out64.read_bytes()
 
     def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch, tmp_path):
-        sizes = []
-        init = ThreadPoolExecutor.__init__
+        shares, submitted = [], []
+        share, submit = dephasing._share, ThreadPoolExecutor.submit
 
-        def recording_init(pool, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            init(pool, max_workers, *args, **kwargs)
+        def recording_share(*args):
+            shares.append(args[5])
+            share(*args)
 
+        def recording_submit(pool, *args, **kwargs):
+            submitted.append(1)
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(dephasing, "_share", recording_share)
         # every pool in the process, wherever its class was imported
-        monkeypatch.setattr(ThreadPoolExecutor, "__init__", recording_init)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
         monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
         sampled = [
             "open-loop",
@@ -467,10 +499,11 @@ class TestDeterminism:
             "--fidelity", "1.0", "0.9",
         ]
         assert main(sampled + ["--workers", "64", "--out", str(tmp_path / "o.csv")]) == 0
-        assert sizes == [2]
+        # two shares, one on the caller and one given to a pool thread
+        assert shares == [2, 2] and len(submitted) == 1
         closed = ["closed-loop", "--sweep", "p", "--fidelity", "1.0", "0.9"]
         assert main(closed + ["--workers", "64", "--out", str(tmp_path / "c.csv")]) == 0
-        assert sizes == [2]
+        assert shares == [2, 2] and len(submitted) == 1
 
     def test_method_both_bytes_across_worker_counts(self, monkeypatch, tmp_path):
         # more cores than blocks, so the pool really takes 1, 2 and 5 threads
@@ -1064,3 +1097,69 @@ class TestSharedParser:
             texts.append(capsys.readouterr().out)
         assert texts[0].startswith("usage: qrecover")
         assert texts[1:] == texts[:1] * 2
+
+
+# Good and bad argv alike: main parses a verb's arguments with the verb's own
+# subparser, and must answer every argv as the full parser does.
+_ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["nope", "--out", "x.csv"],
+    ["-x"],
+    ["--", "assist-scan", "--p", "0.3", "--out", "x.csv"],
+    ["assist-scan", "--", "--p", "0.3", "--out", "x.csv"],
+    ["closed-loop", "-h"],
+    ["closed-loop", "--p", "abc", "--out", "x.csv"],
+    ["closed-loop", "--grid-points", "3.5", "--out", "x.csv"],
+    ["open-loop", "--mu", "0.5", "--method", "nope", "--out", "x.csv"],
+    ["closed-loop", "--out"],
+    ["open-loop", "--mu", "0.5", "--fidelity", "--out", "x.csv"],
+    ["open-loop", "--m", "0.5", "--out", "x.csv"],
+    ["open-loop", "--mu", "0.5", "--st", "3", "--out", "x.csv"],
+    ["open-loop", "--mu", "-0.5", "--fidelity", "1.0", "-0.5", "--out", "x.csv"],
+    ["counts-demo", "--seed", "-3", "--out", "x.csv"],
+    ["assist-scan", "--config", "a.json", "--config", "b.json", "--out", "x.csv"],
+    ["assist-scan", "--p", "0.3", "--bogus", "--out", "x.csv"],
+    ["assist-scan", "--p", "0.3", "extra", "--out", "x.csv"],
+    ["closed-loop", "closed-loop", "--out", "x.csv"],
+    ["closed-loop"],
+    ["assist-scan", "--out=x.csv", "--p=0.3", "--grid-points=5"],
+    ["open-loop", "--mu", "0.7", "--method", "both", "--n-samples", "3000", "--seed", "3",
+     "--no-clip-to-hardware", "--format", "jsonl", "--out", "x.jsonl"],
+    ["closed-loop", "--sweep", "theta", "--p-prime", "2", "--grid-points", "4",
+     "--fidelity", "1.0", "0.9", "--out", "x.csv"],
+    ["counts-demo", "--p", "0.4", "--theta", "0.3", "--seed", "1", "--total-pairs", "900",
+     "--out", "x.csv"],
+]
+
+
+class TestArgvParity:
+    """``main`` gives the full parser's exit code, stdout, stderr and files."""
+
+    @staticmethod
+    def outcome(argv, directory, monkeypatch, capsys):
+        directory.mkdir()
+        (directory / "a.json").write_text('{"p": 0.2}')
+        (directory / "b.json").write_text('{"p": 0.4, "grid_points": 5}')
+        monkeypatch.chdir(directory)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+    def test_main_answers_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        own = self.outcome(argv, tmp_path / "verb", monkeypatch, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+            full = self.outcome(argv, tmp_path / "full", monkeypatch, capsys)
+        assert own == full
+        assert own[0] in (0, 2) and (own[1] or own[2])
+        # an argv both parsers accept gives the same namespace, in the same order
+        try:
+            namespace = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return
+        assert list(vars(cli._parse_args(argv)).items()) == list(namespace.items())

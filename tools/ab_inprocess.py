@@ -1,9 +1,9 @@
-"""In-process A/B timing of the table builders and ``write_rows`` on two revisions.
+"""In-process A/B timing of the table builders, ``write_rows`` and whole CLI jobs on two revisions.
 
 Run from the repository root:
 
     python3 tools/ab_inprocess.py --base <rev> --head <rev> --out AB.json \\
-        [--workload small_jobs] [--rounds 5] [--seed 1]
+        [--workload small_jobs] [--rounds 5] [--seed 1] [--null]
 
 Each revision (anything ``git archive`` accepts) is exported into a
 temporary directory, and its ``src/qrecover`` is imported as a package of
@@ -11,29 +11,39 @@ its own name, ``qrecover_base`` or ``qrecover_head``; the package imports
 its modules relatively, so the two sides share one process and nothing
 else.  The job specs are those of ``perfbench/jobs.py`` in this checkout
 (passes 0 .. rounds-1 of the workload at the seed), parsed by each side's
-own CLI parser outside the timed region.
+own CLI parser outside the timed region for the builder and ``write_rows``.
 
 After one untimed warm-up of every job on both sides, every (round, job,
 side) trial runs once, in an order shuffled with the seed.  A trial times
-the experiment's builder and then ``write_rows`` of the built table, each
-with ``perf_counter_ns``.  A pair is one round and job on both sides; its
-difference is head minus base.
+the experiment's builder and then ``write_rows`` of the built table, and
+then the whole job, each side's ``cli.main(argv)`` with its stdout
+captured, each with ``perf_counter_ns``.  A pair is one round and job on
+both sides; its difference is head minus base.
 
-The file records, for the builder, ``write_rows`` and their sum: each
-side's median, the median paired difference and a 95% bootstrap interval
-of it (resampled pairs, seeded), and the count of pairs the head won.
-Under ``verbs`` it records the same for the builder and ``write_rows`` of
-each CLI verb's jobs alone, so that a change to one verb's tables is not
-averaged away among the others.  It also records whether every job wrote
-the same bytes on both sides, with the revisions and the Python and numpy
-versions.
+The file records, for the builder, ``write_rows``, their sum and the whole
+job: each side's median, the median paired difference and a 95% bootstrap
+interval of it (resampled pairs, seeded), and the count of pairs the head
+won.  Under ``verbs`` it records the same for the builder, ``write_rows``
+and the job of each CLI verb's jobs alone, so that a change to one verb's
+tables is not averaged away among the others.  It also records whether
+every job wrote the same bytes on both sides, with the revisions and the
+Python and numpy versions.
+
+With ``--null`` the base is imported a second time, as ``qrecover_null``,
+and its trials are shuffled in with the others.  The null pairs, base
+against itself, give each stage's and verb's interval width for code that
+did not change: every entry then records ``null_interval_95``,
+``null_width`` and ``clear_of_null``, whether the A/B interval misses 0 by
+more than that width.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import random
 import statistics
@@ -55,8 +65,8 @@ def load_module(name: str, path: Path):
 bench_pairs = load_module("bench_pairs", Path(__file__).resolve().with_name("bench_pairs.py"))
 ROOT = bench_pairs.ROOT
 SIDES = bench_pairs.SIDES
-STAGES = ("build", "write", "total")
-VERB_STAGES = ("build", "write")
+STAGES = ("build", "write", "total", "job")
+VERB_STAGES = ("build", "write", "job")
 BOOTSTRAP = 2000
 
 
@@ -80,15 +90,16 @@ def median_interval(diffs: list[float], rng: random.Random) -> tuple[float, floa
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
-def summarize(times: dict, rng: random.Random, stages=STAGES, keys=None) -> dict:
+def summarize(times: dict, rng: random.Random, stages=STAGES, keys=None, sides=SIDES) -> dict:
     """Per stage: medians, paired differences and head wins, in microseconds.
 
     ``times[side][stage]`` maps each pair key to that side's nanoseconds;
-    ``keys``, when given, keeps only those pairs.
+    ``keys``, when given, keeps only those pairs.  ``sides`` names the base
+    and the head of each pair.
     """
     summary = {}
     for stage in stages:
-        base, head = times["base"][stage], times["head"][stage]
+        base, head = (times[side][stage] for side in sides)
         pairs = list(base) if keys is None else keys
         diffs = [(head[key] - base[key]) / 1e3 for key in pairs]
         low, high = median_interval(diffs, rng)
@@ -101,6 +112,21 @@ def summarize(times: dict, rng: random.Random, stages=STAGES, keys=None) -> dict
             "interval_95": [low, high],
             "head_wins": sum(d < 0 for d in diffs),
         }
+    return summary
+
+
+def add_null(summary: dict, null: dict) -> dict:
+    """``summary`` with, per stage, the interval of the null pairs and its width.
+
+    An A/B interval is clear of the null when it misses 0 by more than the
+    width of the null interval of the same stage.
+    """
+    for stage, entry in summary.items():
+        low, high = null[stage]["interval_95"]
+        width = high - low
+        entry["null_interval_95"] = [low, high]
+        entry["null_width"] = width
+        entry["clear_of_null"] = entry["interval_95"][1] < -width or entry["interval_95"][0] > width
     return summary
 
 
@@ -120,7 +146,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--null", action="store_true", help="also time the base against a second copy of itself"
+    )
     args = parser.parse_args(argv)
+    sides = SIDES + ("null",) if args.null else SIDES
+    revisions = {"base": args.base, "head": args.head, "null": args.base}
     jobs = load_module("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
     specs = [
         spec
@@ -128,68 +159,82 @@ def main(argv=None) -> int:
         for spec in jobs.job_list(args.workload, args.seed, round_index)
     ]
     rng = random.Random(args.seed)
-    times = {side: {stage: {} for stage in STAGES} for side in SIDES}
+    times = {side: {stage: {} for stage in STAGES} for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as workdir:
-        sides = {}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            tree = bench_pairs.export(rev, Path(workdir) / side)
+        loaded = {}
+        for side in sides:
+            tree = bench_pairs.export(revisions[side], Path(workdir) / side)
             cli, runner = load_package(tree, f"qrecover_{side}")
             outs = Path(workdir) / f"out-{side}"
             outs.mkdir()
-            configs = [
-                cli.config_from_args(cli.build_parser().parse_args(
-                    jobs.argv(spec, str(outs / f"{index}.{spec['format']}"))
-                ))
+            argvs = [
+                jobs.argv(spec, str(outs / f"{index}.{spec['format']}"))
                 for index, spec in enumerate(specs)
             ]
-            sides[side] = (runner, configs)
+            configs = [cli.config_from_args(cli.build_parser().parse_args(a)) for a in argvs]
+            loaded[side] = (cli, runner, argvs, configs)
 
-        def trial(side: str, index: int) -> tuple[int, int]:
-            runner, configs = sides[side]
+        def trial(side: str, index: int) -> tuple[int, int, int]:
+            cli, runner, argvs, configs = loaded[side]
             config = configs[index]
             columns = runner.OUTPUT_SCHEMAS[config.experiment]["columns"]
             start = time.perf_counter_ns()
             table = runner._BUILDERS[config.experiment](config)
             built = time.perf_counter_ns()
             runner.write_rows(Path(config.out), columns, table, config.format)
-            return built - start, time.perf_counter_ns() - built
+            written = time.perf_counter_ns()
+            # the whole job rewrites the same file; its printed path is kept off the terminal
+            with contextlib.redirect_stdout(io.StringIO()):
+                called = time.perf_counter_ns()
+                code = cli.main(argvs[index])
+                returned = time.perf_counter_ns()
+            if code != 0:
+                raise RuntimeError(f"{side} job {argvs[index]} exited {code}")
+            return built - start, written - built, returned - called
 
-        for side in SIDES:
+        for side in sides:
             for index in range(len(specs)):
                 trial(side, index)
         identical = all(
             Path(base.out).read_bytes() == Path(head.out).read_bytes()
-            for base, head in zip(sides["base"][1], sides["head"][1])
+            for base, head in zip(loaded["base"][3], loaded["head"][3])
         )
-        trials = [(side, index) for index in range(len(specs)) for side in SIDES]
+        trials = [(side, index) for index in range(len(specs)) for side in sides]
         rng.shuffle(trials)
         for side, index in trials:
-            build, write = trial(side, index)
-            for stage, value in zip(STAGES, (build, write, build + write)):
+            build, write, job = trial(side, index)
+            for stage, value in zip(STAGES, (build, write, build + write, job)):
                 times[side][stage][index] = value
+
+    def summaries(stages=STAGES, keys=None) -> dict:
+        summary = summarize(times, rng, stages, keys)
+        if args.null:
+            add_null(summary, summarize(times, rng, stages, keys, ("base", "null")))
+        return summary
+
     summary = {
         "command": f"tools/ab_inprocess.py --workload {args.workload} "
-                   f"--rounds {args.rounds} --seed {args.seed}",
+                   f"--rounds {args.rounds} --seed {args.seed}" + (" --null" if args.null else ""),
         "revisions": {side: {"rev": rev, "resolved": bench_pairs.resolve(rev)}
                       for side, rev in (("base", args.base), ("head", args.head))},
         "environment": bench_pairs.environment(),
         "jobs": len(specs),
         "identical_bytes": identical,
-        "stages": summarize(times, rng),
+        "stages": summaries(),
         "verbs": {
-            verb: summarize(times, rng, VERB_STAGES, keys)
-            for verb, keys in sorted(by_verb(specs).items())
+            verb: summaries(VERB_STAGES, keys) for verb, keys in sorted(by_verb(specs).items())
         },
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     report = [("", summary["stages"])] + [(f"{verb} ", s) for verb, s in summary["verbs"].items()]
     for prefix, stages in report:
         for stage, entry in stages.items():
+            null = f", null width {entry['null_width']:.1f} us" if args.null else ""
             print(f"{prefix}{stage}: base {entry['base_median']:.1f} us, "
                   f"head {entry['head_median']:.1f} us, "
                   f"paired median {entry['median_difference']:+.1f} us "
                   f"[{entry['interval_95'][0]:+.1f}, {entry['interval_95'][1]:+.1f}], "
-                  f"head wins {entry['head_wins']}/{entry['pairs']}", file=sys.stderr)
+                  f"head wins {entry['head_wins']}/{entry['pairs']}{null}", file=sys.stderr)
     return 0
 
 
