@@ -149,7 +149,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The namespace the full parser gives for ``argv``, from the verb's subparser if it can."""
     parser = _shared_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     verb_parser = parser.verb_parsers.get(argv[0]) if argv else None
     if verb_parser is not None:
         args, extra = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))

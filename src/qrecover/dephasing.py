@@ -293,8 +293,9 @@ def monte_carlo_moments(
     into a per-block table: the caller reduces the first share while pool
     threads reduce the others, then it adds the table up in block order.
     The table holds the sums of w = e^{i s.chi} and w^2; the totals are
-    conjugated and scaled to those of z = -conj(w)/2 and z^2 once per call.  ``n_samples`` and
-    ``workers`` must be integers >= 1 (a bool is not a count).
+    conjugated and scaled to those of z = -conj(w)/2 and z^2 once per call.
+    ``n_samples`` and ``workers`` must be integers >= 1 (a bool is not a
+    count).
     """
     for name, count in (("n_samples", n_samples), ("workers", workers)):
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:

@@ -237,18 +237,13 @@ def _finite_float(name: str, value) -> float:
     return number
 
 
-# the builtin types that are each kind of field, checked before the numbers ABCs
-_EXACT_TYPES = {
-    str: (str,),
-    numbers.Integral: (int,),
-    numbers.Real: (float, int),
-    bool: (bool,),
-}
+# the builtin type of each kind of field, checked before the slower numbers ABCs
+_BUILTIN = {str: str, numbers.Integral: int, numbers.Real: float, bool: bool}
 
 
 def _is_a(value, kind: type) -> bool:
     """isinstance, except that a bool is a bool and never a number."""
-    if type(value) in _EXACT_TYPES[kind]:
+    if type(value) is _BUILTIN[kind]:
         return True
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 

@@ -529,7 +529,7 @@ class TestMonteCarlo:
             monte_carlo_moments(default_params(0.5), [signs], 100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
-        share = dephasing._share
+        share, caller = dephasing._share, threading.current_thread()
         shares, submitted = [], []
 
         def recording_share(*args):
@@ -544,7 +544,6 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(dephasing, "_share", recording_share)
         monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
-        caller = threading.current_thread()
         params = default_params(0.7)
         vectors = [UNCONTROLLED.signs(4, 4)]
         for cores in (8, 2, None):

@@ -1,4 +1,4 @@
-"""In-process A/B timing of the table builders, ``write_rows`` and whole CLI jobs on two revisions.
+"""In-process A/B timing of table builders, ``write_rows`` and whole CLI jobs on two revisions.
 
 Run from the repository root:
 
@@ -18,7 +18,8 @@ side) trial runs once, in an order shuffled with the seed.  A trial times
 the experiment's builder and then ``write_rows`` of the built table, and
 then the whole job, each side's ``cli.main(argv)`` with its stdout
 captured, each with ``perf_counter_ns``.  A pair is one round and job on
-both sides; its difference is head minus base.
+both sides; its difference is head minus base.  Every side writes its
+files into one shared directory.
 
 The file records, for the builder, ``write_rows``, their sum and the whole
 job: each side's median, the median paired difference and a 95% bootstrap
@@ -161,14 +162,16 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     times = {side: {stage: {} for stage in STAGES} for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as workdir:
+        # one output directory for every side, since the cost of creating and
+        # renaming a file can differ by directory (by 100 us a job on ext4)
+        outs = Path(workdir) / "out"
+        outs.mkdir()
         loaded = {}
         for side in sides:
             tree = bench_pairs.export(revisions[side], Path(workdir) / side)
             cli, runner = load_package(tree, f"qrecover_{side}")
-            outs = Path(workdir) / f"out-{side}"
-            outs.mkdir()
             argvs = [
-                jobs.argv(spec, str(outs / f"{index}.{spec['format']}"))
+                jobs.argv(spec, str(outs / f"{side}-{index}.{spec['format']}"))
                 for index, spec in enumerate(specs)
             ]
             configs = [cli.config_from_args(cli.build_parser().parse_args(a)) for a in argvs]
@@ -218,6 +221,8 @@ def main(argv=None) -> int:
         "revisions": {side: {"rev": rev, "resolved": bench_pairs.resolve(rev)}
                       for side, rev in (("base", args.base), ("head", args.head))},
         "environment": bench_pairs.environment(),
+        # the files are written here, and creating and renaming them is most of a small job
+        "temp_dir": tempfile.gettempdir(),
         "jobs": len(specs),
         "identical_bytes": identical,
         "stages": summaries(),
