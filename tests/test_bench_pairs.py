@@ -2,6 +2,7 @@
 results, and the export-and-load step of tools/ab_inprocess.py (no benchmark runs)."""
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -177,3 +178,29 @@ def test_the_null_run_gives_each_stage_its_interval_width():
         "build": True, "write": False, "total": True, "job": True,
     }
     assert summary["job"]["head_wins"] == 0
+
+
+def test_every_stage_and_verb_is_measured_against_the_null(tmp_path):
+    if not (bench_pairs.ROOT / ".git").exists():
+        pytest.skip("needs the git repository to export a revision from")
+    out = tmp_path / "ab.json"
+    argv = ["--base", "HEAD", "--head", "HEAD", "--workload", "feedback", "--rounds", "1",
+            "--out", str(out)]
+    try:
+        assert ab_inprocess.main(argv) == 0
+    finally:
+        for side in ab_inprocess.SIDES:
+            name = f"qrecover_{side}"
+            for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+                del sys.modules[module]
+    summary = json.loads(out.read_text())
+    assert summary["identical_bytes"] and summary["jobs"] == 5
+    entries = list(summary["stages"].values()) + [
+        entry for stages in summary["verbs"].values() for entry in stages.values()
+    ]
+    assert set(summary["stages"]) == set(ab_inprocess.STAGES)
+    assert set(summary["verbs"]) == {"assist-scan", "closed-loop", "counts-demo"}
+    for entry in entries:
+        low, high = entry["null_interval_95"]
+        assert low <= high and entry["null_width"] == pytest.approx(high - low)
+        assert isinstance(entry["clear_of_null"], bool)

@@ -3,17 +3,19 @@
 Run from the repository root:
 
     python3 tools/ab_inprocess.py --base <rev> --head <rev> --out AB.json \\
-        [--workload small_jobs] [--rounds 5] [--seed 1] [--null]
+        [--workload small_jobs] [--rounds 5] [--seed 1]
 
 Each revision (anything ``git archive`` accepts) is exported into a
 temporary directory, and its ``src/qrecover`` is imported as a package of
 its own name, ``qrecover_base`` or ``qrecover_head``; the package imports
-its modules relatively, so the two sides share one process and nothing
-else.  The job specs are those of ``perfbench/jobs.py`` in this checkout
+its modules relatively, so the sides share one process and nothing
+else.  The base is imported a second time, as ``qrecover_null``, so that
+base against itself gives the width of an interval for code that did not
+change.  The job specs are those of ``perfbench/jobs.py`` in this checkout
 (passes 0 .. rounds-1 of the workload at the seed), parsed by each side's
 own CLI parser outside the timed region for the builder and ``write_rows``.
 
-After one untimed warm-up of every job on both sides, every (round, job,
+After one untimed warm-up of every job on every side, every (round, job,
 side) trial runs once, in an order shuffled with the seed.  A trial times
 the experiment's builder and then ``write_rows`` of the built table, and
 then the whole job, each side's ``cli.main(argv)`` with its stdout
@@ -26,16 +28,12 @@ job: each side's median, the median paired difference and a 95% bootstrap
 interval of it (resampled pairs, seeded), and the count of pairs the head
 won.  Under ``verbs`` it records the same for the builder, ``write_rows``
 and the job of each CLI verb's jobs alone, so that a change to one verb's
-tables is not averaged away among the others.  It also records whether
-every job wrote the same bytes on both sides, with the revisions and the
-Python and numpy versions.
-
-With ``--null`` the base is imported a second time, as ``qrecover_null``,
-and its trials are shuffled in with the others.  The null pairs, base
-against itself, give each stage's and verb's interval width for code that
-did not change: every entry then records ``null_interval_95``,
-``null_width`` and ``clear_of_null``, whether the A/B interval misses 0 by
-more than that width.
+tables is not averaged away among the others.  Every entry also records
+the null pairs' interval, ``null_interval_95``, its width ``null_width``
+and ``clear_of_null``, whether the A/B interval misses 0 by more than that
+width: an interval that excludes 0 by less is noise.  The file records
+whether every job wrote the same bytes on base and head, with the
+revisions and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ def load_module(name: str, path: Path):
 # the sibling tool's export, resolve and environment
 bench_pairs = load_module("bench_pairs", Path(__file__).resolve().with_name("bench_pairs.py"))
 ROOT = bench_pairs.ROOT
-SIDES = bench_pairs.SIDES
+SIDES = bench_pairs.SIDES + ("null",)
 STAGES = ("build", "write", "total", "job")
 VERB_STAGES = ("build", "write", "job")
 BOOTSTRAP = 2000
@@ -91,7 +89,9 @@ def median_interval(diffs: list[float], rng: random.Random) -> tuple[float, floa
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
-def summarize(times: dict, rng: random.Random, stages=STAGES, keys=None, sides=SIDES) -> dict:
+def summarize(
+    times: dict, rng: random.Random, stages=STAGES, keys=None, sides=("base", "head")
+) -> dict:
     """Per stage: medians, paired differences and head wins, in microseconds.
 
     ``times[side][stage]`` maps each pair key to that side's nanoseconds;
@@ -147,11 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument(
-        "--null", action="store_true", help="also time the base against a second copy of itself"
-    )
     args = parser.parse_args(argv)
-    sides = SIDES + ("null",) if args.null else SIDES
     revisions = {"base": args.base, "head": args.head, "null": args.base}
     jobs = load_module("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
     specs = [
@@ -160,14 +156,14 @@ def main(argv=None) -> int:
         for spec in jobs.job_list(args.workload, args.seed, round_index)
     ]
     rng = random.Random(args.seed)
-    times = {side: {stage: {} for stage in STAGES} for side in sides}
+    times = {side: {stage: {} for stage in STAGES} for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as workdir:
         # one output directory for every side, since the cost of creating and
         # renaming a file can differ by directory (by 100 us a job on ext4)
         outs = Path(workdir) / "out"
         outs.mkdir()
         loaded = {}
-        for side in sides:
+        for side in SIDES:
             tree = bench_pairs.export(revisions[side], Path(workdir) / side)
             cli, runner = load_package(tree, f"qrecover_{side}")
             argvs = [
@@ -195,14 +191,14 @@ def main(argv=None) -> int:
                 raise RuntimeError(f"{side} job {argvs[index]} exited {code}")
             return built - start, written - built, returned - called
 
-        for side in sides:
+        for side in SIDES:
             for index in range(len(specs)):
                 trial(side, index)
         identical = all(
             Path(base.out).read_bytes() == Path(head.out).read_bytes()
             for base, head in zip(loaded["base"][3], loaded["head"][3])
         )
-        trials = [(side, index) for index in range(len(specs)) for side in sides]
+        trials = [(side, index) for index in range(len(specs)) for side in SIDES]
         rng.shuffle(trials)
         for side, index in trials:
             build, write, job = trial(side, index)
@@ -210,14 +206,12 @@ def main(argv=None) -> int:
                 times[side][stage][index] = value
 
     def summaries(stages=STAGES, keys=None) -> dict:
-        summary = summarize(times, rng, stages, keys)
-        if args.null:
-            add_null(summary, summarize(times, rng, stages, keys, ("base", "null")))
-        return summary
+        null = summarize(times, rng, stages, keys, ("base", "null"))
+        return add_null(summarize(times, rng, stages, keys), null)
 
     summary = {
         "command": f"tools/ab_inprocess.py --workload {args.workload} "
-                   f"--rounds {args.rounds} --seed {args.seed}" + (" --null" if args.null else ""),
+                   f"--rounds {args.rounds} --seed {args.seed}",
         "revisions": {side: {"rev": rev, "resolved": bench_pairs.resolve(rev)}
                       for side, rev in (("base", args.base), ("head", args.head))},
         "environment": bench_pairs.environment(),
@@ -234,12 +228,12 @@ def main(argv=None) -> int:
     report = [("", summary["stages"])] + [(f"{verb} ", s) for verb, s in summary["verbs"].items()]
     for prefix, stages in report:
         for stage, entry in stages.items():
-            null = f", null width {entry['null_width']:.1f} us" if args.null else ""
             print(f"{prefix}{stage}: base {entry['base_median']:.1f} us, "
                   f"head {entry['head_median']:.1f} us, "
                   f"paired median {entry['median_difference']:+.1f} us "
                   f"[{entry['interval_95'][0]:+.1f}, {entry['interval_95'][1]:+.1f}], "
-                  f"head wins {entry['head_wins']}/{entry['pairs']}{null}", file=sys.stderr)
+                  f"head wins {entry['head_wins']}/{entry['pairs']}, "
+                  f"null width {entry['null_width']:.1f} us", file=sys.stderr)
     return 0
 
 
