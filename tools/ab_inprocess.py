@@ -20,7 +20,8 @@ side) trial runs once, in an order shuffled with the seed.  A trial times
 the experiment's builder and then ``write_rows`` of the built table, and
 then the whole job, each side's ``cli.main(argv)`` with its stdout
 captured, each with ``perf_counter_ns``.  A pair is one round and job on
-both sides; its difference is head minus base.  Every side writes its
+the base and the head, or on the base and the null; its difference is
+head (or null) minus base.  Every side writes its
 files into one shared directory.
 
 The file records, for the builder, ``write_rows``, their sum and the whole
