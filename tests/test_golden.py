@@ -39,6 +39,11 @@ GOLDEN_RUNS = {
         "open-loop", "--mu", "0.7", "--fidelity", "1.0", "0.96",
         "--method", "both", "--n-samples", "5000", "--seed", "1",
     ],
+    # three fidelities, two methods and two steps: a swapped or misshaped axis shows
+    "open_loop_both_mu0.7_steps1_f3_seed3": [
+        "open-loop", "--mu", "0.7", "--steps", "1", "--method", "both",
+        "--fidelity", "1.0", "0.9", "0.8", "--n-samples", "5000", "--seed", "3",
+    ],
     "open_loop_mc_clipped_mu0.7_seed1": [
         "open-loop", "--mu", "0.7", "--sigma", "1.2", "--method", "monte_carlo",
         "--clip-to-hardware", "--n-samples", "5000", "--seed", "1",
