@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_open)
     p_open.add_argument("--mu", type=float, default=None, help="adjacent-phase correlation")
     p_open.add_argument("--sigma", type=float, default=None, help="phase spread, radians")
-    p_open.add_argument("--mean-phase", type=float, default=None, help="mean phase, radians")
+    p_open.add_argument(
+        "--mean-phase", type=float, default=None, help="mean phase, radians, at most 1e9 in magnitude"
+    )
     p_open.add_argument("--steps", type=int, default=None)
     p_open.add_argument("--fidelity", type=float, nargs="+", default=None)
     p_open.add_argument("--method", choices=("analytic", "monte_carlo", "both"), default=None)

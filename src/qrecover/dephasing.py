@@ -69,6 +69,9 @@ import numpy as np
 BLOCK_SIZE = 4096
 
 CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
+# floats within 1e9 of 0 lie at most 1.2e-7 apart, so a phase drawn there
+# resolves any sigma; near 1e16 they lie 2 apart
+MAX_MEAN_PHASE = 1e9
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,9 @@ class NoiseParams:
             raise ValueError(f"mu {self.mu!r} outside [0, 1]")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma {self.sigma!r} must be positive and finite")
-        if not math.isfinite(self.mean_phase):
-            raise ValueError(f"mean_phase {self.mean_phase!r} must be finite")
+        if not abs(self.mean_phase) <= MAX_MEAN_PHASE:
+            # for every method, though only the draws would go wrong beyond it
+            raise ValueError(f"mean_phase {self.mean_phase!r} outside [-1e9, 1e9]")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps {self.steps!r} must be a positive integer")
         object.__setattr__(self, "steps", int(self.steps))

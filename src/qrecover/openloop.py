@@ -9,9 +9,9 @@ reduces to 2 max{0, eta |coherence| - (1 - eta)/4}
 (``entanglement.mixed_concurrence``).  The closed form assumes unclipped
 Gaussian phases, so analytic values with ``clip_to_hardware`` are refused.
 
-``open_loop_series`` returns a job's rows as one column table; one array
-call each gives the concurrence and the entanglement of formation of
-every row.
+``open_loop_series`` returns a job's rows as one column table on the grid
+(preparation, method, arm, step); one array call each gives the
+concurrence and the entanglement of formation of every row.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .dephasing import (
 from .entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
+
+# the arm axis of an open-loop table; read-only, since every table shares it
+CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
+CONTROLS.flags.writeable = False
 
 
 def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
@@ -65,45 +69,45 @@ def open_loop_series(
 ) -> dict:
     """All three control arms over steps 0..steps, for each preparation and method.
 
-    Returns the open-loop table: a mapping from each column (``fidelity``,
-    ``control``, ``method``, ``step``, ``concurrence``, ``eof``,
-    ``stat_error``) to its values, one per row.  Rows run
-    preparation-major, then method, then arm (``CONTROL_KINDS`` order),
-    then step.  Before the echo or the correction acts, an arm carries the
-    uncontrolled value under its own label, since the arms coincide there.
-    ``stat_error`` is the propagated one-sigma error of a Monte Carlo row
-    and None on an analytic row.
+    Returns the open-loop table: each column (``fidelity``, ``control``,
+    ``method``, ``step``, ``concurrence``, ``eof``, ``stat_error``) as an
+    array on the row grid (preparation, method, arm, step), whose cells in
+    C order are the rows.  ``fidelity`` has shape (F, 1, 1, 1), ``method``
+    (M, 1, 1), ``control`` (3, 1) in ``CONTROL_KINDS`` order (the shared,
+    read-only ``CONTROLS``) and ``step`` (S,); ``concurrence``, ``eof`` and
+    ``stat_error`` hold the full grid.  Before the echo or the correction
+    acts, an arm carries the uncontrolled value under its own label, since
+    the arms coincide there.  ``stat_error`` is an object array: the
+    propagated one-sigma error of a Monte Carlo row and None on an analytic
+    row.
 
     Each distinct sign vector's coherence is computed once per method, and
     Monte Carlo draws its samples once for all of them, so extra
     preparations cost no extra samples.
     """
-    steps = range(params.steps + 1)
+    steps = params.steps + 1
     signs = [
         TrajectoryControl(kind=kind).signs(k, params.steps)
         for kind in CONTROL_KINDS
-        for k in steps
+        for k in range(steps)
     ]
     distinct = tuple(dict.fromkeys(signs))
-    magnitudes, std_errors = [], []
-    for method in methods:
+    eta = np.array([prep.eta for prep in preps]).reshape(-1, 1)
+    magnitudes = np.empty((len(methods), len(signs)))
+    stat_error = np.empty((len(preps), len(methods), len(signs)), dtype=object)
+    for index, method in enumerate(methods):
         coherences = _coherences(params, distinct, method, n_samples, seed, workers)
-        magnitudes.append([abs(coherences[s][0]) for s in signs])
-        std_errors.append([coherences[s][1] for s in signs])
-    eta = np.array([[[prep.eta]] for prep in preps])
-    concurrence = mixed_concurrence(np.array(magnitudes), eta).ravel()
-    blocks = len(preps) * len(methods)
+        magnitudes[index] = [abs(coherences[s][0]) for s in signs]
+        if method == "monte_carlo":
+            stat_error[:, index] = 2.0 * eta * np.array([coherences[s][1] for s in signs])
+    grid = (len(preps), len(methods), len(CONTROL_KINDS), steps)
+    concurrence = mixed_concurrence(magnitudes, eta[:, None]).reshape(grid)
     return {
-        "fidelity": np.repeat([prep.fidelity for prep in preps], len(methods) * len(signs)),
-        "control": [kind for kind in CONTROL_KINDS for _ in steps] * blocks,
-        "method": [method for method in methods for _ in signs] * len(preps),
-        "step": list(steps) * len(CONTROL_KINDS) * blocks,
+        "fidelity": np.array([prep.fidelity for prep in preps]).reshape(-1, 1, 1, 1),
+        "control": CONTROLS,
+        "method": np.array(methods).reshape(-1, 1, 1),
+        "step": np.arange(steps),
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
-        "stat_error": [
-            None if error is None else 2.0 * prep.eta * error
-            for prep in preps
-            for errors in std_errors
-            for error in errors
-        ],
+        "stat_error": stat_error.reshape(grid),
     }

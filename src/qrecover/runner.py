@@ -2,14 +2,15 @@
 
 Each experiment builds its table as columns on a row grid, whose cells in
 C order are the file's rows: an ndarray column broadcasts against the
-grid (numpy's rule), a list or tuple holds one value per row, and any
-other value is one value on every row, the 0-d case of the same rule.
-The closed-loop table has the grid (fidelity, grid point, variant): its
-fidelities are an (F, 1, 1) array, the swept values (1, G, 1), the two
-variants (2,) and the concurrences (F, G, 2).  The open-loop table is
-``openloop.open_loop_series``, one value per row, with the mu and sigma
-columns added.  ``write_rows`` formats each column once at its own shape
-(its float cells in one ``%`` call, each distinct label once), spreads
+grid (numpy's rule), and any other value is one value on every row, the
+0-d case of the same rule.  The closed-loop table has the grid
+(fidelity, grid point, variant): its fidelities are an (F, 1, 1) array,
+the swept values (1, G, 1), the two variants (2,) and the concurrences
+(F, G, 2).  The open-loop table is ``openloop.open_loop_series`` on the
+grid (fidelity, method, arm, step), with the mu and sigma columns added;
+the counts-demo table holds its two quantities as (2,) arrays.
+``write_rows`` formats each column once at its own shape (its float
+cells in one ``%`` call, each distinct label once), spreads
 the texts over the grid and writes the whole file from one row template
 with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
 of ``json.dumps`` of each row.
@@ -299,30 +300,19 @@ def _label(value, fmt: str) -> str:
 
 
 def _row_grid(table: dict) -> tuple[int, ...]:
-    """The shape of the table's row grid, whose cells in C order are the rows.
-
-    It is the broadcast shape of the ndarray columns, or ``(n,)`` when
-    they have no axis and the lists and tuples hold n values each; every
-    list or tuple must hold one value per row.
-    """
-    arrays, lengths = [], set()
-    for values in table.values():
-        if isinstance(values, np.ndarray):
-            arrays.append(values)
-        elif isinstance(values, (list, tuple)):
-            lengths.add(len(values))
+    """The shape of the table's row grid, whose cells in C order are the rows:
+    the broadcast shape of its ndarray columns, which must have an axis."""
+    arrays = [values for values in table.values() if isinstance(values, np.ndarray)]
     shapes = {array.shape for array in arrays}
     try:
         # a table with one shape or none needs no numpy call
         grid = next(iter(shapes), ()) if len(shapes) < 2 else np.broadcast(*arrays).shape
     except ValueError:
-        grid = None
-    if grid == () and len(lengths) == 1:
-        grid = (*lengths,)
-    if not grid or not lengths <= {math.prod(grid)}:
+        grid = ()
+    if not grid:
         raise ValueError(
-            f"a table needs columns of one length, got lengths {sorted(lengths)} "
-            f"and array shapes {sorted(shapes)}"
+            f"a table needs array columns that broadcast to a grid with an axis, "
+            f"got shapes {sorted(shapes)}"
         )
     return grid
 
@@ -351,11 +341,12 @@ def _spread(values: list, shape: tuple[int, ...], grid: tuple[int, ...]) -> list
 def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     """The whole file: one row template, applied to every row by one ``%``.
 
-    Each column is formatted once at its own shape (``_column``).  The
-    text of a column with one value is part of the template; any other
-    column's arguments are spread over the row grid in C order.  A column
-    with an int on every row is a ``%d`` field, and a CSV column with a
-    float on every row a ``%.9g`` field, formatted by the ``%`` itself.
+    Each ndarray column is formatted once at its own shape (``_column``),
+    and any other value is one cell.  The text of a column with one value
+    is part of the template; any other column's arguments are spread over
+    the row grid in C order.  A column with an int on every row is a
+    ``%d`` field, and a CSV column with a float on every row a ``%.9g``
+    field, formatted by the ``%`` itself.
     """
     grid = _row_grid(table)
     rows = math.prod(grid)
@@ -364,11 +355,7 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     fields, cells = [], []
     for column in columns:
         values = table[column]
-        if isinstance(values, np.ndarray):
-            shape, values = values.shape, values.ravel().tolist()
-        else:
-            shape = grid
-            values = values if isinstance(values, (list, tuple)) else [values]
+        values = values.ravel().tolist() if isinstance(values, np.ndarray) else [values]
         field, values = _column(values, fmt, len(values) == rows > 1)
         if quote_empty and field == "%s":
             values = [text or '""' for text in values]
@@ -377,6 +364,7 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
             fields.append(values[0].replace("%", "%%"))
         else:
             fields.append(field)
+            shape = table[column].shape  # only an ndarray holds more than one value
             cells.append(values if len(values) == rows else _spread(values, shape, grid))
     # the %-arguments: each row's cells, row after row
     arguments = [None] * (rows * len(cells))
@@ -404,12 +392,12 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     """Write ``table`` atomically: into a temp file beside ``path``, then rename.
 
     ``table`` maps each column to its values on a row grid (``_row_grid``):
-    an ndarray broadcasts against the grid, a list or tuple holds one value
-    per row, and any other value is one value on every row.  The rows are
-    the grid's cells in C order.  The file, the bytes ``csv.writer`` writes
-    (header, then rows) or those of ``json.dumps({column: value, ...})`` and
-    a newline per row, is formatted in full (``_file_text``) and then written
-    with one write.  A failure part way leaves any previous file at ``path``
+    an ndarray broadcasts against the grid, and any other value is one
+    value on every row.  The rows are the grid's cells in C order, and a
+    cell is None, a bool, an int, a float or a str.  The file, the bytes
+    ``csv.writer`` writes (header, then rows) or those of
+    ``json.dumps({column: value, ...})`` and a newline per row, is formatted
+    in full (``_file_text``) and then written with one write.  A failure part way leaves any previous file at ``path``
     untouched.
     """
     text = _file_text(columns, table, fmt)
@@ -501,12 +489,12 @@ def _counts_demo_rows(config: RunConfig) -> dict:
             f"total_pairs {config.total_pairs!r} is too small for the drawn counts: {exc}"
         ) from exc
     return {
-        "quantity": ["p_prime", "theta"],
+        "quantity": np.array(["p_prime", "theta"]),
         "total_pairs": config.total_pairs,
         "seed": config.seed,
-        "true_value": [p / (1.0 - p), theta],
-        "estimate": [ratio, angle],
-        "stat_error": [ratio_err, angle_err],
+        "true_value": np.array([p / (1.0 - p), theta]),
+        "estimate": np.array([ratio, angle]),
+        "stat_error": np.array([ratio_err, angle_err]),
     }
 
 

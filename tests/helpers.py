@@ -249,3 +249,20 @@ def controlled_output(p, theta, eta=1.0):
     """Pair state after measurement plus conditioned correction, and its concurrence."""
     rho = eta_blend(mixture(corrected_ensemble(p, theta)).matrix, eta)
     return rho, concurrence(rho)
+
+
+def table_rows(table):
+    """The rows of a column table, each a mapping from column to cell.
+
+    The ndarray columns broadcast against each other to the row grid, whose
+    cells in C order are the rows; any other value is one cell on every row.
+    """
+    arrays = [values for values in table.values() if isinstance(values, np.ndarray)]
+    grid = np.broadcast_shapes(*(array.shape for array in arrays))
+    columns = {
+        column: np.broadcast_to(values, grid).ravel().tolist()
+        if isinstance(values, np.ndarray)
+        else [values] * math.prod(grid)
+        for column, values in table.items()
+    }
+    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]

@@ -32,6 +32,7 @@ from helpers import (
     controlled_output,
     random_pure_amplitudes,
     sample_phase_matrix,
+    table_rows,
     trajectory_state,
     uncontrolled_output,
 )
@@ -88,7 +89,7 @@ def test_criterion_1_wootters_agreement():
 @report(2, "fully correlated noise: Gaussian decay and echo recovery curves, < 1e-9")
 def test_criterion_2_full_correlation_curves():
     table = open_loop_series(NoiseParams(mu=1.0, sigma=SIGMA), [PreparationModel.ideal()])
-    value = dict(zip(zip(table["control"], table["step"]), table["concurrence"]))
+    value = {(row["control"], row["step"]): row["concurrence"] for row in table_rows(table)}
     for k in range(5):
         expected = math.exp(-0.18 * k * k)
         assert abs(value["uncontrolled", k] - expected) < 1e-9, f"uncontrolled k={k}"

@@ -14,7 +14,11 @@ spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-BETTER = {"wall_s": "lower", "peak_rss_mib": "lower", "throughput": "higher"}
+BETTER = {
+    "wall_s": {"better": "lower", "bound": 0.25},
+    "peak_rss_mib": {"better": "lower", "bound": 0.1},
+    "throughput": {"better": "higher", "bound": 0.25},
+}
 
 
 def result(wall, rss, failed=0, throughput=None):
@@ -71,6 +75,35 @@ def test_higher_is_better_metrics_and_single_runs():
     assert (metric["head_wins"], metric["base_wins"], metric["ties"]) == (1, 0, 0)
     assert metric["base"] == {"median": 10.0, "min": 10.0, "q1": 10.0, "q3": 10.0, "values": [10.0]}
     assert summary["small_jobs"]["metrics"]["wall_s"]["ties"] == 1
+
+
+def test_each_metric_is_held_to_its_bound_and_a_wide_base_is_unresolved():
+    # wall_s: the head median is 30% worse, beyond the 0.25 bound, with a
+    # narrow base.  peak_rss_mib: 5% worse, within 0.1, but the base
+    # quartiles spread 25% and the sides overlap.  throughput: the base
+    # spreads 50%, but every head run beats every base run.
+    walls = [(1.00, 1.30), (1.01, 1.31), (0.99, 1.29), (1.00, 1.30)]
+    rss = [(32.0, 33.6), (44.0, 46.2), (36.0, 37.8), (48.0, 50.4)]
+    rates = [(6.0, 15.0), (8.0, 16.0), (12.0, 17.0), (14.0, 18.0)]
+    pairs = [
+        (seed, result(w0, r0, throughput=t0), result(w1, r1, throughput=t1))
+        for seed, ((w0, w1), (r0, r1), (t0, t1)) in enumerate(zip(walls, rss, rates))
+    ]
+    metrics = bench_pairs.summarize(runs_of(pairs), BETTER)["mc_echo"]["metrics"]
+    wall, memory, throughput = (metrics[name] for name in ("wall_s", "peak_rss_mib", "throughput"))
+    assert wall["bound"] == 0.25 and memory["bound"] == 0.1
+    assert wall["median_change"] == pytest.approx(0.30)
+    assert (wall["within_bound"], wall["unresolved"]) == (False, False)
+    assert memory["median_change"] == pytest.approx(0.05)
+    assert memory["base_iqr"] / memory["base"]["median"] == pytest.approx(0.25)
+    assert (memory["within_bound"], memory["unresolved"]) == (True, True)
+    assert throughput["base_iqr"] / throughput["base"]["median"] == pytest.approx(0.5)
+    assert (throughput["within_bound"], throughput["unresolved"]) == (True, False)
+    # a higher-is-better metric that falls by more than its bound
+    pairs = [(seed, result(1.0, 1.0, throughput=10.0), result(1.0, 1.0, throughput=7.0))
+             for seed in range(3)]
+    throughput = bench_pairs.summarize(runs_of(pairs), BETTER)["mc_echo"]["metrics"]["throughput"]
+    assert (throughput["within_bound"], throughput["unresolved"]) == (False, False)
 
 
 def test_workloads_are_kept_apart_and_a_missing_side_is_an_error():

@@ -302,6 +302,30 @@ class TestEnsembles:
             )
 
 
+class TestHiddenEntanglement:
+    """Local operations on the pair recover at most the average entanglement
+    of the measurement branches, the traced-out pair's plus its hidden part
+    (D'Arrigo et al., Ann. Phys. 350, 211, 2014)."""
+
+    @staticmethod
+    def branch_average(p, theta):
+        (p_u, c_u), (p_d, c_d) = measurement_branches(p, theta)
+        return p_u * eof_from_concurrence(c_u) + p_d * eof_from_concurrence(c_d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    def test_neither_pair_exceeds_the_branch_average(self, p, theta):
+        average = self.branch_average(p, theta)
+        assert eof_from_concurrence(controlled_concurrence_closed(theta)) <= average + 1e-12
+        assert eof_from_concurrence(uncontrolled_concurrence_closed(p)) <= average + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_the_natural_basis_recovers_all_of_it(self, p):
+        controlled = eof_from_concurrence(controlled_concurrence_closed(0.0))
+        assert abs(controlled - self.branch_average(p, 0.0)) <= 1e-12
+
+
 class TestAssistanceScan:
     def test_balanced_point_prefers_natural_basis(self):
         scan = assistance_scan(0.5)

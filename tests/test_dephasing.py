@@ -11,6 +11,7 @@ from qrecover.dephasing import (
     BLOCK_SIZE,
     CORRECTED,
     ECHOED,
+    MAX_MEAN_PHASE,
     UNCONTROLLED,
     NoiseParams,
     TrajectoryControl,
@@ -128,6 +129,13 @@ class TestSampling:
         kwargs = {"mu": 0.5, "sigma": SIGMA, field: value}
         with pytest.raises(ValueError, match=field):
             NoiseParams(**kwargs)
+
+    def test_mean_phase_is_bounded_for_every_method(self):
+        for value in (-MAX_MEAN_PHASE, MAX_MEAN_PHASE):
+            assert NoiseParams(mu=0.5, sigma=SIGMA, mean_phase=value).mean_phase == value
+        for value in (math.nextafter(MAX_MEAN_PHASE, math.inf), -1e16, 1e308):
+            with pytest.raises(ValueError, match="mean_phase .* outside"):
+                NoiseParams(mu=0.5, sigma=SIGMA, mean_phase=value)
 
 
 class TestSigns:

@@ -13,7 +13,9 @@ from qrecover.dephasing import (
     monte_carlo_moments,
 )
 from qrecover.entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
-from qrecover.openloop import METHODS, open_loop_series
+from qrecover.openloop import CONTROLS, METHODS, open_loop_series
+
+from helpers import table_rows
 
 SIGMA = 0.6
 IDEAL = PreparationModel.ideal()
@@ -24,15 +26,12 @@ def params(mu, **kwargs):
     return NoiseParams(mu=mu, sigma=SIGMA, **kwargs)
 
 
-def rows(table):
-    """The rows of a column table, each a mapping from column to value."""
-    return [dict(zip(table, values)) for values in zip(*table.values())]
-
-
 def row(table, control, k, method="analytic"):
     """The one row of ``table`` for this arm, step and method."""
     (found,) = [
-        r for r in rows(table) if (r["control"], r["step"], r["method"]) == (control, k, method)
+        r
+        for r in table_rows(table)
+        if (r["control"], r["step"], r["method"]) == (control, k, method)
     ]
     return found
 
@@ -181,7 +180,7 @@ class TestTableRows:
             with pytest.raises(ValueError, match="clip_to_hardware"):
                 open_loop_series(clipped, [IDEAL], methods, n_samples=100, seed=1)
         sampled = open_loop_series(clipped, [IDEAL], ("monte_carlo",), n_samples=100, seed=1)
-        assert len(rows(sampled)) == 3 * 5
+        assert len(table_rows(sampled)) == 3 * 5
 
     def test_echo_position_is_honoured(self):
         signs = TrajectoryControl(kind="echoed", echo_after_step=1).signs(4, 4)
@@ -195,7 +194,7 @@ class TestTableRows:
 
 class TestSeries:
     def test_series_shape_and_fill(self):
-        series = rows(open_loop_series(params(0.7), [IDEAL]))
+        series = table_rows(open_loop_series(params(0.7), [IDEAL]))
         assert len(series) == 15
         by_key = {(r["control"], r["step"]): r["concurrence"] for r in series}
         for k in (0, 1, 2):
@@ -210,40 +209,104 @@ class TestSeries:
     def test_point_relabeling_keeps_arm_name(self):
         table = open_loop_series(params(0.7), [IDEAL])
         # the echoed arm at step 1, before its echo acts
-        index = table["control"].index("echoed") + 1
-        assert (table["control"][index], table["step"][index]) == ("echoed", 1)
-        assert table["concurrence"][index] == pytest.approx(uncontrolled(1, 0.7), abs=1e-15)
+        arm = CONTROL_KINDS.index("echoed")
+        assert (table["control"][arm, 0], table["step"][1]) == ("echoed", 1)
+        assert table["concurrence"][0, 0, arm, 1] == pytest.approx(uncontrolled(1, 0.7), abs=1e-15)
+
+    def test_columns_lie_on_the_grid_of_fidelity_method_arm_and_step(self):
+        preps = [IDEAL, MEASURED, PreparationModel.from_fidelity(0.8)]
+        table = open_loop_series(params(0.7, steps=3), preps, METHODS, n_samples=100, seed=2)
+        shapes = {column: values.shape for column, values in table.items()}
+        assert shapes == {
+            "fidelity": (3, 1, 1, 1),
+            "control": (3, 1),
+            "method": (2, 1, 1),
+            "step": (4,),
+            "concurrence": (3, 2, 3, 4),
+            "eof": (3, 2, 3, 4),
+            "stat_error": (3, 2, 3, 4),
+        }
+        assert table["fidelity"].ravel().tolist() == [1.0, 0.96, 0.8]
+        assert table["method"].ravel().tolist() == list(METHODS)
+        assert table["step"].tolist() == [0, 1, 2, 3]
+        # every table shares the one read-only arm column
+        assert table["control"] is CONTROLS and not CONTROLS.flags.writeable
+        assert CONTROLS.ravel().tolist() == list(CONTROL_KINDS)
+        assert table["stat_error"].dtype == object
+        assert set(table["stat_error"][:, 0].ravel()) == {None}
+        assert all(type(error) is float for error in table["stat_error"][:, 1].ravel())
 
     def test_any_step_count(self):
-        series = rows(open_loop_series(params(0.7, steps=6), [IDEAL]))
+        series = table_rows(open_loop_series(params(0.7, steps=6), [IDEAL]))
         assert len(series) == 3 * 7
         by_key = {(r["control"], r["step"]): r["concurrence"] for r in series}
         assert by_key[("corrected", 6)] == pytest.approx(1.0, abs=1e-12)
         assert by_key[("echoed", 6)] > by_key[("uncontrolled", 6)]
 
 
-def _as_list(values):
-    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+class TestHiddenEntanglement:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu=st.floats(0.0, 1.0),
+        sigma=st.floats(1e-3, 10.0),
+        steps=st.integers(1, 7),
+        fidelity=st.floats(0.25, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_no_arm_exceeds_the_trajectory_average(self, mu, sigma, steps, fidelity, seed):
+        # every trajectory is a local-unitary image of the prepared state, so
+        # each carries EoF((3 eta - 1)/2), and local control recovers no more
+        # (D'Arrigo et al., Ann. Phys. 350, 211, 2014)
+        prep = PreparationModel.from_fidelity(fidelity)
+        noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
+        table = open_loop_series(noise, [prep], METHODS, n_samples=500, seed=seed)
+        average = eof_from_concurrence(max(0.0, (3.0 * prep.eta - 1.0) / 2.0))
+        assert (table["eof"] <= average + 1e-12).all()
+        # the correction restores all of it at the last step, by either method
+        corrected = table["eof"][0, :, CONTROL_KINDS.index("corrected"), -1]
+        assert (abs(corrected - average) <= 1e-12).all()
 
 
 class TestTableDefinition:
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("methods", [("analytic",), ("monte_carlo",), METHODS])
+    @settings(max_examples=40, deadline=None)
     @given(
-        st.floats(0.0, 1.0),
-        st.floats(1e-3, 10.0),
-        st.integers(1, 7),
-        st.lists(st.floats(0.25, 1.0), min_size=1, max_size=3),
+        mu=st.floats(0.0, 1.0),
+        sigma=st.floats(1e-3, 10.0),
+        steps=st.integers(1, 7),
+        fidelities=st.lists(st.floats(0.25, 1.0), min_size=1, max_size=3),
+        n_samples=st.integers(1, 5000),
+        seed=st.integers(0, 2**32),
     )
-    def test_table_equals_the_row_by_row_definition(self, mu, sigma, steps, fidelities):
+    def test_table_equals_the_row_by_row_definition(
+        self, methods, mu, sigma, steps, fidelities, n_samples, seed
+    ):
         preps = [PreparationModel.from_fidelity(f) for f in fidelities]
-        table = open_loop_series(NoiseParams(mu=mu, sigma=sigma, steps=steps), preps)
-        expected = {column: [] for column in table}
+        noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
+        table = open_loop_series(noise, preps, methods, n_samples, seed)
+        expected = []
         for prep in preps:
-            for kind in CONTROL_KINDS:
-                for k in range(steps + 1):
-                    signs = TrajectoryControl(kind).signs(k, steps)
-                    c = mixed_concurrence(abs(analytic_coherence(signs, mu, sigma)), prep.eta)
-                    cells = (prep.fidelity, kind, "analytic", k, c, eof_from_concurrence(c), None)
-                    for column, cell in zip(expected, cells):
-                        expected[column].append(cell)
-        assert {column: _as_list(values) for column, values in table.items()} == expected
+            for method in methods:
+                for kind in CONTROL_KINDS:
+                    for k in range(steps + 1):
+                        signs = TrajectoryControl(kind).signs(k, steps)
+                        if method == "analytic":
+                            coherence, error = analytic_coherence(signs, mu, sigma), None
+                        else:
+                            # a vector's value does not depend on the others of its pass
+                            (m,) = monte_carlo_moments(noise, [signs], n_samples, seed)
+                            coherence = m.coherence_mean
+                            error = 2.0 * prep.eta * m.coherence_std_error()
+                        c = mixed_concurrence(abs(coherence), prep.eta)
+                        expected.append(
+                            {
+                                "fidelity": prep.fidelity,
+                                "method": method,
+                                "control": kind,
+                                "step": k,
+                                "concurrence": c,
+                                "eof": eof_from_concurrence(c),
+                                "stat_error": error,
+                            }
+                        )
+        assert table_rows(table) == expected

@@ -21,6 +21,8 @@ from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
 from qrecover.runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run, write_rows
 
+from helpers import table_rows
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -228,16 +230,15 @@ class TestClosedLoopRunner:
             )
             table = runner._closed_loop_rows(config)
             assert table["method"] == "analytic"
-            names = ("variant", "p", "theta", "concurrence", "eof")
-            columns = [a.ravel() for a in np.broadcast_arrays(*(table[n] for n in names))]
-            assert len(columns[0]) == 2 * 41
-            for variant, p, theta, concurrence, eof in zip(*columns):
-                if variant == "controlled":
-                    c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * theta))) - 1) / 2
+            rows = table_rows(table)
+            assert len(rows) == 2 * 41
+            for row in rows:
+                if row["variant"] == "controlled":
+                    c = max(0.0, eta * (1 + 2 * abs(math.cos(2 * row["theta"]))) - 1) / 2
                 else:
-                    c = max(0.0, 2 * eta * abs(1 - 2 * p) - (1 - eta)) / 2
-                assert abs(concurrence - c) < 1e-12
-                assert abs(eof - eof_from_concurrence(c)) < 1e-12
+                    c = max(0.0, 2 * eta * abs(1 - 2 * row["p"]) - (1 - eta)) / 2
+                assert abs(row["concurrence"] - c) < 1e-12
+                assert abs(row["eof"] - eof_from_concurrence(c)) < 1e-12
 
     def test_p_prime_accepted_and_converted(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -341,6 +342,36 @@ class TestNonFiniteInputs:
         assert main(argv + ["--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMeanPhaseBound:
+    @pytest.mark.parametrize("method", ["analytic", "monte_carlo"])
+    @pytest.mark.parametrize("mean_phase", ["1e308", "-1e308", "1e16", "1000000001"])
+    def test_beyond_the_bound_exits_2_naming_mean_phase(self, tmp_path, capsys, method, mean_phase):
+        # a bare math domain error (analytic) and rows of concurrence 1 with
+        # stat_error 0 (monte_carlo) before the bound, at 1e308
+        argv = ["open-loop", "--mu", "0.5", f"--mean-phase={mean_phase}", "--method", method]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"mean_phase {float(mean_phase)!r} outside [-1e9, 1e9]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mean_phase", ["1e9", "-1e9"])
+    def test_at_the_bound_monte_carlo_matches_the_closed_form(self, tmp_path, mean_phase):
+        # at 1e16 the uncontrolled step-3 row read about 100 stat errors off
+        out = tmp_path / "x.csv"
+        argv = ["open-loop", "--mu", "0.5", f"--mean-phase={mean_phase}", "--method", "both"]
+        assert main(argv + ["--seed", "1", "--n-samples", "20000", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        analytic = {
+            (row["control"], row["step"]): float(row["concurrence"])
+            for row in rows
+            if row["method"] == "analytic"
+        }
+        sampled = [row for row in rows if row["method"] == "monte_carlo"]
+        assert len(sampled) == len(analytic) == 15
+        for row in sampled:
+            gap = abs(float(row["concurrence"]) - analytic[row["control"], row["step"]])
+            assert gap <= 5 * float(row["stat_error"])
 
 
 class TestConfigFileTypes:
@@ -742,9 +773,9 @@ class TestAtomicWrites:
                 raise RuntimeError("cannot format")
 
         out = tmp_path / f"rows.{fmt}"
-        write_rows(out, ["a"], {"a": [1.0]}, fmt)
+        write_rows(out, ["a"], {"a": np.array([1.0])}, fmt)
         before = out.read_bytes()
-        table = {"a": [2.0] * 1001, "b": [1] * 1000 + [Unprintable()]}
+        table = {"a": np.full(1001, 2.0), "b": np.array([1] * 1000 + [Unprintable()], dtype=object)}
         with pytest.raises((RuntimeError, TypeError)):
             write_rows(out, ["a", "b"], table, fmt)
         assert out.read_bytes() == before
@@ -753,7 +784,7 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_failed_rename_keeps_the_previous_file(self, tmp_path, fmt, monkeypatch):
         out = tmp_path / f"rows.{fmt}"
-        write_rows(out, ["a"], {"a": [1.0]}, fmt)
+        write_rows(out, ["a"], {"a": np.array([1.0])}, fmt)
         before = out.read_bytes()
 
         def refuse(source, target):
@@ -762,14 +793,14 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(runner.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            write_rows(out, ["a"], {"a": [2.0] * 1000}, fmt)
+            write_rows(out, ["a"], {"a": np.full(1000, 2.0)}, fmt)
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_failed_single_write_keeps_the_previous_file(self, tmp_path, fmt, monkeypatch):
         out = tmp_path / f"rows.{fmt}"
-        write_rows(out, ["a"], {"a": [1.0]}, fmt)
+        write_rows(out, ["a"], {"a": np.array([1.0])}, fmt)
         before = out.read_bytes()
         writes = []
 
@@ -792,7 +823,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(runner, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
-            write_rows(out, ["a"], {"a": [2.0] * 1000}, fmt)
+            write_rows(out, ["a"], {"a": np.full(1000, 2.0)}, fmt)
         # the whole file went to the one write call
         assert len(writes) == 1 and writes[0].count("\n") == 1000 + (fmt == "csv")
         assert out.read_bytes() == before
@@ -800,20 +831,15 @@ class TestAtomicWrites:
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         out = tmp_path / "rows.csv"
-        with pytest.raises(ValueError, match="one length"):
-            write_rows(out, ["a", "b"], {"a": [1.0, 2.0], "b": [1]}, "csv")
+        with pytest.raises(ValueError, match="broadcast to a grid"):
+            write_rows(out, ["a", "b"], {"a": np.array([1.0, 2.0]), "b": np.arange(3)}, "csv")
         assert list(tmp_path.iterdir()) == []
 
 
 def stdlib_bytes(path, columns, table, fmt):
     """The file the standard library writes for ``table``: ``csv.writer``
     (header, then rows) or ``json.dumps`` of each row, floats at 9 digits."""
-    rows = max(len(v) for v in table.values() if isinstance(v, (list, tuple)))
-    columns_of_rows = [
-        list(v) if isinstance(v, (list, tuple)) else [v] * rows
-        for v in (table[column] for column in columns)
-    ]
-    records = [list(row) for row in zip(*columns_of_rows)]
+    records = [[row[column] for column in columns] for row in table_rows(table)]
     if fmt == "csv":
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -843,22 +869,6 @@ CELL = st.one_of(
 )
 
 
-@st.composite
-def tables(draw):
-    """1 to 5 named columns; the first holds one cell per row, any other
-    may instead hold one value repeated on every row."""
-    columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
-    rows = draw(st.integers(0, 6))
-    table = {}
-    for index, column in enumerate(columns):
-        if index and draw(st.booleans()):
-            table[column] = draw(CELL)
-        else:
-            cells = draw(st.lists(CELL, min_size=rows, max_size=rows))
-            table[column] = draw(st.sampled_from([list, tuple]))(cells)
-    return columns, table
-
-
 # the cells of an ndarray column, by dtype: an object array holds any cell
 ARRAY_CELLS = {
     "object": CELL,
@@ -873,42 +883,40 @@ ARRAY_CELLS = {
 @st.composite
 def broadcast_tables(draw):
     """1 to 5 named columns on a row grid of 1 to 3 axes.  The first is an
-    ndarray with at least one axis; any other is an ndarray, a list with
-    one cell per row, or one value.  Each ndarray keeps a trailing run of
-    the grid's axes, any of them cut to 1, so no column need have the
-    grid's full shape."""
+    ndarray with at least one axis; any other is an ndarray or one value.
+    Each ndarray keeps a trailing run of the grid's axes, any of them cut
+    to 1, so no column need have the grid's full shape."""
     axes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
-    kinds = ["array"] + [draw(st.sampled_from(["array", "list", "value"])) for _ in columns[1:]]
-    shapes = {}
-    for column, kind in zip(columns, kinds):
-        if kind == "array":
-            first = draw(st.integers(0, len(axes) - (column == columns[0])))
-            shapes[column] = tuple(size if draw(st.booleans()) else 1 for size in axes[first:])
-    rows = math.prod(np.broadcast_shapes(*shapes.values()))
     table = {}
-    for column, kind in zip(columns, kinds):
-        if kind == "array":
-            shape = shapes[column]
-            dtype = draw(st.sampled_from(sorted(ARRAY_CELLS)))
-            cells = draw(st.lists(ARRAY_CELLS[dtype], min_size=math.prod(shape), max_size=math.prod(shape)))
-            array = np.empty(len(cells), dtype=dtype)
-            array[:] = cells
-            table[column] = array.reshape(shape)
-        elif kind == "list":
-            table[column] = draw(st.lists(CELL, min_size=rows, max_size=rows))
-        else:
+    for column in columns:
+        if column != columns[0] and draw(st.booleans()):
             table[column] = draw(CELL)
+            continue
+        first = draw(st.integers(0, len(axes) - (column == columns[0])))
+        shape = tuple(size if draw(st.booleans()) else 1 for size in axes[first:])
+        dtype = draw(st.sampled_from(sorted(ARRAY_CELLS)))
+        cells = draw(st.lists(ARRAY_CELLS[dtype], min_size=math.prod(shape), max_size=math.prod(shape)))
+        table[column] = cells_array(cells, dtype).reshape(shape)
     return columns, table
+
+
+def cells_array(cells, dtype=object):
+    """A 1-D array of ``cells``, each kept as it is in an object array."""
+    array = np.empty(len(cells), dtype=dtype)
+    array[:] = cells
+    return array
 
 
 class TestWriterMatchesTheStandardLibrary:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @settings(max_examples=300, deadline=None)
-    @given(table=tables())
-    @example(table=(["a"], {"a": [None, "", 1.0]}))
-    @example(table=([""], {"": [None]}))
-    @example(table=(["a", "b"], {"a": [None, None], "b": None}))
+    @settings(max_examples=400, deadline=None)
+    @given(table=broadcast_tables())
+    @example(table=(["a"], {"a": cells_array([None, "", 1.0])}))
+    @example(table=([""], {"": cells_array([None])}))
+    @example(table=(["a", "b"], {"a": cells_array([None, None]), "b": None}))
+    @example(table=(["a", "b"], {"a": np.arange(3.0).reshape(3, 1), "b": np.array([["x,y", None]])}))
+    @example(table=(["a"], {"a": np.array([[-0.0, 0.0]])}))
     def test_bytes_equal_csv_writer_and_json_dumps(self, fmt, table):
         columns, table = table
         with tempfile.TemporaryDirectory() as directory:
@@ -916,36 +924,18 @@ class TestWriterMatchesTheStandardLibrary:
             write_rows(out, columns, table, fmt)
             assert out.read_bytes() == stdlib_bytes(expected, columns, table, fmt)
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @settings(max_examples=300, deadline=None)
-    @given(table=broadcast_tables())
-    @example(table=(["a", "b"], {"a": np.arange(3.0).reshape(3, 1), "b": np.array([["x,y", None]])}))
-    @example(table=(["a"], {"a": np.array([[-0.0, 0.0]])}))
-    def test_broadcast_columns_equal_their_expanded_lists(self, fmt, table):
-        columns, table = table
-        grid = np.broadcast_shapes(*[v.shape for v in table.values() if isinstance(v, np.ndarray)])
-        expanded = {
-            column: np.broadcast_to(values, grid).ravel().tolist()
-            if isinstance(values, np.ndarray)
-            else values
-            for column, values in table.items()
-        }
-        with tempfile.TemporaryDirectory() as directory:
-            out, expected = Path(directory, "rows"), Path(directory, "expected")
-            write_rows(out, columns, table, fmt)
-            assert out.read_bytes() == stdlib_bytes(expected, columns, expanded, fmt)
-
     @pytest.mark.parametrize(
         "table",
         [
             {"a": np.zeros((2, 3)), "b": np.zeros(2)},
             {"a": np.zeros((2, 1)), "b": np.zeros((1, 3)), "c": np.zeros((3, 1))},
             {"a": np.zeros((1, 0)), "b": np.zeros(2)},
-            {"a": np.zeros((2, 3)), "b": [1.0] * 3},
+            # no array with an axis
+            {"a": np.array(1.0), "b": 2.0},
         ],
     )
     def test_arrays_that_do_not_broadcast_are_refused(self, tmp_path, table):
-        with pytest.raises(ValueError, match="one length"):
+        with pytest.raises(ValueError, match="broadcast to a grid"):
             write_rows(tmp_path / "rows.csv", list(table), table, "csv")
         assert list(tmp_path.iterdir()) == []
 
@@ -953,20 +943,19 @@ class TestWriterMatchesTheStandardLibrary:
     def test_array_columns_equal_their_lists(self, tmp_path, fmt):
         values = {"x": np.array([0.0, -0.0, 5e-324, 1e308, 0.1 + 0.2]), "n": np.arange(5)}
         write_rows(tmp_path / "arrays", ["x", "n"], values, fmt)
-        lists = {name: column.tolist() for name, column in values.items()}
-        expected = stdlib_bytes(tmp_path / "expected", ["x", "n"], lists, fmt)
+        expected = stdlib_bytes(tmp_path / "expected", ["x", "n"], values, fmt)
         assert (tmp_path / "arrays").read_bytes() == expected
 
     @pytest.mark.parametrize(
         "fmt, text", [("csv", "a\r\n1\r\n0.3\r\n"), ("jsonl", '{"a": 1}\n{"a": 0.3}\n')]
     )
     def test_a_float_after_an_integer_keeps_nine_digits(self, tmp_path, fmt, text):
-        write_rows(tmp_path / "rows", ["a"], {"a": [1, 0.1 + 0.2]}, fmt)
+        write_rows(tmp_path / "rows", ["a"], {"a": cells_array([1, 0.1 + 0.2])}, fmt)
         assert (tmp_path / "rows").read_bytes() == text.encode()
 
     def test_bools_are_json_booleans(self, tmp_path):
         out = tmp_path / "rows.jsonl"
-        write_rows(out, ["a"], {"a": [True, 0.5, False]}, "jsonl")
+        write_rows(out, ["a"], {"a": cells_array([True, 0.5, False])}, "jsonl")
         assert out.read_text() == '{"a": true}\n{"a": 0.5}\n{"a": false}\n'
         values = [json.loads(line)["a"] for line in out.read_text().splitlines()]
         assert values == [True, 0.5, False]

@@ -14,8 +14,12 @@ run the base first and odd-numbered ones the head first, so a drift of the
 host's speed falls on both sides alike.
 
 For each workload, end-to-end metric and side the file records the median,
-minimum and quartiles over the seeds, and per pair which side did better;
-with the seeds, the failed-job counts, whether each run's rows passed the
+minimum and quartiles over the seeds, and per pair which side did better.
+Against the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
+base median) it records ``within_bound``, whether the head median is no
+worse than the base median by more than the bound, and ``unresolved``,
+whether the base's quartile spread exceeds the bound while some head run
+does not beat every base run.  The file also holds the seeds, the failed-job counts, whether each run's rows passed the
 benchmark's checker, the Python and numpy versions, the core count, the CPU
 model and both revisions.
 """
@@ -87,15 +91,17 @@ def spread(values: list[float]) -> dict:
     }
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric, each side's spread and the pair wins.
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and metric, each side's spread, the pair wins and the bound.
 
     ``runs`` holds one entry per benchmark run: ``workload``, ``seed``,
     ``side`` ("base" or "head"), ``first`` (the side that ran first in its
     pair) and ``result`` (run.py's JSON result, whose ``correct`` says
-    whether the run's rows passed the checker).  ``better`` maps each
-    end-to-end metric to "lower" or "higher".  A pair is a workload and
-    seed with one run of each side; a tie counts for neither side.
+    whether the run's rows passed the checker).  ``metrics`` maps each
+    end-to-end metric to its ``BENCHMARK.json`` entry: ``better`` ("lower"
+    or "higher") and ``bound``, the largest change for the worse, as a
+    fraction of the base median.  A pair is a workload and seed with one
+    run of each side; a tie counts for neither side.
     """
     by_pair: dict[tuple[str, int], dict[str, dict]] = {}
     firsts: dict[tuple[str, int], str] = {}
@@ -119,13 +125,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry["attempted"][side].append(sides[side]["attempted"])
             entry["failed"][side].append(sides[side]["failed"])
             entry["correct"][side].append(sides[side]["correct"])
-        for name, direction in better.items():
+        for name, declared in metrics.items():
             if not all(name in sides[s]["metrics"] for s in SIDES):
                 continue
+            direction = declared["better"]
             metric = entry["metrics"].setdefault(
                 name,
                 {"unit": sides["base"]["metrics"][name]["unit"], "better": direction,
-                 "values": {s: [] for s in SIDES}, "head_wins": 0, "base_wins": 0, "ties": 0},
+                 "bound": declared["bound"], "values": {s: [] for s in SIDES},
+                 "head_wins": 0, "base_wins": 0, "ties": 0},
             )
             base, head = (sides[s]["metrics"][name]["value"] for s in SIDES)
             for side, value in zip(SIDES, (base, head)):
@@ -140,6 +148,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             base, head = metric["base"], metric["head"]
             metric["median_change"] = head["median"] / base["median"] - 1.0
             metric["base_iqr"] = base["q3"] - base["q1"]
+            # the change for the worse, and whether every head run beat every base run
+            if metric["better"] == "lower":
+                worse, separated = metric["median_change"], max(head["values"]) < base["min"]
+            else:
+                worse, separated = -metric["median_change"], head["min"] > max(base["values"])
+            metric["within_bound"] = worse <= metric["bound"]
+            metric["unresolved"] = (
+                metric["base_iqr"] / base["median"] > metric["bound"] and not separated
+            )
     return workloads
 
 
@@ -177,7 +194,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     revisions = {"base": args.base, "head": args.head}
     runs = []
@@ -202,7 +219,7 @@ def main(argv=None) -> int:
         "revisions": {side: {"rev": rev, "resolved": resolve(rev)}
                       for side, rev in revisions.items()},
         "environment": environment(),
-        "workloads": summarize(runs, better),
+        "workloads": summarize(runs, metrics),
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
