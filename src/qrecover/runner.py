@@ -303,16 +303,14 @@ def _row_grid(table: dict) -> tuple[int, ...]:
     """The shape of the table's row grid, whose cells in C order are the rows:
     the broadcast shape of its ndarray columns, which must have an axis."""
     arrays = [values for values in table.values() if isinstance(values, np.ndarray)]
-    shapes = {array.shape for array in arrays}
     try:
-        # a table with one shape or none needs no numpy call
-        grid = next(iter(shapes), ()) if len(shapes) < 2 else np.broadcast(*arrays).shape
+        grid = np.broadcast(*arrays).shape
     except ValueError:
         grid = ()
     if not grid:
         raise ValueError(
             f"a table needs array columns that broadcast to a grid with an axis, "
-            f"got shapes {sorted(shapes)}"
+            f"got shapes {sorted(array.shape for array in arrays)}"
         )
     return grid
 
