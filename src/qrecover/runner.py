@@ -259,10 +259,10 @@ def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
     Each cell is written by its own type: a float with 9 significant digits
     (a JSON line holds the float they spell), anything else as ``_label``
     writes it.  The field is ``%s`` and the arguments are the texts: the
-    floats take one ``%`` call, and each distinct other value is encoded
-    once.  With ``inline``, a column of ints is instead the field ``%d``,
-    and a CSV column of floats the field ``%.9g``; the arguments are then
-    the values themselves.
+    floats take one ``%`` call, an int is its ``str`` in both formats, and
+    each distinct other value is encoded once.  With ``inline``, a column
+    of ints is instead the field ``%d``, and a CSV column of floats the
+    field ``%.9g``; the arguments are then the values themselves.
     """
     kinds = set(map(type, values))
     if len(kinds) > 1:
@@ -273,8 +273,8 @@ def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
         }
         return "%s", [next(text[type(v)]) for v in values]
     kind = kinds.pop() if kinds else None
-    if kind is int and inline:
-        return "%d", values
+    if kind is int:
+        return ("%d", values) if inline else ("%s", list(map(str, values)))
     if kind and issubclass(kind, float):
         if inline and fmt == "csv":
             return "%.9g", values

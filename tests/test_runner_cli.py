@@ -348,8 +348,8 @@ class TestMeanPhaseBound:
     @pytest.mark.parametrize("method", ["analytic", "monte_carlo"])
     @pytest.mark.parametrize("mean_phase", ["1e308", "-1e308", "1e16", "1000000001"])
     def test_beyond_the_bound_exits_2_naming_mean_phase(self, tmp_path, capsys, method, mean_phase):
-        # a bare math domain error (analytic) and rows of concurrence 1 with
-        # stat_error 0 (monte_carlo) before the bound, at 1e308
+        # 1e308 overflows mean_phase * sum(signs); near 1e16 the phase draws
+        # lie 2 rad apart, and Monte Carlo rows would read far from analytic
         argv = ["open-loop", "--mu", "0.5", f"--mean-phase={mean_phase}", "--method", method]
         assert main(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
         assert f"mean_phase {float(mean_phase)!r} outside [-1e9, 1e9]" in capsys.readouterr().err
@@ -357,7 +357,6 @@ class TestMeanPhaseBound:
 
     @pytest.mark.parametrize("mean_phase", ["1e9", "-1e9"])
     def test_at_the_bound_monte_carlo_matches_the_closed_form(self, tmp_path, mean_phase):
-        # at 1e16 the uncontrolled step-3 row read about 100 stat errors off
         out = tmp_path / "x.csv"
         argv = ["open-loop", "--mu", "0.5", f"--mean-phase={mean_phase}", "--method", "both"]
         assert main(argv + ["--seed", "1", "--n-samples", "20000", "--out", str(out)]) == 0
