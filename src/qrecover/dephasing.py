@@ -20,14 +20,14 @@ per-trajectory states and their average are the test suite's oracle
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
-(seed, j).  One draw per block serves every sign vector a job asks for, so
-all arms, steps and fidelities of a job share the same samples and extra
-vectors cost no extra draws.  With w workers, each of w pool threads runs
-one strided loop over the blocks (blocks i, i + w, i + 2w, ...) and writes
-each block's sums into that block's row of a table; the caller only waits
-for the w loops, then adds the rows up in block order.  Results for a
-given (seed, n_samples) are therefore bit-identical no matter how many
-workers participate.  One worker runs the same loop without a pool.
+(seed, j).  One draw per block serves every prefix of every sign vector a
+job asks for, so all arms, steps and fidelities of a job share the same
+samples.  With w workers, each of w pool threads runs one strided loop
+over the blocks (blocks i, i + w, i + 2w, ...) and writes each block's
+sums into that block's row of a table; the caller adds the rows up in
+block order.  Results for a given (seed, n_samples) are therefore
+bit-identical no matter how many workers participate.  One worker runs
+the same loop without a pool.
 
 Sampling is keep-first: a block first draws the keep decisions of every
 trajectory and step, then one normal per fresh phase only, about
@@ -36,22 +36,14 @@ value they repeat.  The index is built step-major, one integer add per
 step, so every later gather reads it contiguously.  A draw beyond the
 float range is rejected there, before any trigonometry.
 
-The per-block kernel evaluates e^{i chi} once per fresh phase (a cosine
-and a sine), gathers those into one factor per step and trajectory, and
-forms each vector's e^{i sum_j s_j chi_j} as the running product of the
-factors, conjugated where s_j = -1.  A block returns the raw sums of that
-product and of its square; their conjugates, scaled by -1/2 and 1/4, are
-the sums of z and z^2, and the caller scales the block-ordered totals
-once, which gives the same bits because conjugating and scaling by a
-power of two are exact.  A vector extends the product of the longest
-prefix it shares with an earlier vector of the same pass, always
-multiplying left to right, so its value does not depend on the other
-vectors.  Exactness rule: where a mixed-sign vector's +1 phases and its
--1 phases, each side added up in step order, have equal sums, its factor
-is exactly 1, as e^{-i 0} is; so at mu = 1 a balanced vector gives the
-coherence -1/2 with zero error, in any summation order of the BLAS
-library.  The two side sums are carried along the prefix walk next to
-the product, so a vector adds only the phases of the steps it walks.
+The per-block kernel (``_block_moments``) walks each sign vector once and
+records the sums of every prefix.  A vector continues the walk of the
+vector before it from the last step they share, always multiplying left
+to right, so no prefix's value depends on the other vectors.  Exactness
+rule: where a mixed-sign prefix's +1 phases and its -1 phases, each side
+added up in step order, have equal sums, its factor is exactly 1, as
+e^{-i 0} is; so at mu = 1 a balanced vector gives the coherence -1/2 with
+zero error, in any summation order of the BLAS library.
 """
 
 from __future__ import annotations
@@ -63,6 +55,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,6 +65,17 @@ CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
 # floats within 1e9 of 0 lie at most 1.2e-7 apart, so a phase drawn there
 # resolves any sigma; near 1e16 they lie 2 apart
 MAX_MEAN_PHASE = 1e9
+
+
+def check_noise(mu: float, sigma: float, mean_phase: float) -> None:
+    """Raise ValueError, naming the field, for noise that the process does not define."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu {mu!r} outside [0, 1]")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma {sigma!r} must be positive and finite")
+    if not abs(mean_phase) <= MAX_MEAN_PHASE:
+        # for every method, though only the draws would go wrong beyond it
+        raise ValueError(f"mean_phase {mean_phase!r} outside [-1e9, 1e9]")
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,7 @@ class NoiseParams:
     clip_to_hardware: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu {self.mu!r} outside [0, 1]")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma {self.sigma!r} must be positive and finite")
-        if not abs(self.mean_phase) <= MAX_MEAN_PHASE:
-            # for every method, though only the draws would go wrong beyond it
-            raise ValueError(f"mean_phase {self.mean_phase!r} outside [-1e9, 1e9]")
+        check_noise(self.mu, self.sigma, self.mean_phase)
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps {self.steps!r} must be a positive integer")
         object.__setattr__(self, "steps", int(self.steps))
@@ -190,43 +188,22 @@ class MonteCarloMoments:
         return float(math.sqrt(variance / self.n_samples))
 
 
-def _reuse_plan(sign_vectors):
-    """How the block reductions share prefix products between sign vectors.
-
-    For each vector: how many leading signs it shares with an earlier vector
-    (its product starts from that prefix's), and the prefixes it is the last
-    to start from.  A block keeps a prefix's product only while a later
-    vector still starts from it: for an open-loop job, three at most.
-    """
-    seen = set()
-    starts = []
-    last_start = {}
-    for j, signs in enumerate(sign_vectors):
-        known = len(signs)
-        while known and signs[:known] not in seen:
-            known -= 1
-        if known:
-            last_start[signs[:known]] = j
-        seen.update(signs[:k] for k in range(known + 1, len(signs) + 1))
-        starts.append(known)
-    drops = [[] for _ in sign_vectors]
-    for prefix, j in last_start.items():
-        drops[j].append(prefix)
-    return tuple(zip(sign_vectors, starts, drops)), frozenset(last_start)
-
-
 def _block_moments(args):
-    """Sums of w and w^2 over one block, for each sign vector of the plan.
+    """Sums of w and w^2 over one block, after every prefix of each walk.
 
-    w = prod_j e^{i s_j chi_j}, so the coherence is z = -conj(w)/2:
-    ``monte_carlo_moments`` conjugates and scales the block-ordered totals
-    once.  The block's e^{i chi} are evaluated once per fresh phase, as a
-    cosine and a sine, and gathered into one kick per step and trajectory;
-    a vector extends the product of the longest prefix it shares with an
-    earlier one.  Each side's phase sum is carried along the walk next to
-    the product, so the exactness rule costs one add per step walked.
+    w = prod_j e^{i s_j chi_j} over the prefix, so the coherence is
+    z = -conj(w)/2: ``monte_carlo_moments`` conjugates and scales the
+    block-ordered totals once, which gives the bits of scaling each block's
+    sums, as conjugating and scaling by a power of two are exact.  The
+    block's e^{i chi} are evaluated once per fresh phase, as a cosine and a
+    sine, and gathered into one kick per step and trajectory.  A walk
+    (signs, start, branch) takes the sums of the walk before it for its
+    first ``start`` steps and continues that walk's product from there; it
+    keeps its own at step ``branch``, where the next walk starts.  Each
+    side's phase sum is carried along next to the product, so the
+    exactness rule costs one add per step walked.
     """
-    params, (plan, kept), seed, block_index, count = args
+    params, walks, seed, block_index, count = args
     values, index = _block_draws(params, seed, block_index, count)
     index = index.T
     rotations = np.empty(values.size, dtype=complex)
@@ -235,14 +212,14 @@ def _block_moments(args):
     kicks = rotations.take(index)
     del rotations
     phases = values.take(index)
-    products = {}
-    sums = []
-    for signs, known, drops in plan:
-        if not signs:
-            sums.append((complex(count), complex(count)))
-            continue
-        w, plus, minus = products[signs[:known]] if known else (None, None, None)
-        for k in range(known, len(signs)):
+    sums = [[(complex(count), complex(count))]]
+    branched = None, None, None
+    for signs, start, branch in walks:
+        walk = sums[-1][: start + 1]
+        w, plus, minus = branched if start else (None, None, None)
+        for k in range(start, len(signs)):
+            if k == branch:
+                branched = w, plus, minus
             if signs[k] > 0:
                 kick = kicks[k]
                 plus = phases[k] if plus is None else plus + phases[k]
@@ -250,22 +227,20 @@ def _block_moments(args):
                 kick = kicks[k].conj()
                 minus = phases[k] if minus is None else minus + phases[k]
             w = kick if w is None else w * kick
-            if signs[: k + 1] in kept:
-                products[signs[: k + 1]] = w, plus, minus
-        for prefix in drops:
-            del products[prefix]
-        if plus is not None and minus is not None:
             # e^{-i 0} is exactly 1, but a kick times its conjugate may miss
             # 1 by an ulp; at mu = 1 that would leave a residue of ~1e-19.
             # Each side's phases are added in step order, so equal counts of
             # one value tie bit for bit (a signed sum in one gemv need not
             # reach 0: its order is the BLAS library's)
-            w = np.where(plus == minus, 1.0, w)
-        sums.append((w.sum(), np.dot(w, w)))
-    return sums
+            exact = w if plus is None or minus is None else np.where(plus == minus, 1.0, w)
+            walk.append((exact.sum(), np.dot(exact, exact)))
+        if branch == len(signs):
+            branched = w, plus, minus
+        sums.append(walk)
+    return sums[1:]
 
 
-def _share(params, plan, seed, n_samples, first, stride, table, stop) -> None:
+def _share(params, walks, seed, n_samples, first, stride, table, stop) -> None:
     """Write the sums of blocks first, first + stride, ... into their rows of ``table``.
 
     Stops before its next block once ``stop`` is set, and sets it when a
@@ -276,7 +251,7 @@ def _share(params, plan, seed, n_samples, first, stride, table, stop) -> None:
             if stop.is_set():
                 return
             count = min(BLOCK_SIZE, n_samples - block_index * BLOCK_SIZE)
-            table[block_index] = _block_moments((params, plan, seed, block_index, count))
+            table[block_index] = _block_moments((params, walks, seed, block_index, count))
     except BaseException:
         stop.set()
         raise
@@ -288,16 +263,15 @@ def monte_carlo_moments(
     n_samples: int,
     seed: int,
     workers: int = 1,
-) -> tuple[MonteCarloMoments, ...]:
-    """Average the live coherence of each sign vector over n_samples noise realizations.
+) -> tuple[tuple[MonteCarloMoments, ...], ...]:
+    """Average the live coherence after every prefix of each sign vector over n_samples samples.
 
-    Every block of phases is drawn once and reduced for all the vectors;
-    the moments come back in the order of ``sign_vectors``.  The blocks
+    Returns one tuple per vector, in the order of ``sign_vectors``, with
+    the moments of its prefixes of length 0..len(signs).  Every block of
+    phases is drawn once and walked along each vector once.  The blocks
     fall into min(workers, blocks, cpu count) strided shares, each reduced
     into a per-block table: the caller reduces the first share while pool
     threads reduce the others, then it adds the table up in block order.
-    The table holds the sums of w = e^{i s.chi} and w^2; the totals are
-    conjugated and scaled to those of z = -conj(w)/2 and z^2 once per call.
     ``n_samples`` and ``workers`` must be integers >= 1 (a bool is not a
     count).
     """
@@ -310,13 +284,18 @@ def monte_carlo_moments(
             raise ValueError(f"sign vector {signs!r} longer than {params.steps} steps")
         if not all(s in (1, -1) for s in signs):
             raise ValueError(f"sign vector {signs!r} must hold only +1 and -1")
-    plan = _reuse_plan(sign_vectors)
+    # a walk starts where it leaves the one before (commonprefix compares
+    # sequences item by item); lowering each start to the next one's keeps
+    # them non-decreasing, so a walk passes the step where the next branches
+    starts = [len(os.path.commonprefix(pair)) for pair in zip(sign_vectors, sign_vectors[1:])]
+    starts = list(accumulate(reversed([0, *starts]), min))[::-1]
+    walks = tuple(zip(sign_vectors, starts, starts[1:] + [None]))
     blocks = -(-n_samples // BLOCK_SIZE)
     table = [None] * blocks
     workers = min(workers, blocks, os.cpu_count() or 1)
     stop = threading.Event()
     shares = [
-        (params, plan, seed, n_samples, first, workers, table, stop) for first in range(workers)
+        (params, walks, seed, n_samples, first, workers, table, stop) for first in range(workers)
     ]
     # with one share the pool is never given a task, so it starts no thread
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
@@ -324,21 +303,25 @@ def monte_carlo_moments(
         _share(*shares[0])
         for future in futures:
             future.result()
-    totals = [[0.0 + 0.0j, 0.0 + 0.0j] for _ in sign_vectors]
+    totals = [[[0.0 + 0.0j, 0.0 + 0.0j] for _ in range(len(s) + 1)] for s in sign_vectors]
     # rows in block order, so the sums do not depend on the worker count
     for sums in table:
-        for total, (w_sum, w2_sum) in zip(totals, sums):
-            total[0] += w_sum
-            total[1] += w2_sum
+        for walk_totals, walk in zip(totals, sums):
+            for total, (w_sum, w2_sum) in zip(walk_totals, walk):
+                total[0] += w_sum
+                total[1] += w2_sum
     # conjugating and scaling by a power of two are exact, so scaling the
     # totals once gives the bits of scaling every block's sums
     return tuple(
-        MonteCarloMoments(
-            coherence_mean=-0.5 * w_total.conjugate() / n_samples,
-            coherence_square_mean=0.25 * w2_total.conjugate() / n_samples,
-            n_samples=n_samples,
+        tuple(
+            MonteCarloMoments(
+                coherence_mean=-0.5 * w_total.conjugate() / n_samples,
+                coherence_square_mean=0.25 * w2_total.conjugate() / n_samples,
+                n_samples=n_samples,
+            )
+            for w_total, w2_total in walk_totals
         )
-        for w_total, w2_total in totals
+        for walk_totals in totals
     )
 
 
@@ -353,25 +336,32 @@ def _gaussian(x: float) -> float:
 
 def analytic_coherence(
     signs, mu: float, sigma: float, mean_phase: float = math.pi / 2
-) -> complex:
-    """Closed-form -<e^{-i sum_j s_j chi_j}>/2 over the correlated phase process.
+) -> np.ndarray:
+    """Closed-form -<e^{-i sum_j s_j chi_j}>/2 after every prefix of ``signs``.
 
-    Exact for any sign vector, in O(k^2).  Equal phases form blocks: each
+    Returns a complex array of length len(signs) + 1 whose entry k is the
+    coherence after k steps; entry 0 is the singlet's -1/2.  Exact for any
+    sign vector, in O(k^2) for all k prefixes: one recursion over the
+    steps writes an entry after each.  Equal phases form blocks: each
     junction keeps the block with probability mu and starts a fresh one
     otherwise, and a block of signed weight w contributes
     e^{-i w mean_phase - w^2 sigma^2 / 2}.  The block weights always sum to
     sum(signs), so the mean phase factors out.  The magnitude never exceeds
-    1/2.
+    1/2.  Noise that ``NoiseParams`` refuses is refused here too.
     """
-    if not signs:
-        return complex(-0.5)
+    check_noise(mu, sigma, mean_phase)
+    values = np.full(len(signs) + 1, -0.5 + 0j)
     # signed weight of the open block -> probability-weighted product of
     # the closed blocks' Gaussian factors
-    weights = {signs[0]: 1.0}
-    for s in signs[1:]:
-        renewed = (1.0 - mu) * _closed_blocks(weights, sigma)
-        weights = {w + s: mu * v for w, v in weights.items()}
-        weights[s] = weights.get(s, 0.0) + renewed
-    return complex(
-        -0.5 * _closed_blocks(weights, sigma) * cmath.exp(-1j * mean_phase * sum(signs))
-    )
+    weights, total = {}, 0
+    for k, s in enumerate(signs, 1):
+        if weights:
+            renewed = (1.0 - mu) * closed
+            weights = {w + s: mu * v for w, v in weights.items()}
+            weights[s] = weights.get(s, 0.0) + renewed
+        else:
+            weights = {s: 1.0}
+        closed = _closed_blocks(weights, sigma)
+        total += s
+        values[k] = -0.5 * closed * cmath.exp(-1j * mean_phase * total)
+    return values

@@ -1,8 +1,8 @@
 """Step-resolved entanglement of the dephased pair under the three controls.
 
-Each control arm at step k is a sign vector (``TrajectoryControl.signs``)
-whose live coherence comes from the closed form in :mod:`qrecover.dephasing`
-or from Monte Carlo averaging.  For an imperfectly prepared input (mixing
+Each control arm at step k is a prefix of the uncontrolled or the echoed
+sign vector (``TrajectoryControl.signs``), whose live coherence comes from
+the closed form in :mod:`qrecover.dephasing` or from Monte Carlo averaging.  For an imperfectly prepared input (mixing
 weight eta) the channel is unital, so the output is eta times the
 ideal-input output plus (1 - eta)/4 times the identity; the concurrence then
 reduces to 2 max{0, eta |coherence| - (1 - eta)/4}
@@ -20,13 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .dephasing import (
-    CONTROL_KINDS,
-    NoiseParams,
-    TrajectoryControl,
-    analytic_coherence,
-    monte_carlo_moments,
-)
+from .dephasing import CONTROL_KINDS, ECHOED, NoiseParams, analytic_coherence, monte_carlo_moments
 from .entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
@@ -34,29 +28,34 @@ METHODS = ("analytic", "monte_carlo")
 # the arm axis of an open-loop table; read-only, since every table shares it
 CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
 CONTROLS.flags.writeable = False
+# the walk (uncontrolled 0, echoed 1) that gives each arm's values, and the
+# corrected arm's row, whose last step is then the singlet of step 0
+ARM_WALKS = [0, 0, 1]
+CORRECTED_ROW = CONTROL_KINDS.index("corrected")
 
 
-def _coherences(params, sign_vectors, method, n_samples, seed, workers) -> dict:
-    """Each sign vector's coherence and one-sigma error (None for the closed form)."""
+def _coherences(params, method, n_samples, seed, workers):
+    """The uncontrolled and the echoed arm's coherences after steps
+    0..steps, one walk each, as a (2, steps + 1) array, and their one-sigma
+    errors on the same grid (None for the closed form)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    walks = ((1,) * params.steps, ECHOED.signs(params.steps, params.steps))
     if method == "analytic":
         if params.clip_to_hardware:
             raise ValueError(
                 "clip_to_hardware is not modelled by the analytic method; "
                 "use method monte_carlo"
             )
-        return {
-            signs: (analytic_coherence(signs, params.mu, params.sigma, params.mean_phase), None)
-            for signs in sign_vectors
-        }
+        noise = params.mu, params.sigma, params.mean_phase
+        return np.array([analytic_coherence(signs, *noise) for signs in walks]), None
     if seed is None:
         raise ValueError("monte_carlo method requires a seed")
-    moments = monte_carlo_moments(params, sign_vectors, n_samples, seed, workers)
-    return {
-        signs: (m.coherence_mean, m.coherence_std_error())
-        for signs, m in zip(sign_vectors, moments)
-    }
+    moments = monte_carlo_moments(params, walks, n_samples, seed, workers)
+    return (
+        np.array([[m.coherence_mean for m in walk] for walk in moments]),
+        np.array([[m.coherence_std_error() for m in walk] for walk in moments]),
+    )
 
 
 def open_loop_series(
@@ -81,33 +80,33 @@ def open_loop_series(
     propagated one-sigma error of a Monte Carlo row and None on an analytic
     row.
 
-    Each distinct sign vector's coherence is computed once per method, and
-    Monte Carlo draws its samples once for all of them, so extra
-    preparations cost no extra samples.
+    Each method walks two sign vectors, the uncontrolled (1,) * steps and
+    the echoed arm's, and takes every arm's values from their prefixes;
+    the corrected arm is the uncontrolled one but at its last step, where
+    the correction returns the singlet of step 0.  Monte Carlo draws its
+    samples once for both walks, so extra preparations cost no extra
+    samples.
     """
-    steps = params.steps + 1
-    signs = [
-        TrajectoryControl(kind=kind).signs(k, params.steps)
-        for kind in CONTROL_KINDS
-        for k in range(steps)
-    ]
-    distinct = tuple(dict.fromkeys(signs))
-    eta = np.array([prep.eta for prep in preps]).reshape(-1, 1)
-    magnitudes = np.empty((len(methods), len(signs)))
-    stat_error = np.empty((len(preps), len(methods), len(signs)), dtype=object)
+    eta = np.array([prep.eta for prep in preps]).reshape(-1, 1, 1)
+    grid = (len(preps), len(methods), len(CONTROL_KINDS), params.steps + 1)
+    magnitudes = np.empty(grid[1:])
+    stat_error = np.empty(grid, dtype=object)
     for index, method in enumerate(methods):
-        coherences = _coherences(params, distinct, method, n_samples, seed, workers)
-        magnitudes[index] = [abs(coherences[s][0]) for s in signs]
-        if method == "monte_carlo":
-            stat_error[:, index] = 2.0 * eta * np.array([coherences[s][1] for s in signs])
-    grid = (len(preps), len(methods), len(CONTROL_KINDS), steps)
-    concurrence = mixed_concurrence(magnitudes, eta[:, None]).reshape(grid)
+        coherence, error = _coherences(params, method, n_samples, seed, workers)
+        # abs of each value, as hypot gives it: np.abs's vector loop may
+        # round the last bit differently
+        magnitudes[index] = [list(map(abs, walk)) for walk in coherence[ARM_WALKS]]
+        if error is not None:
+            stat_error[:, index] = 2.0 * eta * error[ARM_WALKS]
+    magnitudes[:, CORRECTED_ROW, -1] = magnitudes[:, CORRECTED_ROW, 0]
+    stat_error[..., CORRECTED_ROW, -1] = stat_error[..., CORRECTED_ROW, 0]
+    concurrence = mixed_concurrence(magnitudes, eta[:, None])
     return {
         "fidelity": np.array([prep.fidelity for prep in preps]).reshape(-1, 1, 1, 1),
         "control": CONTROLS,
         "method": np.array(methods).reshape(-1, 1, 1),
-        "step": np.arange(steps),
+        "step": np.arange(params.steps + 1),
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
-        "stat_error": stat_error.reshape(grid),
+        "stat_error": stat_error,
     }

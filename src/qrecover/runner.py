@@ -253,8 +253,8 @@ def _is_a(value, kind: type) -> bool:
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
-    """The template field of a column's values, and its %-arguments, one per value.
+def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]:
+    """The template field of column ``name``'s values, and its %-arguments, one per value.
 
     Each cell is written by its own type: a float with 9 significant digits
     (a JSON line holds the float they spell), anything else as ``_label``
@@ -262,13 +262,21 @@ def _column(values: list, fmt: str, inline: bool) -> tuple[str, list]:
     floats take one ``%`` call, an int is its ``str`` in both formats, and
     each distinct other value is encoded once.  With ``inline``, a column
     of ints is instead the field ``%d``, and a CSV column of floats the
-    field ``%.9g``; the arguments are then the values themselves.
+    field ``%.9g``; the arguments are then the values themselves.  A cell
+    that is not None, a bool, a str or a real number (a numbers.Integral
+    is one) is a ValueError naming the column.
     """
     kinds = set(map(type, values))
+    for kind in kinds:
+        # numpy numbers (an np.int64 seed from a config file) are cells too
+        if not issubclass(kind, (type(None), bool, str, numbers.Real)):
+            raise ValueError(
+                f"column {name!r} holds a {kind.__name__}; a cell is None, a bool, a str or a real"
+            )
     if len(kinds) > 1:
         # each type's cells are formatted together, then put back in order
         text = {
-            kind: iter(_column([v for v in values if type(v) is kind], fmt, False)[1])
+            kind: iter(_column(name, [v for v in values if type(v) is kind], fmt, False)[1])
             for kind in kinds
         }
         return "%s", [next(text[type(v)]) for v in values]
@@ -354,7 +362,7 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     for column in columns:
         values = table[column]
         values = values.ravel().tolist() if isinstance(values, np.ndarray) else [values]
-        field, values = _column(values, fmt, len(values) == rows > 1)
+        field, values = _column(column, values, fmt, len(values) == rows > 1)
         if quote_empty and field == "%s":
             values = [text or '""' for text in values]
         if len(values) == 1:
@@ -392,11 +400,13 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     ``table`` maps each column to its values on a row grid (``_row_grid``):
     an ndarray broadcasts against the grid, and any other value is one
     value on every row.  The rows are the grid's cells in C order, and a
-    cell is None, a bool, an int, a float or a str.  The file, the bytes
-    ``csv.writer`` writes (header, then rows) or those of
-    ``json.dumps({column: value, ...})`` and a newline per row, is formatted
-    in full (``_file_text``) and then written with one write.  A failure part way leaves any previous file at ``path``
-    untouched.
+    cell is None, a bool, a str, a ``numbers.Integral`` or a
+    ``numbers.Real``; any other cell is a ValueError naming its column,
+    raised before a file is opened.  The file, the bytes ``csv.writer``
+    writes (header, then rows) or those of ``json.dumps({column: value,
+    ...})`` and a newline per row, is formatted in full (``_file_text``) and
+    then written with one write.  A failure part way leaves any previous
+    file at ``path`` untouched.
     """
     text = _file_text(columns, table, fmt)
     directory, name = os.path.split(path)

@@ -2,8 +2,9 @@
 
 ``tests/data/coherence_prefixes.json`` holds, for each case, the
 ``float.hex`` of every prefix's Monte Carlo mean and square mean (real,
-imaginary) and of its closed-form coherence, each prefix reduced as a
-sign vector of its own.  The grid takes in clipped and unclipped draws, a
+imaginary) and of its closed-form coherence.  The file was written when
+each prefix was reduced as a sign vector of its own; one walk per vector
+must give the same bits.  The grid takes in clipped and unclipped draws, a
 partial last block, one and two workers, vectors that share prefixes in
 either order, and steps 1 and 2, where the echo never acts.  Rewrite the
 file with ``python tests/test_coherence_prefixes.py`` (run with the package
@@ -59,13 +60,7 @@ def prefix_values(steps, vectors, mu, sigma, clip, workers=1) -> dict:
     """Every prefix's Monte Carlo moments and (unclipped only) closed form, as hex."""
     params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
     with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
-        walks = [
-            [
-                monte_carlo_moments(params, [signs[:k]], N_SAMPLES, SEED, workers)[0]
-                for k in range(len(signs) + 1)
-            ]
-            for signs in vectors
-        ]
+        walks = monte_carlo_moments(params, vectors, N_SAMPLES, SEED, workers)
     values = {
         "monte_carlo": [
             [_hex(m.coherence_mean) + _hex(m.coherence_square_mean) for m in walk]
@@ -74,8 +69,7 @@ def prefix_values(steps, vectors, mu, sigma, clip, workers=1) -> dict:
     }
     if not clip:
         values["analytic"] = [
-            [_hex(analytic_coherence(signs[:k], mu, sigma)) for k in range(len(signs) + 1)]
-            for signs in vectors
+            [_hex(z) for z in analytic_coherence(signs, mu, sigma)] for signs in vectors
         ]
     return values
 

@@ -46,11 +46,17 @@ def default_params(mu, **kwargs):
 
 
 def uncontrolled_coherence(k, mu, sigma, mean_phase=CHIBAR):
-    return analytic_coherence(UNCONTROLLED.signs(k, 4), mu, sigma, mean_phase)
+    return analytic_coherence(UNCONTROLLED.signs(k, 4), mu, sigma, mean_phase)[-1]
 
 
 def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
-    return analytic_coherence(ECHOED.signs(k, 4), mu, sigma, mean_phase)
+    return analytic_coherence(ECHOED.signs(k, 4), mu, sigma, mean_phase)[-1]
+
+
+def final_moments(params, signs, n_samples, seed, workers=1):
+    """The moments after the last step of ``signs``, walked alone."""
+    (walk,) = monte_carlo_moments(params, [signs], n_samples, seed, workers)
+    return walk[-1]
 
 
 class TestSampling:
@@ -286,18 +292,33 @@ class TestAnalyticCoherences:
         mean_phase=st.floats(-math.pi, math.pi),
     )
     def test_any_sign_vector_matches_the_oracle(self, signs, mu, sigma, mean_phase):
-        oracle = coherence_oracle(len(signs), mu, sigma, mean_phase, signs)
-        assert abs(analytic_coherence(tuple(signs), mu, sigma, mean_phase) - oracle) < 1e-12
+        values = analytic_coherence(tuple(signs), mu, sigma, mean_phase)
+        assert len(values) == len(signs) + 1 and values[0] == -0.5
+        for k in range(1, len(signs) + 1):
+            oracle = coherence_oracle(k, mu, sigma, mean_phase, signs[:k])
+            assert abs(values[k] - oracle) < 1e-12, k
 
     def test_empty_vector_is_the_singlet(self):
-        assert analytic_coherence((), 0.4, SIGMA) == -0.5
+        assert analytic_coherence((), 0.4, SIGMA).tolist() == [-0.5]
+
+    @pytest.mark.parametrize(
+        "field, value", [("mu", 2.0), ("mu", math.nan), ("sigma", math.nan), ("mean_phase", 1e308)]
+    )
+    def test_noise_that_noise_params_refuses_is_refused(self, field, value):
+        # (1, 1, -1) at mu 2 gave |z| = 0.72, and mean_phase 1e308 a bare
+        # "math domain error"
+        noise = {"mu": 0.5, "sigma": SIGMA, "mean_phase": CHIBAR, field: value}
+        with pytest.raises(ValueError, match=field) as refused:
+            NoiseParams(**noise)
+        with pytest.raises(ValueError, match=field) as same:
+            analytic_coherence((1, 1, -1), **noise)
+        assert str(same.value) == str(refused.value)
 
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_huge_sigma_dephases_without_overflow(self, sigma):
-        for k in range(1, 5):
-            assert analytic_coherence(UNCONTROLLED.signs(k, 4), 0.5, sigma) == 0.0
+        assert analytic_coherence(UNCONTROLLED.signs(4, 4), 0.5, sigma).tolist()[1:] == [0.0] * 4
         # only the trajectories whose four phases are all equal keep the echo
-        assert analytic_coherence(ECHOED.signs(4, 4), 0.5, sigma) == -0.5 * 0.5**3
+        assert analytic_coherence(ECHOED.signs(4, 4), 0.5, sigma)[-1] == -0.5 * 0.5**3
 
 
 class TestMonteCarlo:
@@ -307,19 +328,17 @@ class TestMonteCarlo:
         params = NoiseParams(mu=0.5, sigma=1e-9)
         rho = averaged_projector_oracle(params, UNCONTROLLED, 4, 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
-        (moments,) = monte_carlo_moments(params, [UNCONTROLLED.signs(4, 4)], 10_000, seed=2)
+        moments = final_moments(params, UNCONTROLLED.signs(4, 4), 10_000, seed=2)
         assert 2 * abs(moments.coherence_mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        (moments,) = monte_carlo_moments(
-            default_params(1.0), [UNCONTROLLED.signs(2, 4)], self.N, seed=21
-        )
+        moments = final_moments(default_params(1.0), UNCONTROLLED.signs(2, 4), self.N, seed=21)
         assert abs(moments.coherence_mean) == pytest.approx(
             0.5 * math.exp(-2 * SIGMA**2), abs=0.01
         )
 
     def test_echoed_matches_closed_form(self):
-        (moments,) = monte_carlo_moments(default_params(0.7), [ECHOED.signs(4, 4)], self.N, seed=22)
+        moments = final_moments(default_params(0.7), ECHOED.signs(4, 4), self.N, seed=22)
         assert abs(moments.coherence_mean) == pytest.approx(
             abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
         )
@@ -328,14 +347,14 @@ class TestMonteCarlo:
         tol = 5 / math.sqrt(self.N)
         for mu in (0.0, 0.2, 0.7, 1.0):
             for k in (1, 2, 3, 4):
-                (moments,) = monte_carlo_moments(
-                    default_params(mu), [UNCONTROLLED.signs(k, 4)], self.N, seed=100 + k
+                moments = final_moments(
+                    default_params(mu), UNCONTROLLED.signs(k, 4), self.N, seed=100 + k
                 )
                 target = uncontrolled_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
             for k in (3, 4):
-                (moments,) = monte_carlo_moments(
-                    default_params(mu), [ECHOED.signs(k, 4)], self.N, seed=200 + k
+                moments = final_moments(
+                    default_params(mu), ECHOED.signs(k, 4), self.N, seed=200 + k
                 )
                 target = echoed_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
@@ -350,7 +369,7 @@ class TestMonteCarlo:
             (CORRECTED, 4, (1, 2)),
         ):
             rho = averaged_projector_oracle(params, control, k, n, seed=5)
-            (moments,) = monte_carlo_moments(params, [control.signs(k, 4)], n, seed=5)
+            moments = final_moments(params, control.signs(k, 4), n, seed=5)
             assert abs(rho.matrix[element] - moments.coherence_mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
@@ -428,27 +447,24 @@ class TestMonteCarlo:
     def test_one_pass_matches_per_vector_reduction(self, steps, clip):
         params = default_params(0.6, steps=steps, clip_to_hardware=clip)
         n, seed = 2 * BLOCK_SIZE + 300, 17
-        vectors = tuple(
-            dict.fromkeys(
-                TrajectoryControl(kind).signs(k, steps)
-                for kind in ("uncontrolled", "corrected", "echoed")
-                for k in range(steps + 1)
-            )
-        )
-        moments = monte_carlo_moments(params, vectors, n, seed)
+        vectors = ((1,) * steps, ECHOED.signs(steps, steps))
+        walks = monte_carlo_moments(params, vectors, n, seed)
         phases = sample_phase_matrix(params, n, seed)
-        for signs, got in zip(vectors, moments):
-            # one arm's reduction: block sums of z and z^2, added in block order
-            z_total = z2_total = 0.0 + 0.0j
-            for start in range(0, n, BLOCK_SIZE):
-                block = phases[start : start + BLOCK_SIZE, : len(signs)]
-                z = -0.5 * np.exp(-1j * (block @ np.asarray(signs, dtype=float)))
-                z_total += z.sum()
-                z2_total += (z * z).sum()
-            # a product of k unit factors against one exp of the phase sum
-            tolerance = 4 * max(len(signs), 1) * np.finfo(float).eps
-            assert abs(got.coherence_mean - z_total / n) <= tolerance
-            assert abs(got.coherence_square_mean - z2_total / n) <= tolerance
+        for vector, walk in zip(vectors, walks):
+            assert len(walk) == len(vector) + 1
+            for k, got in enumerate(walk):
+                # one prefix's reduction: block sums of z and z^2, added in block order
+                signs = vector[:k]
+                z_total = z2_total = 0.0 + 0.0j
+                for start in range(0, n, BLOCK_SIZE):
+                    block = phases[start : start + BLOCK_SIZE, : len(signs)]
+                    z = -0.5 * np.exp(-1j * (block @ np.asarray(signs, dtype=float)))
+                    z_total += z.sum()
+                    z2_total += (z * z).sum()
+                # a product of k unit factors against one exp of the phase sum
+                tolerance = 4 * max(len(signs), 1) * np.finfo(float).eps
+                assert abs(got.coherence_mean - z_total / n) <= tolerance
+                assert abs(got.coherence_square_mean - z2_total / n) <= tolerance
 
     def test_a_vector_does_not_depend_on_the_others_in_its_pass(self):
         # shared prefixes, a vector that is a prefix of an earlier one, a
@@ -575,7 +591,7 @@ class TestMonteCarlo:
     def test_deterministic_arms_have_zero_error(self):
         params = default_params(1.0)
         for control, k in ((UNCONTROLLED, 0), (CORRECTED, 4), (ECHOED, 4)):
-            (moments,) = monte_carlo_moments(params, [control.signs(k, 4)], 10_000, seed=4)
+            moments = final_moments(params, control.signs(k, 4), 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
 
@@ -586,7 +602,7 @@ class TestMonteCarlo:
         assert sum(signs) == 0
         for clip in (False, True):
             params = default_params(1.0, steps=steps, clip_to_hardware=clip)
-            (moments,) = monte_carlo_moments(params, [signs], 10_000, seed=4)
+            moments = final_moments(params, signs, 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
 
@@ -594,26 +610,26 @@ class TestMonteCarlo:
         # one gemv over the signed phases missed 0 for these: at steps 7,
         # (1, 1, 1, -1, -1, -1) gave -0.5000000000000001 at seed 7, and
         # (1,) * e + (-1,) * e first missed at e = 9
-        (moments,) = monte_carlo_moments(
-            NoiseParams(mu=1.0, sigma=0.6, steps=7), [(1, 1, 1, -1, -1, -1)], 1, seed=7
+        moments = final_moments(
+            NoiseParams(mu=1.0, sigma=0.6, steps=7), (1, 1, 1, -1, -1, -1), 1, seed=7
         )
         assert (moments.coherence_mean, moments.coherence_square_mean) == (-0.5, 0.25)
         vectors = [(1,) * e + (-1,) * e for e in range(1, 33)]
         vectors += [(1, -1, -1, 1) * k for k in range(1, 17)]
         for sigma in (0.1, 0.6, 1.3):
             params = NoiseParams(mu=1.0, sigma=sigma, steps=64)
-            for signs, moments in zip(vectors, monte_carlo_moments(params, vectors, 5000, seed=3)):
-                assert moments.coherence_mean == -0.5, signs
-                assert moments.coherence_square_mean == 0.25, signs
+            for signs, walk in zip(vectors, monte_carlo_moments(params, vectors, 5000, seed=3)):
+                assert walk[-1].coherence_mean == -0.5, signs
+                assert walk[-1].coherence_square_mean == 0.25, signs
 
     def test_coherence_error_estimate_is_calibrated(self):
         # the one-sigma estimate should match the scatter of independent runs
         params = default_params(0.7)
         values = []
         for seed in range(40):
-            (m,) = monte_carlo_moments(params, [UNCONTROLLED.signs(3, 4)], 5_000, seed=seed)
+            m = final_moments(params, UNCONTROLLED.signs(3, 4), 5_000, seed=seed)
             values.append(abs(m.coherence_mean))
         observed = np.std(values)
-        (moments,) = monte_carlo_moments(params, [UNCONTROLLED.signs(3, 4)], 5_000, seed=0)
+        moments = final_moments(params, UNCONTROLLED.signs(3, 4), 5_000, seed=0)
         predicted = moments.coherence_std_error()
         assert predicted == pytest.approx(observed, rel=0.5)

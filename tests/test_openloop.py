@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrecover import dephasing, openloop
 from qrecover.dephasing import (
     CONTROL_KINDS,
     NoiseParams,
@@ -76,7 +77,7 @@ class TestClosedForms:
 
     def test_echoed_general_mu_equals_twice_the_coherence(self):
         for mu in (0.2, 0.7):
-            expected = 2 * abs(analytic_coherence((1, 1, -1, -1), mu, SIGMA))
+            expected = 2 * abs(analytic_coherence((1, 1, -1, -1), mu, SIGMA)[-1])
             assert echoed(4, mu) == pytest.approx(expected, abs=1e-12)
 
     def test_echoed_with_measured_fidelity(self):
@@ -117,7 +118,7 @@ class TestClosedForms:
 class TestTableRows:
     def test_analytic_uncontrolled_point(self):
         result = row(open_loop_series(params(0.7), [IDEAL]), "uncontrolled", 3)
-        expected = 2 * abs(analytic_coherence((1, 1, 1), 0.7, SIGMA))
+        expected = 2 * abs(analytic_coherence((1, 1, 1), 0.7, SIGMA)[-1])
         assert result["concurrence"] == pytest.approx(expected, abs=1e-12)
         assert result["eof"] == pytest.approx(eof_from_concurrence(expected), abs=1e-12)
 
@@ -184,9 +185,9 @@ class TestTableRows:
 
     def test_echo_position_is_honoured(self):
         signs = TrajectoryControl(kind="echoed", echo_after_step=1).signs(4, 4)
-        analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)), IDEAL.eta)
+        analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), IDEAL.eta)
         assert analytic == pytest.approx(0.46753, abs=1e-5)
-        (moments,) = monte_carlo_moments(params(0.3), [signs], n_samples=100_000, seed=8)
+        ((*_, moments),) = monte_carlo_moments(params(0.3), [signs], n_samples=100_000, seed=8)
         sampled = mixed_concurrence(abs(moments.coherence_mean), IDEAL.eta)
         stat_error = 2.0 * IDEAL.eta * moments.coherence_std_error()
         assert abs(sampled - analytic) < 5 * stat_error
@@ -235,6 +236,31 @@ class TestSeries:
         assert table["stat_error"].dtype == object
         assert set(table["stat_error"][:, 0].ravel()) == {None}
         assert all(type(error) is float for error in table["stat_error"][:, 1].ravel())
+
+    def test_each_method_walks_the_two_arms_once(self, monkeypatch):
+        walked = []
+
+        def recording(noise, sign_vectors, *args):
+            walked.append(tuple(sign_vectors))
+            return monte_carlo_moments(noise, sign_vectors, *args)
+
+        monkeypatch.setattr(openloop, "monte_carlo_moments", recording)
+        open_loop_series(params(0.7, steps=5), [IDEAL, MEASURED], METHODS, n_samples=100, seed=1)
+        assert walked == [((1,) * 5, (1, 1, -1, -1, -1))]
+
+    def test_closed_form_calls_grow_linearly_in_the_steps(self, monkeypatch):
+        # one recursion per arm, with an entry after each step; restarting
+        # it at every prefix made about 4.2k calls at steps 64
+        closed_blocks, calls = dephasing._closed_blocks, []
+
+        def counting(*args):
+            calls.append(args)
+            return closed_blocks(*args)
+
+        monkeypatch.setattr(dephasing, "_closed_blocks", counting)
+        steps = 64
+        open_loop_series(params(0.7, steps=steps), [IDEAL])
+        assert 0 < len(calls) <= 4 * steps
 
     def test_any_step_count(self):
         series = table_rows(open_loop_series(params(0.7, steps=6), [IDEAL]))
@@ -290,11 +316,11 @@ class TestTableDefinition:
                 for kind in CONTROL_KINDS:
                     for k in range(steps + 1):
                         signs = TrajectoryControl(kind).signs(k, steps)
+                        # each row's sign vector walked alone, to its last step
                         if method == "analytic":
-                            coherence, error = analytic_coherence(signs, mu, sigma), None
+                            coherence, error = analytic_coherence(signs, mu, sigma)[-1], None
                         else:
-                            # a vector's value does not depend on the others of its pass
-                            (m,) = monte_carlo_moments(noise, [signs], n_samples, seed)
+                            ((*_, m),) = monte_carlo_moments(noise, [signs], n_samples, seed)
                             coherence = m.coherence_mean
                             error = 2.0 * prep.eta * m.coherence_std_error()
                         c = mixed_concurrence(abs(coherence), prep.eta)

@@ -767,7 +767,8 @@ class TestNoVerbBuildsAQuantumState:
 class TestAtomicWrites:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, fmt):
-        class Unprintable:
+        # a cell of an accepted kind, so that the failure comes from formatting
+        class Unprintable(int):
             def __str__(self):
                 raise RuntimeError("cannot format")
 
@@ -827,6 +828,24 @@ class TestAtomicWrites:
         assert len(writes) == 1 and writes[0].count("\n") == 1000 + (fmt == "csv")
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "cell",
+        [(1.0, 2.0), [1.0, 2.0], np.array([1 + 2j, 3j]), np.array([None, 1j], dtype=object)],
+        ids=["tuple", "list", "complex-array", "complex-cell"],
+    )
+    def test_cells_of_other_kinds_are_refused(self, tmp_path, fmt, cell):
+        # a tuple was written as its repr on every row, a list raised
+        # "unhashable type" and a complex array wrote (1+2j)
+        with pytest.raises(ValueError, match="column 'b' holds a"):
+            write_rows(tmp_path / "rows", ["a", "b"], {"a": np.arange(2), "b": cell}, fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_numbers_are_cells(self, tmp_path):
+        table = {"a": np.arange(2), "seed": np.int64(7), "x": np.float64(0.5)}
+        write_rows(tmp_path / "rows.csv", list(table), table, "csv")
+        assert (tmp_path / "rows.csv").read_text() == "a,seed,x\n0,7,0.5\n1,7,0.5\n"
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         out = tmp_path / "rows.csv"
