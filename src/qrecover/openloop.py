@@ -2,12 +2,13 @@
 
 Each control arm at step k is a prefix of the uncontrolled or the echoed
 sign vector (``TrajectoryControl.signs``), whose live coherence comes from
-the closed form in :mod:`qrecover.dephasing` or from Monte Carlo averaging.  For an imperfectly prepared input (mixing
-weight eta) the channel is unital, so the output is eta times the
-ideal-input output plus (1 - eta)/4 times the identity; the concurrence then
-reduces to 2 max{0, eta |coherence| - (1 - eta)/4}
-(``entanglement.mixed_concurrence``).  The closed form assumes unclipped
-Gaussian phases, so analytic values with ``clip_to_hardware`` are refused.
+the closed form in :mod:`qrecover.dephasing` or from Monte Carlo
+averaging.  For an imperfectly prepared input (mixing weight eta) the
+channel is unital, so the output is eta times the ideal-input output plus
+(1 - eta)/4 times the identity; the concurrence then reduces to 2 max{0,
+eta |coherence| - (1 - eta)/4} (``entanglement.mixed_concurrence``).  The
+closed form assumes unclipped Gaussian phases, so analytic values with
+``clip_to_hardware`` are refused.
 
 ``open_loop_series`` returns a job's rows as one column table on the grid
 (preparation, method, arm, step); one array call each gives the
@@ -30,8 +31,8 @@ CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
 CONTROLS.flags.writeable = False
 # the walk (uncontrolled 0, echoed 1) that gives each arm's values, and the
 # corrected arm's row, whose last step is then the singlet of step 0
-ARM_WALKS = [0, 0, 1]
-CORRECTED_ROW = CONTROL_KINDS.index("corrected")
+_ARM_WALKS = [0, 0, 1]
+_CORRECTED = CONTROL_KINDS.index("corrected")
 
 
 def _coherences(params, method, n_samples, seed, workers):
@@ -95,11 +96,11 @@ def open_loop_series(
         coherence, error = _coherences(params, method, n_samples, seed, workers)
         # abs of each value, as hypot gives it: np.abs's vector loop may
         # round the last bit differently
-        magnitudes[index] = [list(map(abs, walk)) for walk in coherence[ARM_WALKS]]
+        magnitudes[index] = [list(map(abs, walk)) for walk in coherence[_ARM_WALKS]]
         if error is not None:
-            stat_error[:, index] = 2.0 * eta * error[ARM_WALKS]
-    magnitudes[:, CORRECTED_ROW, -1] = magnitudes[:, CORRECTED_ROW, 0]
-    stat_error[..., CORRECTED_ROW, -1] = stat_error[..., CORRECTED_ROW, 0]
+            stat_error[:, index] = 2.0 * eta * error[_ARM_WALKS]
+    magnitudes[:, _CORRECTED, -1] = magnitudes[:, _CORRECTED, 0]
+    stat_error[..., _CORRECTED, -1] = stat_error[..., _CORRECTED, 0]
     concurrence = mixed_concurrence(magnitudes, eta[:, None])
     return {
         "fidelity": np.array([prep.fidelity for prep in preps]).reshape(-1, 1, 1, 1),

@@ -270,9 +270,7 @@ def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]
     for kind in kinds:
         # numpy numbers (an np.int64 seed from a config file) are cells too
         if not issubclass(kind, (type(None), bool, str, numbers.Real)):
-            raise ValueError(
-                f"column {name!r} holds a {kind.__name__}; a cell is None, a bool, a str or a real"
-            )
+            raise ValueError(f"column {name!r} holds a {kind.__name__}, not a str, number or None")
     if len(kinds) > 1:
         # each type's cells are formatted together, then put back in order
         text = {
