@@ -67,7 +67,7 @@ CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
 MAX_MEAN_PHASE = 1e9
 
 
-def check_noise(mu: float, sigma: float, mean_phase: float) -> None:
+def _check_noise(mu: float, sigma: float, mean_phase: float) -> None:
     """Raise ValueError, naming the field, for noise that the process does not define."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu {mu!r} outside [0, 1]")
@@ -89,7 +89,7 @@ class NoiseParams:
     clip_to_hardware: bool = False
 
     def __post_init__(self):
-        check_noise(self.mu, self.sigma, self.mean_phase)
+        _check_noise(self.mu, self.sigma, self.mean_phase)
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps {self.steps!r} must be a positive integer")
         object.__setattr__(self, "steps", int(self.steps))
@@ -349,7 +349,7 @@ def analytic_coherence(
     sum(signs), so the mean phase factors out.  The magnitude never exceeds
     1/2.  Noise that ``NoiseParams`` refuses is refused here too.
     """
-    check_noise(mu, sigma, mean_phase)
+    _check_noise(mu, sigma, mean_phase)
     values = np.full(len(signs) + 1, -0.5 + 0j)
     # signed weight of the open block -> probability-weighted product of
     # the closed blocks' Gaussian factors
