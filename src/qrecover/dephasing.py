@@ -350,11 +350,11 @@ def analytic_coherence(
     1/2.  Noise that ``NoiseParams`` refuses is refused here too.
     """
     _check_noise(mu, sigma, mean_phase)
-    values = np.full(len(signs) + 1, -0.5 + 0j)
+    values = [complex(-0.5)]
     # signed weight of the open block -> probability-weighted product of
     # the closed blocks' Gaussian factors
     weights, total = {}, 0
-    for k, s in enumerate(signs, 1):
+    for s in signs:
         if weights:
             renewed = (1.0 - mu) * closed
             weights = {w + s: mu * v for w, v in weights.items()}
@@ -363,5 +363,5 @@ def analytic_coherence(
             weights = {s: 1.0}
         closed = _closed_blocks(weights, sigma)
         total += s
-        values[k] = -0.5 * closed * cmath.exp(-1j * mean_phase * total)
-    return values
+        values.append(-0.5 * closed * cmath.exp(-1j * mean_phase * total))
+    return np.array(values)

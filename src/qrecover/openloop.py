@@ -29,16 +29,12 @@ METHODS = ("analytic", "monte_carlo")
 # the arm axis of an open-loop table; read-only, since every table shares it
 CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
 CONTROLS.flags.writeable = False
-# the walk (uncontrolled 0, echoed 1) that gives each arm's values, and the
-# corrected arm's row, whose last step is then the singlet of step 0
-_ARM_WALKS = [0, 0, 1]
-_CORRECTED = CONTROL_KINDS.index("corrected")
 
 
-def _coherences(params, method, n_samples, seed, workers):
+def _coherences(params, method, n_samples, seed, workers) -> tuple[list, list | None]:
     """The uncontrolled and the echoed arm's coherences after steps
-    0..steps, one walk each, as a (2, steps + 1) array, and their one-sigma
-    errors on the same grid (None for the closed form)."""
+    0..steps, one walk each, as two lists, and their one-sigma errors as
+    two lists (None for the closed form)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     walks = ((1,) * params.steps, ECHOED.signs(params.steps, params.steps))
@@ -49,14 +45,21 @@ def _coherences(params, method, n_samples, seed, workers):
                 "use method monte_carlo"
             )
         noise = params.mu, params.sigma, params.mean_phase
-        return np.array([analytic_coherence(signs, *noise) for signs in walks]), None
+        return [analytic_coherence(signs, *noise).tolist() for signs in walks], None
     if seed is None:
         raise ValueError("monte_carlo method requires a seed")
     moments = monte_carlo_moments(params, walks, n_samples, seed, workers)
     return (
-        np.array([[m.coherence_mean for m in walk] for walk in moments]),
-        np.array([[m.coherence_std_error() for m in walk] for walk in moments]),
+        [[m.coherence_mean for m in walk] for walk in moments],
+        [[m.coherence_std_error() for m in walk] for walk in moments],
     )
+
+
+def _arms(plain: list, echoed: list) -> list:
+    """The three arms' values over steps 0..steps in ``CONTROL_KINDS`` order:
+    the corrected arm is the uncontrolled one but at its last step, where
+    the correction returns the singlet of step 0."""
+    return [plain, plain[:-1] + plain[:1], echoed]
 
 
 def open_loop_series(
@@ -82,25 +85,21 @@ def open_loop_series(
     row.
 
     Each method walks two sign vectors, the uncontrolled (1,) * steps and
-    the echoed arm's, and takes every arm's values from their prefixes;
-    the corrected arm is the uncontrolled one but at its last step, where
-    the correction returns the singlet of step 0.  Monte Carlo draws its
-    samples once for both walks, so extra preparations cost no extra
-    samples.
+    the echoed arm's, and takes every arm's values from their prefixes
+    (``_arms``).  Monte Carlo draws its samples once for both walks, so
+    extra preparations cost no extra samples.
     """
     eta = np.array([prep.eta for prep in preps]).reshape(-1, 1, 1)
     grid = (len(preps), len(methods), len(CONTROL_KINDS), params.steps + 1)
     magnitudes = np.empty(grid[1:])
     stat_error = np.empty(grid, dtype=object)
     for index, method in enumerate(methods):
-        coherence, error = _coherences(params, method, n_samples, seed, workers)
+        (plain, echoed), errors = _coherences(params, method, n_samples, seed, workers)
         # abs of each value, as hypot gives it: np.abs's vector loop may
         # round the last bit differently
-        magnitudes[index] = [list(map(abs, walk)) for walk in coherence[_ARM_WALKS]]
-        if error is not None:
-            stat_error[:, index] = 2.0 * eta * error[_ARM_WALKS]
-    magnitudes[:, _CORRECTED, -1] = magnitudes[:, _CORRECTED, 0]
-    stat_error[..., _CORRECTED, -1] = stat_error[..., _CORRECTED, 0]
+        magnitudes[index] = _arms(list(map(abs, plain)), list(map(abs, echoed)))
+        if errors is not None:
+            stat_error[:, index] = 2.0 * eta * np.array(_arms(*errors))
     concurrence = mixed_concurrence(magnitudes, eta[:, None])
     return {
         "fidelity": np.array([prep.fidelity for prep in preps]).reshape(-1, 1, 1, 1),
