@@ -249,8 +249,6 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-# the builtin types of a cell, checked before the slower numbers ABC
-_CELL_TYPES = frozenset((type(None), bool, int, float, str))
 # csv.writer's minimal quoting: a field holding one of these is quoted
 _CSV_QUOTED = frozenset(',"\r\n')
 
@@ -269,10 +267,6 @@ def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]
     is one) is a ValueError naming the column.
     """
     kinds = set(map(type, values))
-    for kind in kinds - _CELL_TYPES:
-        # numpy numbers (an np.int64 seed from a config file) are cells too
-        if not issubclass(kind, (str, numbers.Real)):
-            raise ValueError(f"column {name!r} holds a {kind.__name__}, not a str, number or None")
     if len(kinds) > 1:
         # each type's cells are formatted together, then put back in order
         text = {
@@ -288,6 +282,9 @@ def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]
             return "%.9g", values
         text = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
         return "%s", list(map(repr, map(float, text))) if fmt == "jsonl" else text
+    # numpy numbers (an np.int64 seed from a config file) are cells too
+    if kind and not issubclass(kind, (type(None), str, numbers.Real)):
+        raise ValueError(f"column {name!r} holds a {kind.__name__}, not a str, number or None")
     # equal values of one type have one text
     labels = dict.fromkeys(values)
     for value in labels:
