@@ -43,4 +43,4 @@ from .entanglement import (
 from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -1,11 +1,13 @@
 """Command-line front end for the sweep runner.
 
-Verbs: ``open-loop``, ``closed-loop``, ``assist-scan``, ``counts-demo``.
-Every parameter can also come from a declarative config file (JSON or YAML)
-passed with ``--config``; flags given on the command line override file
-values; PyYAML is imported only when a YAML config is read.  Exit status
-is 0 on success and 2 on any precondition failure, with a diagnostic on
-stderr.
+Verbs: ``open-loop``, ``closed-loop``, ``assist-scan``, ``counts-demo``,
+each the experiment of its name with ``-`` for ``_``.  A verb takes one
+flag per field of its ``runner.PARAMETERS`` entry, plus ``--config``: a
+declarative config file (JSON or YAML) whose keys are those same fields.
+Flags given on the command line override file values, and a file key the
+verb does not read is refused; PyYAML is imported only when a YAML config
+is read.  Exit status is 0 on success and 2 on any precondition failure,
+with a diagnostic on stderr.
 
 ``main`` may be called in-process any number of times (sweep scripts, the
 tests); every call after the first parses with the parser the first one
@@ -22,16 +24,40 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 from pathlib import Path
 
-from .runner import RunConfig, run
+from .runner import _FIELD_TYPES, CHOICES, PARAMETERS, RunConfig, run
 
-_VERB_TO_EXPERIMENT = {
-    "open-loop": "open_loop",
-    "closed-loop": "closed_loop",
-    "assist-scan": "assist_scan",
-    "counts-demo": "counts_demo",
+_HELP = {
+    "open_loop": "step-resolved entanglement under dephasing",
+    "closed_loop": "feedback-experiment sweeps",
+    "assist_scan": "average entanglement vs measurement angle",
+    "counts_demo": "coincidence-count error-bar rehearsal",
+    "config": "JSON or YAML config file",
+    "out": "output data file path",
+    "mu": "adjacent-phase correlation",
+    "sigma": "phase spread, radians",
+    "mean_phase": "mean phase, radians, at most 1e9 in magnitude",
+    "clip_to_hardware": "clamp phases into [0, pi] like half-wave retarders",
+    "p_prime": "attenuation ratio p/(1-p)",
+    "theta": "measurement angle, radians",
+    "total_pairs": "pairs per setting (default 4000; illustrative, not a measured value)",
+}
+
+# the add_argument options of each flag, from the field's type and choices
+_KIND_OPTIONS = {
+    str: {"type": str},
+    numbers.Integral: {"type": int},
+    numbers.Real: {"type": float},
+    bool: {"action": argparse.BooleanOptionalAction},
+}
+_OPTIONS = {
+    **{name: _KIND_OPTIONS[kind] for _, kind, names in _FIELD_TYPES for name in names},
+    **{name: {"type": str, "choices": choices} for name, choices in CHOICES.items()},
+    "config": {"type": str},
+    "fidelity": {"type": float, "nargs": "+"},
 }
 
 
@@ -45,59 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="JSON or YAML config file")
-        p.add_argument("--out", type=str, default=None, help="output data file path")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-
-    p_open = sub.add_parser("open-loop", help="step-resolved entanglement under dephasing")
-    add_common(p_open)
-    p_open.add_argument("--mu", type=float, default=None, help="adjacent-phase correlation")
-    p_open.add_argument("--sigma", type=float, default=None, help="phase spread, radians")
-    p_open.add_argument(
-        "--mean-phase", type=float, default=None, help="mean phase, radians, at most 1e9 in magnitude"
-    )
-    p_open.add_argument("--steps", type=int, default=None)
-    p_open.add_argument("--fidelity", type=float, nargs="+", default=None)
-    p_open.add_argument("--method", choices=("analytic", "monte_carlo", "both"), default=None)
-    p_open.add_argument("--n-samples", type=int, default=None)
-    p_open.add_argument(
-        "--clip-to-hardware",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="clamp phases into [0, pi] like half-wave retarders",
-    )
-
-    p_closed = sub.add_parser("closed-loop", help="feedback-experiment sweeps")
-    add_common(p_closed)
-    p_closed.add_argument("--sweep", choices=("p", "theta"), default=None)
-    p_closed.add_argument("--p", type=float, default=None)
-    p_closed.add_argument("--p-prime", type=float, default=None, help="attenuation ratio p/(1-p)")
-    p_closed.add_argument("--theta", type=float, default=None, help="measurement angle, radians")
-    p_closed.add_argument("--grid-points", type=int, default=None)
-    p_closed.add_argument("--fidelity", type=float, nargs="+", default=None)
-
-    p_assist = sub.add_parser("assist-scan", help="average entanglement vs measurement angle")
-    add_common(p_assist)
-    p_assist.add_argument("--p", type=float, default=None)
-    p_assist.add_argument("--p-prime", type=float, default=None)
-    p_assist.add_argument("--grid-points", type=int, default=None)
-
-    p_counts = sub.add_parser("counts-demo", help="coincidence-count error-bar rehearsal")
-    add_common(p_counts)
-    p_counts.add_argument("--p", type=float, default=None)
-    p_counts.add_argument("--p-prime", type=float, default=None)
-    p_counts.add_argument("--theta", type=float, default=None)
-    p_counts.add_argument(
-        "--total-pairs",
-        type=int,
-        default=None,
-        help="pairs per setting (default 4000; illustrative, not a measured value)",
-    )
-
+    for experiment, names in PARAMETERS.items():
+        verb = sub.add_parser(experiment.replace("_", "-"), help=_HELP[experiment])
+        for name in ("config", *names):
+            flag = "--" + name.replace("_", "-")
+            verb.add_argument(flag, default=None, help=_HELP.get(name), **_OPTIONS[name])
     # each verb's subparser, for main to parse a verb's arguments with directly
     parser.verb_parsers = sub.choices
     return parser
@@ -117,7 +95,7 @@ def load_config_file(path: str) -> dict:
         parse, malformed = yaml.safe_load, yaml.YAMLError
     try:
         data = parse(Path(path).read_text())
-    except malformed as exc:
+    except (malformed, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path}: {exc}") from exc
     if data is None:
         return {}
@@ -127,12 +105,13 @@ def load_config_file(path: str) -> dict:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    experiment = args.verb.replace("-", "_")
     merged = {}
     if args.config:
         file_values = load_config_file(args.config)
-        unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
+        unknown = set(file_values) - set(PARAMETERS[experiment])
         if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+            raise ValueError(f"unknown config keys {sorted(unknown)} for {args.verb}")
         merged.update(file_values)
     provided = {
         key: value
@@ -140,7 +119,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if key not in ("verb", "config") and value is not None
     }
     merged.update(provided)
-    merged["experiment"] = _VERB_TO_EXPERIMENT[args.verb]
+    merged["experiment"] = experiment
     if merged.get("out") is None:
         raise ValueError("an output path is required (--out or config 'out')")
     if isinstance(merged.get("fidelity"), (int, float)):

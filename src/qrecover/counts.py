@@ -17,7 +17,6 @@ import numpy as np
 from .closedloop import measurement_branches
 
 SPLIT_FIELDS = ("c_hh_d", "c_vv_d", "c_hv_u", "c_vh_u")
-ANGLE_FIELDS = ("c_hv_1", "c_vh_1", "c_hv_0", "c_vh_0")
 
 
 class EstimationError(ValueError):

@@ -52,10 +52,22 @@ from .counts import (
 )
 from .dephasing import NoiseParams
 from .entanglement import PreparationModel, eof_from_concurrence
-from .openloop import open_loop_series
+from .openloop import METHODS, open_loop_series
 
-EXPERIMENTS = ("open_loop", "closed_loop", "assist_scan", "counts_demo")
+# the RunConfig fields each experiment reads, in the order of its CLI flags
+PARAMETERS = {
+    "open_loop": (
+        "out", "format", "workers", "seed", "mu", "sigma", "mean_phase", "steps",
+        "fidelity", "method", "n_samples", "clip_to_hardware",
+    ),
+    "closed_loop": ("out", "format", "sweep", "p", "p_prime", "theta", "grid_points", "fidelity"),
+    "assist_scan": ("out", "format", "p", "p_prime", "grid_points"),
+    "counts_demo": ("out", "format", "seed", "p", "p_prime", "theta", "total_pairs"),
+}
+EXPERIMENTS = tuple(PARAMETERS)
 FORMATS = ("csv", "jsonl")
+# the values each string field other than experiment and out may take
+CHOICES = {"format": FORMATS, "method": (*METHODS, "both"), "sweep": ("p", "theta")}
 _FLOAT_FIELDS = ("mu", "sigma", "mean_phase", "p", "p_prime", "theta")
 _FIELD_TYPES = (
     ("a string", str, ("experiment", "out", "format", "method", "sweep")),
@@ -129,9 +141,10 @@ OUTPUT_SCHEMAS = {
 class RunConfig:
     """Everything a reproducible sweep needs.
 
-    Only the fields relevant to the chosen experiment are read; ``seed`` is
+    An experiment reads only its ``PARAMETERS`` fields; ``seed`` is
     mandatory whenever sampling is involved (Monte Carlo rows or simulated
-    counts).
+    counts).  Every field is checked whatever the experiment, so format,
+    method and sweep must each be one of its ``CHOICES``.
     """
 
     experiment: str
@@ -160,8 +173,9 @@ class RunConfig:
         self._check_types()
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected {EXPERIMENTS}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; expected {FORMATS}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected {choices}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.seed is not None and self.seed < 0:
@@ -178,16 +192,12 @@ class RunConfig:
         if self.experiment == "open_loop":
             if self.mu is None:
                 raise ValueError("open_loop requires mu")
-            if self.method not in ("analytic", "monte_carlo", "both"):
-                raise ValueError(f"unknown method {self.method!r}")
             # checked for every method, so a config is right or wrong for all of them
             if self.n_samples < 1:
                 raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
             if self.method in ("monte_carlo", "both") and self.seed is None:
                 raise ValueError("monte_carlo rows require a seed")
         if self.experiment == "closed_loop":
-            if self.sweep not in ("p", "theta"):
-                raise ValueError(f"sweep must be 'p' or 'theta', got {self.sweep!r}")
             for name in ("p", "p_prime") if self.sweep == "p" else ("theta",):
                 if getattr(self, name) is not None:
                     raise ValueError(f"{name} cannot be fixed in a sweep over {self.sweep}")

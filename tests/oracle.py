@@ -1,5 +1,6 @@
 """State toolkit of the test oracles: qubit registers, gates, partial trace
-and the general two-qubit concurrence.
+and the general two-qubit concurrence; and the exact second moment of the
+Monte Carlo coherence.
 
 The package computes every quantity from closed forms and builds no quantum
 state.  The tests build the same states here, gate by gate, and check the
@@ -309,3 +310,15 @@ def mixture(ensemble: PureStateEnsemble) -> DensityMatrix:
     for p, state in ensemble.members:
         total += p * np.outer(state.amplitudes, state.amplitudes.conj())
     return DensityMatrix(register, total)
+
+
+def coherence_square_mean_oracle(k, mu, sigma, mean_phase, signs):
+    """<z^2> of the live coherence z = -exp(-i sum_j signs_j chi_j)/2, exactly.
+
+    z^2 = exp(-2i sum_j signs_j chi_j)/4, and 2 chi is the same correlated
+    process with mean 2 mean_phase and spread 2 sigma, so <z^2> is -1/2
+    times the coherence at the doubled parameters.
+    """
+    from helpers import coherence_oracle  # helpers imports this module
+
+    return -0.5 * coherence_oracle(k, mu, 2.0 * sigma, 2.0 * mean_phase, signs)

@@ -13,6 +13,7 @@ from qrecover.dephasing import (
     ECHOED,
     MAX_MEAN_PHASE,
     UNCONTROLLED,
+    MonteCarloMoments,
     NoiseParams,
     TrajectoryControl,
     analytic_coherence,
@@ -33,6 +34,7 @@ from oracle import (
     apply_local,
     bell_state,
     bit_flip,
+    coherence_square_mean_oracle,
     concurrence,
     maximally_mixed,
 )
@@ -633,3 +635,22 @@ class TestMonteCarlo:
         moments = final_moments(params, UNCONTROLLED.signs(3, 4), 5_000, seed=0)
         predicted = moments.coherence_std_error()
         assert predicted == pytest.approx(observed, rel=0.5)
+
+    @pytest.mark.parametrize(
+        "signs, mu, sigma, seed",
+        [
+            ((1, 1, 1, 1), 0.7, 0.6, 51),
+            ((1, 1, -1, -1), 0.3, 1.2, 52),
+            ((1, -1, 1, -1, 1), 0.9, 0.4, 53),
+        ],
+    )
+    def test_second_moment_and_error_match_the_exact_moments(self, signs, mu, sigma, seed):
+        n = 400_000
+        k = len(signs)
+        moments = final_moments(NoiseParams(mu=mu, sigma=sigma, steps=k), signs, n, seed)
+        exact_square = coherence_square_mean_oracle(k, mu, sigma, CHIBAR, signs)
+        # |z^2| = 1/4, so each part of z^2 has a spread of at most 1/4
+        assert abs(moments.coherence_square_mean - exact_square) <= 5 * 0.25 / math.sqrt(n)
+        exact_mean = coherence_oracle(k, mu, sigma, CHIBAR, signs)
+        exact = MonteCarloMoments(exact_mean, exact_square, n)
+        assert moments.coherence_std_error() == pytest.approx(exact.coherence_std_error(), rel=0.02)

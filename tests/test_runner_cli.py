@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -532,7 +533,7 @@ class TestDeterminism:
         # two shares, one on the caller and one given to a pool thread
         assert shares == [2, 2] and len(submitted) == 1
         closed = ["closed-loop", "--sweep", "p", "--fidelity", "1.0", "0.9"]
-        assert main(closed + ["--workers", "64", "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(closed + ["--out", str(tmp_path / "c.csv")]) == 0
         assert shares == [2, 2] and len(submitted) == 1
 
     def test_method_both_bytes_across_worker_counts(self, monkeypatch, tmp_path):
@@ -636,11 +637,35 @@ class TestFormatsAndConfig:
         assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, text", [("run.yaml", "a: [1\n"), ("run.json", '{"mu": 0.5,')]
+        "verb, values, keys",
+        [
+            ("closed-loop", {"steps": 7, "mu": 0.2, "workers": 3}, ["mu", "steps", "workers"]),
+            ("closed-loop", {"steps": 7}, ["steps"]),
+            ("assist-scan", {"p": 0.3, "seed": 5}, ["seed"]),
+            ("assist-scan", {"p": 0.3, "experiment": "open_loop"}, ["experiment"]),
+            ("counts-demo", {"seed": 1, "workers": 3}, ["workers"]),
+            ("open-loop", {"mu": 0.3, "sweep": "p"}, ["sweep"]),
+        ],
+    )
+    def test_a_key_the_verb_does_not_read_is_refused(self, tmp_path, capsys, verb, values, keys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        assert main([verb, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"unknown config keys {keys} for {verb}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("run.yaml", b"a: [1\n"),
+            ("run.json", b'{"mu": 0.5,'),
+            ("run.yaml", b"\xffmu: 0.5\n"),
+            ("run.json", b'\xff{"mu": 0.5}'),
+        ],
     )
     def test_malformed_config_names_the_file(self, tmp_path, capsys, name, text):
         config = tmp_path / name
-        config.write_text(text)
+        config.write_bytes(text)
         out = tmp_path / "x.csv"
         assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 2
         assert f"config file {config}: " in capsys.readouterr().err
@@ -658,14 +683,56 @@ class TestFormatsAndConfig:
         assert done.stdout.strip() == "False"
 
     def test_every_flag_is_a_config_field(self):
+        """Each verb's flags are --config and its PARAMETERS fields, typed by the tables."""
         verbs = next(
             action for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
-        assert sorted(verbs.choices) == sorted(cli._VERB_TO_EXPERIMENT)
-        for verb, parser in verbs.choices.items():
-            dests = {action.dest for action in parser._actions} - {"help", "config"}
-            assert dests <= set(RunConfig.__dataclass_fields__), verb
+        assert list(verbs.choices) == [name.replace("_", "-") for name in runner.PARAMETERS]
+        kinds = {name: kind for _, kind, names in runner._FIELD_TYPES for name in names}
+        flag_types = {str: str, numbers.Integral: int, numbers.Real: float}
+        for experiment, names in runner.PARAMETERS.items():
+            actions = verbs.choices[experiment.replace("_", "-")]._actions
+            assert [action.dest for action in actions] == ["help", "config", *names]
+            for action in actions[2:]:
+                assert action.option_strings[0] == "--" + action.dest.replace("_", "-")
+                assert action.default is None
+                assert action.choices == runner.CHOICES.get(action.dest)
+                if action.dest == "fidelity":
+                    assert (action.type, action.nargs) == (float, "+")
+                elif kinds[action.dest] is bool:
+                    assert isinstance(action, argparse.BooleanOptionalAction)
+                else:
+                    assert action.type is flag_types[kinds[action.dest]], action.dest
+
+    @pytest.mark.parametrize(
+        "experiment, configs",
+        [
+            ("open_loop", [{"mu": 0.5, "method": "both", "n_samples": 2000, "seed": 1}]),
+            ("closed_loop", [{"sweep": "p", "theta": 0.3}, {"sweep": "theta", "p_prime": 2.0}]),
+            ("assist_scan", [{"p": 0.3, "grid_points": 5}]),
+            ("counts_demo", [{"p": 0.5, "theta": 0.3, "seed": 1}]),
+        ],
+    )
+    def test_each_experiment_reads_its_parameters(self, experiment, configs):
+        """The fields a builder reads, and the out and format ``run`` reads, are PARAMETERS."""
+
+        class Recording:
+            def __init__(self, config):
+                self.config = config
+
+            def __getattr__(self, name):
+                if name not in RunConfig.__dataclass_fields__:
+                    # a method such as resolved_p reads its fields through the recorder
+                    return getattr(RunConfig, name).__get__(self)
+                read.add(name)
+                return getattr(self.config, name)
+
+        read = {"out", "format"}
+        for values in configs:
+            config = RunConfig(experiment=experiment, out="x.csv", **values)
+            runner._BUILDERS[experiment](Recording(config))
+        assert read == set(runner.PARAMETERS[experiment])
 
     def test_missing_out_rejected(self, capsys):
         assert main(["open-loop", "--mu", "1.0"]) == 2
@@ -1007,6 +1074,10 @@ class TestSchema:
             RunConfig(experiment="open_loop", out="x.csv", mu=1.0, fidelity=())
         with pytest.raises(ValueError, match="grid_points"):
             RunConfig(experiment="closed_loop", out="x.csv", grid_points=1)
+        # format, method and sweep are checked whatever the experiment reads
+        for field in ("format", "method", "sweep"):
+            with pytest.raises(ValueError, match=f"unknown {field} 'nope'; expected \\("):
+                RunConfig(experiment="assist_scan", out="x.csv", p=0.3, **{field: "nope"})
 
     def test_run_returns_path(self, tmp_path):
         config = RunConfig(experiment="assist_scan", out=str(tmp_path / "s.csv"), p=0.5)
@@ -1127,6 +1198,8 @@ _ARGV_CORPUS = [
     ["counts-demo", "--seed", "-3", "--out", "x.csv"],
     ["assist-scan", "--config", "a.json", "--config", "b.json", "--out", "x.csv"],
     ["assist-scan", "--p", "0.3", "--bogus", "--out", "x.csv"],
+    ["closed-loop", "--workers", "2", "--out", "x.csv"],
+    ["assist-scan", "--p", "0.3", "--seed", "1", "--out", "x.csv"],
     ["assist-scan", "--p", "0.3", "extra", "--out", "x.csv"],
     ["closed-loop", "closed-loop", "--out", "x.csv"],
     ["closed-loop"],
