@@ -111,7 +111,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         file_values = load_config_file(args.config)
         unknown = set(file_values) - set(PARAMETERS[experiment])
         if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)} for {args.verb}")
+            # a YAML key need not be a str
+            raise ValueError(f"unknown config keys {sorted(unknown, key=str)} for {args.verb}")
         merged.update(file_values)
     provided = {
         key: value

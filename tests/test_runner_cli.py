@@ -654,6 +654,13 @@ class TestFormatsAndConfig:
         assert f"unknown config keys {keys} for {verb}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_unknown_keys_of_other_types_are_named(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text("mu: 0.3\n1: 2\nzz: 3\nnull: 4\n")
+        assert main(["open-loop", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown config keys [1, None, 'zz'] for open-loop" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize(
         "name, text",
         [
