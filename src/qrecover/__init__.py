@@ -24,23 +24,9 @@ from .counts import (
     estimate_theta,
     simulate_counts,
 )
-from .dephasing import (
-    CORRECTED,
-    ECHOED,
-    UNCONTROLLED,
-    MonteCarloMoments,
-    NoiseParams,
-    TrajectoryControl,
-    analytic_coherence,
-    monte_carlo_moments,
-)
-from .entanglement import (
-    PreparationModel,
-    binary_entropy,
-    eof_from_concurrence,
-    mixed_concurrence,
-)
+from .dephasing import MonteCarloMoments, NoiseParams, analytic_coherence, monte_carlo_moments
+from .entanglement import binary_entropy, eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -7,7 +7,7 @@ declarative config file (JSON or YAML) whose keys are those same fields.
 Flags given on the command line override file values, and a file key the
 verb does not read is refused; PyYAML is imported only when a YAML config
 is read.  Exit status is 0 on success and 2 on any precondition failure,
-with a diagnostic on stderr.
+or when the job's arrays cannot be allocated, with a diagnostic on stderr.
 
 ``main`` may be called in-process any number of times (sweep scripts, the
 tests); every call after the first parses with the parser the first one
@@ -146,8 +146,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         path = run(config)
-    except (ValueError, OSError) as exc:
-        print(f"qrecover: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"qrecover: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     print(path)
     return 0

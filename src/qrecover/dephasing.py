@@ -11,11 +11,13 @@ After k uncontrolled steps the pair state is
 after a mid-sequence bit flip on B ("echoed" control) it is
 (|HH> - e^{i psi_k} |VV>) / sqrt(2), the phases acquired after the flip
 entering psi_k with a minus sign.  Either way the live coherence is
--<e^{-i sum_j s_j chi_j}>/2 for the arm's sign vector s (see
-``TrajectoryControl.signs``); ``analytic_coherence`` evaluates it in closed
-form and ``monte_carlo_moments`` by sampling.  No state is built here: the
-per-trajectory states and their average are the test suite's oracle
-(``trajectory_state`` and ``averaged_projector_oracle`` in
+-<e^{-i sum_j s_j chi_j}>/2 for a sign vector s of +1 and -1, one sign per
+step: all +1 before the flip and -1 after it.  This module knows only sign
+vectors; which vector each control arm walks is decided in
+:mod:`qrecover.openloop`.  ``analytic_coherence`` evaluates the coherence
+in closed form and ``monte_carlo_moments`` by sampling.  No state is built
+here: the per-trajectory states and their average are the test suite's
+oracle (``trajectory_state`` and ``averaged_projector_oracle`` in
 ``tests/helpers.py``), which the coherence is checked against.
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
@@ -61,7 +63,6 @@ import numpy as np
 
 BLOCK_SIZE = 4096
 
-CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
 # floats within 1e9 of 0 lie at most 1.2e-7 apart, so a phase drawn there
 # resolves any sigma; near 1e16 they lie 2 apart
 MAX_MEAN_PHASE = 1e9
@@ -93,46 +94,6 @@ class NoiseParams:
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps {self.steps!r} must be a positive integer")
         object.__setattr__(self, "steps", int(self.steps))
-
-
-@dataclass(frozen=True)
-class TrajectoryControl:
-    """Which control is applied along a trajectory.
-
-    ``echo_after_step`` is the step after which the bit flip acts for the
-    echoed control.  The corrected control applies the compensating phase
-    at the final step, which returns the exact initial state.
-    """
-
-    kind: str = "uncontrolled"
-    echo_after_step: int = 2
-
-    def __post_init__(self):
-        if self.kind not in CONTROL_KINDS:
-            raise ValueError(f"unknown control kind {self.kind!r}")
-        if self.echo_after_step < 1:
-            raise ValueError("echo_after_step must be >= 1")
-
-    def signs(self, k: int, steps: int) -> tuple[int, ...]:
-        """Signs s_j with which chi_1..chi_k enter the live coherence after step k.
-
-        The coherence is -<e^{-i sum_j s_j chi_j}>/2.  Until the echo or the
-        correction acts the arm is uncontrolled (all +1); the echo flips the
-        sign of every later phase, and at the correction step the vector is
-        empty (the exact singlet).  An echo after the last step never acts.
-        """
-        if not 0 <= k <= steps:
-            raise ValueError(f"step {k} outside 0..{steps}")
-        if self.kind == "corrected" and k == steps:
-            return ()
-        if self.kind == "echoed" and k > self.echo_after_step:
-            return (1,) * self.echo_after_step + (-1,) * (k - self.echo_after_step)
-        return (1,) * k
-
-
-UNCONTROLLED = TrajectoryControl(kind="uncontrolled")
-CORRECTED = TrajectoryControl(kind="corrected")
-ECHOED = TrajectoryControl(kind="echoed")
 
 
 def _draw(params: NoiseParams, rng: np.random.Generator, count: int):
@@ -311,12 +272,14 @@ def monte_carlo_moments(
                 total[0] += w_sum
                 total[1] += w2_sum
     # conjugating and scaling by a power of two are exact, so scaling the
-    # totals once gives the bits of scaling every block's sums
+    # totals once gives the bits of scaling every block's sums; a Python
+    # complex divides each part by n_samples exactly rounded, where numpy
+    # multiplies by the reciprocal and can miss -1/2 by an ulp
     return tuple(
         tuple(
             MonteCarloMoments(
-                coherence_mean=-0.5 * w_total.conjugate() / n_samples,
-                coherence_square_mean=0.25 * w2_total.conjugate() / n_samples,
+                coherence_mean=-0.5 * complex(w_total).conjugate() / n_samples,
+                coherence_square_mean=0.25 * complex(w2_total).conjugate() / n_samples,
                 n_samples=n_samples,
             )
             for w_total, w2_total in walk_totals

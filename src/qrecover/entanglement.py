@@ -3,15 +3,15 @@
 Every state the protocols produce is an X state: the singlet mixed with
 weight eta against the maximally mixed state, then dephased, so one live
 coherence z remains.  Its concurrence is 2 max{0, eta |z| - (1 - eta)/4}
-(``mixed_concurrence``).  The entanglement of formation follows from the
-concurrence through the binary entropy of (1 + sqrt(1 - C^2))/2.  The
-tests check the closed form against the general Wootters concurrence
-(PRL 80, 2245, 1998) of the explicitly built density matrices.
+(``mixed_concurrence``), where a pair prepared with singlet fidelity F has
+eta = (4 F - 1)/3 (``eta_from_fidelity``).  The entanglement of formation
+follows from the concurrence through the binary entropy of
+(1 + sqrt(1 - C^2))/2.  The tests check the closed form against the
+general Wootters concurrence (PRL 80, 2245, 1998) of the explicitly built
+density matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,42 +70,11 @@ def mixed_concurrence(coherence_magnitude, eta):
     return as_result((2.0 * (eta * z - (1.0 - eta) / 4.0)).clip(0.0, 1.0))
 
 
-def _check_fidelity(fidelity: float) -> None:
-    if not 0.25 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity!r} outside [1/4, 1]")
+def eta_from_fidelity(fidelity):
+    """Singlet weight eta = (4 F - 1)/3 of the imperfectly prepared pair
+    eta |psi-><psi-| + (1 - eta) 1/4 whose singlet fidelity is F.
 
-
-@dataclass(frozen=True)
-class PreparationModel:
-    """Imperfectly prepared singlet: eta |psi-><psi-| + (1 - eta) 1/4.
-
-    ``eta`` and the singlet fidelity are locked together by
-    eta = (4 F - 1) / 3.
+    ``fidelity`` is a number or an array of them, each in [1/4, 1].
     """
-
-    eta: float
-    fidelity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:  # NaN included
-            raise ValueError(f"eta {self.eta!r} outside [0, 1]")
-        _check_fidelity(self.fidelity)
-        if abs(self.eta - (4.0 * self.fidelity - 1.0) / 3.0) > 1e-12:
-            raise ValueError(
-                f"eta {self.eta!r} inconsistent with fidelity {self.fidelity!r}"
-            )
-
-    @classmethod
-    def from_fidelity(cls, fidelity: float) -> "PreparationModel":
-        # checked before eta is derived, so the error names the value given
-        _check_fidelity(float(fidelity))
-        return cls(eta=(4.0 * float(fidelity) - 1.0) / 3.0, fidelity=float(fidelity))
-
-    @classmethod
-    def from_eta(cls, eta: float) -> "PreparationModel":
-        return cls(eta=float(eta), fidelity=(1.0 + 3.0 * float(eta)) / 4.0)
-
-    @classmethod
-    def ideal(cls) -> "PreparationModel":
-        return cls(eta=1.0, fidelity=1.0)
-
+    fidelity = check_range("fidelity", fidelity, 0.25, 1.0, "outside [1/4, 1]")
+    return as_result((4.0 * fidelity - 1.0) / 3.0)

@@ -1,17 +1,19 @@
 """Step-resolved entanglement of the dephased pair under the three controls.
 
-Each control arm at step k is a prefix of the uncontrolled or the echoed
-sign vector (``TrajectoryControl.signs``), whose live coherence comes from
-the closed form in :mod:`qrecover.dephasing` or from Monte Carlo
-averaging.  For an imperfectly prepared input (mixing weight eta) the
-channel is unital, so the output is eta times the ideal-input output plus
-(1 - eta)/4 times the identity; the concurrence then reduces to 2 max{0,
-eta |coherence| - (1 - eta)/4} (``entanglement.mixed_concurrence``).  The
-closed form assumes unclipped Gaussian phases, so analytic values with
-``clip_to_hardware`` are refused.
+This module owns the arms (``CONTROL_KINDS``).  The uncontrolled arm walks
+the sign vector (1,) * steps and the echoed arm, flipped after step
+``ECHO_AFTER``, (1,) * e + (-1,) * (steps - e) with e = min(ECHO_AFTER,
+steps); the corrected arm is the uncontrolled one but the singlet at its
+last step (``_arms``).  An arm's coherence at step k is that of its
+walk's k-step prefix, by the closed form or by Monte Carlo
+(:mod:`qrecover.dephasing`).  A pair of singlet fidelity F has
+eta = (4 F - 1)/3 (``entanglement.eta_from_fidelity``) and the channel is
+unital, so the concurrence is 2 max{0, eta |coherence| - (1 - eta)/4}
+(``entanglement.mixed_concurrence``).  The closed form assumes unclipped
+Gaussian phases, so analytic values with ``clip_to_hardware`` are refused.
 
 ``open_loop_series`` returns a job's rows as one column table on the grid
-(preparation, method, arm, step); one array call each gives the
+(fidelity, method, arm, step); one array call each gives the
 concurrence and the entanglement of formation of every row.
 """
 
@@ -21,10 +23,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .dephasing import CONTROL_KINDS, ECHOED, NoiseParams, analytic_coherence, monte_carlo_moments
-from .entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
+from .dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from .entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
+CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
+# the echoed arm's bit flip acts after this step
+ECHO_AFTER = 2
 
 # the arm axis of an open-loop table; read-only, since every table shares it
 CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
@@ -37,7 +42,8 @@ def _coherences(params, method, n_samples, seed, workers) -> tuple[list, list | 
     two lists (None for the closed form)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    walks = ((1,) * params.steps, ECHOED.signs(params.steps, params.steps))
+    echo = min(ECHO_AFTER, params.steps)
+    walks = ((1,) * params.steps, (1,) * echo + (-1,) * (params.steps - echo))
     if method == "analytic":
         if params.clip_to_hardware:
             raise ValueError(
@@ -64,17 +70,17 @@ def _arms(plain: list, echoed: list) -> list:
 
 def open_loop_series(
     params: NoiseParams,
-    preps: Sequence[PreparationModel],
+    fidelities: Sequence[float],
     methods: Sequence[str] = ("analytic",),
     n_samples: int = 100_000,
     seed: int | None = None,
     workers: int = 1,
 ) -> dict:
-    """All three control arms over steps 0..steps, for each preparation and method.
+    """All three control arms over steps 0..steps, for each singlet fidelity and method.
 
     Returns the open-loop table: each column (``fidelity``, ``control``,
     ``method``, ``step``, ``concurrence``, ``eof``, ``stat_error``) as an
-    array on the row grid (preparation, method, arm, step), whose cells in
+    array on the row grid (fidelity, method, arm, step), whose cells in
     C order are the rows.  ``fidelity`` has shape (F, 1, 1, 1), ``method``
     (M, 1, 1), ``control`` (3, 1) in ``CONTROL_KINDS`` order (the shared,
     read-only ``CONTROLS``) and ``step`` (S,); ``concurrence``, ``eof`` and
@@ -84,13 +90,14 @@ def open_loop_series(
     propagated one-sigma error of a Monte Carlo row and None on an analytic
     row.
 
-    Each method walks two sign vectors, the uncontrolled (1,) * steps and
-    the echoed arm's, and takes every arm's values from their prefixes
-    (``_arms``).  Monte Carlo draws its samples once for both walks, so
-    extra preparations cost no extra samples.
+    Each method walks two sign vectors, the uncontrolled and the echoed
+    arm's, and takes every arm's values from their prefixes (``_arms``).
+    Monte Carlo draws its samples once for both walks, so extra fidelities
+    cost no extra samples.  A fidelity outside [1/4, 1] is a ValueError.
     """
-    eta = np.array([prep.eta for prep in preps]).reshape(-1, 1, 1)
-    grid = (len(preps), len(methods), len(CONTROL_KINDS), params.steps + 1)
+    fidelity = np.array(fidelities, dtype=float).reshape(-1, 1, 1, 1)
+    eta = eta_from_fidelity(fidelity[:, 0])
+    grid = (len(fidelity), len(methods), len(CONTROL_KINDS), params.steps + 1)
     magnitudes = np.empty(grid[1:])
     stat_error = np.empty(grid, dtype=object)
     for index, method in enumerate(methods):
@@ -102,7 +109,7 @@ def open_loop_series(
             stat_error[:, index] = 2.0 * eta * np.array(_arms(*errors))
     concurrence = mixed_concurrence(magnitudes, eta[:, None])
     return {
-        "fidelity": np.array([prep.fidelity for prep in preps]).reshape(-1, 1, 1, 1),
+        "fidelity": fidelity,
         "control": CONTROLS,
         "method": np.array(methods).reshape(-1, 1, 1),
         "step": np.arange(params.steps + 1),

@@ -31,7 +31,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -51,7 +51,7 @@ from .counts import (
     simulate_counts,
 )
 from .dephasing import NoiseParams
-from .entanglement import PreparationModel, eof_from_concurrence
+from .entanglement import eof_from_concurrence, eta_from_fidelity
 from .openloop import METHODS, open_loop_series
 
 # the RunConfig fields each experiment reads, in the order of its CLI flags
@@ -141,10 +141,11 @@ OUTPUT_SCHEMAS = {
 class RunConfig:
     """Everything a reproducible sweep needs.
 
-    An experiment reads only its ``PARAMETERS`` fields; ``seed`` is
-    mandatory whenever sampling is involved (Monte Carlo rows or simulated
-    counts).  Every field is checked whatever the experiment, so format,
-    method and sweep must each be one of its ``CHOICES``.
+    An experiment reads only its ``PARAMETERS`` fields, and every other
+    field must keep its default; ``seed`` is mandatory whenever sampling is
+    involved (Monte Carlo rows or simulated counts).  Every field is
+    checked whatever the experiment, so format, method and sweep must each
+    be one of its ``CHOICES``.
     """
 
     experiment: str
@@ -187,6 +188,13 @@ class RunConfig:
                 object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         fidelity = tuple(_finite_float("fidelity", f) for f in self.fidelity)
         object.__setattr__(self, "fidelity", fidelity)
+        unread = [
+            name for name, default in _UNREAD[self.experiment] if getattr(self, name) != default
+        ]
+        if unread:
+            raise ValueError(
+                f"{self.experiment} does not read {', '.join(unread)}; leave them at their defaults"
+            )
         if self.grid_points is not None and self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.experiment == "open_loop":
@@ -235,6 +243,15 @@ class RunConfig:
         if self.p is not None and abs(self.p - p) > 1e-12:
             raise ValueError(f"p {self.p!r} and p_prime {self.p_prime!r} are inconsistent")
         return p
+
+
+# the fields each experiment does not read, with the default each must keep
+_UNREAD = {
+    experiment: tuple(
+        (f.name, f.default) for f in fields(RunConfig) if f.name not in ("experiment", *names)
+    )
+    for experiment, names in PARAMETERS.items()
+}
 
 
 def _finite_float(name: str, value) -> float:
@@ -437,8 +454,9 @@ def _open_loop_rows(config: RunConfig) -> dict:
         clip_to_hardware=config.clip_to_hardware,
     )
     methods = ("analytic", "monte_carlo") if config.method == "both" else (config.method,)
-    preps = [PreparationModel.from_fidelity(fidelity) for fidelity in config.fidelity]
-    table = open_loop_series(params, preps, methods, config.n_samples, config.seed, config.workers)
+    table = open_loop_series(
+        params, config.fidelity, methods, config.n_samples, config.seed, config.workers
+    )
     return {"mu": params.mu, "sigma": params.sigma, **table}
 
 
@@ -460,7 +478,8 @@ def _closed_loop_rows(config: RunConfig) -> dict:
     else:
         grid = np.linspace(0.0, math.pi / 2.0, config.grid_points or 91)
         p, theta = config.resolved_p(default=0.5), grid
-    eta = np.array([[PreparationModel.from_fidelity(f).eta] for f in config.fidelity])
+    fidelity = np.array(config.fidelity).reshape(-1, 1, 1)
+    eta = eta_from_fidelity(fidelity[:, 0])
     concurrence = np.empty((len(config.fidelity), grid.size, 2))
     concurrence[..., 0] = uncontrolled_concurrence_closed(p, eta)
     concurrence[..., 1] = controlled_concurrence_closed(theta, eta)
@@ -468,7 +487,7 @@ def _closed_loop_rows(config: RunConfig) -> dict:
         "sweep": config.sweep,
         "p": p,
         "theta": theta,
-        "fidelity": np.array(config.fidelity).reshape(-1, 1, 1),
+        "fidelity": fidelity,
         "variant": _VARIANTS,
         "method": "analytic",
         "concurrence": concurrence,

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from qrecover.dephasing import BLOCK_SIZE, UNCONTROLLED, _block_draws
+from qrecover.dephasing import BLOCK_SIZE, _block_draws
 
 from oracle import (
     SIGMA_X,
@@ -104,16 +104,18 @@ def sample_phase_matrix(params, n_samples, seed):
     return np.vstack(blocks)
 
 
-def trajectory_state(phases, k, control=UNCONTROLLED):
-    """Pure state of the pair after step k of one row of phases.
+def trajectory_state(phases, signs):
+    """Pure state of the pair after len(signs) steps of one row of phases.
 
-    After k uncontrolled steps the state is (|HV> - e^{i phi} |VH>)/sqrt(2)
-    with phi the running phase sum.  Once the echo's bit flip on B has acted
-    it is (|HH> - e^{i psi} |VV>)/sqrt(2), the later phases entering psi
-    with a minus sign.  k = 0 and the corrected arm's last step are the
-    exact singlet.
+    ``signs`` holds one sign per step (``oracle.arm_signs``), -1 once a
+    single bit flip on B has acted.  Without the flip the state is
+    (|HV> - e^{i phi} |VH>)/sqrt(2) with phi the running phase sum; after it,
+    (|HH> - e^{i psi} |VV>)/sqrt(2), the later phases entering psi with a
+    minus sign.  The empty vector (step 0, and the corrected arm's last
+    step) is the exact singlet.
     """
-    signs = control.signs(k, len(phases))
+    if len(signs) > len(phases):
+        raise ValueError(f"{len(signs)} signs for {len(phases)} phases")
     phase = sum(s * chi for s, chi in zip(signs, phases))
     amps = np.zeros(4, dtype=complex)
     if -1 in signs:  # the flip has acted: outer-coherence form
@@ -125,11 +127,11 @@ def trajectory_state(phases, k, control=UNCONTROLLED):
     return PureState(("A", "B"), amps)
 
 
-def averaged_projector_oracle(params, control, k, n_samples, seed):
-    """Mean of the trajectory projectors after step k over sampled phase rows."""
+def averaged_projector_oracle(params, signs, n_samples, seed):
+    """Mean of the trajectory projectors for ``signs`` over sampled phase rows."""
     total = np.zeros((4, 4), dtype=complex)
     for row in sample_phase_matrix(params, n_samples, seed):
-        total += trajectory_state(row, k, control).projector().matrix
+        total += trajectory_state(row, signs).projector().matrix
     return DensityMatrix(("A", "B"), total / n_samples)
 
 

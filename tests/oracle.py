@@ -1,6 +1,7 @@
 """State toolkit of the test oracles: qubit registers, gates, partial trace
-and the general two-qubit concurrence; and the exact second moment of the
-Monte Carlo coherence.
+and the general two-qubit concurrence; the sign vector of each open-loop
+arm; the exact second moment of the Monte Carlo coherence; and the exact
+coverage of the counts-demo error bars.
 
 The package computes every quantity from closed forms and builds no quantum
 state.  The tests build the same states here, gate by gate, and check the
@@ -18,6 +19,7 @@ overlap magnitudes or projectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,3 +324,73 @@ def coherence_square_mean_oracle(k, mu, sigma, mean_phase, signs):
     from helpers import coherence_oracle  # helpers imports this module
 
     return -0.5 * coherence_oracle(k, mu, 2.0 * sigma, 2.0 * mean_phase, signs)
+
+
+def arm_signs(kind, k, steps):
+    """Signs with which chi_1..chi_k enter the live coherence of an open-loop
+    arm after step k of ``steps``.
+
+    The echoed arm's bit flip acts after step 2 and reverses every later
+    phase (after the last step it never acts); the corrected arm is the
+    exact singlet, the empty vector, at its last step.
+    """
+    if not 0 <= k <= steps:
+        raise ValueError(f"step {k} outside 0..{steps}")
+    if kind == "corrected" and k == steps:
+        return ()
+    flip = {"uncontrolled": steps, "corrected": steps, "echoed": 2}[kind]
+    return tuple(1 if j < flip else -1 for j in range(k))
+
+
+def _poisson_window(mean, sds=12.0):
+    """The counts within ``sds`` standard deviations of a Poisson mean, and their pmf."""
+    if mean == 0.0:
+        return np.zeros(1, dtype=int), np.ones(1)
+    spread = sds * math.sqrt(mean)
+    k = np.arange(max(0, math.floor(mean - spread)), math.ceil(mean + spread) + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k[-1] + 1)))))
+    return k, np.exp(k * math.log(mean) - mean - log_factorial[k])
+
+
+def theta_estimate_oracle(mode0, mode1):
+    """arctan(sqrt(mode1/mode0)) and its first-order error, for arrays of
+    the two mode sums; pi/2 with error 1/(2 sqrt(mode1)) where mode0 is 0,
+    and NaN where both are."""
+    mode0, mode1 = np.broadcast_arrays(np.asarray(mode0, float), np.asarray(mode1, float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = mode1 / mode0
+        theta = np.where(mode0 > 0, np.arctan(np.sqrt(ratio)), np.pi / 2)
+        error = np.where(mode0 > 0, 0.5 / np.sqrt(mode0 * (1.0 + ratio)), 0.5 / np.sqrt(mode1))
+    undefined = (mode0 == 0) & (mode1 == 0)
+    return np.where(undefined, np.nan, theta), np.where(undefined, np.nan, error)
+
+
+def p_prime_estimate_oracle(down, up):
+    """The ratio down/up of the path sums and its first-order error
+    sqrt(down/up^2 + down^2/up^3), for arrays; NaN where up is 0."""
+    down, up = np.broadcast_arrays(np.asarray(down, float), np.asarray(up, float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio, error = down / up, np.sqrt(down / up**2 + down**2 / up**3)
+    return np.where(up > 0, ratio, np.nan), np.where(up > 0, error, np.nan)
+
+
+def counts_coverage_oracle(quantity, p, theta, total_pairs):
+    """Exact probability that counts-demo's estimate of ``quantity`` ("theta"
+    or "p_prime") lies within its stat_error of the true value.
+
+    Each estimate depends on two independent Poisson sums only: the mode-0
+    and mode-1 counts, of means N (1 - p) cos^2 theta and N (1 - p)
+    sin^2 theta, for theta; the down- and up-path counts, of means N p and
+    N (1 - p), for p' = p/(1 - p).  Their joint pmf is summed over 12
+    standard deviations either side of each mean; an undefined estimate is
+    a miss.
+    """
+    if quantity == "theta":
+        estimator, truth = theta_estimate_oracle, theta
+        means = (1.0 - p) * math.cos(theta) ** 2, (1.0 - p) * math.sin(theta) ** 2
+    else:
+        estimator, truth = p_prime_estimate_oracle, p / (1.0 - p)
+        means = p, 1.0 - p
+    (k0, pmf0), (k1, pmf1) = (_poisson_window(total_pairs * mean) for mean in means)
+    estimate, error = estimator(k0[:, None], k1[None, :])
+    return float(pmf0 @ (np.abs(estimate - truth) <= error) @ pmf1)

@@ -17,15 +17,8 @@ from qrecover.closedloop import (
     uncontrolled_concurrence_closed,
 )
 from qrecover.counts import CoincidenceCounts, estimate_p_prime, estimate_theta
-from qrecover.dephasing import (
-    CORRECTED,
-    ECHOED,
-    UNCONTROLLED,
-    NoiseParams,
-    analytic_coherence,
-    monte_carlo_moments,
-)
-from qrecover.entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
+from qrecover.dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from qrecover.entanglement import eof_from_concurrence, mixed_concurrence
 from qrecover.openloop import open_loop_series
 
 from helpers import (
@@ -40,6 +33,7 @@ from oracle import (
     DensityMatrix,
     PureState,
     PureStateEnsemble,
+    arm_signs,
     bell_state,
     concurrence,
     ensemble_average_eof,
@@ -88,7 +82,7 @@ def test_criterion_1_wootters_agreement():
 
 @report(2, "fully correlated noise: Gaussian decay and echo recovery curves, < 1e-9")
 def test_criterion_2_full_correlation_curves():
-    table = open_loop_series(NoiseParams(mu=1.0, sigma=SIGMA), [PreparationModel.ideal()])
+    table = open_loop_series(NoiseParams(mu=1.0, sigma=SIGMA), [1.0])
     value = {(row["control"], row["step"]): row["concurrence"] for row in table_rows(table)}
     for k in range(5):
         expected = math.exp(-0.18 * k * k)
@@ -105,14 +99,15 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
     for mu in (0.2, 0.7, 1.0):
         params = NoiseParams(mu=mu, sigma=SIGMA)
         for k in (1, 2, 3, 4):
-            signs = UNCONTROLLED.signs(k, 4)
+            signs = arm_signs("uncontrolled", k, 4)
             ((*_, moments),) = monte_carlo_moments(params, [signs], n, seed=300 + k)
             target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"uncontrolled mu={mu} k={k}: {gap:.4f}"
         for k in (3, 4):
-            ((*_, moments),) = monte_carlo_moments(params, [ECHOED.signs(k, 4)], n, seed=400 + k)
-            target = analytic_coherence(ECHOED.signs(k, 4), mu, SIGMA)[-1]
+            signs = arm_signs("echoed", k, 4)
+            ((*_, moments),) = monte_carlo_moments(params, [signs], n, seed=400 + k)
+            target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(moments.coherence_mean) - abs(target))
             assert gap < 0.01, f"echoed mu={mu} k={k}: {gap:.4f}"
     elapsed = time.monotonic() - started
@@ -124,7 +119,7 @@ def test_criterion_4_corrected_is_exact_per_trajectory():
     singlet = bell_state("psi_minus")
     for mu in (0.2, 0.7, 1.0):
         for row in sample_phase_matrix(NoiseParams(mu=mu, sigma=SIGMA), 4000, seed=42):
-            state = trajectory_state(row, 4, CORRECTED)
+            state = trajectory_state(row, arm_signs("corrected", 4, 4))
             fidelity = fidelity_to_pure(state.projector(), singlet)
             assert abs(fidelity - 1.0) < 1e-12
 

@@ -12,7 +12,7 @@ from qrecover.closedloop import (
     measurement_branches,
     uncontrolled_concurrence_closed,
 )
-from qrecover.entanglement import PreparationModel, eof_from_concurrence
+from qrecover.entanglement import eof_from_concurrence
 from qrecover.runner import RunConfig
 
 from helpers import (
@@ -272,7 +272,7 @@ class TestControlled:
         for eta in (1.0, 0.93333):
             for p in (0.25, 0.5, 0.7):
                 for theta in (0.0, 0.5, math.pi / 4):
-                    rho_in = eta_blend(singlet, PreparationModel.from_eta(eta).eta).matrix
+                    rho_in = eta_blend(singlet, eta).matrix
                     env = np.zeros((2, 2), dtype=complex)
                     env[0, 0] = 1.0
                     rho = np.kron(rho_in, env)

@@ -14,6 +14,7 @@ from qrecover.counts import (
 )
 
 from helpers import measured_ensemble
+from oracle import counts_coverage_oracle, p_prime_estimate_oracle, theta_estimate_oracle
 
 DELTA_P_AT_EQUAL_HUNDREDS = 0.1  # sqrt(4 * 0.0025) for counts (100, 100, 100, 100)
 DELTA_P_AT_50_50_200_200 = 0.027950849718747368
@@ -223,3 +224,62 @@ class TestProtocolProbabilities:
             if abs(theta - true_theta) <= 3 * delta:
                 hits += 1
         assert hits >= 0.98 * trials
+
+
+class TestCoverageOracle:
+    """The exact coverage of the counts-demo error bars, against the package."""
+
+    def test_estimators_match_the_package_on_a_grid_with_zero_counts(self):
+        sums = [0, 1, 2, 3, 7, 40, 401]
+        for first in sums:
+            for second in sums:
+                # each sum split over its two labels, unevenly
+                counts = CoincidenceCounts(
+                    c_hv_0=first // 3, c_vh_0=first - first // 3,
+                    c_hv_1=second - second // 2, c_vh_1=second // 2,
+                    c_hh_d=first - first // 3, c_vv_d=first // 3,
+                    c_hv_u=second // 2, c_vh_u=second - second // 2,
+                )
+                exact = [
+                    (theta_estimate_oracle(first, second), estimate_theta, first or second),
+                    (p_prime_estimate_oracle(first, second), estimate_p_prime, second),
+                ]
+                for (value, error), estimator, defined in exact:
+                    if not defined:
+                        assert np.isnan(value) and np.isnan(error)
+                        with pytest.raises(EstimationError):
+                            estimator(counts)
+                    else:
+                        assert (value, error) == pytest.approx(estimator(counts), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "quantity, p, theta",
+        [
+            ("theta", 0.5, 0.3),
+            ("theta", 0.5, 1.55),
+            ("theta", 0.5, 0.01),
+            ("p_prime", 0.5, 0.3),
+            ("p_prime", 0.2, 0.3),
+        ],
+    )
+    def test_oracle_matches_the_simulated_coverage(self, quantity, p, theta):
+        estimator, truth = (
+            (estimate_theta, theta) if quantity == "theta" else (estimate_p_prime, p / (1 - p))
+        )
+        probabilities = coincidence_probabilities(p, theta)
+        trials = 400
+        hits = 0
+        for seed in range(trials):
+            estimate, error = estimator(simulate_counts(probabilities, 4000, seed=seed))
+            hits += abs(estimate - truth) <= error
+        exact = counts_coverage_oracle(quantity, p, theta, 4000)
+        assert abs(hits / trials - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_one_sigma_coverage_away_from_the_edges(self):
+        # a true one-sigma error covers 68.27% of the estimates; near theta 0
+        # and pi/2 first-order propagation does not, which the error bars
+        # have yet to mend
+        assert counts_coverage_oracle("theta", 0.5, 0.3, 4000) == pytest.approx(0.6827, abs=0.01)
+        assert counts_coverage_oracle("p_prime", 0.5, 0.0, 4000) == pytest.approx(0.6827, abs=0.01)
+        assert counts_coverage_oracle("theta", 0.5, 1.55, 4000) == pytest.approx(0.5115, abs=1e-4)
+        assert counts_coverage_oracle("theta", 0.5, 0.01, 4000) == pytest.approx(0.8187, abs=1e-4)

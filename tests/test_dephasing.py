@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 
 from qrecover.dephasing import (
     BLOCK_SIZE,
-    CORRECTED,
-    ECHOED,
     MAX_MEAN_PHASE,
-    UNCONTROLLED,
     MonteCarloMoments,
     NoiseParams,
-    TrajectoryControl,
     analytic_coherence,
     monte_carlo_moments,
 )
@@ -32,6 +28,7 @@ from oracle import (
     DensityMatrix,
     LocalOperator,
     apply_local,
+    arm_signs,
     bell_state,
     bit_flip,
     coherence_square_mean_oracle,
@@ -48,11 +45,11 @@ def default_params(mu, **kwargs):
 
 
 def uncontrolled_coherence(k, mu, sigma, mean_phase=CHIBAR):
-    return analytic_coherence(UNCONTROLLED.signs(k, 4), mu, sigma, mean_phase)[-1]
+    return analytic_coherence(arm_signs("uncontrolled", k, 4), mu, sigma, mean_phase)[-1]
 
 
 def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
-    return analytic_coherence(ECHOED.signs(k, 4), mu, sigma, mean_phase)[-1]
+    return analytic_coherence(arm_signs("echoed", k, 4), mu, sigma, mean_phase)[-1]
 
 
 def final_moments(params, signs, n_samples, seed, workers=1):
@@ -148,51 +145,49 @@ class TestSampling:
 
 class TestSigns:
     def test_arms_as_sign_vectors(self):
-        assert UNCONTROLLED.signs(3, 4) == (1, 1, 1)
-        assert ECHOED.signs(4, 4) == (1, 1, -1, -1)
-        assert TrajectoryControl("echoed", echo_after_step=1).signs(3, 4) == (1, -1, -1)
-        assert CORRECTED.signs(4, 4) == ()
-        for control in (UNCONTROLLED, ECHOED, CORRECTED):
-            assert control.signs(0, 4) == ()
+        assert arm_signs("uncontrolled", 3, 4) == (1, 1, 1)
+        assert arm_signs("echoed", 4, 4) == (1, 1, -1, -1)
+        assert arm_signs("corrected", 4, 4) == ()
+        for kind in ("uncontrolled", "echoed", "corrected"):
+            assert arm_signs(kind, 0, 4) == ()
 
     def test_arms_coincide_before_their_control_acts(self):
         for k in (1, 2):
-            assert ECHOED.signs(k, 4) == UNCONTROLLED.signs(k, 4)
+            assert arm_signs("echoed", k, 4) == arm_signs("uncontrolled", k, 4)
         for k in (1, 2, 3):
-            assert CORRECTED.signs(k, 4) == UNCONTROLLED.signs(k, 4)
+            assert arm_signs("corrected", k, 4) == arm_signs("uncontrolled", k, 4)
 
     def test_echo_after_the_last_step_never_acts(self):
-        late = TrajectoryControl("echoed", echo_after_step=2)
         for steps in (1, 2):
             for k in range(steps + 1):
-                assert late.signs(k, steps) == UNCONTROLLED.signs(k, steps)
+                assert arm_signs("echoed", k, steps) == arm_signs("uncontrolled", k, steps)
 
 
 class TestTrajectoryStates:
     def test_step_zero_is_the_singlet(self):
-        for control in (UNCONTROLLED, CORRECTED, ECHOED):
-            state = trajectory_state((0.3, 0.4, 0.5, 0.6), 0, control)
+        for kind in ("uncontrolled", "corrected", "echoed"):
+            state = trajectory_state((0.3, 0.4, 0.5, 0.6), arm_signs(kind, 0, 4))
             assert abs(state.overlap(bell_state("psi_minus"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_turn_sum_gives_triplet(self):
-        state = trajectory_state((CHIBAR, CHIBAR, CHIBAR, CHIBAR), 2, UNCONTROLLED)
+        state = trajectory_state((CHIBAR, CHIBAR, CHIBAR, CHIBAR), (1, 1))
         assert abs(state.overlap(bell_state("psi_plus"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncontrolled_amplitudes_carry_phase_sum(self):
         phases = (0.2, 0.5, 0.9, 1.1)
-        state = trajectory_state(phases, 3, UNCONTROLLED)
+        state = trajectory_state(phases, (1, 1, 1))
         phase = sum(phases[:3])
         expected = np.array([0, 1, -np.exp(1j * phase), 0]) / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_echoed_frozen_sequence_recovers_phi_minus(self):
         chi = 0.8123
-        state = trajectory_state((chi, chi, chi, chi), 4, ECHOED)
+        state = trajectory_state((chi, chi, chi, chi), (1, 1, -1, -1))
         assert abs(state.overlap(bell_state("phi_minus"))) == pytest.approx(1.0, abs=1e-12)
         assert concurrence(state.projector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_echoed_amplitudes_mirror_sign_flip(self):
-        state = trajectory_state((0.2, 0.5, 0.9, 1.1), 4, ECHOED)
+        state = trajectory_state((0.2, 0.5, 0.9, 1.1), (1, 1, -1, -1))
         phase = 0.2 + 0.5 - 0.9 - 1.1
         expected = np.array([1, 0, 0, -np.exp(1j * phase)]) / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -200,34 +195,37 @@ class TestTrajectoryStates:
     def test_echoed_before_pulse_equals_uncontrolled(self):
         phases = (0.2, 0.5, 0.9, 1.1)
         for k in (1, 2):
-            echoed = trajectory_state(phases, k, ECHOED)
-            plain = trajectory_state(phases, k, UNCONTROLLED)
+            echoed = trajectory_state(phases, arm_signs("echoed", k, 4))
+            plain = trajectory_state(phases, arm_signs("uncontrolled", k, 4))
             np.testing.assert_allclose(echoed.amplitudes, plain.amplitudes, atol=1e-15)
 
     def test_corrected_returns_exact_singlet(self):
         singlet = bell_state("psi_minus")
         for row in sample_phase_matrix(default_params(0.4), 400, seed=17):
-            state = trajectory_state(row, 4, CORRECTED)
+            state = trajectory_state(row, arm_signs("corrected", 4, 4))
             assert abs(state.overlap(singlet)) == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_constructed_state_matches_formula(self):
         # stepwise phase gates (phase on the first basis component of B) and a
-        # mid-sequence bit flip must reproduce the closed-form trajectory state
-        # up to a global phase
+        # bit flip where the sign turns must reproduce the closed-form
+        # trajectory state up to a global phase
         for row in sample_phase_matrix(default_params(0.3), 25, seed=5):
-            for control, k in ((UNCONTROLLED, 2), (UNCONTROLLED, 4), (ECHOED, 3), (ECHOED, 4)):
+            for signs in ((1, 1), (1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), (1, -1, -1)):
                 state = bell_state("psi_minus")
-                for j in range(k):
-                    if control.kind == "echoed" and j == control.echo_after_step:
+                for j, sign in enumerate(signs):
+                    if sign != (signs[j - 1] if j else 1):
                         state = apply_local(state, bit_flip("B"))
                     gate = np.diag([np.exp(1j * row[j]), 1.0])
                     state = apply_local(state, LocalOperator("B", gate))
-                formula = trajectory_state(row, k, control)
+                formula = trajectory_state(row, signs)
                 assert abs(state.overlap(formula)) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_range_checked(self):
         with pytest.raises(ValueError):
-            trajectory_state((0.1, 0.2, 0.3, 0.4), 5, UNCONTROLLED)
+            trajectory_state((0.1, 0.2, 0.3, 0.4), (1,) * 5)
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                arm_signs("echoed", k, 4)
 
 
 class TestAnalyticCoherences:
@@ -318,9 +316,9 @@ class TestAnalyticCoherences:
 
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_huge_sigma_dephases_without_overflow(self, sigma):
-        assert analytic_coherence(UNCONTROLLED.signs(4, 4), 0.5, sigma).tolist()[1:] == [0.0] * 4
+        assert analytic_coherence((1, 1, 1, 1), 0.5, sigma).tolist()[1:] == [0.0] * 4
         # only the trajectories whose four phases are all equal keep the echo
-        assert analytic_coherence(ECHOED.signs(4, 4), 0.5, sigma)[-1] == -0.5 * 0.5**3
+        assert analytic_coherence((1, 1, -1, -1), 0.5, sigma)[-1] == -0.5 * 0.5**3
 
 
 class TestMonteCarlo:
@@ -328,19 +326,19 @@ class TestMonteCarlo:
 
     def test_noiseless_limit_keeps_full_entanglement(self):
         params = NoiseParams(mu=0.5, sigma=1e-9)
-        rho = averaged_projector_oracle(params, UNCONTROLLED, 4, 2_000, seed=2)
+        rho = averaged_projector_oracle(params, (1, 1, 1, 1), 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
-        moments = final_moments(params, UNCONTROLLED.signs(4, 4), 10_000, seed=2)
+        moments = final_moments(params, (1, 1, 1, 1), 10_000, seed=2)
         assert 2 * abs(moments.coherence_mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        moments = final_moments(default_params(1.0), UNCONTROLLED.signs(2, 4), self.N, seed=21)
+        moments = final_moments(default_params(1.0), (1, 1), self.N, seed=21)
         assert abs(moments.coherence_mean) == pytest.approx(
             0.5 * math.exp(-2 * SIGMA**2), abs=0.01
         )
 
     def test_echoed_matches_closed_form(self):
-        moments = final_moments(default_params(0.7), ECHOED.signs(4, 4), self.N, seed=22)
+        moments = final_moments(default_params(0.7), (1, 1, -1, -1), self.N, seed=22)
         assert abs(moments.coherence_mean) == pytest.approx(
             abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
         )
@@ -350,13 +348,13 @@ class TestMonteCarlo:
         for mu in (0.0, 0.2, 0.7, 1.0):
             for k in (1, 2, 3, 4):
                 moments = final_moments(
-                    default_params(mu), UNCONTROLLED.signs(k, 4), self.N, seed=100 + k
+                    default_params(mu), arm_signs("uncontrolled", k, 4), self.N, seed=100 + k
                 )
                 target = uncontrolled_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
             for k in (3, 4):
                 moments = final_moments(
-                    default_params(mu), ECHOED.signs(k, 4), self.N, seed=200 + k
+                    default_params(mu), arm_signs("echoed", k, 4), self.N, seed=200 + k
                 )
                 target = echoed_coherence(k, mu, SIGMA)
                 assert abs(moments.coherence_mean - target) < tol
@@ -364,23 +362,23 @@ class TestMonteCarlo:
     def test_coherence_is_the_live_element_of_the_averaged_projector(self):
         params = default_params(0.3)
         n = BLOCK_SIZE + 500
-        for control, k, element in (
-            (UNCONTROLLED, 3, (1, 2)),
-            (ECHOED, 4, (0, 3)),
-            (TrajectoryControl("echoed", echo_after_step=1), 2, (0, 3)),
-            (CORRECTED, 4, (1, 2)),
+        for signs, element in (
+            (arm_signs("uncontrolled", 3, 4), (1, 2)),
+            (arm_signs("echoed", 4, 4), (0, 3)),
+            ((1, -1), (0, 3)),  # an echo after step 1
+            (arm_signs("corrected", 4, 4), (1, 2)),
         ):
-            rho = averaged_projector_oracle(params, control, k, n, seed=5)
-            moments = final_moments(params, control.signs(k, 4), n, seed=5)
+            rho = averaged_projector_oracle(params, signs, n, seed=5)
+            moments = final_moments(params, signs, n, seed=5)
             assert abs(rho.matrix[element] - moments.coherence_mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
-        n = 2_000
-        rho = averaged_projector_oracle(default_params(0.3), UNCONTROLLED, 3, n, seed=5)
+        params, n = default_params(0.3), 2_000
+        rho = averaged_projector_oracle(params, arm_signs("uncontrolled", 3, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
-        rho = averaged_projector_oracle(default_params(0.3), ECHOED, 4, n, seed=5)
+        rho = averaged_projector_oracle(params, arm_signs("echoed", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0.5, 0, 0, 0.5], atol=1e-12)
-        rho = averaged_projector_oracle(default_params(0.3), CORRECTED, 4, n, seed=5)
+        rho = averaged_projector_oracle(params, arm_signs("corrected", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_trajectory_unitaries_are_unital(self):
@@ -395,7 +393,7 @@ class TestMonteCarlo:
 
     def test_worker_count_does_not_change_bits(self):
         params = default_params(0.7)
-        vectors = [UNCONTROLLED.signs(4, 4), ECHOED.signs(4, 4), ()]
+        vectors = [(1, 1, 1, 1), (1, 1, -1, -1), ()]
         serial = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=1)
         threaded = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=4)
         assert serial == threaded
@@ -411,7 +409,7 @@ class TestMonteCarlo:
     def test_uneven_shares_do_not_change_bits(self, n, mu, sigma, clip, seed):
         # enough cores that up to 4 threads share 1 to 6 blocks unevenly
         params = NoiseParams(mu=mu, sigma=sigma, clip_to_hardware=clip)
-        vectors = [UNCONTROLLED.signs(4, 4), ECHOED.signs(3, 4), ECHOED.signs(4, 4), ()]
+        vectors = [(1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), ()]
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 8):
             serial, *threaded = (
                 monte_carlo_moments(params, vectors, n, seed, workers) for workers in (1, 2, 3, 4)
@@ -438,7 +436,7 @@ class TestMonteCarlo:
         threads = threading.active_count()
         with pytest.raises(ValueError, match="block 0 failed"):
             monte_carlo_moments(
-                default_params(0.7), [ECHOED.signs(4, 4)], 20 * BLOCK_SIZE, seed=3, workers=2
+                default_params(0.7), [(1, 1, -1, -1)], 20 * BLOCK_SIZE, seed=3, workers=2
             )
         assert threading.active_count() == threads
         # the second share holds the ten odd blocks; it stops at its next block
@@ -449,7 +447,7 @@ class TestMonteCarlo:
     def test_one_pass_matches_per_vector_reduction(self, steps, clip):
         params = default_params(0.6, steps=steps, clip_to_hardware=clip)
         n, seed = 2 * BLOCK_SIZE + 300, 17
-        vectors = ((1,) * steps, ECHOED.signs(steps, steps))
+        vectors = ((1,) * steps, arm_signs("echoed", steps, steps))
         walks = monte_carlo_moments(params, vectors, n, seed)
         phases = sample_phase_matrix(params, n, seed)
         for vector, walk in zip(vectors, walks):
@@ -571,7 +569,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(dephasing, "_share", recording_share)
         monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
         params = default_params(0.7)
-        vectors = [UNCONTROLLED.signs(4, 4)]
+        vectors = [(1, 1, 1, 1)]
         for cores in (8, 2, None):
             monkeypatch.setattr(dephasing.os, "cpu_count", lambda: cores)
             shares.append([])
@@ -587,15 +585,24 @@ class TestMonteCarlo:
         assert submitted == [2, 1, 0]
 
     def test_averaged_projector_is_valid_density_matrix(self):
-        rho = averaged_projector_oracle(default_params(0.2), UNCONTROLLED, 4, 2_000, seed=7)
+        rho = averaged_projector_oracle(default_params(0.2), (1, 1, 1, 1), 2_000, seed=7)
         assert isinstance(rho, DensityMatrix)
 
     def test_deterministic_arms_have_zero_error(self):
         params = default_params(1.0)
-        for control, k in ((UNCONTROLLED, 0), (CORRECTED, 4), (ECHOED, 4)):
-            moments = final_moments(params, control.signs(k, 4), 10_000, seed=4)
+        for signs in ((), arm_signs("corrected", 4, 4), arm_signs("echoed", 4, 4)):
+            moments = final_moments(params, signs, 10_000, seed=4)
             assert moments.coherence_mean == -0.5
             assert moments.coherence_std_error() == 0.0
+
+    def test_balanced_vector_is_exact_at_every_sample_count(self):
+        # the totals are divided by n exactly: multiplying by 1/n missed
+        # -1/2 by an ulp for 20 of these (49, 98, 103, ...)
+        params = default_params(1.0)
+        for n in range(1, 401):
+            moments = final_moments(params, (1, 1, -1, -1), n, seed=1)
+            assert moments.coherence_mean == -0.5, n
+            assert moments.coherence_std_error() == 0.0, n
 
     @pytest.mark.parametrize("steps, flips", [(6, (3,)), (8, (2, 4, 6))])
     def test_balanced_vectors_at_full_correlation_are_exact(self, steps, flips):
@@ -629,10 +636,10 @@ class TestMonteCarlo:
         params = default_params(0.7)
         values = []
         for seed in range(40):
-            m = final_moments(params, UNCONTROLLED.signs(3, 4), 5_000, seed=seed)
+            m = final_moments(params, (1, 1, 1), 5_000, seed=seed)
             values.append(abs(m.coherence_mean))
         observed = np.std(values)
-        moments = final_moments(params, UNCONTROLLED.signs(3, 4), 5_000, seed=0)
+        moments = final_moments(params, (1, 1, 1), 5_000, seed=0)
         predicted = moments.coherence_std_error()
         assert predicted == pytest.approx(observed, rel=0.5)
 

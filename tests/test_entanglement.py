@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrecover.entanglement import (
-    PreparationModel,
     binary_entropy,
     eof_from_concurrence,
+    eta_from_fidelity,
     mixed_concurrence,
 )
 
@@ -51,7 +51,7 @@ class TestConcurrence:
 
     def test_werner_at_measured_fidelity(self):
         singlet = bell_state("psi_minus").projector().matrix
-        rho = eta_blend(singlet, PreparationModel.from_fidelity(0.96).eta)
+        rho = eta_blend(singlet, eta_from_fidelity(0.96))
         assert concurrence(rho) == pytest.approx(WERNER_96_CONCURRENCE, abs=1e-9)
 
     def test_matches_determinant_form_on_pure_states(self):
@@ -159,17 +159,21 @@ class TestEnsembles:
             assert averaged >= mixed - 1e-9
 
 
-class TestPreparationModel:
+class TestEtaFromFidelity:
     def test_fidelity_eta_locking(self):
-        prep = PreparationModel.from_fidelity(0.96)
-        assert prep.eta == pytest.approx((4 * 0.96 - 1) / 3, abs=1e-12)
-        assert prep.eta == pytest.approx(0.946667, abs=1e-6)
-        back = PreparationModel.from_eta(prep.eta)
-        assert back.fidelity == pytest.approx(0.96, abs=1e-12)
+        eta = eta_from_fidelity(0.96)
+        assert type(eta) is float
+        assert eta == pytest.approx((4 * 0.96 - 1) / 3, abs=1e-12)
+        assert eta == pytest.approx(0.946667, abs=1e-6)
+        # the singlet fidelity of the eta-mixed pair is (1 + 3 eta)/4
+        assert (1 + 3 * eta) / 4 == pytest.approx(0.96, abs=1e-12)
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            PreparationModel(eta=0.9, fidelity=0.9)
+    def test_an_array_gives_each_element_its_eta(self):
+        fidelities = np.array([[1.0], [0.96], [0.25]])
+        etas = eta_from_fidelity(fidelities)
+        assert etas.shape == (3, 1)
+        assert etas.ravel().tolist() == [eta_from_fidelity(f) for f in (1.0, 0.96, 0.25)]
+        assert etas.ravel().tolist() == [(4.0 * f - 1.0) / 3.0 for f in (1.0, 0.96, 0.25)]
 
     @pytest.mark.parametrize("eta", [1.5, -0.2, float("nan")])
     def test_eta_range_message_matches_closed_loop(self, eta):
@@ -177,21 +181,21 @@ class TestPreparationModel:
 
         message = rf"^eta {eta!r} outside \[0, 1\]$"
         with pytest.raises(ValueError, match=message):
-            PreparationModel.from_eta(eta)
-        with pytest.raises(ValueError, match=message):
             uncontrolled_concurrence_closed(0.5, eta)
 
     @pytest.mark.parametrize("fidelity", [0.2, 1.5, float("nan")])
     def test_out_of_range_fidelity_is_named(self, fidelity):
         message = rf"^fidelity {fidelity!r} outside \[1/4, 1\]$"
         with pytest.raises(ValueError, match=message):
-            PreparationModel.from_fidelity(fidelity)
+            eta_from_fidelity(fidelity)
+        with pytest.raises(ValueError, match=message):
+            eta_from_fidelity(np.array([1.0, fidelity]))
 
     def test_werner_limits(self):
         singlet = bell_state("psi_minus").projector().matrix
-        ideal = eta_blend(singlet, PreparationModel.ideal().eta)
+        ideal = eta_blend(singlet, eta_from_fidelity(1.0))
         np.testing.assert_allclose(ideal.matrix, singlet, atol=1e-12)
-        flat = eta_blend(singlet, PreparationModel.from_eta(0.0).eta)
+        flat = eta_blend(singlet, eta_from_fidelity(0.25))
         np.testing.assert_allclose(flat.matrix, np.eye(4) / 4, atol=1e-12)
 
 

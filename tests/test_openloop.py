@@ -6,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrecover import dephasing, openloop
-from qrecover.dephasing import (
-    CONTROL_KINDS,
-    NoiseParams,
-    TrajectoryControl,
-    analytic_coherence,
-    monte_carlo_moments,
-)
-from qrecover.entanglement import PreparationModel, eof_from_concurrence, mixed_concurrence
-from qrecover.openloop import CONTROLS, METHODS, open_loop_series
+from qrecover.dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from qrecover.entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
+from qrecover.openloop import CONTROL_KINDS, CONTROLS, METHODS, open_loop_series
 
 from helpers import table_rows
+from oracle import arm_signs
 
 SIGMA = 0.6
-IDEAL = PreparationModel.ideal()
-MEASURED = PreparationModel.from_fidelity(0.96)
+# singlet fidelities: the ideal pair and the measured one
+IDEAL = 1.0
+MEASURED = 0.96
 
 
 def params(mu, **kwargs):
@@ -37,20 +33,20 @@ def row(table, control, k, method="analytic"):
     return found
 
 
-def concurrence(control, k, mu, prep=IDEAL):
-    return row(open_loop_series(params(mu), [prep]), control, k)["concurrence"]
+def concurrence(control, k, mu, fidelity=IDEAL):
+    return row(open_loop_series(params(mu), [fidelity]), control, k)["concurrence"]
 
 
-def uncontrolled(k, mu, prep=IDEAL):
-    return concurrence("uncontrolled", k, mu, prep)
+def uncontrolled(k, mu, fidelity=IDEAL):
+    return concurrence("uncontrolled", k, mu, fidelity)
 
 
-def echoed(k, mu, prep=IDEAL):
-    return concurrence("echoed", k, mu, prep)
+def echoed(k, mu, fidelity=IDEAL):
+    return concurrence("echoed", k, mu, fidelity)
 
 
-def corrected(prep=IDEAL):
-    return concurrence("corrected", 4, 0.5, prep)
+def corrected(fidelity=IDEAL):
+    return concurrence("corrected", 4, 0.5, fidelity)
 
 
 class TestClosedForms:
@@ -81,7 +77,8 @@ class TestClosedForms:
             assert echoed(4, mu) == pytest.approx(expected, abs=1e-12)
 
     def test_echoed_with_measured_fidelity(self):
-        expected = 2 * max(0.0, MEASURED.eta / 2 - (1 - MEASURED.eta) / 4)
+        eta = eta_from_fidelity(MEASURED)
+        expected = 2 * max(0.0, eta / 2 - (1 - eta) / 4)
         assert echoed(4, 1.0, MEASURED) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.92, abs=1e-9)
 
@@ -91,8 +88,8 @@ class TestClosedForms:
 
     def test_monotone_decay_in_step(self):
         for mu in (0.0, 0.2, 0.5, 0.7, 1.0):
-            for prep in (IDEAL, MEASURED):
-                values = [uncontrolled(k, mu, prep) for k in range(5)]
+            for fidelity in (IDEAL, MEASURED):
+                values = [uncontrolled(k, mu, fidelity) for k in range(5)]
                 for previous, current in zip(values, values[1:]):
                     assert current <= previous + 1e-12
 
@@ -106,13 +103,11 @@ class TestClosedForms:
         for mu in (0.8, 0.9, 1.0):
             assert echoed(4, mu) >= echoed(3, mu) - 1e-12
 
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            TrajectoryControl(kind="uncontrolled").signs(5, 4)
-        with pytest.raises(ValueError):
-            TrajectoryControl(kind="echoed").signs(-1, 4)
-        with pytest.raises(ValueError):
-            open_loop_series(params(0.5), [PreparationModel.from_eta(1.5)])
+    @pytest.mark.parametrize("fidelity", [0.2, 1.5, math.nan])
+    def test_domain_checks(self, fidelity):
+        message = rf"^fidelity {fidelity!r} outside \[1/4, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            open_loop_series(params(0.5), [1.0, fidelity])
 
 
 class TestTableRows:
@@ -184,12 +179,12 @@ class TestTableRows:
         assert len(table_rows(sampled)) == 3 * 5
 
     def test_echo_position_is_honoured(self):
-        signs = TrajectoryControl(kind="echoed", echo_after_step=1).signs(4, 4)
-        analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), IDEAL.eta)
+        signs = (1, -1, -1, -1)  # an echo after step 1
+        analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), 1.0)
         assert analytic == pytest.approx(0.46753, abs=1e-5)
         ((*_, moments),) = monte_carlo_moments(params(0.3), [signs], n_samples=100_000, seed=8)
-        sampled = mixed_concurrence(abs(moments.coherence_mean), IDEAL.eta)
-        stat_error = 2.0 * IDEAL.eta * moments.coherence_std_error()
+        sampled = mixed_concurrence(abs(moments.coherence_mean), 1.0)
+        stat_error = 2.0 * moments.coherence_std_error()
         assert abs(sampled - analytic) < 5 * stat_error
 
 
@@ -215,8 +210,8 @@ class TestSeries:
         assert table["concurrence"][0, 0, arm, 1] == pytest.approx(uncontrolled(1, 0.7), abs=1e-15)
 
     def test_columns_lie_on_the_grid_of_fidelity_method_arm_and_step(self):
-        preps = [IDEAL, MEASURED, PreparationModel.from_fidelity(0.8)]
-        table = open_loop_series(params(0.7, steps=3), preps, METHODS, n_samples=100, seed=2)
+        fidelities = [IDEAL, MEASURED, 0.8]
+        table = open_loop_series(params(0.7, steps=3), fidelities, METHODS, n_samples=100, seed=2)
         shapes = {column: values.shape for column, values in table.items()}
         assert shapes == {
             "fidelity": (3, 1, 1, 1),
@@ -237,7 +232,8 @@ class TestSeries:
         assert set(table["stat_error"][:, 0].ravel()) == {None}
         assert all(type(error) is float for error in table["stat_error"][:, 1].ravel())
 
-    def test_each_method_walks_the_two_arms_once(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    def test_each_method_walks_the_two_arms_once(self, monkeypatch, steps):
         walked = []
 
         def recording(noise, sign_vectors, *args):
@@ -245,8 +241,11 @@ class TestSeries:
             return monte_carlo_moments(noise, sign_vectors, *args)
 
         monkeypatch.setattr(openloop, "monte_carlo_moments", recording)
-        open_loop_series(params(0.7, steps=5), [IDEAL, MEASURED], METHODS, n_samples=100, seed=1)
-        assert walked == [((1,) * 5, (1, 1, -1, -1, -1))]
+        noise = params(0.7, steps=steps)
+        open_loop_series(noise, [IDEAL, MEASURED], METHODS, n_samples=100, seed=1)
+        assert walked == [((1,) * steps, arm_signs("echoed", steps, steps))]
+        # the echo after step 2 never acts at steps 1 and 2
+        assert (-1 in walked[0][1]) == (steps > 2)
 
     def test_closed_form_calls_grow_linearly_in_the_steps(self, monkeypatch):
         # one recursion per arm, with an entry after each step; restarting
@@ -283,10 +282,10 @@ class TestHiddenEntanglement:
         # every trajectory is a local-unitary image of the prepared state, so
         # each carries EoF((3 eta - 1)/2), and local control recovers no more
         # (D'Arrigo et al., Ann. Phys. 350, 211, 2014)
-        prep = PreparationModel.from_fidelity(fidelity)
+        eta = eta_from_fidelity(fidelity)
         noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
-        table = open_loop_series(noise, [prep], METHODS, n_samples=500, seed=seed)
-        average = eof_from_concurrence(max(0.0, (3.0 * prep.eta - 1.0) / 2.0))
+        table = open_loop_series(noise, [fidelity], METHODS, n_samples=500, seed=seed)
+        average = eof_from_concurrence(max(0.0, (3.0 * eta - 1.0) / 2.0))
         assert (table["eof"] <= average + 1e-12).all()
         # the correction restores all of it at the last step, by either method
         corrected = table["eof"][0, :, CONTROL_KINDS.index("corrected"), -1]
@@ -307,26 +306,26 @@ class TestTableDefinition:
     def test_table_equals_the_row_by_row_definition(
         self, methods, mu, sigma, steps, fidelities, n_samples, seed
     ):
-        preps = [PreparationModel.from_fidelity(f) for f in fidelities]
         noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
-        table = open_loop_series(noise, preps, methods, n_samples, seed)
+        table = open_loop_series(noise, fidelities, methods, n_samples, seed)
         expected = []
-        for prep in preps:
+        for fidelity in fidelities:
+            eta = eta_from_fidelity(fidelity)
             for method in methods:
                 for kind in CONTROL_KINDS:
                     for k in range(steps + 1):
-                        signs = TrajectoryControl(kind).signs(k, steps)
+                        signs = arm_signs(kind, k, steps)
                         # each row's sign vector walked alone, to its last step
                         if method == "analytic":
                             coherence, error = analytic_coherence(signs, mu, sigma)[-1], None
                         else:
                             ((*_, m),) = monte_carlo_moments(noise, [signs], n_samples, seed)
                             coherence = m.coherence_mean
-                            error = 2.0 * prep.eta * m.coherence_std_error()
-                        c = mixed_concurrence(abs(coherence), prep.eta)
+                            error = 2.0 * eta * m.coherence_std_error()
+                        c = mixed_concurrence(abs(coherence), eta)
                         expected.append(
                             {
-                                "fidelity": prep.fidelity,
+                                "fidelity": fidelity,
                                 "method": method,
                                 "control": kind,
                                 "step": k,

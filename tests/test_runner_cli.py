@@ -33,6 +33,14 @@ def read_csv(path):
 
 
 class TestOpenLoopRunner:
+    def test_full_correlation_echo_has_zero_error_at_every_sample_count(self, tmp_path):
+        # n-samples 49 wrote 2.13e-09 here, with the mean an ulp short of -1/2
+        out = tmp_path / "x.csv"
+        argv = ["open-loop", "--mu", "1", "--method", "monte_carlo", "--n-samples", "49"]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+        (last,) = [r for r in read_csv(out) if (r["control"], r["step"]) == ("echoed", "4")]
+        assert (last["concurrence"], last["stat_error"]) == ("1", "0")
+
     @pytest.mark.parametrize("sigma", ["1e155", "1e300", "1e308"])
     def test_huge_sigma_dephases_without_overflow(self, tmp_path, sigma):
         out = tmp_path / "huge.csv"
@@ -407,22 +415,31 @@ class TestConfigFileTypes:
         assert main(["open-loop", "--config", str(config), "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_numpy_scalars_are_accepted_as_their_builtins(self, tmp_path):
-        common = {"experiment": "assist_scan", "format": "jsonl"}
-        numpy_config = RunConfig(
-            out=str(tmp_path / "numpy.jsonl"),
-            seed=np.int64(3),
-            grid_points=np.int64(5),
-            p=np.float64(0.3),
-            fidelity=(1.0, np.float64(0.9)),
-            **common,
-        )
-        plain = RunConfig(
-            out=str(tmp_path / "plain.jsonl"), seed=3, grid_points=5, p=0.3, fidelity=(1.0, 0.9),
-            **common,
-        )
+    @pytest.mark.parametrize(
+        "experiment, numpy_values, plain_values",
+        [
+            (
+                "closed_loop",
+                {"sweep": "theta", "grid_points": np.int64(5), "p": np.float64(0.3),
+                 "fidelity": (1.0, np.float64(0.9))},
+                {"sweep": "theta", "grid_points": 5, "p": 0.3, "fidelity": (1.0, 0.9)},
+            ),
+            (
+                "counts_demo",
+                {"seed": np.int64(3), "p": np.float64(0.3), "total_pairs": np.int64(4000)},
+                {"seed": 3, "p": 0.3, "total_pairs": 4000},
+            ),
+        ],
+    )
+    def test_numpy_scalars_are_accepted_as_their_builtins(
+        self, tmp_path, experiment, numpy_values, plain_values
+    ):
+        # split over two experiments, since each takes only the fields it reads
+        common = {"experiment": experiment, "format": "jsonl"}
+        numpy_config = RunConfig(out=str(tmp_path / "numpy.jsonl"), **numpy_values, **common)
+        plain = RunConfig(out=str(tmp_path / "plain.jsonl"), **plain_values, **common)
         assert type(numpy_config.p) is float
-        assert list(map(type, numpy_config.fidelity)) == [float, float]
+        assert set(map(type, numpy_config.fidelity)) == {float}
         assert run(numpy_config).read_bytes() == run(plain).read_bytes()
 
     @pytest.mark.parametrize(
@@ -741,9 +758,61 @@ class TestFormatsAndConfig:
             runner._BUILDERS[experiment](Recording(config))
         assert read == set(runner.PARAMETERS[experiment])
 
+    def test_a_field_the_experiment_does_not_read_is_refused(self):
+        with pytest.raises(ValueError) as refused:
+            RunConfig(
+                experiment="assist_scan", out="a.csv", p=0.3, grid_points=5,
+                steps=7, seed=5, workers=9, mu=0.2,
+            )
+        assert str(refused.value) == (
+            "assist_scan does not read workers, seed, mu, steps; leave them at their defaults"
+        )
+
+    @pytest.mark.parametrize("experiment", list(runner.PARAMETERS))
+    def test_each_unread_field_is_named_and_its_default_accepted(self, experiment):
+        needed = {"open_loop": {"mu": 0.5}, "counts_demo": {"seed": 1}}.get(experiment, {})
+        # a valid value other than the default, for every field but experiment and out
+        other = {
+            "format": "jsonl", "workers": 2, "seed": 1, "fidelity": (0.9,), "mu": 0.5,
+            "sigma": 0.5, "mean_phase": 1.0, "steps": 3, "method": "both", "n_samples": 10,
+            "clip_to_hardware": True, "sweep": "theta", "p": 0.3, "p_prime": 0.5,
+            "theta": 0.2, "grid_points": 5, "total_pairs": 100,
+        }
+        unread = [name for name in other if name not in runner.PARAMETERS[experiment]]
+        assert unread
+        for name in unread:
+            with pytest.raises(ValueError, match=f"^{experiment} does not read {name};"):
+                RunConfig(experiment=experiment, out="x.csv", **needed, **{name: other[name]})
+        # a field left at its default is accepted, however it is given
+        defaults = {name: RunConfig.__dataclass_fields__[name].default for name in unread}
+        RunConfig(experiment=experiment, out="x.csv", **needed, **defaults)
+
     def test_missing_out_rejected(self, capsys):
         assert main(["open-loop", "--mu", "1.0"]) == 2
         assert "output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closed-loop", "--grid-points", "100000000000"],
+            ["open-loop", "--mu", "0.5", "--steps", "100000000000"],
+        ],
+    )
+    def test_an_allocation_that_fails_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # a stand-in builder raises, so nothing is allocated for real
+        experiment = argv[0].replace("-", "_")
+        for error, message in (
+            (MemoryError("Unable to allocate 745. GiB for an array"), "Unable to allocate"),
+            (MemoryError(), "out of memory"),
+        ):
+
+            def exhausted(config):
+                raise error
+
+            monkeypatch.setitem(runner._BUILDERS, experiment, exhausted)
+            assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err.startswith(f"qrecover: error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_rejected(self, tmp_path, capsys, monkeypatch):
         # the directory is checked before any row is built
@@ -785,8 +854,10 @@ CORE_MODULES = [
     "qrecover.openloop",
     "qrecover.runner",
 ]
-# names of 0.2.0 that left the package: the state toolkit and the
-# general concurrence live in the test oracle now, the rest is gone
+# names that left the package: of 0.2.0, the state toolkit and the general
+# concurrence live in the test oracle now, and the rest is gone; of 0.6.0,
+# the control and preparation records, whose values are plain sign vectors
+# and fidelities now
 REMOVED_NAMES = {
     "states", "DensityMatrix", "LocalOperator", "PureState", "RegisterError",
     "apply_local", "apply_two_qubit", "bell_state", "bit_flip", "fidelity_to_pure",
@@ -796,6 +867,7 @@ REMOVED_NAMES = {
     "PhaseSequence", "sample_sequence", "sample_phase_matrix", "trajectory_state",
     "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
     "OpenLoopResult", "run_open_loop", "ClosedLoopParams", "check_eta",
+    "TrajectoryControl", "PreparationModel", "UNCONTROLLED", "CORRECTED", "ECHOED",
 }
 
 
@@ -835,7 +907,6 @@ class TestNoVerbBuildsAQuantumState:
             assert sorted(REMOVED_NAMES & set(vars(loaded))) == [], module
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("qrecover.states")
-        assert "correction_variant" not in dephasing.TrajectoryControl.__dataclass_fields__
 
 
 class TestAtomicWrites:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qrecover.entanglement import PreparationModel
+from qrecover.entanglement import eta_from_fidelity
 
 from helpers import (
     eta_blend,
@@ -284,8 +284,7 @@ class TestFidelity:
         assert fidelity_to_pure(rho, bell_state("psi_minus")) == pytest.approx(0.25, abs=1e-12)
 
     def test_partially_mixed_preparation(self):
-        prep = PreparationModel.from_fidelity(0.96)
-        rho = eta_blend(bell_state("psi_minus").projector().matrix, prep.eta)
+        rho = eta_blend(bell_state("psi_minus").projector().matrix, eta_from_fidelity(0.96))
         assert fidelity_to_pure(rho, bell_state("psi_minus")) == pytest.approx(
             0.96, abs=1e-12
         )
