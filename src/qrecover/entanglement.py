@@ -28,14 +28,14 @@ def check_range(name: str, value, low: float, high: float, complaint: str) -> np
     """``value`` as a float array, once every element lies in [low, high].
 
     Otherwise raise ValueError "<name> <value> <complaint>" for the first
-    element outside, NaN included: a scalar by its repr, an array element
-    as a float.
+    element outside, NaN included: a Python int or float by its repr, an
+    array element or a numpy scalar as a float.
     """
     values = np.asarray(value, dtype=float)
     # a NaN element makes min and max NaN, and both comparisons false
     if values.size and not (low <= values.min() and values.max() <= high):
         outside = ~((values >= low) & (values <= high))
-        bad = value if values.ndim == 0 else float(values[outside][0])
+        bad = value if type(value) in (int, float) else float(values[outside][0])
         raise ValueError(f"{name} {bad!r} {complaint}")
     return values
 

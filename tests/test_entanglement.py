@@ -186,10 +186,9 @@ class TestEtaFromFidelity:
     @pytest.mark.parametrize("fidelity", [0.2, 1.5, float("nan")])
     def test_out_of_range_fidelity_is_named(self, fidelity):
         message = rf"^fidelity {fidelity!r} outside \[1/4, 1\]$"
-        with pytest.raises(ValueError, match=message):
-            eta_from_fidelity(fidelity)
-        with pytest.raises(ValueError, match=message):
-            eta_from_fidelity(np.array([1.0, fidelity]))
+        for given in (fidelity, np.float64(fidelity), np.array([1.0, fidelity])):
+            with pytest.raises(ValueError, match=message):
+                eta_from_fidelity(given)
 
     def test_werner_limits(self):
         singlet = bell_state("psi_minus").projector().matrix
