@@ -107,18 +107,19 @@ def sample_phase_matrix(params, n_samples, seed):
 def trajectory_state(phases, signs):
     """Pure state of the pair after len(signs) steps of one row of phases.
 
-    ``signs`` holds one sign per step (``oracle.arm_signs``), -1 once a
-    single bit flip on B has acted.  Without the flip the state is
-    (|HV> - e^{i phi} |VH>)/sqrt(2) with phi the running phase sum; after it,
-    (|HH> - e^{i psi} |VV>)/sqrt(2), the later phases entering psi with a
-    minus sign.  The empty vector (step 0, and the corrected arm's last
-    step) is the exact singlet.
+    ``signs`` holds one sign per step (``oracle.arm_signs``): a bit flip on
+    B acts before each step whose sign differs from the one before, the
+    first compared with +1.  After an even number of flips the state is
+    (|HV> - e^{i phi} |VH>)/sqrt(2), after an odd number
+    (|HH> - e^{i phi} |VV>)/sqrt(2), with phi the signed phase sum
+    sum_j s_j chi_j.  The empty vector (step 0, and the corrected arm's
+    last step) is the exact singlet.
     """
     if len(signs) > len(phases):
         raise ValueError(f"{len(signs)} signs for {len(phases)} phases")
     phase = sum(s * chi for s, chi in zip(signs, phases))
     amps = np.zeros(4, dtype=complex)
-    if -1 in signs:  # the flip has acted: outer-coherence form
+    if signs and signs[-1] < 0:  # an odd number of flips: outer-coherence form
         amps[0] = _INV_SQRT2
         amps[3] = -np.exp(1j * phase) * _INV_SQRT2
     else:

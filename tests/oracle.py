@@ -356,7 +356,7 @@ def theta_estimate_oracle(mode0, mode1):
     """arctan(sqrt(mode1/mode0)) and its first-order error, for arrays of
     the two mode sums; pi/2 with error 1/(2 sqrt(mode1)) where mode0 is 0,
     and NaN where both are."""
-    mode0, mode1 = np.broadcast_arrays(np.asarray(mode0, float), np.asarray(mode1, float))
+    mode0, mode1 = np.asarray(mode0, float), np.asarray(mode1, float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = mode1 / mode0
         theta = np.where(mode0 > 0, np.arctan(np.sqrt(ratio)), np.pi / 2)
@@ -368,7 +368,7 @@ def theta_estimate_oracle(mode0, mode1):
 def p_prime_estimate_oracle(down, up):
     """The ratio down/up of the path sums and its first-order error
     sqrt(down/up^2 + down^2/up^3), for arrays; NaN where up is 0."""
-    down, up = np.broadcast_arrays(np.asarray(down, float), np.asarray(up, float))
+    down, up = np.asarray(down, float), np.asarray(up, float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio, error = down / up, np.sqrt(down / up**2 + down**2 / up**3)
     return np.where(up > 0, ratio, np.nan), np.where(up > 0, error, np.nan)

@@ -210,7 +210,10 @@ class TestTrajectoryStates:
         # bit flip where the sign turns must reproduce the closed-form
         # trajectory state up to a global phase
         for row in sample_phase_matrix(default_params(0.3), 25, seed=5):
-            for signs in ((1, 1), (1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), (1, -1, -1)):
+            for signs in (
+                (1, 1), (1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), (1, -1, -1), (1, -1, 1),
+                (-1, 1, -1, -1),
+            ):
                 state = bell_state("psi_minus")
                 for j, sign in enumerate(signs):
                     if sign != (signs[j - 1] if j else 1):
