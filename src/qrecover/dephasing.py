@@ -45,7 +45,8 @@ to right, so no prefix's value depends on the other vectors.  Exactness
 rule: where a mixed-sign prefix's +1 phases and its -1 phases, each side
 added up in step order, have equal sums, its factor is exactly 1, as
 e^{-i 0} is; so at mu = 1 a balanced vector gives the coherence -1/2 with
-zero error, in any summation order of the BLAS library.
+zero error, in any summation order of the BLAS library and for any
+``n_samples``.
 """
 
 from __future__ import annotations
