@@ -17,7 +17,6 @@ from .closedloop import (
     uncontrolled_concurrence_closed,
 )
 from .counts import (
-    CoincidenceCounts,
     EstimationError,
     coincidence_probabilities,
     estimate_p_prime,
@@ -29,4 +28,4 @@ from .entanglement import binary_entropy, eof_from_concurrence, eta_from_fidelit
 from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

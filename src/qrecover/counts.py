@@ -2,120 +2,97 @@
 
 Two count groups are used to calibrate the feedback experiment: the
 down/up-path split fixes the attenuation ratio p' = p/(1-p), and the
-rotated-output split fixes the measurement angle theta.  Each count C
-carries a Poissonian standard error sqrt(C); a zero count contributes zero
-error.
+rotated-output split fixes the measurement angle theta.  Each estimate
+depends on the two sums of its group only, and each count C carries a
+Poissonian standard error sqrt(C), so a zero count contributes zero error.
+The estimators take the sums as numbers or as numpy arrays, which
+broadcast; ``simulate_counts`` draws every label's count in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
 
 import numpy as np
 
 from .closedloop import measurement_branches
+from .entanglement import as_result, check_range
 
-SPLIT_FIELDS = ("c_hh_d", "c_vv_d", "c_hv_u", "c_vh_u")
+# the labels in the order they are drawn: the ``_d``/``_u`` group (HH and VV
+# on the down path, HV and VH on the up path) sets the attenuation ratio, the
+# ``_1``/``_0`` group (HV and VH on the rotated output modes) the angle
+COUNT_LABELS = ("c_hh_d", "c_vv_d", "c_hv_u", "c_vh_u", "c_hv_1", "c_vh_1", "c_hv_0", "c_vh_0")
 
 
 class EstimationError(ValueError):
     """The counts cannot support the requested estimate."""
 
 
-@dataclass(frozen=True)
-class CoincidenceCounts:
-    """Nonnegative coincidence counts per outcome label.
+def _count_sum(name: str, value) -> np.ndarray:
+    """``value`` as a float array, once every element is a nonnegative integer."""
+    complaint = "must be a nonnegative integer"
+    values = check_range(f"{name} count", value, 0.0, sys.float_info.max, complaint)
+    fractional = values != np.floor(values)
+    if fractional.any():
+        raise ValueError(f"{name} count {float(values[fractional][0])!r} {complaint}")
+    return values
 
-    The ``_u``/``_d`` group (HH and VV on the down path, HV and VH on the up
-    path) sets the attenuation ratio; the ``_0``/``_1`` group (HV and VH on
-    the rotated output modes u and d) sets the measurement angle.
+
+def estimate_p_prime(down, up):
+    """Attenuation ratio down/up of the down- and up-path count sums, and its error.
+
+    First-order propagation of sqrt(C) per count gives the error
+    sqrt(down/up^2 + down^2/up^3).  The sums are numbers or arrays; the
+    ratio is undefined where ``up`` is 0.
     """
-
-    c_hh_d: int = 0
-    c_vv_d: int = 0
-    c_hv_u: int = 0
-    c_vh_u: int = 0
-    c_hv_1: int = 0
-    c_vh_1: int = 0
-    c_hv_0: int = 0
-    c_vh_0: int = 0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if int(value) != value or value < 0:
-                raise ValueError(f"count {f.name} = {value!r} must be a nonnegative integer")
-            object.__setattr__(self, f.name, int(value))
-
-
-def estimate_p_prime(counts: CoincidenceCounts) -> tuple[float, float]:
-    """Attenuation ratio (C_hh_d + C_vv_d)/(C_hv_u + C_vh_u) and its error.
-
-    The error follows from first-order propagation of sqrt(C) per count:
-    delta^2 = C_hh_d/D^2 + C_hv_u S^2/D^4 + C_vv_d/D^2 + C_vh_u S^2/D^4
-    with S the numerator and D the denominator sum.
-    """
-    numerator = counts.c_hh_d + counts.c_vv_d
-    denominator = counts.c_hv_u + counts.c_vh_u
-    if denominator <= 0:
+    down, up = _count_sum("down", down), _count_sum("up", up)
+    if (up == 0.0).any():
         raise EstimationError("up-path counts sum to zero; ratio undefined")
-    ratio = numerator / denominator
-    variance = (
-        counts.c_hh_d / denominator**2
-        + counts.c_hv_u * numerator**2 / denominator**4
-        + counts.c_vv_d / denominator**2
-        + counts.c_vh_u * numerator**2 / denominator**4
-    )
-    return float(ratio), float(math.sqrt(variance))
+    return as_result(down / up), as_result(np.sqrt(down / up**2 + down**2 / up**3))
 
 
-def estimate_theta(counts: CoincidenceCounts) -> tuple[float, float]:
-    """Measurement angle arctan(sqrt(R)) with R the mode-1/mode-0 count ratio.
+def estimate_theta(mode0, mode1):
+    """Measurement angle arctan(sqrt(mode1/mode0)) of the two mode sums, and its error.
 
-    delta theta = (C_hv_0 + C_vh_0)^(-1/2) (1 + R)^(-1/2) / 2.  With no
-    mode-0 counts the angle is pi/2 and the error (C_hv_1 + C_vh_1)^(-1/2) / 2;
-    with no counts in either mode it is undefined.
+    First-order propagation gives the error (mode0 + mode1)^(-1/2) / 2; with
+    no mode-0 counts the angle is pi/2.  The sums are numbers or arrays; the
+    angle is undefined where both are 0.
     """
-    mode0 = counts.c_hv_0 + counts.c_vh_0
-    mode1 = counts.c_hv_1 + counts.c_vh_1
-    if mode0 <= 0:
-        if mode1 <= 0:
-            raise EstimationError("mode-0 and mode-1 counts sum to zero; angle undefined")
-        return math.pi / 2, 0.5 / math.sqrt(mode1)
-    ratio = mode1 / mode0
-    theta = math.atan(math.sqrt(ratio))
-    delta = 0.5 / math.sqrt(mode0) / math.sqrt(1.0 + ratio)
-    return float(theta), float(delta)
+    mode0, mode1 = _count_sum("mode0", mode0), _count_sum("mode1", mode1)
+    total = mode0 + mode1
+    if (total == 0.0).any():
+        raise EstimationError("mode-0 and mode-1 counts sum to zero; angle undefined")
+    return as_result(np.arctan2(np.sqrt(mode1), np.sqrt(mode0))), as_result(0.5 / np.sqrt(total))
 
 
-def simulate_counts(
-    probabilities: dict[str, float], total_pairs: int, seed: int
-) -> CoincidenceCounts:
-    """Independent Poisson draws with means probability * total_pairs.
+def simulate_counts(probabilities: dict[str, float], total_pairs: int, seed: int) -> dict[str, int]:
+    """Independent Poisson counts with means probability * total_pairs, per label.
 
-    Labels absent from ``probabilities`` stay zero.  Deterministic for a
-    fixed seed; labels are drawn in the declared field order.
+    Labels absent from ``probabilities`` count zero.  Deterministic for a
+    fixed seed: one call draws the labels in ``COUNT_LABELS`` order, and a
+    zero mean draws nothing from the stream.
     """
     if int(total_pairs) != total_pairs or total_pairs < 1:
         raise ValueError(f"total_pairs {total_pairs!r} must be a positive integer")
-    known = {f.name for f in fields(CoincidenceCounts)}
-    unknown = set(probabilities) - known
+    unknown = set(probabilities) - set(COUNT_LABELS)
     if unknown:
         raise ValueError(f"unknown count labels {sorted(unknown)}")
-    for label, prob in probabilities.items():
-        if prob < 0.0:
-            raise ValueError(f"probability for {label} is negative: {prob!r}")
+    lam = np.array([probabilities.get(label, 0.0) for label in COUNT_LABELS], dtype=float)
+    # a NaN fails both comparisons
+    outside = ~((lam >= 0.0) & (lam <= 1.0))
+    if outside.any():
+        label = COUNT_LABELS[np.flatnonzero(outside)[0]]
+        problem = "negative" if probabilities[label] < 0.0 else "outside [0, 1]"
+        raise ValueError(f"probability for {label} is {problem}: {probabilities[label]!r}")
     rng = np.random.default_rng(seed)
-    draws = {}
-    for f in fields(CoincidenceCounts):
-        prob = probabilities.get(f.name, 0.0)
-        try:
-            draws[f.name] = int(rng.poisson(prob * total_pairs)) if prob > 0.0 else 0
-        except (ValueError, OverflowError) as exc:
-            # a mean beyond the sampler's range (numpy: "lam value too large")
-            raise ValueError(f"total_pairs {total_pairs!r} too large to sample: {exc}") from exc
-    return CoincidenceCounts(**draws)
+    try:
+        draws = rng.poisson(lam * float(total_pairs))
+    except (ValueError, OverflowError) as exc:
+        # a total_pairs beyond a float, or a mean beyond the sampler's range
+        # (numpy: "lam value too large")
+        raise ValueError(f"total_pairs {total_pairs!r} too large to sample: {exc}") from exc
+    return dict(zip(COUNT_LABELS, map(int, draws)))
 
 
 def coincidence_probabilities(p: float, theta: float) -> dict[str, float]:

@@ -516,8 +516,12 @@ def _counts_demo_rows(config: RunConfig) -> dict:
     probabilities = coincidence_probabilities(p, theta)
     counts = simulate_counts(probabilities, config.total_pairs, config.seed)
     try:
-        ratio, ratio_err = estimate_p_prime(counts)
-        angle, angle_err = estimate_theta(counts)
+        ratio, ratio_err = estimate_p_prime(
+            counts["c_hh_d"] + counts["c_vv_d"], counts["c_hv_u"] + counts["c_vh_u"]
+        )
+        angle, angle_err = estimate_theta(
+            counts["c_hv_0"] + counts["c_vh_0"], counts["c_hv_1"] + counts["c_vh_1"]
+        )
     except EstimationError as exc:
         raise EstimationError(
             f"total_pairs {config.total_pairs!r} is too small for the drawn counts: {exc}"

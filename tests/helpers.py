@@ -18,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qrecover.dephasing import BLOCK_SIZE, _block_draws
 
@@ -40,6 +41,16 @@ from oracle import (
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def grids(elements, max_size=40):
+    """Nonempty lists of ``elements``: the grids of the array-form properties."""
+    return st.lists(elements, min_size=1, max_size=max_size)
+
+
+def with_one_bad_element(grid, index, bad):
+    """``grid`` as a float array with ``bad`` inserted at ``index`` (wrapped)."""
+    return np.insert(np.array(grid, dtype=float), index % (len(grid) + 1), bad)
 
 
 def coherence_oracle(k, mu, sigma, mean_phase, signs):

@@ -1,7 +1,8 @@
 """State toolkit of the test oracles: qubit registers, gates, partial trace
 and the general two-qubit concurrence; the sign vector of each open-loop
 arm; the exact second moment of the Monte Carlo coherence; and the exact
-coverage of the counts-demo error bars.
+coverage of the counts-demo error bars, which sums the package's own
+estimators over a grid of Poisson outcomes.
 
 The package computes every quantity from closed forms and builds no quantum
 state.  The tests build the same states here, gate by gate, and check the
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qrecover.counts import estimate_p_prime, estimate_theta
 from qrecover.entanglement import eof_from_concurrence
 
 ATOL_NORM = 1e-12
@@ -352,28 +354,6 @@ def _poisson_window(mean, sds=12.0):
     return k, np.exp(k * math.log(mean) - mean - log_factorial[k])
 
 
-def theta_estimate_oracle(mode0, mode1):
-    """arctan(sqrt(mode1/mode0)) and its first-order error, for arrays of
-    the two mode sums; pi/2 with error 1/(2 sqrt(mode1)) where mode0 is 0,
-    and NaN where both are."""
-    mode0, mode1 = np.asarray(mode0, float), np.asarray(mode1, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = mode1 / mode0
-        theta = np.where(mode0 > 0, np.arctan(np.sqrt(ratio)), np.pi / 2)
-        error = np.where(mode0 > 0, 0.5 / np.sqrt(mode0 * (1.0 + ratio)), 0.5 / np.sqrt(mode1))
-    undefined = (mode0 == 0) & (mode1 == 0)
-    return np.where(undefined, np.nan, theta), np.where(undefined, np.nan, error)
-
-
-def p_prime_estimate_oracle(down, up):
-    """The ratio down/up of the path sums and its first-order error
-    sqrt(down/up^2 + down^2/up^3), for arrays; NaN where up is 0."""
-    down, up = np.asarray(down, float), np.asarray(up, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio, error = down / up, np.sqrt(down / up**2 + down**2 / up**3)
-    return np.where(up > 0, ratio, np.nan), np.where(up > 0, error, np.nan)
-
-
 def counts_coverage_oracle(quantity, p, theta, total_pairs):
     """Exact probability that counts-demo's estimate of ``quantity`` ("theta"
     or "p_prime") lies within its stat_error of the true value.
@@ -382,15 +362,19 @@ def counts_coverage_oracle(quantity, p, theta, total_pairs):
     and mode-1 counts, of means N (1 - p) cos^2 theta and N (1 - p)
     sin^2 theta, for theta; the down- and up-path counts, of means N p and
     N (1 - p), for p' = p/(1 - p).  Their joint pmf is summed over 12
-    standard deviations either side of each mean; an undefined estimate is
-    a miss.
+    standard deviations either side of each mean, with the package's own
+    estimator evaluated on the whole grid at once.  An undefined estimate
+    (no mode counts at all, or no up-path counts) is a miss: its cell is
+    given a dummy second sum of 1 and left out of the sum.
     """
     if quantity == "theta":
-        estimator, truth = theta_estimate_oracle, theta
+        estimator, truth = estimate_theta, theta
         means = (1.0 - p) * math.cos(theta) ** 2, (1.0 - p) * math.sin(theta) ** 2
     else:
-        estimator, truth = p_prime_estimate_oracle, p / (1.0 - p)
+        estimator, truth = estimate_p_prime, p / (1.0 - p)
         means = p, 1.0 - p
     (k0, pmf0), (k1, pmf1) = (_poisson_window(total_pairs * mean) for mean in means)
-    estimate, error = estimator(k0[:, None], k1[None, :])
-    return float(pmf0 @ (np.abs(estimate - truth) <= error) @ pmf1)
+    k0, k1 = k0[:, None], k1[None, :]
+    undefined = (k0 + k1 == 0) if quantity == "theta" else (k1 == 0)
+    estimate, error = estimator(k0, np.where(undefined, 1, k1))
+    return float(pmf0 @ ((np.abs(estimate - truth) <= error) & ~undefined) @ pmf1)

@@ -16,7 +16,7 @@ from qrecover.closedloop import (
     controlled_concurrence_closed,
     uncontrolled_concurrence_closed,
 )
-from qrecover.counts import CoincidenceCounts, estimate_p_prime, estimate_theta
+from qrecover.counts import estimate_p_prime, estimate_theta
 from qrecover.dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
 from qrecover.entanglement import eof_from_concurrence, mixed_concurrence
 from qrecover.openloop import open_loop_series
@@ -187,44 +187,28 @@ def test_criterion_9_assistance():
 
 @report(10, "count-statistics error formulas: hand fixtures < 1e-12, bootstrap within 10%")
 def test_criterion_10_error_propagation():
-    ratio, delta = estimate_p_prime(
-        CoincidenceCounts(c_hh_d=0, c_vv_d=0, c_hv_u=500, c_vh_u=500)
-    )
+    ratio, delta = estimate_p_prime(0, 1000)
     assert ratio == 0.0 and delta == 0.0
-    ratio, delta = estimate_p_prime(
-        CoincidenceCounts(c_hh_d=100, c_vv_d=100, c_hv_u=100, c_vh_u=100)
-    )
+    ratio, delta = estimate_p_prime(200, 200)
     assert abs(ratio - 1.0) < 1e-12 and abs(delta - 0.1) < 1e-12
-    theta, delta = estimate_theta(CoincidenceCounts(c_hv_1=0, c_vh_1=0, c_hv_0=400, c_vh_0=400))
+    theta, delta = estimate_theta(800, 0)
     assert theta == 0.0 and abs(delta - 0.5 / math.sqrt(800)) < 1e-12
-    theta, delta = estimate_theta(
-        CoincidenceCounts(c_hv_1=400, c_vh_1=400, c_hv_0=400, c_vh_0=400)
-    )
+    theta, delta = estimate_theta(800, 800)
     assert abs(theta - math.pi / 4) < 1e-12 and abs(delta - 0.0125) < 1e-12
 
     rng = np.random.default_rng(77)
     observed = {"c_hh_d": 50, "c_vv_d": 50, "c_hv_u": 200, "c_vh_u": 200}
-    _, predicted = estimate_p_prime(CoincidenceCounts(**observed))
-    names = list(observed)
-    draws = rng.poisson(lam=[observed[n] for n in names], size=(100_000, len(names)))
-    values = [
-        estimate_p_prime(CoincidenceCounts(**dict(zip(names, map(int, row)))))[0]
-        for row in draws
-        if row[2] + row[3] > 0
-    ]
-    resampled = float(np.std(values))
+    _, predicted = estimate_p_prime(100, 400)
+    draws = rng.poisson(lam=list(observed.values()), size=(100_000, len(observed)))
+    down, up = draws[:, 0] + draws[:, 1], draws[:, 2] + draws[:, 3]
+    resampled = float(np.std(estimate_p_prime(down[up > 0], up[up > 0])[0]))
     assert abs(predicted - resampled) / resampled < 0.10
 
     observed = {"c_hv_1": 120, "c_vh_1": 140, "c_hv_0": 500, "c_vh_0": 480}
-    _, predicted = estimate_theta(CoincidenceCounts(**observed))
-    names = list(observed)
-    draws = rng.poisson(lam=[observed[n] for n in names], size=(100_000, len(names)))
-    values = [
-        estimate_theta(CoincidenceCounts(**dict(zip(names, map(int, row)))))[0]
-        for row in draws
-        if row[2] + row[3] > 0
-    ]
-    resampled = float(np.std(values))
+    _, predicted = estimate_theta(980, 260)
+    draws = rng.poisson(lam=list(observed.values()), size=(100_000, len(observed)))
+    mode1, mode0 = draws[:, 0] + draws[:, 1], draws[:, 2] + draws[:, 3]
+    resampled = float(np.std(estimate_theta(mode0[mode0 > 0], mode1[mode0 > 0])[0]))
     assert abs(predicted - resampled) / resampled < 0.10
 
 

@@ -21,11 +21,13 @@ from helpers import (
     corrected_ensemble,
     environment_rotation,
     eta_blend,
+    grids,
     interaction_by_gates,
     measured_ensemble,
     measurement_rotation,
     pure_concurrence_oracle,
     uncontrolled_output,
+    with_one_bad_element,
 )
 from oracle import (
     SIGMA_X,
@@ -432,14 +434,6 @@ ORACLE_ANGLE = ANGLE.filter(
 )
 NOT_A_WEIGHT = st.sampled_from([math.nan, -0.25, 1.5, math.inf])
 NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-
-
-def grids(elements, max_size=40):
-    return st.lists(elements, min_size=1, max_size=max_size)
-
-
-def with_one_bad_element(grid, index, bad):
-    return np.insert(np.array(grid, dtype=float), index % (len(grid) + 1), bad)
 
 
 def named(field, bad):

@@ -15,11 +15,13 @@ from qrecover.entanglement import (
 
 from helpers import (
     eta_blend,
+    grids,
     pure_concurrence_oracle,
     reduced_matrix_oracle,
     random_density_matrix,
     random_pure_amplitudes,
     random_unitary,
+    with_one_bad_element,
 )
 from oracle import (
     DensityMatrix,
@@ -203,14 +205,6 @@ COHERENCE = st.floats(0.0, 0.5)
 # singlet weights away from (0.999, 1), where the oracle's eigenvalue floor
 # (1e-12 of the largest) clips the spin-flip spectrum and misses by ~1e-6
 ORACLE_ETA = st.one_of(st.floats(0.0, 0.999), st.just(1.0))
-
-
-def grids(elements, max_size=40):
-    return st.lists(elements, min_size=1, max_size=max_size)
-
-
-def with_one_bad_element(grid, index, bad):
-    return np.insert(np.array(grid, dtype=float), index % (len(grid) + 1), bad)
 
 
 class TestArrayForms:

@@ -855,9 +855,10 @@ CORE_MODULES = [
     "qrecover.runner",
 ]
 # names that left the package: of 0.2.0, the state toolkit and the general
-# concurrence live in the test oracle now, and the rest is gone; of 0.6.0,
+# concurrence live in the test oracle now, and the rest is gone; of 0.7.0,
 # the control and preparation records, whose values are plain sign vectors
-# and fidelities now
+# and fidelities now; of 0.8.0, the count record, whose estimators take the
+# two count sums now
 REMOVED_NAMES = {
     "states", "DensityMatrix", "LocalOperator", "PureState", "RegisterError",
     "apply_local", "apply_two_qubit", "bell_state", "bit_flip", "fidelity_to_pure",
@@ -868,6 +869,7 @@ REMOVED_NAMES = {
     "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
     "OpenLoopResult", "run_open_loop", "ClosedLoopParams", "check_eta",
     "TrajectoryControl", "PreparationModel", "UNCONTROLLED", "CORRECTED", "ECHOED",
+    "CoincidenceCounts", "SPLIT_FIELDS",
 }
 
 
