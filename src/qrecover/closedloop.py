@@ -14,8 +14,11 @@ the convention under which the protocol reproduces the outcome
 probabilities and recovered concurrences above.
 
 Everything here is a closed form: the traced-out and the corrected pair
-concurrences, and the probability and concurrence of each measurement
-branch.  No quantum state is built.  The gate-by-gate construction of the
+concurrences, the probability and concurrence of each measurement branch,
+and their average entanglement over a grid of angles.  At theta = 0 the
+two branches leave |psi-> and |phi->, both Bell states, so that average
+is 1, its largest value, for every p; no search is made for it.  No
+quantum state is built.  The gate-by-gate construction of the
 same pipeline (rotate O, flip B, rotate the measurement basis, project)
 is kept in the test suite as the reference these are checked against.
 """
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import (
     as_result,
+    check_count,
     check_range,
     eof_from_concurrence,
     mixed_concurrence,
@@ -93,34 +96,16 @@ def controlled_concurrence_closed(theta, eta=1.0):
     return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
-@dataclass(frozen=True)
-class AssistanceScan:
-    """Grid scan of the average post-measurement entanglement over theta."""
-
-    thetas: np.ndarray
-    eofs: np.ndarray
-    best_index: int
-    best_theta: float
-    best_eof: float
-
-
-def assistance_scan(p: float, n_theta: int = 181) -> AssistanceScan:
+def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarray]:
     """Average ensemble entanglement versus measurement angle on [0, pi/2].
 
-    Returns the full curve and the maximizing angle; values within 1e-12 of
-    the maximum count as ties, resolved toward the smallest angle.
+    Returns the ``n_theta`` evenly spaced angles, from 0, and the
+    probability-weighted entanglement of formation of the two measurement
+    branches at each; the first, at theta = 0, is the largest.
+    ``n_theta`` must be an integer >= 2.
     """
-    if n_theta < 2:
-        raise ValueError("n_theta must be >= 2")
+    check_count("n_theta", n_theta, 2)
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
     (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, thetas)
     eof_u, eof_d = eof_from_concurrence(np.array((c_u, c_d)))
-    eofs = prob_u * eof_u + prob_d * eof_d
-    best = int(np.argmax(eofs >= eofs.max() - 1e-12))
-    return AssistanceScan(
-        thetas=thetas,
-        eofs=eofs,
-        best_index=best,
-        best_theta=float(thetas[best]),
-        best_eof=float(eofs[best]),
-    )
+    return thetas, prob_u * eof_u + prob_d * eof_d

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .closedloop import measurement_branches
-from .entanglement import as_result, check_range
+from .entanglement import as_result, check_count, check_range
 
 # the labels in the order they are drawn: the ``_d``/``_u`` group (HH and VV
 # on the down path, HV and VH on the up path) sets the attenuation ratio, the
@@ -73,8 +73,7 @@ def simulate_counts(probabilities: dict[str, float], total_pairs: int, seed: int
     fixed seed: one call draws the labels in ``COUNT_LABELS`` order, and a
     zero mean draws nothing from the stream.
     """
-    if int(total_pairs) != total_pairs or total_pairs < 1:
-        raise ValueError(f"total_pairs {total_pairs!r} must be a positive integer")
+    check_count("total_pairs", total_pairs)
     unknown = set(probabilities) - set(COUNT_LABELS)
     if unknown:
         raise ValueError(f"unknown count labels {sorted(unknown)}")

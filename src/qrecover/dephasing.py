@@ -15,7 +15,9 @@ entering psi_k with a minus sign.  Either way the live coherence is
 step: all +1 before the flip and -1 after it.  This module knows only sign
 vectors; which vector each control arm walks is decided in
 :mod:`qrecover.openloop`.  ``analytic_coherence`` evaluates the coherence
-in closed form and ``monte_carlo_moments`` by sampling.  No state is built
+in closed form and ``monte_carlo_moments`` by sampling, as the mean of the
+coherence and of its square after every prefix; ``coherence_std_error``
+turns one prefix's two moments into its one-sigma error.  No state is built
 here: the per-trajectory states and their average are the test suite's
 oracle (``trajectory_state`` and ``averaged_projector_oracle`` in
 ``tests/helpers.py``), which the coherence is checked against.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +62,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+
+from .entanglement import check_count
 
 BLOCK_SIZE = 4096
 
@@ -92,8 +95,7 @@ class NoiseParams:
 
     def __post_init__(self):
         _check_noise(self.mu, self.sigma, self.mean_phase)
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps {self.steps!r} must be a positive integer")
+        check_count("steps", self.steps)
         object.__setattr__(self, "steps", int(self.steps))
 
 
@@ -131,26 +133,7 @@ def _block_draws(params: NoiseParams, seed: int, block_index: int, count: int):
     return _draw(params, np.random.default_rng([seed, block_index]), count)
 
 
-@dataclass(frozen=True)
-class MonteCarloMoments:
-    """First and second moments of the live coherence over the samples."""
-
-    coherence_mean: complex
-    coherence_square_mean: complex
-    n_samples: int
-
-    def coherence_std_error(self) -> float:
-        """One-sigma error of |coherence_mean| along its own direction."""
-        mag = abs(self.coherence_mean)
-        if mag == 0.0 or self.n_samples < 2:
-            return 0.0
-        direction = self.coherence_mean / mag
-        second = 0.5 * (0.25 + (self.coherence_square_mean * np.conj(direction) ** 2).real)
-        variance = max(0.0, second - mag * mag)
-        return float(math.sqrt(variance / self.n_samples))
-
-
-def _block_moments(args):
+def _block_moments(params, walks, seed, block_index, count):
     """Sums of w and w^2 over one block, after every prefix of each walk.
 
     w = prod_j e^{i s_j chi_j} over the prefix, so the coherence is
@@ -165,7 +148,6 @@ def _block_moments(args):
     side's phase sum is carried along next to the product, so the
     exactness rule costs one add per step walked.
     """
-    params, walks, seed, block_index, count = args
     values, index = _block_draws(params, seed, block_index, count)
     index = index.T
     rotations = np.empty(values.size, dtype=complex)
@@ -213,7 +195,7 @@ def _share(params, walks, seed, n_samples, first, stride, table, stop) -> None:
             if stop.is_set():
                 return
             count = min(BLOCK_SIZE, n_samples - block_index * BLOCK_SIZE)
-            table[block_index] = _block_moments((params, walks, seed, block_index, count))
+            table[block_index] = _block_moments(params, walks, seed, block_index, count)
     except BaseException:
         stop.set()
         raise
@@ -225,11 +207,13 @@ def monte_carlo_moments(
     n_samples: int,
     seed: int,
     workers: int = 1,
-) -> tuple[tuple[MonteCarloMoments, ...], ...]:
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Average the live coherence after every prefix of each sign vector over n_samples samples.
 
-    Returns one tuple per vector, in the order of ``sign_vectors``, with
-    the moments of its prefixes of length 0..len(signs).  Every block of
+    Returns one (means, square_means) pair per vector, in the order of
+    ``sign_vectors``: complex arrays of length len(signs) + 1 whose entry k
+    is the mean of the coherence and of its square after k steps, laid out
+    as ``analytic_coherence`` lays out its values.  Every block of
     phases is drawn once and walked along each vector once.  The blocks
     fall into min(workers, blocks, cpu count) strided shares, each reduced
     into a per-block table: the caller reduces the first share while pool
@@ -237,9 +221,8 @@ def monte_carlo_moments(
     ``n_samples`` and ``workers`` must be integers >= 1 (a bool is not a
     count).
     """
-    for name, count in (("n_samples", n_samples), ("workers", workers)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    check_count("n_samples", n_samples)
+    check_count("workers", workers)
     sign_vectors = tuple(tuple(signs) for signs in sign_vectors)
     for signs in sign_vectors:
         if len(signs) > params.steps:
@@ -278,15 +261,28 @@ def monte_carlo_moments(
     # multiplies by the reciprocal and can miss -1/2 by an ulp
     return tuple(
         tuple(
-            MonteCarloMoments(
-                coherence_mean=-0.5 * complex(w_total).conjugate() / n_samples,
-                coherence_square_mean=0.25 * complex(w2_total).conjugate() / n_samples,
-                n_samples=n_samples,
-            )
-            for w_total, w2_total in walk_totals
+            np.array([scale * complex(total).conjugate() / n_samples for total in column])
+            for scale, column in zip((-0.5, 0.25), zip(*walk_totals))
         )
         for walk_totals in totals
     )
+
+
+def coherence_std_error(mean: complex, square_mean: complex, n_samples: int) -> float:
+    """One-sigma error of |mean| along its own direction, from one prefix's
+    mean coherence and mean square coherence over ``n_samples`` samples.
+
+    The arithmetic is that of Python complex numbers, whatever the type of
+    the two moments; the error is 0 at a zero mean and below two samples.
+    """
+    mean, square_mean = complex(mean), complex(square_mean)
+    mag = abs(mean)
+    if mag == 0.0 or n_samples < 2:
+        return 0.0
+    direction = mean / mag
+    second = 0.5 * (0.25 + (square_mean * np.conj(direction) ** 2).real)
+    variance = max(0.0, second - mag * mag)
+    return float(math.sqrt(variance / n_samples))
 
 
 def _closed_blocks(weights: dict[int, float], sigma: float) -> float:

@@ -13,6 +13,8 @@ density matrices.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -38,6 +40,13 @@ def check_range(name: str, value, low: float, high: float, complaint: str) -> np
         bad = value if type(value) in (int, float) else float(values[outside][0])
         raise ValueError(f"{name} {bad!r} {complaint}")
     return values
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ValueError "<name> must be an integer >= <low>, got <value>"
+    unless ``value`` is an integer of at least ``low`` (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def binary_entropy(x):

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from .dephasing import NoiseParams, analytic_coherence, coherence_std_error, monte_carlo_moments
 from .entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
@@ -54,11 +54,13 @@ def _coherences(params, method, n_samples, seed, workers) -> tuple[list, list | 
         return [analytic_coherence(signs, *noise).tolist() for signs in walks], None
     if seed is None:
         raise ValueError("monte_carlo method requires a seed")
-    moments = monte_carlo_moments(params, walks, n_samples, seed, workers)
-    return (
-        [[m.coherence_mean for m in walk] for walk in moments],
-        [[m.coherence_std_error() for m in walk] for walk in moments],
-    )
+    coherences, errors = [], []
+    for means, square_means in monte_carlo_moments(params, walks, n_samples, seed, workers):
+        # Python complex values, as the closed form's: abs is then hypot
+        means, square_means = means.tolist(), square_means.tolist()
+        coherences.append(means)
+        errors.append([coherence_std_error(*pair, n_samples) for pair in zip(means, square_means)])
+    return coherences, errors
 
 
 def _arms(plain: list, echoed: list) -> list:

@@ -51,7 +51,7 @@ from .counts import (
     simulate_counts,
 )
 from .dephasing import NoiseParams
-from .entanglement import eof_from_concurrence, eta_from_fidelity
+from .entanglement import check_count, eof_from_concurrence, eta_from_fidelity
 from .openloop import METHODS, open_loop_series
 
 # the RunConfig fields each experiment reads, in the order of its CLI flags
@@ -177,8 +177,7 @@ class RunConfig:
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected {choices}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_count("workers", self.workers)
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed {self.seed!r} must be >= 0")
         if not self.fidelity:
@@ -195,14 +194,13 @@ class RunConfig:
             raise ValueError(
                 f"{self.experiment} does not read {', '.join(unread)}; leave them at their defaults"
             )
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        if self.grid_points is not None:
+            check_count("grid_points", self.grid_points, 2)
         if self.experiment == "open_loop":
             if self.mu is None:
                 raise ValueError("open_loop requires mu")
             # checked for every method, so a config is right or wrong for all of them
-            if self.n_samples < 1:
-                raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+            check_count("n_samples", self.n_samples)
             if self.method in ("monte_carlo", "both") and self.seed is None:
                 raise ValueError("monte_carlo rows require a seed")
         if self.experiment == "closed_loop":
@@ -502,10 +500,11 @@ def _assist_scan_rows(config: RunConfig) -> dict:
     p = config.resolved_p()
     if p is None:
         raise ValueError("assist_scan requires p (or p_prime)")
-    scan = assistance_scan(p, config.grid_points or 181)
-    is_best = np.zeros(scan.thetas.size, dtype=int)
-    is_best[scan.best_index] = 1
-    return {"p": p, "theta": scan.thetas, "ensemble_eof": scan.eofs, "is_best": is_best}
+    thetas, eofs = assistance_scan(p, config.grid_points or 181)
+    # the first angle, theta = 0, is the maximum for every p (closedloop)
+    is_best = np.zeros(thetas.size, dtype=int)
+    is_best[0] = 1
+    return {"p": p, "theta": thetas, "ensemble_eof": eofs, "is_best": is_best}
 
 
 def _counts_demo_rows(config: RunConfig) -> dict:

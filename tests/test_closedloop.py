@@ -294,7 +294,7 @@ class TestEnsembles:
     def test_measured_ensemble_average_eof_natural_basis(self):
         for p in (0.0, 0.3, 0.5):
             assert measured_oracle_eof(p, 0.0) == pytest.approx(1.0, abs=1e-9)
-            assert assistance_scan(p).eofs[0] == pytest.approx(1.0, abs=1e-12)
+            assert assistance_scan(p)[1][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_corrected_ensemble_members_collapse_at_natural_basis(self):
         ens = corrected_ensemble(0.4, 0.0)
@@ -330,29 +330,41 @@ class TestHiddenEntanglement:
 
 class TestAssistanceScan:
     def test_balanced_point_prefers_natural_basis(self):
-        scan = assistance_scan(0.5)
-        assert scan.best_theta == 0.0
-        assert scan.best_eof == pytest.approx(1.0, abs=1e-9)
+        thetas, eofs = assistance_scan(0.5)
+        assert thetas[0] == 0.0
+        assert eofs[0] == pytest.approx(1.0, abs=1e-9)
+        assert eofs[0] >= eofs.max() - 1e-12
 
     def test_no_interaction_keeps_everything_maximal(self):
-        scan = assistance_scan(0.0)
-        np.testing.assert_allclose(scan.eofs, np.ones_like(scan.eofs), atol=1e-9)
+        _, eofs = assistance_scan(0.0)
+        np.testing.assert_allclose(eofs, np.ones_like(eofs), atol=1e-9)
 
     def test_partial_weight_still_reaches_unity_at_zero(self):
-        scan = assistance_scan(0.3)
-        assert scan.best_theta == 0.0
-        assert scan.best_eof == pytest.approx(1.0, abs=1e-9)
+        _, eofs = assistance_scan(0.3)
+        assert eofs[0] == pytest.approx(1.0, abs=1e-9)
+        assert eofs[0] >= eofs.max() - 1e-12
+
+    @pytest.mark.parametrize("n_theta", [2, 5, 181, 1001])
+    def test_the_first_angle_is_the_maximum_for_every_p(self, n_theta):
+        # at theta = 0 outcome u leaves |psi-> and outcome d |phi->: both
+        # Bell states, so the ensemble's EoF is 1, its largest value, and
+        # the runner marks row 0 as is_best without a search
+        edges = [0.0, 1.0, 5e-324, 1e-15, 1.0 - 1e-15, 1e-13, 1.0 - 1e-13]
+        for p in np.concatenate([np.linspace(0.0, 1.0, 1001), edges]).tolist():
+            thetas, eofs = assistance_scan(p, n_theta)
+            assert thetas[0] == 0.0
+            assert eofs[0] >= eofs.max() - 1e-12, p
 
     def test_curve_matches_eof_of_cos2theta_at_half(self):
         for n_theta in (13, 1001):
-            scan = assistance_scan(0.5, n_theta=n_theta)
-            expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in scan.thetas]
-            np.testing.assert_allclose(scan.eofs, expected, rtol=0, atol=1e-12)
+            thetas, eofs = assistance_scan(0.5, n_theta=n_theta)
+            expected = [eof_from_concurrence(abs(math.cos(2 * t))) for t in thetas]
+            np.testing.assert_allclose(eofs, expected, rtol=0, atol=1e-12)
 
     def test_matches_the_oracle_ensemble_eof(self):
         for p in BRANCH_P:
-            scan = assistance_scan(p, n_theta=9)  # includes 0, pi/4 and pi/2
-            for theta, eof in zip(scan.thetas, scan.eofs):
+            # 9 points include 0, pi/4 and pi/2
+            for theta, eof in zip(*assistance_scan(p, n_theta=9)):
                 assert eof == pytest.approx(measured_oracle_eof(p, float(theta)), abs=1e-12)
 
 
@@ -499,8 +511,8 @@ class TestArrayClosedForms:
 
     @given(UNIT, st.integers(2, 60))
     def test_assistance_scan_is_the_branch_average_bit_for_bit(self, p, n_theta):
-        scan = assistance_scan(p, n_theta)
-        for theta, eof in zip(scan.thetas.tolist(), scan.eofs.tolist()):
+        thetas, eofs = assistance_scan(p, n_theta)
+        for theta, eof in zip(thetas.tolist(), eofs.tolist()):
             (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, theta)
             assert eof == prob_u * eof_from_concurrence(c_u) + prob_d * eof_from_concurrence(c_d)
 

@@ -12,16 +12,26 @@ workers, vectors that share prefixes in either order, and steps 1 and 2,
 where the echo never acts.  Rewrite the file with
 ``python tests/test_coherence_prefixes.py`` (run with the package
 importable) only for a change that must move its bits, and say why.
+The same cases check every prefix's ``coherence_std_error`` against the
+0.8.0 formula, written out here.
 """
 
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from qrecover import dephasing
-from qrecover.dephasing import BLOCK_SIZE, NoiseParams, analytic_coherence, monte_carlo_moments
+from qrecover.dephasing import (
+    BLOCK_SIZE,
+    NoiseParams,
+    analytic_coherence,
+    coherence_std_error,
+    monte_carlo_moments,
+)
 
 DATA = Path(__file__).resolve().parent / "data" / "coherence_prefixes.json"
 
@@ -66,8 +76,8 @@ def prefix_values(steps, vectors, mu, sigma, clip, workers=1) -> dict:
         walks = monte_carlo_moments(params, vectors, N_SAMPLES, SEED, workers)
     values = {
         "monte_carlo": [
-            [_hex(m.coherence_mean) + _hex(m.coherence_square_mean) for m in walk]
-            for walk in walks
+            [_hex(z) + _hex(z2) for z, z2 in zip(means, square_means)]
+            for means, square_means in walks
         ]
     }
     if not clip:
@@ -87,6 +97,55 @@ def committed():
 def test_every_prefix_keeps_its_bits(committed, walk, steps, vectors, mu, sigma, clip, workers):
     got = prefix_values(steps, vectors, mu, sigma, clip, workers)
     assert got == committed[_key(walk, mu, sigma, clip)]
+
+
+def reference_std_error(mean: complex, square_mean: complex, n_samples: int) -> float:
+    """The error as the 0.8.0 moment record's method computed it, step by step."""
+    mag = abs(mean)
+    if mag == 0.0 or n_samples < 2:
+        return 0.0
+    direction = mean / mag
+    second = 0.5 * (0.25 + (square_mean * np.conj(direction) ** 2).real)
+    variance = max(0.0, second - mag * mag)
+    return float(math.sqrt(variance / n_samples))
+
+
+def assert_errors_match_the_reference(walks, n_samples):
+    """Every prefix's error, from Python complex moments and from the array
+    elements, against the reference, by the bits of its float."""
+    for means, square_means in walks:
+        for mean, square_mean, z, z2 in zip(
+            means.tolist(), square_means.tolist(), means, square_means
+        ):
+            expected = reference_std_error(mean, square_mean, n_samples).hex()
+            assert coherence_std_error(mean, square_mean, n_samples).hex() == expected
+            assert coherence_std_error(z, z2, n_samples).hex() == expected
+
+
+class TestErrorReference:
+    @pytest.mark.parametrize("walk, steps, vectors, mu, sigma, clip", list(_cases()))
+    def test_every_prefix_error_is_the_reference(self, walk, steps, vectors, mu, sigma, clip):
+        params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
+        walks = monte_carlo_moments(params, vectors, N_SAMPLES, SEED)
+        assert_errors_match_the_reference(walks, N_SAMPLES)
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    @pytest.mark.parametrize("mu, sigma", NOISE + [(0.5, 1e-9), (0.9, 0.05)])
+    def test_one_and_two_samples_give_the_reference(self, n_samples, mu, sigma):
+        # at two samples the variance is near zero, where a vectorised
+        # form of the formula moved the printed error
+        params = NoiseParams(mu=mu, sigma=sigma, steps=6)
+        vectors = [(1,) * 6, (1, 1, -1, -1, -1, -1), (1, -1, 1, -1, 1, -1)]
+        for seed in range(20):
+            walks = monte_carlo_moments(params, vectors, n_samples, seed)
+            assert_errors_match_the_reference(walks, n_samples)
+
+    @pytest.mark.parametrize("mean", [0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    @pytest.mark.parametrize("n_samples", [1, 2, 10**6])
+    def test_a_zero_mean_has_zero_error(self, mean, n_samples):
+        for square_mean in (0.25, -0.25, 0.1j):
+            assert coherence_std_error(mean, square_mean, n_samples) == 0.0
+            assert reference_std_error(mean, square_mean, n_samples) == 0.0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from qrecover.dephasing import (
     BLOCK_SIZE,
     MAX_MEAN_PHASE,
-    MonteCarloMoments,
     NoiseParams,
     analytic_coherence,
+    coherence_std_error,
     monte_carlo_moments,
 )
 from qrecover import dephasing
@@ -53,9 +53,15 @@ def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
 
 
 def final_moments(params, signs, n_samples, seed, workers=1):
-    """The moments after the last step of ``signs``, walked alone."""
-    (walk,) = monte_carlo_moments(params, [signs], n_samples, seed, workers)
-    return walk[-1]
+    """The mean and the mean square coherence after the last step of
+    ``signs``, walked alone, as Python complex numbers."""
+    ((means, square_means),) = monte_carlo_moments(params, [signs], n_samples, seed, workers)
+    return means.tolist()[-1], square_means.tolist()[-1]
+
+
+def as_lists(walks):
+    """Each walk's two moment arrays as lists, to compare whole passes with ==."""
+    return [[moments.tolist() for moments in walk] for walk in walks]
 
 
 class TestSampling:
@@ -331,18 +337,18 @@ class TestMonteCarlo:
         params = NoiseParams(mu=0.5, sigma=1e-9)
         rho = averaged_projector_oracle(params, (1, 1, 1, 1), 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
-        moments = final_moments(params, (1, 1, 1, 1), 10_000, seed=2)
-        assert 2 * abs(moments.coherence_mean) == pytest.approx(1.0, abs=1e-6)
+        mean, _ = final_moments(params, (1, 1, 1, 1), 10_000, seed=2)
+        assert 2 * abs(mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        moments = final_moments(default_params(1.0), (1, 1), self.N, seed=21)
-        assert abs(moments.coherence_mean) == pytest.approx(
+        mean, _ = final_moments(default_params(1.0), (1, 1), self.N, seed=21)
+        assert abs(mean) == pytest.approx(
             0.5 * math.exp(-2 * SIGMA**2), abs=0.01
         )
 
     def test_echoed_matches_closed_form(self):
-        moments = final_moments(default_params(0.7), (1, 1, -1, -1), self.N, seed=22)
-        assert abs(moments.coherence_mean) == pytest.approx(
+        mean, _ = final_moments(default_params(0.7), (1, 1, -1, -1), self.N, seed=22)
+        assert abs(mean) == pytest.approx(
             abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
         )
 
@@ -350,17 +356,17 @@ class TestMonteCarlo:
         tol = 5 / math.sqrt(self.N)
         for mu in (0.0, 0.2, 0.7, 1.0):
             for k in (1, 2, 3, 4):
-                moments = final_moments(
+                mean, _ = final_moments(
                     default_params(mu), arm_signs("uncontrolled", k, 4), self.N, seed=100 + k
                 )
                 target = uncontrolled_coherence(k, mu, SIGMA)
-                assert abs(moments.coherence_mean - target) < tol
+                assert abs(mean - target) < tol
             for k in (3, 4):
-                moments = final_moments(
+                mean, _ = final_moments(
                     default_params(mu), arm_signs("echoed", k, 4), self.N, seed=200 + k
                 )
                 target = echoed_coherence(k, mu, SIGMA)
-                assert abs(moments.coherence_mean - target) < tol
+                assert abs(mean - target) < tol
 
     def test_coherence_is_the_live_element_of_the_averaged_projector(self):
         params = default_params(0.3)
@@ -372,8 +378,8 @@ class TestMonteCarlo:
             (arm_signs("corrected", 4, 4), (1, 2)),
         ):
             rho = averaged_projector_oracle(params, signs, n, seed=5)
-            moments = final_moments(params, signs, n, seed=5)
-            assert abs(rho.matrix[element] - moments.coherence_mean) < 1e-12
+            mean, _ = final_moments(params, signs, n, seed=5)
+            assert abs(rho.matrix[element] - mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
         params, n = default_params(0.3), 2_000
@@ -399,7 +405,7 @@ class TestMonteCarlo:
         vectors = [(1, 1, 1, 1), (1, 1, -1, -1), ()]
         serial = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=1)
         threaded = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=4)
-        assert serial == threaded
+        assert as_lists(serial) == as_lists(threaded)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -418,7 +424,7 @@ class TestMonteCarlo:
                 monte_carlo_moments(params, vectors, n, seed, workers) for workers in (1, 2, 3, 4)
             )
         for moments in threaded:
-            assert moments == serial
+            assert as_lists(moments) == as_lists(serial)
 
     def test_a_failing_share_stops_the_others(self, monkeypatch):
         draw = dephasing._block_draws
@@ -453,9 +459,9 @@ class TestMonteCarlo:
         vectors = ((1,) * steps, arm_signs("echoed", steps, steps))
         walks = monte_carlo_moments(params, vectors, n, seed)
         phases = sample_phase_matrix(params, n, seed)
-        for vector, walk in zip(vectors, walks):
-            assert len(walk) == len(vector) + 1
-            for k, got in enumerate(walk):
+        for vector, (means, square_means) in zip(vectors, walks):
+            assert means.shape == square_means.shape == (len(vector) + 1,)
+            for k, (mean, square_mean) in enumerate(zip(means, square_means)):
                 # one prefix's reduction: block sums of z and z^2, added in block order
                 signs = vector[:k]
                 z_total = z2_total = 0.0 + 0.0j
@@ -466,8 +472,8 @@ class TestMonteCarlo:
                     z2_total += (z * z).sum()
                 # a product of k unit factors against one exp of the phase sum
                 tolerance = 4 * max(len(signs), 1) * np.finfo(float).eps
-                assert abs(got.coherence_mean - z_total / n) <= tolerance
-                assert abs(got.coherence_square_mean - z2_total / n) <= tolerance
+                assert abs(mean - z_total / n) <= tolerance
+                assert abs(square_mean - z2_total / n) <= tolerance
 
     def test_a_vector_does_not_depend_on_the_others_in_its_pass(self):
         # shared prefixes, a vector that is a prefix of an earlier one, a
@@ -484,9 +490,10 @@ class TestMonteCarlo:
             (-1, -1, 1, 1, -1, -1),
             (1, 1, 1, 1, 1, 1),
         ]
-        together = monte_carlo_moments(params, vectors, 2 * BLOCK_SIZE + 300, seed=8)
+        together = as_lists(monte_carlo_moments(params, vectors, 2 * BLOCK_SIZE + 300, seed=8))
         for signs, got in zip(vectors, together):
-            assert monte_carlo_moments(params, [signs], 2 * BLOCK_SIZE + 300, seed=8) == (got,)
+            alone = monte_carlo_moments(params, [signs], 2 * BLOCK_SIZE + 300, seed=8)
+            assert as_lists(alone) == [got]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -524,10 +531,10 @@ class TestMonteCarlo:
         params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
             for workers in (1, 2):
-                together = monte_carlo_moments(params, vectors, n, seed, workers)
+                together = as_lists(monte_carlo_moments(params, vectors, n, seed, workers))
                 for signs, got in zip(vectors, together):
                     alone = monte_carlo_moments(params, [signs], n, seed, workers)
-                    assert alone == (got,), signs
+                    assert as_lists(alone) == [got], signs
 
     @pytest.mark.parametrize(
         "name, n_samples, workers",
@@ -594,18 +601,18 @@ class TestMonteCarlo:
     def test_deterministic_arms_have_zero_error(self):
         params = default_params(1.0)
         for signs in ((), arm_signs("corrected", 4, 4), arm_signs("echoed", 4, 4)):
-            moments = final_moments(params, signs, 10_000, seed=4)
-            assert moments.coherence_mean == -0.5
-            assert moments.coherence_std_error() == 0.0
+            mean, square_mean = final_moments(params, signs, 10_000, seed=4)
+            assert mean == -0.5
+            assert coherence_std_error(mean, square_mean, 10_000) == 0.0
 
     def test_balanced_vector_is_exact_at_every_sample_count(self):
         # the totals are divided by n exactly: multiplying by 1/n missed
         # -1/2 by an ulp for 20 of these (49, 98, 103, ...)
         params = default_params(1.0)
         for n in range(1, 401):
-            moments = final_moments(params, (1, 1, -1, -1), n, seed=1)
-            assert moments.coherence_mean == -0.5, n
-            assert moments.coherence_std_error() == 0.0, n
+            mean, square_mean = final_moments(params, (1, 1, -1, -1), n, seed=1)
+            assert mean == -0.5, n
+            assert coherence_std_error(mean, square_mean, n) == 0.0, n
 
     @pytest.mark.parametrize("steps, flips", [(6, (3,)), (8, (2, 4, 6))])
     def test_balanced_vectors_at_full_correlation_are_exact(self, steps, flips):
@@ -614,9 +621,9 @@ class TestMonteCarlo:
         assert sum(signs) == 0
         for clip in (False, True):
             params = default_params(1.0, steps=steps, clip_to_hardware=clip)
-            moments = final_moments(params, signs, 10_000, seed=4)
-            assert moments.coherence_mean == -0.5
-            assert moments.coherence_std_error() == 0.0
+            mean, square_mean = final_moments(params, signs, 10_000, seed=4)
+            assert mean == -0.5
+            assert coherence_std_error(mean, square_mean, 10_000) == 0.0
 
     def test_exactness_rule_does_not_depend_on_summation_order(self):
         # one gemv over the signed phases missed 0 for these: at steps 7,
@@ -625,25 +632,24 @@ class TestMonteCarlo:
         moments = final_moments(
             NoiseParams(mu=1.0, sigma=0.6, steps=7), (1, 1, 1, -1, -1, -1), 1, seed=7
         )
-        assert (moments.coherence_mean, moments.coherence_square_mean) == (-0.5, 0.25)
+        assert moments == (-0.5, 0.25)
         vectors = [(1,) * e + (-1,) * e for e in range(1, 33)]
         vectors += [(1, -1, -1, 1) * k for k in range(1, 17)]
         for sigma in (0.1, 0.6, 1.3):
             params = NoiseParams(mu=1.0, sigma=sigma, steps=64)
-            for signs, walk in zip(vectors, monte_carlo_moments(params, vectors, 5000, seed=3)):
-                assert walk[-1].coherence_mean == -0.5, signs
-                assert walk[-1].coherence_square_mean == 0.25, signs
+            walks = monte_carlo_moments(params, vectors, 5000, seed=3)
+            for signs, (means, square_means) in zip(vectors, walks):
+                assert (means[-1], square_means[-1]) == (-0.5, 0.25), signs
 
     def test_coherence_error_estimate_is_calibrated(self):
         # the one-sigma estimate should match the scatter of independent runs
         params = default_params(0.7)
         values = []
         for seed in range(40):
-            m = final_moments(params, (1, 1, 1), 5_000, seed=seed)
-            values.append(abs(m.coherence_mean))
+            mean, _ = final_moments(params, (1, 1, 1), 5_000, seed=seed)
+            values.append(abs(mean))
         observed = np.std(values)
-        moments = final_moments(params, (1, 1, 1), 5_000, seed=0)
-        predicted = moments.coherence_std_error()
+        predicted = coherence_std_error(*final_moments(params, (1, 1, 1), 5_000, seed=0), 5_000)
         assert predicted == pytest.approx(observed, rel=0.5)
 
     @pytest.mark.parametrize(
@@ -657,10 +663,10 @@ class TestMonteCarlo:
     def test_second_moment_and_error_match_the_exact_moments(self, signs, mu, sigma, seed):
         n = 400_000
         k = len(signs)
-        moments = final_moments(NoiseParams(mu=mu, sigma=sigma, steps=k), signs, n, seed)
+        mean, square_mean = final_moments(NoiseParams(mu=mu, sigma=sigma, steps=k), signs, n, seed)
         exact_square = coherence_square_mean_oracle(k, mu, sigma, CHIBAR, signs)
         # |z^2| = 1/4, so each part of z^2 has a spread of at most 1/4
-        assert abs(moments.coherence_square_mean - exact_square) <= 5 * 0.25 / math.sqrt(n)
+        assert abs(square_mean - exact_square) <= 5 * 0.25 / math.sqrt(n)
         exact_mean = coherence_oracle(k, mu, sigma, CHIBAR, signs)
-        exact = MonteCarloMoments(exact_mean, exact_square, n)
-        assert moments.coherence_std_error() == pytest.approx(exact.coherence_std_error(), rel=0.02)
+        exact_error = coherence_std_error(exact_mean, exact_square, n)
+        assert coherence_std_error(mean, square_mean, n) == pytest.approx(exact_error, rel=0.02)

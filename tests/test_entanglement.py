@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrecover.closedloop import assistance_scan
+from qrecover.counts import coincidence_probabilities, simulate_counts
+from qrecover.dephasing import NoiseParams, monte_carlo_moments
 from qrecover.entanglement import (
     binary_entropy,
     eof_from_concurrence,
@@ -252,3 +255,64 @@ class TestArrayForms:
     def test_one_bad_concurrence_is_named(self, cs, index, bad):
         with pytest.raises(ValueError, match=rf"^concurrence {re.escape(repr(bad))} outside"):
             eof_from_concurrence(with_one_bad_element(cs, index, bad))
+
+
+def _steps(value):
+    NoiseParams(mu=0.5, sigma=0.6, steps=value)
+
+
+def _total_pairs(value):
+    simulate_counts(coincidence_probabilities(0.4, 0.3), value, seed=1)
+
+
+def _n_theta(value):
+    assistance_scan(0.3, value)
+
+
+def _n_samples(value):
+    monte_carlo_moments(NoiseParams(mu=0.5, sigma=0.6), [(1,)], value, seed=1)
+
+
+def _workers(value):
+    monte_carlo_moments(NoiseParams(mu=0.5, sigma=0.6), [(1,)], 100, seed=1, workers=value)
+
+
+class TestCountRule:
+    """Every count the library takes is an integer, not a bool, of at least its least value."""
+
+    @pytest.mark.parametrize(
+        "call, name, low, value",
+        [
+            # steps: inf raised OverflowError, NaN numpy's unnamed error,
+            # and True passed as 1
+            (_steps, "steps", 1, math.inf),
+            (_steps, "steps", 1, math.nan),
+            (_steps, "steps", 1, True),
+            (_steps, "steps", 1, 4.0),
+            (_steps, "steps", 1, 0),
+            # total_pairs: the same three, and True drew 2 counts
+            (_total_pairs, "total_pairs", 1, math.inf),
+            (_total_pairs, "total_pairs", 1, math.nan),
+            (_total_pairs, "total_pairs", 1, True),
+            (_total_pairs, "total_pairs", 1, 100.0),
+            (_total_pairs, "total_pairs", 1, 0),
+            # n_theta: 2.5 and 3.0 raised TypeError from linspace
+            (_n_theta, "n_theta", 2, 2.5),
+            (_n_theta, "n_theta", 2, 3.0),
+            (_n_theta, "n_theta", 2, 1),
+            (_n_theta, "n_theta", 2, True),
+            (_n_samples, "n_samples", 1, 1e5),
+            (_workers, "workers", 1, 2.5),
+        ],
+    )
+    def test_a_bad_count_is_named(self, call, name, low, value):
+        message = rf"^{name} must be an integer >= {low}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    def test_a_numpy_integer_is_a_count(self):
+        steps = NoiseParams(mu=0.5, sigma=0.6, steps=np.int64(3)).steps
+        assert (steps, type(steps)) == (3, int)
+        thetas, _ = assistance_scan(0.3, np.int64(3))
+        assert thetas.size == 3
+        assert sum(simulate_counts(coincidence_probabilities(0.4, 0.3), np.int64(50), 1).values())

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrecover import dephasing, openloop
-from qrecover.dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from qrecover.dephasing import (
+    NoiseParams,
+    analytic_coherence,
+    coherence_std_error,
+    monte_carlo_moments,
+)
 from qrecover.entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 from qrecover.openloop import CONTROL_KINDS, CONTROLS, METHODS, open_loop_series
 
@@ -182,9 +187,11 @@ class TestTableRows:
         signs = (1, -1, -1, -1)  # an echo after step 1
         analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), 1.0)
         assert analytic == pytest.approx(0.46753, abs=1e-5)
-        ((*_, moments),) = monte_carlo_moments(params(0.3), [signs], n_samples=100_000, seed=8)
-        sampled = mixed_concurrence(abs(moments.coherence_mean), 1.0)
-        stat_error = 2.0 * moments.coherence_std_error()
+        ((means, square_means),) = monte_carlo_moments(
+            params(0.3), [signs], n_samples=100_000, seed=8
+        )
+        sampled = mixed_concurrence(abs(means[-1]), 1.0)
+        stat_error = 2.0 * coherence_std_error(means[-1], square_means[-1], 100_000)
         assert abs(sampled - analytic) < 5 * stat_error
 
 
@@ -319,9 +326,13 @@ class TestTableDefinition:
                         if method == "analytic":
                             coherence, error = analytic_coherence(signs, mu, sigma)[-1], None
                         else:
-                            ((*_, m),) = monte_carlo_moments(noise, [signs], n_samples, seed)
-                            coherence = m.coherence_mean
-                            error = 2.0 * eta * m.coherence_std_error()
+                            ((means, square_means),) = monte_carlo_moments(
+                                noise, [signs], n_samples, seed
+                            )
+                            coherence = means.tolist()[-1]
+                            error = 2.0 * eta * coherence_std_error(
+                                coherence, square_means[-1], n_samples
+                            )
                         c = mixed_concurrence(abs(coherence), eta)
                         expected.append(
                             {

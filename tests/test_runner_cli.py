@@ -858,7 +858,8 @@ CORE_MODULES = [
 # concurrence live in the test oracle now, and the rest is gone; of 0.7.0,
 # the control and preparation records, whose values are plain sign vectors
 # and fidelities now; of 0.8.0, the count record, whose estimators take the
-# two count sums now
+# two count sums now; of 0.9.0, the scan and moment records, whose values are
+# plain arrays now
 REMOVED_NAMES = {
     "states", "DensityMatrix", "LocalOperator", "PureState", "RegisterError",
     "apply_local", "apply_two_qubit", "bell_state", "bit_flip", "fidelity_to_pure",
@@ -869,7 +870,7 @@ REMOVED_NAMES = {
     "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
     "OpenLoopResult", "run_open_loop", "ClosedLoopParams", "check_eta",
     "TrajectoryControl", "PreparationModel", "UNCONTROLLED", "CORRECTED", "ECHOED",
-    "CoincidenceCounts", "SPLIT_FIELDS",
+    "CoincidenceCounts", "SPLIT_FIELDS", "AssistanceScan", "MonteCarloMoments",
 }
 
 
