@@ -342,15 +342,11 @@ class TestMonteCarlo:
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
         mean, _ = final_moments(default_params(1.0), (1, 1), self.N, seed=21)
-        assert abs(mean) == pytest.approx(
-            0.5 * math.exp(-2 * SIGMA**2), abs=0.01
-        )
+        assert abs(mean) == pytest.approx(0.5 * math.exp(-2 * SIGMA**2), abs=0.01)
 
     def test_echoed_matches_closed_form(self):
         mean, _ = final_moments(default_params(0.7), (1, 1, -1, -1), self.N, seed=22)
-        assert abs(mean) == pytest.approx(
-            abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01
-        )
+        assert abs(mean) == pytest.approx(abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01)
 
     def test_complex_agreement_across_grid(self):
         tol = 5 / math.sqrt(self.N)
@@ -461,6 +457,7 @@ class TestMonteCarlo:
         phases = sample_phase_matrix(params, n, seed)
         for vector, (means, square_means) in zip(vectors, walks):
             assert means.shape == square_means.shape == (len(vector) + 1,)
+            assert means.dtype == square_means.dtype == np.complex128
             for k, (mean, square_mean) in enumerate(zip(means, square_means)):
                 # one prefix's reduction: block sums of z and z^2, added in block order
                 signs = vector[:k]
