@@ -22,9 +22,9 @@ from .counts import (
     estimate_theta,
     simulate_counts,
 )
-from .dephasing import NoiseParams, analytic_coherence, coherence_std_error, monte_carlo_moments
+from .dephasing import analytic_coherence, coherence_std_error, monte_carlo_moments
 from .entanglement import binary_entropy, eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -70,10 +70,11 @@ def simulate_counts(probabilities: dict[str, float], total_pairs: int, seed: int
     """Independent Poisson counts with means probability * total_pairs, per label.
 
     Labels absent from ``probabilities`` count zero.  Deterministic for a
-    fixed seed: one call draws the labels in ``COUNT_LABELS`` order, and a
-    zero mean draws nothing from the stream.
+    fixed seed, an integer >= 0: one call draws the labels in
+    ``COUNT_LABELS`` order, and a zero mean draws nothing from the stream.
     """
     check_count("total_pairs", total_pairs)
+    check_count("seed", seed, 0)
     unknown = set(probabilities) - set(COUNT_LABELS)
     if unknown:
         raise ValueError(f"unknown count labels {sorted(unknown)}")

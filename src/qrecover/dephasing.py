@@ -24,18 +24,19 @@ oracle (``trajectory_state`` and ``averaged_projector_oracle`` in
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
 ``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
-(seed, j).  One draw per block serves every prefix of every sign vector a
-job asks for, so all arms, steps and fidelities of a job share the same
-samples.  With w workers, each of w pool threads runs one strided loop
-over the blocks (blocks i, i + w, i + 2w, ...) and writes each block's
-sums into that block's row of a table; the caller adds the rows up in
-block order.  Results for a given (seed, n_samples) are therefore
-bit-identical no matter how many workers participate.  One worker runs
-the same loop without a pool.
+(seed, j), as deep as the call's longest sign vector (at least one step).
+One draw per block serves every prefix of every sign vector a job asks
+for, so all arms, steps and fidelities of a job share the same samples.
+With w workers, each of w pool threads runs one strided loop over the
+blocks (blocks i, i + w, i + 2w, ...) and writes each block's sums into
+that block's row of a table; the caller adds the rows up in block order.
+Results for a given (seed, n_samples, depth) are therefore bit-identical
+no matter how many workers participate.  One worker runs the same loop
+without a pool.
 
 Sampling is keep-first: a block first draws the keep decisions of every
 trajectory and step, then one normal per fresh phase only, about
-1 + (steps - 1)(1 - mu) of them per trajectory; kept phases index the
+1 + (depth - 1)(1 - mu) of them per trajectory; kept phases index the
 value they repeat.  The index is built step-major, one integer add per
 step, so every later gather reads it contiguously.  A draw beyond the
 float range is rejected there, before any trigonometry.
@@ -58,7 +59,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -83,57 +83,43 @@ def _check_noise(mu: float, sigma: float, mean_phase: float) -> None:
         raise ValueError(f"mean_phase {mean_phase!r} outside [-1e9, 1e9]")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Parameters of the correlated random-phase process."""
-
-    mu: float
-    sigma: float
-    mean_phase: float = math.pi / 2
-    steps: int = 4
-    clip_to_hardware: bool = False
-
-    def __post_init__(self):
-        _check_noise(self.mu, self.sigma, self.mean_phase)
-        check_count("steps", self.steps)
-        object.__setattr__(self, "steps", int(self.steps))
-
-
-def _draw(params: NoiseParams, rng: np.random.Generator, count: int):
+def _draw(noise: tuple, steps: int, rng: np.random.Generator, count: int):
     """Fresh phase values of ``count`` sequences and the (count, steps) index into them.
 
-    The keep decisions come first: step 1 is always fresh, and each later
-    step is redrawn where its uniform draw is >= mu, so it keeps the previous
-    phase with probability mu.  Then one normal per fresh phase, in row-major
+    ``noise`` is (mu, sigma, mean_phase, clip_to_hardware).  The keep
+    decisions come first: step 1 is always fresh, and each later step is
+    redrawn where its uniform draw is >= mu, so it keeps the previous phase
+    with probability mu.  Then one normal per fresh phase, in row-major
     order, so a kept phase's index is the running count of the fresh mask.
     The index is built step-major, as a (steps, count) array: row k is row
     k - 1 plus the fresh mask of step k, and each sequence's offset is the
     running total of the fresh counts of the sequences before it.  It comes
     back as the transposed view, whose ``.T`` is contiguous again.
     """
-    fresh = (rng.random((count, params.steps - 1)) >= params.mu).T
-    index = np.empty((params.steps, count), dtype=np.intp)
+    mu, sigma, mean_phase, clip_to_hardware = noise
+    fresh = (rng.random((count, steps - 1)) >= mu).T
+    index = np.empty((steps, count), dtype=np.intp)
     index[0] = 0
-    for k in range(1, params.steps):
+    for k in range(1, steps):
         np.add(index[k - 1], fresh[k - 1], out=index[k])
     totals = index[-1] + 1
     ends = np.cumsum(totals)
     index += ends - totals
-    values = rng.normal(params.mean_phase, params.sigma, size=int(ends[-1]))
-    if params.clip_to_hardware:
+    values = rng.normal(mean_phase, sigma, size=int(ends[-1]))
+    if clip_to_hardware:
         np.clip(values, 0.0, math.pi, out=values)
     if not np.isfinite(values).all():
         # a draw beyond the float range became inf; its cosine would be NaN
-        raise ValueError(f"sigma {params.sigma!r} too large to sample: phase draws overflow")
+        raise ValueError(f"sigma {sigma!r} too large to sample: phase draws overflow")
     return values, index.T
 
 
-def _block_draws(params: NoiseParams, seed: int, block_index: int, count: int):
+def _block_draws(noise: tuple, steps: int, seed: int, block_index: int, count: int):
     """The draws of block ``block_index``, from its own (seed, block_index) substream."""
-    return _draw(params, np.random.default_rng([seed, block_index]), count)
+    return _draw(noise, steps, np.random.default_rng([seed, block_index]), count)
 
 
-def _block_moments(params, walks, seed, block_index, count):
+def _block_moments(noise, steps, walks, seed, block_index, count):
     """Sums of w and w^2 over one block, after every prefix of each walk.
 
     w = prod_j e^{i s_j chi_j} over the prefix, so the coherence is
@@ -148,7 +134,7 @@ def _block_moments(params, walks, seed, block_index, count):
     side's phase sum is carried along next to the product, so the
     exactness rule costs one add per step walked.
     """
-    values, index = _block_draws(params, seed, block_index, count)
+    values, index = _block_draws(noise, steps, seed, block_index, count)
     index = index.T
     rotations = np.empty(values.size, dtype=complex)
     np.cos(values, out=rotations.real)
@@ -184,7 +170,7 @@ def _block_moments(params, walks, seed, block_index, count):
     return sums[1:]
 
 
-def _share(params, walks, seed, n_samples, first, stride, table, stop) -> None:
+def _share(noise, steps, walks, seed, n_samples, first, stride, table, stop) -> None:
     """Write the sums of blocks first, first + stride, ... into their rows of ``table``.
 
     Stops before its next block once ``stop`` is set, and sets it when a
@@ -195,40 +181,47 @@ def _share(params, walks, seed, n_samples, first, stride, table, stop) -> None:
             if stop.is_set():
                 return
             count = min(BLOCK_SIZE, n_samples - block_index * BLOCK_SIZE)
-            table[block_index] = _block_moments(params, walks, seed, block_index, count)
+            table[block_index] = _block_moments(noise, steps, walks, seed, block_index, count)
     except BaseException:
         stop.set()
         raise
 
 
 def monte_carlo_moments(
-    params: NoiseParams,
     sign_vectors,
+    mu: float,
+    sigma: float,
+    mean_phase: float = math.pi / 2,
+    *,
     n_samples: int,
     seed: int,
     workers: int = 1,
+    clip_to_hardware: bool = False,
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Average the live coherence after every prefix of each sign vector over n_samples samples.
 
     Returns one (means, square_means) pair per vector, in the order of
     ``sign_vectors``: complex arrays of length len(signs) + 1 whose entry k
     is the mean of the coherence and of its square after k steps, laid out
-    as ``analytic_coherence`` lays out its values.  Every block of
-    phases is drawn once and walked along each vector once.  The blocks
-    fall into min(workers, blocks, cpu count) strided shares, each reduced
-    into a per-block table: the caller reduces the first share while pool
-    threads reduce the others, then it adds the table up in block order.
-    ``n_samples`` and ``workers`` must be integers >= 1 (a bool is not a
-    count).
+    as ``analytic_coherence`` lays out its values; noise is refused by the
+    same check.  Every block of phases is drawn once, as deep as the
+    longest vector, and walked along each vector once; ``clip_to_hardware``
+    clips each phase to [0, pi].  The blocks fall into min(workers, blocks,
+    cpu count) strided shares, each reduced into a per-block table: the
+    caller reduces the first share while pool threads reduce the others,
+    then it adds the table up in block order.  ``n_samples`` and
+    ``workers`` must be integers >= 1 and ``seed`` one >= 0.
     """
+    _check_noise(mu, sigma, mean_phase)
     check_count("n_samples", n_samples)
+    check_count("seed", seed, 0)
     check_count("workers", workers)
     sign_vectors = tuple(tuple(signs) for signs in sign_vectors)
     for signs in sign_vectors:
-        if len(signs) > params.steps:
-            raise ValueError(f"sign vector {signs!r} longer than {params.steps} steps")
         if not all(s in (1, -1) for s in signs):
             raise ValueError(f"sign vector {signs!r} must hold only +1 and -1")
+    noise = mu, sigma, mean_phase, clip_to_hardware
+    steps = max([1, *map(len, sign_vectors)])
     # a walk starts where it leaves the one before (commonprefix compares
     # sequences item by item); lowering each start to the next one's keeps
     # them non-decreasing, so a walk passes the step where the next branches
@@ -240,7 +233,8 @@ def monte_carlo_moments(
     workers = min(workers, blocks, os.cpu_count() or 1)
     stop = threading.Event()
     shares = [
-        (params, walks, seed, n_samples, first, workers, table, stop) for first in range(workers)
+        (noise, steps, walks, seed, n_samples, first, workers, table, stop)
+        for first in range(workers)
     ]
     # with one share the pool is never given a task, so it starts no thread
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
@@ -307,7 +301,7 @@ def analytic_coherence(
     otherwise, and a block of signed weight w contributes
     e^{-i w mean_phase - w^2 sigma^2 / 2}.  The block weights always sum to
     sum(signs), so the mean phase factors out.  The magnitude never exceeds
-    1/2.  Noise that ``NoiseParams`` refuses is refused here too.
+    1/2.
     """
     _check_noise(mu, sigma, mean_phase)
     values = [complex(-0.5)]

@@ -19,12 +19,13 @@ concurrence and the entanglement of formation of every row.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from .dephasing import NoiseParams, analytic_coherence, coherence_std_error, monte_carlo_moments
-from .entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
+from .dephasing import _check_noise, analytic_coherence, coherence_std_error, monte_carlo_moments
+from .entanglement import check_count, eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 
 METHODS = ("analytic", "monte_carlo")
 CONTROL_KINDS = ("uncontrolled", "corrected", "echoed")
@@ -36,26 +37,26 @@ CONTROLS = np.array(CONTROL_KINDS).reshape(-1, 1)
 CONTROLS.flags.writeable = False
 
 
-def _coherences(params, method, n_samples, seed, workers) -> tuple[list, list | None]:
+def _coherences(method, noise, steps, clip, n_samples, seed, workers):
     """The uncontrolled and the echoed arm's coherences after steps
     0..steps, one walk each, as two lists, and their one-sigma errors as
     two lists (None for the closed form)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    echo = min(ECHO_AFTER, params.steps)
-    walks = ((1,) * params.steps, (1,) * echo + (-1,) * (params.steps - echo))
+    echo = min(ECHO_AFTER, steps)
+    walks = ((1,) * steps, (1,) * echo + (-1,) * (steps - echo))
     if method == "analytic":
-        if params.clip_to_hardware:
+        if clip:
             raise ValueError(
                 "clip_to_hardware is not modelled by the analytic method; "
                 "use method monte_carlo"
             )
-        noise = params.mu, params.sigma, params.mean_phase
         return [analytic_coherence(signs, *noise).tolist() for signs in walks], None
-    if seed is None:
-        raise ValueError("monte_carlo method requires a seed")
     coherences, errors = [], []
-    for means, square_means in monte_carlo_moments(params, walks, n_samples, seed, workers):
+    moments = monte_carlo_moments(
+        walks, *noise, n_samples=n_samples, seed=seed, workers=workers, clip_to_hardware=clip
+    )
+    for means, square_means in moments:
         # Python complex values, as the closed form's: abs is then hypot
         means, square_means = means.tolist(), square_means.tolist()
         coherences.append(means)
@@ -71,8 +72,13 @@ def _arms(plain: list, echoed: list) -> list:
 
 
 def open_loop_series(
-    params: NoiseParams,
+    mu: float,
+    sigma: float,
     fidelities: Sequence[float],
+    *,
+    steps: int = 4,
+    mean_phase: float = math.pi / 2,
+    clip_to_hardware: bool = False,
     methods: Sequence[str] = ("analytic",),
     n_samples: int = 100_000,
     seed: int | None = None,
@@ -95,15 +101,21 @@ def open_loop_series(
     Each method walks two sign vectors, the uncontrolled and the echoed
     arm's, and takes every arm's values from their prefixes (``_arms``).
     Monte Carlo draws its samples once for both walks, so extra fidelities
-    cost no extra samples.  A fidelity outside [1/4, 1] is a ValueError.
+    cost no extra samples.  Noise that ``analytic_coherence`` refuses, steps
+    not an integer >= 1 or a fidelity outside [1/4, 1] is a ValueError.
     """
+    _check_noise(mu, sigma, mean_phase)
+    check_count("steps", steps)
+    steps = int(steps)
     fidelity = np.array(fidelities, dtype=float).reshape(-1, 1, 1, 1)
     eta = eta_from_fidelity(fidelity[:, 0])
-    grid = (len(fidelity), len(methods), len(CONTROL_KINDS), params.steps + 1)
+    grid = (len(fidelity), len(methods), len(CONTROL_KINDS), steps + 1)
     magnitudes = np.empty(grid[1:])
     stat_error = np.empty(grid, dtype=object)
     for index, method in enumerate(methods):
-        (plain, echoed), errors = _coherences(params, method, n_samples, seed, workers)
+        (plain, echoed), errors = _coherences(
+            method, (mu, sigma, mean_phase), steps, clip_to_hardware, n_samples, seed, workers
+        )
         # abs of each value, as hypot gives it: np.abs's vector loop may
         # round the last bit differently
         magnitudes[index] = _arms(list(map(abs, plain)), list(map(abs, echoed)))
@@ -114,7 +126,7 @@ def open_loop_series(
         "fidelity": fidelity,
         "control": CONTROLS,
         "method": np.array(methods).reshape(-1, 1, 1),
-        "step": np.arange(params.steps + 1),
+        "step": np.arange(steps + 1),
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
         "stat_error": stat_error,

@@ -50,7 +50,6 @@ from .counts import (
     estimate_theta,
     simulate_counts,
 )
-from .dephasing import NoiseParams
 from .entanglement import check_count, eof_from_concurrence, eta_from_fidelity
 from .openloop import METHODS, open_loop_series
 
@@ -178,8 +177,8 @@ class RunConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected {choices}")
         check_count("workers", self.workers)
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed {self.seed!r} must be >= 0")
+        if self.seed is not None:
+            check_count("seed", self.seed, 0)
         if not self.fidelity:
             raise ValueError("fidelity list must be nonempty")
         for name in _FLOAT_FIELDS:
@@ -444,18 +443,11 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
 
 
 def _open_loop_rows(config: RunConfig) -> dict:
-    params = NoiseParams(
-        mu=config.mu,
-        sigma=config.sigma,
-        mean_phase=config.mean_phase,
-        steps=config.steps,
-        clip_to_hardware=config.clip_to_hardware,
-    )
     methods = ("analytic", "monte_carlo") if config.method == "both" else (config.method,)
-    table = open_loop_series(
-        params, config.fidelity, methods, config.n_samples, config.seed, config.workers
-    )
-    return {"mu": params.mu, "sigma": params.sigma, **table}
+    names = ("steps", "mean_phase", "clip_to_hardware", "n_samples", "seed", "workers")
+    options = {name: getattr(config, name) for name in names}
+    table = open_loop_series(config.mu, config.sigma, config.fidelity, methods=methods, **options)
+    return {"mu": config.mu, "sigma": config.sigma, **table}
 
 
 # the variant axis of a closed-loop table; read-only, since every table shares it

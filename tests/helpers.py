@@ -20,7 +20,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from qrecover.dephasing import BLOCK_SIZE, _block_draws
+from qrecover.dephasing import BLOCK_SIZE, _block_draws, monte_carlo_moments
 
 from oracle import (
     SIGMA_X,
@@ -81,38 +81,50 @@ def coherence_oracle(k, mu, sigma, mean_phase, signs):
     return -0.5 * total
 
 
-def keep_first_oracle(params, rng, count):
+def keep_first_oracle(mu, sigma, steps, rng, count, mean_phase=math.pi / 2, clip=False):
     """(count, steps) phases of the keep-first rule, one row and step at a time.
 
     All keep decisions are drawn first, uniform draws < mu keeping the
-    previous phase; then one normal per fresh phase, row by row.
+    previous phase; then one normal per fresh phase, row by row, clipped to
+    [0, pi] when ``clip`` is set.
     """
-    redraw = rng.random((count, params.steps - 1)) >= params.mu
-    fresh = rng.normal(params.mean_phase, params.sigma, size=count + int(redraw.sum()))
-    if params.clip_to_hardware:
+    redraw = rng.random((count, steps - 1)) >= mu
+    fresh = rng.normal(mean_phase, sigma, size=count + int(redraw.sum()))
+    if clip:
         fresh = np.clip(fresh, 0.0, math.pi)
     values = iter(fresh)
     rows = []
     for r in range(count):
         row = [next(values)]
-        for k in range(1, params.steps):
+        for k in range(1, steps):
             row.append(next(values) if redraw[r, k - 1] else row[-1])
         rows.append(row)
     assert next(values, None) is None
     return np.array(rows)
 
 
-def sample_phase_matrix(params, n_samples, seed):
+def sample_phase_matrix(mu, sigma, steps, n_samples, seed, mean_phase=math.pi / 2, clip=False):
     """(n_samples, steps) phases from the package's fixed block substreams.
 
-    These are the phases the Monte Carlo kernel reduces, row for row.
+    These are the phases the Monte Carlo kernel reduces, row for row, when
+    its longest sign vector has ``steps`` entries.
     """
+    noise = mu, sigma, mean_phase, clip
     blocks = []
     for start in range(0, n_samples, BLOCK_SIZE):
         count = min(BLOCK_SIZE, n_samples - start)
-        values, index = _block_draws(params, seed, start // BLOCK_SIZE, count)
+        values, index = _block_draws(noise, steps, seed, start // BLOCK_SIZE, count)
         blocks.append(values.take(index))
     return np.vstack(blocks)
+
+
+def walked_alone(signs, depth, *noise, **options):
+    """The (means, square_means) of ``signs`` walked first, and so as if
+    alone, in a Monte Carlo draw ``depth`` steps deep: an all +1 vector of
+    that length after it sets the depth, and no vector's values depend on
+    the others of its pass."""
+    first, _ = monte_carlo_moments([signs, (1,) * depth], *noise, **options)
+    return first
 
 
 def trajectory_state(phases, signs):
@@ -139,10 +151,12 @@ def trajectory_state(phases, signs):
     return PureState(("A", "B"), amps)
 
 
-def averaged_projector_oracle(params, signs, n_samples, seed):
-    """Mean of the trajectory projectors for ``signs`` over sampled phase rows."""
+def averaged_projector_oracle(mu, sigma, signs, n_samples, seed):
+    """Mean of the trajectory projectors for ``signs`` over sampled phase rows,
+    drawn as the Monte Carlo kernel draws them for ``signs`` alone: as deep
+    as the vector, and at least one step."""
     total = np.zeros((4, 4), dtype=complex)
-    for row in sample_phase_matrix(params, n_samples, seed):
+    for row in sample_phase_matrix(mu, sigma, max(1, len(signs)), n_samples, seed):
         total += trajectory_state(row, signs).projector().matrix
     return DensityMatrix(("A", "B"), total / n_samples)
 

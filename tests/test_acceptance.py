@@ -17,7 +17,7 @@ from qrecover.closedloop import (
     uncontrolled_concurrence_closed,
 )
 from qrecover.counts import estimate_p_prime, estimate_theta
-from qrecover.dephasing import NoiseParams, analytic_coherence, monte_carlo_moments
+from qrecover.dephasing import analytic_coherence, monte_carlo_moments
 from qrecover.entanglement import eof_from_concurrence, mixed_concurrence
 from qrecover.openloop import open_loop_series
 
@@ -82,7 +82,7 @@ def test_criterion_1_wootters_agreement():
 
 @report(2, "fully correlated noise: Gaussian decay and echo recovery curves, < 1e-9")
 def test_criterion_2_full_correlation_curves():
-    table = open_loop_series(NoiseParams(mu=1.0, sigma=SIGMA), [1.0])
+    table = open_loop_series(1.0, SIGMA, [1.0])
     value = {(row["control"], row["step"]): row["concurrence"] for row in table_rows(table)}
     for k in range(5):
         expected = math.exp(-0.18 * k * k)
@@ -97,16 +97,15 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
     n = 100_000
     started = time.monotonic()
     for mu in (0.2, 0.7, 1.0):
-        params = NoiseParams(mu=mu, sigma=SIGMA)
         for k in (1, 2, 3, 4):
             signs = arm_signs("uncontrolled", k, 4)
-            ((means, _),) = monte_carlo_moments(params, [signs], n, seed=300 + k)
+            ((means, _),) = monte_carlo_moments([signs], mu, SIGMA, n_samples=n, seed=300 + k)
             target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(means[-1]) - abs(target))
             assert gap < 0.01, f"uncontrolled mu={mu} k={k}: {gap:.4f}"
         for k in (3, 4):
             signs = arm_signs("echoed", k, 4)
-            ((means, _),) = monte_carlo_moments(params, [signs], n, seed=400 + k)
+            ((means, _),) = monte_carlo_moments([signs], mu, SIGMA, n_samples=n, seed=400 + k)
             target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(means[-1]) - abs(target))
             assert gap < 0.01, f"echoed mu={mu} k={k}: {gap:.4f}"
@@ -118,7 +117,7 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
 def test_criterion_4_corrected_is_exact_per_trajectory():
     singlet = bell_state("psi_minus")
     for mu in (0.2, 0.7, 1.0):
-        for row in sample_phase_matrix(NoiseParams(mu=mu, sigma=SIGMA), 4000, seed=42):
+        for row in sample_phase_matrix(mu, SIGMA, 4, 4000, seed=42):
             state = trajectory_state(row, arm_signs("corrected", 4, 4))
             fidelity = fidelity_to_pure(state.projector(), singlet)
             assert abs(fidelity - 1.0) < 1e-12

@@ -27,7 +27,6 @@ import pytest
 from qrecover import dephasing
 from qrecover.dephasing import (
     BLOCK_SIZE,
-    NoiseParams,
     analytic_coherence,
     coherence_std_error,
     monte_carlo_moments,
@@ -35,19 +34,20 @@ from qrecover.dephasing import (
 
 DATA = Path(__file__).resolve().parent / "data" / "coherence_prefixes.json"
 
+# each case's draw is as deep as its longest vector, the step count of the
+# job that walks it
 WALKS = {
     # the open-loop arms at steps 1 and 2: the echo after step 2 never acts
-    "steps1": (1, [(1,), (1,)]),
-    "steps2": (2, [(1, 1), (1, 1)]),
+    "steps1": [(1,), (1,)],
+    "steps2": [(1, 1), (1, 1)],
     # the open-loop arms at steps 5, in both orders
-    "arms": (5, [(1,) * 5, (1, 1, -1, -1, -1)]),
-    "arms_reversed": (5, [(1, 1, -1, -1, -1), (1,) * 5]),
+    "arms": [(1,) * 5, (1, 1, -1, -1, -1)],
+    "arms_reversed": [(1, 1, -1, -1, -1), (1,) * 5],
     # an extension, a fork, the empty vector, a prefix of an earlier vector
-    # and a repeat
-    "mixed": (
-        6,
-        [(1, 1, -1), (1, 1, -1, 1, 1), (1, -1), (), (-1, -1, 1, 1, -1, -1), (1, 1, -1, 1), (1, -1)],
-    ),
+    # and a repeat, at steps 6
+    "mixed": [
+        (1, 1, -1), (1, 1, -1, 1, 1), (1, -1), (), (-1, -1, 1, 1, -1, -1), (1, 1, -1, 1), (1, -1)
+    ],
 }
 NOISE = [(0.0, 0.6), (0.3, 0.6), (0.7, 0.6), (1.0, 0.6), (0.3, 2.0)]
 N_SAMPLES = BLOCK_SIZE + 300  # a full block and a partial one
@@ -59,21 +59,21 @@ def _hex(value: complex) -> list[str]:
 
 
 def _cases():
-    for walk, (steps, vectors) in WALKS.items():
+    for walk, vectors in WALKS.items():
         for mu, sigma in NOISE:
             for clip in (False, True):
-                yield walk, steps, vectors, mu, sigma, clip
+                yield walk, vectors, mu, sigma, clip
 
 
 def _key(walk, mu, sigma, clip) -> str:
     return f"{walk} mu={mu} sigma={sigma} clip={clip}"
 
 
-def prefix_values(steps, vectors, mu, sigma, clip, workers=1) -> dict:
+def prefix_values(vectors, mu, sigma, clip, workers=1) -> dict:
     """Every prefix's Monte Carlo moments and (unclipped only) closed form, as hex."""
-    params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
+    options = {"n_samples": N_SAMPLES, "seed": SEED, "workers": workers, "clip_to_hardware": clip}
     with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
-        walks = monte_carlo_moments(params, vectors, N_SAMPLES, SEED, workers)
+        walks = monte_carlo_moments(vectors, mu, sigma, **options)
     values = {
         "monte_carlo": [
             [_hex(z) + _hex(z2) for z, z2 in zip(means, square_means)]
@@ -93,9 +93,9 @@ def committed():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("walk, steps, vectors, mu, sigma, clip", list(_cases()))
-def test_every_prefix_keeps_its_bits(committed, walk, steps, vectors, mu, sigma, clip, workers):
-    got = prefix_values(steps, vectors, mu, sigma, clip, workers)
+@pytest.mark.parametrize("walk, vectors, mu, sigma, clip", list(_cases()))
+def test_every_prefix_keeps_its_bits(committed, walk, vectors, mu, sigma, clip, workers):
+    got = prefix_values(vectors, mu, sigma, clip, workers)
     assert got == committed[_key(walk, mu, sigma, clip)]
 
 
@@ -123,10 +123,10 @@ def assert_errors_match_the_reference(walks, n_samples):
 
 
 class TestErrorReference:
-    @pytest.mark.parametrize("walk, steps, vectors, mu, sigma, clip", list(_cases()))
-    def test_every_prefix_error_is_the_reference(self, walk, steps, vectors, mu, sigma, clip):
-        params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
-        walks = monte_carlo_moments(params, vectors, N_SAMPLES, SEED)
+    @pytest.mark.parametrize("walk, vectors, mu, sigma, clip", list(_cases()))
+    def test_every_prefix_error_is_the_reference(self, walk, vectors, mu, sigma, clip):
+        options = {"n_samples": N_SAMPLES, "seed": SEED, "clip_to_hardware": clip}
+        walks = monte_carlo_moments(vectors, mu, sigma, **options)
         assert_errors_match_the_reference(walks, N_SAMPLES)
 
     @pytest.mark.parametrize("n_samples", [1, 2])
@@ -134,10 +134,9 @@ class TestErrorReference:
     def test_one_and_two_samples_give_the_reference(self, n_samples, mu, sigma):
         # at two samples the variance is near zero, where a vectorised
         # form of the formula moved the printed error
-        params = NoiseParams(mu=mu, sigma=sigma, steps=6)
         vectors = [(1,) * 6, (1, 1, -1, -1, -1, -1), (1, -1, 1, -1, 1, -1)]
         for seed in range(20):
-            walks = monte_carlo_moments(params, vectors, n_samples, seed)
+            walks = monte_carlo_moments(vectors, mu, sigma, n_samples=n_samples, seed=seed)
             assert_errors_match_the_reference(walks, n_samples)
 
     @pytest.mark.parametrize("mean", [0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
@@ -150,8 +149,8 @@ class TestErrorReference:
 
 if __name__ == "__main__":
     table = {
-        _key(walk, mu, sigma, clip): prefix_values(steps, vectors, mu, sigma, clip)
-        for walk, steps, vectors, mu, sigma, clip in _cases()
+        _key(walk, mu, sigma, clip): prefix_values(vectors, mu, sigma, clip)
+        for walk, vectors, mu, sigma, clip in _cases()
     }
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in table.items()]
     DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from unittest import mock
 
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from qrecover.dephasing import (
     BLOCK_SIZE,
     MAX_MEAN_PHASE,
-    NoiseParams,
     analytic_coherence,
     coherence_std_error,
     monte_carlo_moments,
 )
 from qrecover import dephasing
+from qrecover.openloop import open_loop_series
 
 from helpers import (
     averaged_projector_oracle,
@@ -23,6 +24,7 @@ from helpers import (
     keep_first_oracle,
     sample_phase_matrix,
     trajectory_state,
+    walked_alone,
 )
 from oracle import (
     DensityMatrix,
@@ -40,10 +42,6 @@ SIGMA = 0.6
 CHIBAR = math.pi / 2
 
 
-def default_params(mu, **kwargs):
-    return NoiseParams(mu=mu, sigma=SIGMA, **kwargs)
-
-
 def uncontrolled_coherence(k, mu, sigma, mean_phase=CHIBAR):
     return analytic_coherence(arm_signs("uncontrolled", k, 4), mu, sigma, mean_phase)[-1]
 
@@ -52,11 +50,27 @@ def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
     return analytic_coherence(arm_signs("echoed", k, 4), mu, sigma, mean_phase)[-1]
 
 
-def final_moments(params, signs, n_samples, seed, workers=1):
+def final_moments(signs, mu, sigma=SIGMA, **options):
     """The mean and the mean square coherence after the last step of
     ``signs``, walked alone, as Python complex numbers."""
-    ((means, square_means),) = monte_carlo_moments(params, [signs], n_samples, seed, workers)
+    ((means, square_means),) = monte_carlo_moments([signs], mu, sigma, **options)
     return means.tolist()[-1], square_means.tolist()[-1]
+
+
+def all_refused(field, value):
+    """The messages with which each entry point refuses this noise."""
+    noise = {"mu": 0.5, "sigma": SIGMA, "mean_phase": CHIBAR, field: value}
+    calls = (
+        lambda: analytic_coherence((1, 1, -1), **noise),
+        lambda: monte_carlo_moments([(1, 1, -1)], **noise, n_samples=10, seed=1),
+        lambda: open_loop_series(fidelities=[1.0], **noise),
+    )
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError, match=field) as refused:
+            call()
+        messages.append(str(refused.value))
+    return messages
 
 
 def as_lists(walks):
@@ -66,36 +80,35 @@ def as_lists(walks):
 
 class TestSampling:
     def test_full_correlation_freezes_the_sequence(self):
-        for row in sample_phase_matrix(default_params(1.0), 50, seed=3):
+        for row in sample_phase_matrix(1.0, SIGMA, 4, 50, seed=3):
             assert len(set(row)) == 1
 
     def test_zero_correlation_uncorrelated_adjacent(self):
-        phases = sample_phase_matrix(default_params(0.0), 100_000, seed=11)
+        phases = sample_phase_matrix(0.0, SIGMA, 4, 100_000, seed=11)
         x = phases[:, :-1].ravel()
         y = phases[:, 1:].ravel()
         r = np.corrcoef(x, y)[0, 1]
         assert abs(r) < 3 / math.sqrt(100_000)
 
     def test_sample_correlation_matches_mu(self):
-        phases = sample_phase_matrix(default_params(0.7), 100_000, seed=11)
+        phases = sample_phase_matrix(0.7, SIGMA, 4, 100_000, seed=11)
         x = phases[:, :-1].ravel()
         y = phases[:, 1:].ravel()
         r = np.corrcoef(x, y)[0, 1]
         assert r == pytest.approx(0.7, abs=0.01)
 
     def test_marginal_moments(self):
-        phases = sample_phase_matrix(default_params(0.7), 100_000, seed=4)
+        phases = sample_phase_matrix(0.7, SIGMA, 4, 100_000, seed=4)
         assert phases.mean() == pytest.approx(CHIBAR, abs=0.01)
         assert phases.std() == pytest.approx(SIGMA, abs=0.01)
 
     def test_deterministic_for_fixed_seed(self):
-        a = sample_phase_matrix(default_params(0.5), 10_000, seed=9)
-        b = sample_phase_matrix(default_params(0.5), 10_000, seed=9)
+        a = sample_phase_matrix(0.5, SIGMA, 4, 10_000, seed=9)
+        b = sample_phase_matrix(0.5, SIGMA, 4, 10_000, seed=9)
         assert np.array_equal(a, b)
 
     def test_hardware_clip(self):
-        params = default_params(0.2, clip_to_hardware=True)
-        phases = sample_phase_matrix(params, 20_000, seed=1)
+        phases = sample_phase_matrix(0.2, SIGMA, 4, 20_000, seed=1, clip=True)
         assert phases.min() >= 0.0 and phases.max() <= math.pi
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
@@ -104,49 +117,45 @@ class TestSampling:
     @pytest.mark.parametrize("last", [1, 5])
     def test_blocks_follow_the_keep_first_rule(self, mu, steps, clip, last):
         # a full block, then a last block of 1 or 5 sequences
-        params = NoiseParams(mu=mu, sigma=2.0, steps=steps, clip_to_hardware=clip)
         n, seed = BLOCK_SIZE + last, 21
         expected = np.vstack(
             [
-                keep_first_oracle(params, np.random.default_rng([seed, j]), count)
-                for j, count in enumerate((BLOCK_SIZE, last))
+                keep_first_oracle(mu, 2.0, steps, np.random.default_rng([seed, j]), rows, clip=clip)
+                for j, rows in enumerate((BLOCK_SIZE, last))
             ]
         )
-        assert np.array_equal(sample_phase_matrix(params, n, seed), expected)
+        assert np.array_equal(sample_phase_matrix(mu, 2.0, steps, n, seed, clip=clip), expected)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
     def test_a_block_draws_one_normal_per_fresh_phase(self, mu):
-        params = default_params(mu, steps=5)
         count, seed, block = 1000, 8, 3
-        values, index = dephasing._block_draws(params, seed, block, count)
+        values, index = dephasing._block_draws((mu, SIGMA, CHIBAR, False), 5, seed, block, count)
         decisions = np.random.default_rng([seed, block]).random((count, 4))
         assert values.size == count + np.count_nonzero(decisions >= mu)
         if mu == 0.0:
-            assert values.size == count * params.steps
+            assert values.size == count * 5
         if mu == 1.0:
             assert values.size == count
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            NoiseParams(mu=1.2, sigma=0.6)
-        with pytest.raises(ValueError):
-            NoiseParams(mu=0.5, sigma=0.0)
+        for field, value in (("mu", 1.2), ("sigma", 0.0)):
+            assert len(set(all_refused(field, value))) == 1
 
     @pytest.mark.parametrize(
         "field, value",
         [("sigma", math.inf), ("sigma", math.nan), ("mean_phase", math.nan), ("mean_phase", -math.inf)],
     )
     def test_non_finite_noise_rejected_by_name(self, field, value):
-        kwargs = {"mu": 0.5, "sigma": SIGMA, field: value}
-        with pytest.raises(ValueError, match=field):
-            NoiseParams(**kwargs)
+        assert len(set(all_refused(field, value))) == 1
 
     def test_mean_phase_is_bounded_for_every_method(self):
         for value in (-MAX_MEAN_PHASE, MAX_MEAN_PHASE):
-            assert NoiseParams(mu=0.5, sigma=SIGMA, mean_phase=value).mean_phase == value
+            assert analytic_coherence((1,), 0.5, SIGMA, value).size == 2
+            assert len(monte_carlo_moments([(1,)], 0.5, SIGMA, value, n_samples=10, seed=1)) == 1
+            assert open_loop_series(0.5, SIGMA, [1.0], mean_phase=value)["step"].size == 5
         for value in (math.nextafter(MAX_MEAN_PHASE, math.inf), -1e16, 1e308):
-            with pytest.raises(ValueError, match="mean_phase .* outside"):
-                NoiseParams(mu=0.5, sigma=SIGMA, mean_phase=value)
+            for message in all_refused("mean_phase", value):
+                assert message == f"mean_phase {value!r} outside [-1e9, 1e9]"
 
 
 class TestSigns:
@@ -207,7 +216,7 @@ class TestTrajectoryStates:
 
     def test_corrected_returns_exact_singlet(self):
         singlet = bell_state("psi_minus")
-        for row in sample_phase_matrix(default_params(0.4), 400, seed=17):
+        for row in sample_phase_matrix(0.4, SIGMA, 4, 400, seed=17):
             state = trajectory_state(row, arm_signs("corrected", 4, 4))
             assert abs(state.overlap(singlet)) == pytest.approx(1.0, abs=1e-12)
 
@@ -215,7 +224,7 @@ class TestTrajectoryStates:
         # stepwise phase gates (phase on the first basis component of B) and a
         # bit flip where the sign turns must reproduce the closed-form
         # trajectory state up to a global phase
-        for row in sample_phase_matrix(default_params(0.3), 25, seed=5):
+        for row in sample_phase_matrix(0.3, SIGMA, 4, 25, seed=5):
             for signs in (
                 (1, 1), (1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), (1, -1, -1), (1, -1, 1),
                 (-1, 1, -1, -1),
@@ -311,17 +320,26 @@ class TestAnalyticCoherences:
         assert analytic_coherence((), 0.4, SIGMA).tolist() == [-0.5]
 
     @pytest.mark.parametrize(
-        "field, value", [("mu", 2.0), ("mu", math.nan), ("sigma", math.nan), ("mean_phase", 1e308)]
+        "field, value, message",
+        [
+            ("mu", 2.0, "mu 2.0 outside [0, 1]"),
+            ("mu", math.nan, "mu nan outside [0, 1]"),
+            ("sigma", math.nan, "sigma nan must be positive and finite"),
+            ("sigma", 0.0, "sigma 0.0 must be positive and finite"),
+            ("mean_phase", 1e308, "mean_phase 1e+308 outside [-1e9, 1e9]"),
+        ],
     )
-    def test_noise_that_noise_params_refuses_is_refused(self, field, value):
+    def test_both_methods_and_the_series_refuse_the_same_noise(self, field, value, message):
         # (1, 1, -1) at mu 2 gave |z| = 0.72, and mean_phase 1e308 a bare
-        # "math domain error"
-        noise = {"mu": 0.5, "sigma": SIGMA, "mean_phase": CHIBAR, field: value}
-        with pytest.raises(ValueError, match=field) as refused:
-            NoiseParams(**noise)
-        with pytest.raises(ValueError, match=field) as same:
-            analytic_coherence((1, 1, -1), **noise)
-        assert str(same.value) == str(refused.value)
+        # "math domain error"; the Monte Carlo method once trusted a record
+        # to have checked the noise
+        assert all_refused(field, value) == [message] * 3
+
+    @pytest.mark.parametrize("steps", [0, True, 1.5])
+    def test_the_series_refuses_a_bad_step_count(self, steps):
+        message = rf"^steps must be an integer >= 1, got {re.escape(repr(steps))}$"
+        with pytest.raises(ValueError, match=message):
+            open_loop_series(0.5, SIGMA, [1.0], steps=steps)
 
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_huge_sigma_dephases_without_overflow(self, sigma):
@@ -334,18 +352,17 @@ class TestMonteCarlo:
     N = 100_000
 
     def test_noiseless_limit_keeps_full_entanglement(self):
-        params = NoiseParams(mu=0.5, sigma=1e-9)
-        rho = averaged_projector_oracle(params, (1, 1, 1, 1), 2_000, seed=2)
+        rho = averaged_projector_oracle(0.5, 1e-9, (1, 1, 1, 1), 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
-        mean, _ = final_moments(params, (1, 1, 1, 1), 10_000, seed=2)
+        mean, _ = final_moments((1, 1, 1, 1), 0.5, 1e-9, n_samples=10_000, seed=2)
         assert 2 * abs(mean) == pytest.approx(1.0, abs=1e-6)
 
     def test_uncontrolled_matches_closed_form_magnitude(self):
-        mean, _ = final_moments(default_params(1.0), (1, 1), self.N, seed=21)
+        mean, _ = final_moments((1, 1), 1.0, n_samples=self.N, seed=21)
         assert abs(mean) == pytest.approx(0.5 * math.exp(-2 * SIGMA**2), abs=0.01)
 
     def test_echoed_matches_closed_form(self):
-        mean, _ = final_moments(default_params(0.7), (1, 1, -1, -1), self.N, seed=22)
+        mean, _ = final_moments((1, 1, -1, -1), 0.7, n_samples=self.N, seed=22)
         assert abs(mean) == pytest.approx(abs(echoed_coherence(4, 0.7, SIGMA)), abs=0.01)
 
     def test_complex_agreement_across_grid(self):
@@ -353,19 +370,18 @@ class TestMonteCarlo:
         for mu in (0.0, 0.2, 0.7, 1.0):
             for k in (1, 2, 3, 4):
                 mean, _ = final_moments(
-                    default_params(mu), arm_signs("uncontrolled", k, 4), self.N, seed=100 + k
+                    arm_signs("uncontrolled", k, 4), mu, n_samples=self.N, seed=100 + k
                 )
                 target = uncontrolled_coherence(k, mu, SIGMA)
                 assert abs(mean - target) < tol
             for k in (3, 4):
                 mean, _ = final_moments(
-                    default_params(mu), arm_signs("echoed", k, 4), self.N, seed=200 + k
+                    arm_signs("echoed", k, 4), mu, n_samples=self.N, seed=200 + k
                 )
                 target = echoed_coherence(k, mu, SIGMA)
                 assert abs(mean - target) < tol
 
     def test_coherence_is_the_live_element_of_the_averaged_projector(self):
-        params = default_params(0.3)
         n = BLOCK_SIZE + 500
         for signs, element in (
             (arm_signs("uncontrolled", 3, 4), (1, 2)),
@@ -373,22 +389,22 @@ class TestMonteCarlo:
             ((1, -1), (0, 3)),  # an echo after step 1
             (arm_signs("corrected", 4, 4), (1, 2)),
         ):
-            rho = averaged_projector_oracle(params, signs, n, seed=5)
-            mean, _ = final_moments(params, signs, n, seed=5)
+            rho = averaged_projector_oracle(0.3, SIGMA, signs, n, seed=5)
+            mean, _ = final_moments(signs, 0.3, n_samples=n, seed=5)
             assert abs(rho.matrix[element] - mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
-        params, n = default_params(0.3), 2_000
-        rho = averaged_projector_oracle(params, arm_signs("uncontrolled", 3, 4), n, seed=5)
+        n = 2_000
+        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("uncontrolled", 3, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
-        rho = averaged_projector_oracle(params, arm_signs("echoed", 4, 4), n, seed=5)
+        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("echoed", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0.5, 0, 0, 0.5], atol=1e-12)
-        rho = averaged_projector_oracle(params, arm_signs("corrected", 4, 4), n, seed=5)
+        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("corrected", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_trajectory_unitaries_are_unital(self):
         flat = maximally_mixed(("A", "B"))
-        for row in sample_phase_matrix(default_params(0.5), 20, seed=8):
+        for row in sample_phase_matrix(0.5, SIGMA, 4, 20, seed=8):
             state = flat
             for j, chi in enumerate(row):
                 if j == 2:
@@ -397,10 +413,9 @@ class TestMonteCarlo:
             np.testing.assert_allclose(state.matrix, flat.matrix, atol=1e-14)
 
     def test_worker_count_does_not_change_bits(self):
-        params = default_params(0.7)
         vectors = [(1, 1, 1, 1), (1, 1, -1, -1), ()]
-        serial = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=1)
-        threaded = monte_carlo_moments(params, vectors, 30_000, seed=3, workers=4)
+        serial = monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=30_000, seed=3, workers=1)
+        threaded = monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=30_000, seed=3, workers=4)
         assert as_lists(serial) == as_lists(threaded)
 
     @settings(max_examples=30, deadline=None)
@@ -413,11 +428,12 @@ class TestMonteCarlo:
     )
     def test_uneven_shares_do_not_change_bits(self, n, mu, sigma, clip, seed):
         # enough cores that up to 4 threads share 1 to 6 blocks unevenly
-        params = NoiseParams(mu=mu, sigma=sigma, clip_to_hardware=clip)
         vectors = [(1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), ()]
+        options = {"n_samples": n, "seed": seed, "clip_to_hardware": clip}
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 8):
             serial, *threaded = (
-                monte_carlo_moments(params, vectors, n, seed, workers) for workers in (1, 2, 3, 4)
+                monte_carlo_moments(vectors, mu, sigma, workers=workers, **options)
+                for workers in (1, 2, 3, 4)
             )
         for moments in threaded:
             assert as_lists(moments) == as_lists(serial)
@@ -427,21 +443,21 @@ class TestMonteCarlo:
         failed = threading.Event()
         drawn = []
 
-        def failing_draws(params, seed, block_index, count):
+        def failing_draws(noise, steps, seed, block_index, count):
             if block_index == 0:
                 failed.set()
                 raise ValueError("block 0 failed")
             # the other share starts its first block only once block 0 has failed
             failed.wait(timeout=10)
             drawn.append(block_index)
-            return draw(params, seed, block_index, count)
+            return draw(noise, steps, seed, block_index, count)
 
         monkeypatch.setattr(dephasing, "_block_draws", failing_draws)
         monkeypatch.setattr(dephasing.os, "cpu_count", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="block 0 failed"):
             monte_carlo_moments(
-                default_params(0.7), [(1, 1, -1, -1)], 20 * BLOCK_SIZE, seed=3, workers=2
+                [(1, 1, -1, -1)], 0.7, SIGMA, n_samples=20 * BLOCK_SIZE, seed=3, workers=2
             )
         assert threading.active_count() == threads
         # the second share holds the ten odd blocks; it stops at its next block
@@ -450,11 +466,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("steps", [4, 6])
     @pytest.mark.parametrize("clip", [False, True])
     def test_one_pass_matches_per_vector_reduction(self, steps, clip):
-        params = default_params(0.6, steps=steps, clip_to_hardware=clip)
         n, seed = 2 * BLOCK_SIZE + 300, 17
         vectors = ((1,) * steps, arm_signs("echoed", steps, steps))
-        walks = monte_carlo_moments(params, vectors, n, seed)
-        phases = sample_phase_matrix(params, n, seed)
+        walks = monte_carlo_moments(
+            vectors, 0.6, SIGMA, n_samples=n, seed=seed, clip_to_hardware=clip
+        )
+        phases = sample_phase_matrix(0.6, SIGMA, steps, n, seed, clip=clip)
         for vector, (means, square_means) in zip(vectors, walks):
             assert means.shape == square_means.shape == (len(vector) + 1,)
             assert means.dtype == square_means.dtype == np.complex128
@@ -474,8 +491,8 @@ class TestMonteCarlo:
 
     def test_a_vector_does_not_depend_on_the_others_in_its_pass(self):
         # shared prefixes, a vector that is a prefix of an earlier one, a
-        # repeat and the empty vector, against each vector reduced alone
-        params = default_params(0.6, steps=6)
+        # repeat and the empty vector, against each vector reduced alone in
+        # a draw as deep as the pass's
         vectors = [
             (1, 1, -1, -1, -1),
             (1, 1, 1),
@@ -487,10 +504,11 @@ class TestMonteCarlo:
             (-1, -1, 1, 1, -1, -1),
             (1, 1, 1, 1, 1, 1),
         ]
-        together = as_lists(monte_carlo_moments(params, vectors, 2 * BLOCK_SIZE + 300, seed=8))
+        options = {"n_samples": 2 * BLOCK_SIZE + 300, "seed": 8}
+        together = as_lists(monte_carlo_moments(vectors, 0.6, SIGMA, **options))
         for signs, got in zip(vectors, together):
-            alone = monte_carlo_moments(params, [signs], 2 * BLOCK_SIZE + 300, seed=8)
-            assert as_lists(alone) == [got]
+            alone = walked_alone(signs, 6, 0.6, SIGMA, **options)
+            assert as_lists([alone]) == [got]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -507,7 +525,8 @@ class TestMonteCarlo:
     ):
         # vectors that extend earlier ones (mixed prefixes among them),
         # prefixes of earlier vectors, repeats and the empty vector, in a
-        # shuffled order: each must equal its pass of one vector
+        # shuffled order: each must equal its pass of one vector, in a draw
+        # as deep as the pass's
         signs = st.sampled_from((1, -1))
         vectors = []
         for _ in range(data.draw(st.integers(1, 8), label="vectors")):
@@ -525,13 +544,14 @@ class TestMonteCarlo:
                     vector = earlier if kind == "repeat" else ()
             vectors.append(vector)
         vectors = data.draw(st.permutations(vectors), label="order")
-        params = NoiseParams(mu=mu, sigma=sigma, steps=steps, clip_to_hardware=clip)
+        depth = max(1, *map(len, vectors))
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
             for workers in (1, 2):
-                together = as_lists(monte_carlo_moments(params, vectors, n, seed, workers))
+                options = dict(n_samples=n, seed=seed, workers=workers, clip_to_hardware=clip)
+                together = as_lists(monte_carlo_moments(vectors, mu, sigma, **options))
                 for signs, got in zip(vectors, together):
-                    alone = monte_carlo_moments(params, [signs], n, seed, workers)
-                    assert as_lists(alone) == [got], signs
+                    alone = walked_alone(signs, depth, mu, sigma, **options)
+                    assert as_lists([alone]) == [got], signs
 
     @pytest.mark.parametrize(
         "name, n_samples, workers",
@@ -548,16 +568,25 @@ class TestMonteCarlo:
     )
     def test_counts_must_be_positive_integers(self, name, n_samples, workers):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
-            monte_carlo_moments(default_params(0.5), [(1,)], n_samples, seed=1, workers=workers)
+            monte_carlo_moments([(1,)], 0.5, SIGMA, n_samples=n_samples, seed=1, workers=workers)
 
-    def test_sign_vector_longer_than_the_process_rejected(self):
-        with pytest.raises(ValueError, match="longer than 4 steps"):
-            monte_carlo_moments(default_params(0.5), [(1,) * 5], 100, seed=1)
+    def test_the_draw_is_as_deep_as_the_longest_vector(self, monkeypatch):
+        draw, depths = dephasing._block_draws, []
+
+        def counting(noise, steps, seed, block_index, count):
+            depths.append(steps)
+            return draw(noise, steps, seed, block_index, count)
+
+        monkeypatch.setattr(dephasing, "_block_draws", counting)
+        for vectors, depth in (([(1,), (1, 1, -1)], 3), ([()], 1), ([], 1)):
+            depths.clear()
+            monte_carlo_moments(vectors, 0.5, SIGMA, n_samples=BLOCK_SIZE + 1, seed=1)
+            assert depths == [depth, depth]
 
     @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (0.5,)])
     def test_sign_vector_entries_other_than_plus_minus_one_rejected(self, signs):
         with pytest.raises(ValueError, match=r"only \+1 and -1"):
-            monte_carlo_moments(default_params(0.5), [signs], 100, seed=1)
+            monte_carlo_moments([signs], 0.5, SIGMA, n_samples=100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
         share, caller = dephasing._share, threading.current_thread()
@@ -565,7 +594,7 @@ class TestMonteCarlo:
 
         def recording_share(*args):
             # (first block, share count, whether the caller runs it)
-            shares[-1].append((args[4], args[5], threading.current_thread() is caller))
+            shares[-1].append((args[5], args[6], threading.current_thread() is caller))
             share(*args)
 
         class RecordingPool(dephasing.ThreadPoolExecutor):
@@ -575,13 +604,12 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(dephasing, "_share", recording_share)
         monkeypatch.setattr(dephasing, "ThreadPoolExecutor", RecordingPool)
-        params = default_params(0.7)
         vectors = [(1, 1, 1, 1)]
         for cores in (8, 2, None):
             monkeypatch.setattr(dephasing.os, "cpu_count", lambda: cores)
             shares.append([])
             submitted.append(0)
-            monte_carlo_moments(params, vectors, 3 * BLOCK_SIZE, seed=3, workers=64)
+            monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=3 * BLOCK_SIZE, seed=3, workers=64)
         # min(workers, blocks, cores) shares; the caller runs the first, and
         # the pool is given the others, one thread each at most
         assert [sorted(calls) for calls in shares] == [
@@ -592,22 +620,20 @@ class TestMonteCarlo:
         assert submitted == [2, 1, 0]
 
     def test_averaged_projector_is_valid_density_matrix(self):
-        rho = averaged_projector_oracle(default_params(0.2), (1, 1, 1, 1), 2_000, seed=7)
+        rho = averaged_projector_oracle(0.2, SIGMA, (1, 1, 1, 1), 2_000, seed=7)
         assert isinstance(rho, DensityMatrix)
 
     def test_deterministic_arms_have_zero_error(self):
-        params = default_params(1.0)
         for signs in ((), arm_signs("corrected", 4, 4), arm_signs("echoed", 4, 4)):
-            mean, square_mean = final_moments(params, signs, 10_000, seed=4)
+            mean, square_mean = final_moments(signs, 1.0, n_samples=10_000, seed=4)
             assert mean == -0.5
             assert coherence_std_error(mean, square_mean, 10_000) == 0.0
 
     def test_balanced_vector_is_exact_at_every_sample_count(self):
         # the totals are divided by n exactly: multiplying by 1/n missed
         # -1/2 by an ulp for 20 of these (49, 98, 103, ...)
-        params = default_params(1.0)
         for n in range(1, 401):
-            mean, square_mean = final_moments(params, (1, 1, -1, -1), n, seed=1)
+            mean, square_mean = final_moments((1, 1, -1, -1), 1.0, n_samples=n, seed=1)
             assert mean == -0.5, n
             assert coherence_std_error(mean, square_mean, n) == 0.0, n
 
@@ -617,8 +643,9 @@ class TestMonteCarlo:
         signs = tuple((-1) ** sum(k >= f for f in flips) for k in range(steps))
         assert sum(signs) == 0
         for clip in (False, True):
-            params = default_params(1.0, steps=steps, clip_to_hardware=clip)
-            mean, square_mean = final_moments(params, signs, 10_000, seed=4)
+            mean, square_mean = final_moments(
+                signs, 1.0, n_samples=10_000, seed=4, clip_to_hardware=clip
+            )
             assert mean == -0.5
             assert coherence_std_error(mean, square_mean, 10_000) == 0.0
 
@@ -626,27 +653,25 @@ class TestMonteCarlo:
         # one gemv over the signed phases missed 0 for these: at steps 7,
         # (1, 1, 1, -1, -1, -1) gave -0.5000000000000001 at seed 7, and
         # (1,) * e + (-1,) * e first missed at e = 9
-        moments = final_moments(
-            NoiseParams(mu=1.0, sigma=0.6, steps=7), (1, 1, 1, -1, -1, -1), 1, seed=7
-        )
-        assert moments == (-0.5, 0.25)
+        means, square_means = walked_alone((1, 1, 1, -1, -1, -1), 7, 1.0, 0.6, n_samples=1, seed=7)
+        assert (means[-1], square_means[-1]) == (-0.5, 0.25)
         vectors = [(1,) * e + (-1,) * e for e in range(1, 33)]
         vectors += [(1, -1, -1, 1) * k for k in range(1, 17)]
         for sigma in (0.1, 0.6, 1.3):
-            params = NoiseParams(mu=1.0, sigma=sigma, steps=64)
-            walks = monte_carlo_moments(params, vectors, 5000, seed=3)
+            walks = monte_carlo_moments(vectors, 1.0, sigma, n_samples=5000, seed=3)
             for signs, (means, square_means) in zip(vectors, walks):
                 assert (means[-1], square_means[-1]) == (-0.5, 0.25), signs
 
     def test_coherence_error_estimate_is_calibrated(self):
         # the one-sigma estimate should match the scatter of independent runs
-        params = default_params(0.7)
         values = []
         for seed in range(40):
-            mean, _ = final_moments(params, (1, 1, 1), 5_000, seed=seed)
+            mean, _ = final_moments((1, 1, 1), 0.7, n_samples=5_000, seed=seed)
             values.append(abs(mean))
         observed = np.std(values)
-        predicted = coherence_std_error(*final_moments(params, (1, 1, 1), 5_000, seed=0), 5_000)
+        predicted = coherence_std_error(
+            *final_moments((1, 1, 1), 0.7, n_samples=5_000, seed=0), 5_000
+        )
         assert predicted == pytest.approx(observed, rel=0.5)
 
     @pytest.mark.parametrize(
@@ -660,7 +685,7 @@ class TestMonteCarlo:
     def test_second_moment_and_error_match_the_exact_moments(self, signs, mu, sigma, seed):
         n = 400_000
         k = len(signs)
-        mean, square_mean = final_moments(NoiseParams(mu=mu, sigma=sigma, steps=k), signs, n, seed)
+        mean, square_mean = final_moments(signs, mu, sigma, n_samples=n, seed=seed)
         exact_square = coherence_square_mean_oracle(k, mu, sigma, CHIBAR, signs)
         # |z^2| = 1/4, so each part of z^2 has a spread of at most 1/4
         assert abs(square_mean - exact_square) <= 5 * 0.25 / math.sqrt(n)

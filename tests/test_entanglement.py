@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from qrecover.closedloop import assistance_scan
 from qrecover.counts import coincidence_probabilities, simulate_counts
-from qrecover.dephasing import NoiseParams, monte_carlo_moments
+from qrecover.dephasing import monte_carlo_moments
 from qrecover.entanglement import (
     binary_entropy,
     eof_from_concurrence,
     eta_from_fidelity,
     mixed_concurrence,
 )
+from qrecover.openloop import open_loop_series
 
 from helpers import (
     eta_blend,
@@ -258,7 +259,7 @@ class TestArrayForms:
 
 
 def _steps(value):
-    NoiseParams(mu=0.5, sigma=0.6, steps=value)
+    open_loop_series(0.5, 0.6, [1.0], steps=value)
 
 
 def _total_pairs(value):
@@ -270,11 +271,19 @@ def _n_theta(value):
 
 
 def _n_samples(value):
-    monte_carlo_moments(NoiseParams(mu=0.5, sigma=0.6), [(1,)], value, seed=1)
+    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=value, seed=1)
 
 
 def _workers(value):
-    monte_carlo_moments(NoiseParams(mu=0.5, sigma=0.6), [(1,)], 100, seed=1, workers=value)
+    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=100, seed=1, workers=value)
+
+
+def _moments_seed(value):
+    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=100, seed=value)
+
+
+def _counts_seed(value):
+    simulate_counts(coincidence_probabilities(0.4, 0.3), 100, seed=value)
 
 
 class TestCountRule:
@@ -303,6 +312,17 @@ class TestCountRule:
             (_n_theta, "n_theta", 2, True),
             (_n_samples, "n_samples", 1, 1e5),
             (_workers, "workers", 1, 2.5),
+            # seed: -1 raised numpy's unnamed "expected non-negative
+            # integer", True passed as seed 1 and 1.5 raised TypeError; None
+            # raised TypeError in the moments and drew unseeded counts
+            (_moments_seed, "seed", 0, -1),
+            (_moments_seed, "seed", 0, True),
+            (_moments_seed, "seed", 0, 1.5),
+            (_moments_seed, "seed", 0, None),
+            (_counts_seed, "seed", 0, -1),
+            (_counts_seed, "seed", 0, True),
+            (_counts_seed, "seed", 0, 1.5),
+            (_counts_seed, "seed", 0, None),
         ],
     )
     def test_a_bad_count_is_named(self, call, name, low, value):
@@ -311,8 +331,10 @@ class TestCountRule:
             call(value)
 
     def test_a_numpy_integer_is_a_count(self):
-        steps = NoiseParams(mu=0.5, sigma=0.6, steps=np.int64(3)).steps
-        assert (steps, type(steps)) == (3, int)
+        table = open_loop_series(0.5, 0.6, [1.0], steps=np.int64(3))
+        assert table["step"].tolist() == [0, 1, 2, 3]
+        ((means, _),) = monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=10, seed=np.int64(3))
+        assert means.size == 2
         thetas, _ = assistance_scan(0.3, np.int64(3))
         assert thetas.size == 3
         assert sum(simulate_counts(coincidence_probabilities(0.4, 0.3), np.int64(50), 1).values())

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qrecover import dephasing, openloop
 from qrecover.dephasing import (
-    NoiseParams,
     analytic_coherence,
     coherence_std_error,
     monte_carlo_moments,
@@ -15,17 +14,13 @@ from qrecover.dephasing import (
 from qrecover.entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 from qrecover.openloop import CONTROL_KINDS, CONTROLS, METHODS, open_loop_series
 
-from helpers import table_rows
+from helpers import table_rows, walked_alone
 from oracle import arm_signs
 
 SIGMA = 0.6
 # singlet fidelities: the ideal pair and the measured one
 IDEAL = 1.0
 MEASURED = 0.96
-
-
-def params(mu, **kwargs):
-    return NoiseParams(mu=mu, sigma=SIGMA, **kwargs)
 
 
 def row(table, control, k, method="analytic"):
@@ -39,7 +34,7 @@ def row(table, control, k, method="analytic"):
 
 
 def concurrence(control, k, mu, fidelity=IDEAL):
-    return row(open_loop_series(params(mu), [fidelity]), control, k)["concurrence"]
+    return row(open_loop_series(mu, SIGMA, [fidelity]), control, k)["concurrence"]
 
 
 def uncontrolled(k, mu, fidelity=IDEAL):
@@ -112,23 +107,23 @@ class TestClosedForms:
     def test_domain_checks(self, fidelity):
         message = rf"^fidelity {fidelity!r} outside \[1/4, 1\]$"
         with pytest.raises(ValueError, match=message):
-            open_loop_series(params(0.5), [1.0, fidelity])
+            open_loop_series(0.5, SIGMA, [1.0, fidelity])
 
 
 class TestTableRows:
     def test_analytic_uncontrolled_point(self):
-        result = row(open_loop_series(params(0.7), [IDEAL]), "uncontrolled", 3)
+        result = row(open_loop_series(0.7, SIGMA, [IDEAL]), "uncontrolled", 3)
         expected = 2 * abs(analytic_coherence((1, 1, 1), 0.7, SIGMA)[-1])
         assert result["concurrence"] == pytest.approx(expected, abs=1e-12)
         assert result["eof"] == pytest.approx(eof_from_concurrence(expected), abs=1e-12)
 
     def test_corrected_point_is_fully_recovered(self):
-        result = row(open_loop_series(params(0.2), [IDEAL]), "corrected", 4)
+        result = row(open_loop_series(0.2, SIGMA, [IDEAL]), "corrected", 4)
         assert result["concurrence"] == pytest.approx(1.0, abs=1e-12)
         assert result["eof"] == pytest.approx(1.0, abs=1e-12)
 
     def test_echoed_measured_fidelity_endpoint(self):
-        result = row(open_loop_series(params(1.0), [MEASURED]), "echoed", 4)
+        result = row(open_loop_series(1.0, SIGMA, [MEASURED]), "echoed", 4)
         assert result["concurrence"] == pytest.approx(0.92, abs=1e-9)
 
     def test_monte_carlo_agrees_with_analytic(self):
@@ -136,7 +131,7 @@ class TestTableRows:
         tol = 5 / math.sqrt(n)
         arms = (("uncontrolled", (1, 2, 3, 4)), ("echoed", (3, 4)), ("corrected", (4,)))
         for mu in (0.2, 0.7, 1.0):
-            table = open_loop_series(params(mu), [IDEAL], METHODS, n_samples=n, seed=31)
+            table = open_loop_series(mu, SIGMA, [IDEAL], methods=METHODS, n_samples=n, seed=31)
             for control, ks in arms:
                 for k in ks:
                     analytic = row(table, control, k, "analytic")
@@ -145,7 +140,7 @@ class TestTableRows:
 
     def test_monte_carlo_with_eta_mixing(self):
         table = open_loop_series(
-            params(1.0), [MEASURED], ("monte_carlo",), n_samples=50_000, seed=13
+            1.0, SIGMA, [MEASURED], methods=("monte_carlo",), n_samples=50_000, seed=13
         )
         sampled = row(table, "uncontrolled", 2, "monte_carlo")
         analytic = uncontrolled(2, 1.0, MEASURED)
@@ -153,7 +148,7 @@ class TestTableRows:
         assert sampled["stat_error"] is not None and 0 < sampled["stat_error"] < 0.01
 
     def test_result_internal_consistency(self):
-        result = row(open_loop_series(params(0.5), [MEASURED]), "uncontrolled", 2)
+        result = row(open_loop_series(0.5, SIGMA, [MEASURED]), "uncontrolled", 2)
         assert result["eof"] == pytest.approx(
             eof_from_concurrence(result["concurrence"]), abs=1e-9
         )
@@ -163,24 +158,24 @@ class TestTableRows:
         assert echoed(2, 0.5) == uncontrolled(2, 0.5)
         assert concurrence("corrected", 3, 0.5) == uncontrolled(3, 0.5)
         with pytest.raises(ValueError, match="seed"):
-            open_loop_series(params(0.5), [IDEAL], ("monte_carlo",))
+            open_loop_series(0.5, SIGMA, [IDEAL], methods=("monte_carlo",))
         with pytest.raises(ValueError, match="method"):
-            open_loop_series(params(0.5), [IDEAL], ("exact",))
+            open_loop_series(0.5, SIGMA, [IDEAL], methods=("exact",))
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
     def test_monte_carlo_rows_refuse_a_bad_worker_count_by_name(self, workers):
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             open_loop_series(
-                params(0.5), [IDEAL], ("monte_carlo",), n_samples=100, seed=1, workers=workers
+                0.5, SIGMA, [IDEAL], methods=["monte_carlo"], n_samples=100, seed=1, workers=workers
             )
 
     def test_analytic_values_refuse_clipped_phases(self):
         # the closed form assumes unclipped Gaussian phases
-        clipped = params(0.7, clip_to_hardware=True)
+        clipped = {"clip_to_hardware": True, "n_samples": 100, "seed": 1}
         for methods in (("analytic",), ("analytic", "monte_carlo")):
             with pytest.raises(ValueError, match="clip_to_hardware"):
-                open_loop_series(clipped, [IDEAL], methods, n_samples=100, seed=1)
-        sampled = open_loop_series(clipped, [IDEAL], ("monte_carlo",), n_samples=100, seed=1)
+                open_loop_series(0.7, SIGMA, [IDEAL], methods=methods, **clipped)
+        sampled = open_loop_series(0.7, SIGMA, [IDEAL], methods=("monte_carlo",), **clipped)
         assert len(table_rows(sampled)) == 3 * 5
 
     def test_echo_position_is_honoured(self):
@@ -188,7 +183,7 @@ class TestTableRows:
         analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), 1.0)
         assert analytic == pytest.approx(0.46753, abs=1e-5)
         ((means, square_means),) = monte_carlo_moments(
-            params(0.3), [signs], n_samples=100_000, seed=8
+            [signs], 0.3, SIGMA, n_samples=100_000, seed=8
         )
         sampled = mixed_concurrence(abs(means[-1]), 1.0)
         stat_error = 2.0 * coherence_std_error(means[-1], square_means[-1], 100_000)
@@ -197,7 +192,7 @@ class TestTableRows:
 
 class TestSeries:
     def test_series_shape_and_fill(self):
-        series = table_rows(open_loop_series(params(0.7), [IDEAL]))
+        series = table_rows(open_loop_series(0.7, SIGMA, [IDEAL]))
         assert len(series) == 15
         by_key = {(r["control"], r["step"]): r["concurrence"] for r in series}
         for k in (0, 1, 2):
@@ -210,7 +205,7 @@ class TestSeries:
         assert by_key[("echoed", 4)] > by_key[("uncontrolled", 4)]
 
     def test_point_relabeling_keeps_arm_name(self):
-        table = open_loop_series(params(0.7), [IDEAL])
+        table = open_loop_series(0.7, SIGMA, [IDEAL])
         # the echoed arm at step 1, before its echo acts
         arm = CONTROL_KINDS.index("echoed")
         assert (table["control"][arm, 0], table["step"][1]) == ("echoed", 1)
@@ -218,7 +213,9 @@ class TestSeries:
 
     def test_columns_lie_on_the_grid_of_fidelity_method_arm_and_step(self):
         fidelities = [IDEAL, MEASURED, 0.8]
-        table = open_loop_series(params(0.7, steps=3), fidelities, METHODS, n_samples=100, seed=2)
+        table = open_loop_series(
+            0.7, SIGMA, fidelities, steps=3, methods=METHODS, n_samples=100, seed=2
+        )
         shapes = {column: values.shape for column, values in table.items()}
         assert shapes == {
             "fidelity": (3, 1, 1, 1),
@@ -243,13 +240,14 @@ class TestSeries:
     def test_each_method_walks_the_two_arms_once(self, monkeypatch, steps):
         walked = []
 
-        def recording(noise, sign_vectors, *args):
+        def recording(sign_vectors, *args, **kwargs):
             walked.append(tuple(sign_vectors))
-            return monte_carlo_moments(noise, sign_vectors, *args)
+            return monte_carlo_moments(sign_vectors, *args, **kwargs)
 
         monkeypatch.setattr(openloop, "monte_carlo_moments", recording)
-        noise = params(0.7, steps=steps)
-        open_loop_series(noise, [IDEAL, MEASURED], METHODS, n_samples=100, seed=1)
+        open_loop_series(
+            0.7, SIGMA, [IDEAL, MEASURED], steps=steps, methods=METHODS, n_samples=100, seed=1
+        )
         assert walked == [((1,) * steps, arm_signs("echoed", steps, steps))]
         # the echo after step 2 never acts at steps 1 and 2
         assert (-1 in walked[0][1]) == (steps > 2)
@@ -265,11 +263,11 @@ class TestSeries:
 
         monkeypatch.setattr(dephasing, "_closed_blocks", counting)
         steps = 64
-        open_loop_series(params(0.7, steps=steps), [IDEAL])
+        open_loop_series(0.7, SIGMA, [IDEAL], steps=steps)
         assert 0 < len(calls) <= 4 * steps
 
     def test_any_step_count(self):
-        series = table_rows(open_loop_series(params(0.7, steps=6), [IDEAL]))
+        series = table_rows(open_loop_series(0.7, SIGMA, [IDEAL], steps=6))
         assert len(series) == 3 * 7
         by_key = {(r["control"], r["step"]): r["concurrence"] for r in series}
         assert by_key[("corrected", 6)] == pytest.approx(1.0, abs=1e-12)
@@ -290,8 +288,9 @@ class TestHiddenEntanglement:
         # each carries EoF((3 eta - 1)/2), and local control recovers no more
         # (D'Arrigo et al., Ann. Phys. 350, 211, 2014)
         eta = eta_from_fidelity(fidelity)
-        noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
-        table = open_loop_series(noise, [fidelity], METHODS, n_samples=500, seed=seed)
+        table = open_loop_series(
+            mu, sigma, [fidelity], steps=steps, methods=METHODS, n_samples=500, seed=seed
+        )
         average = eof_from_concurrence(max(0.0, (3.0 * eta - 1.0) / 2.0))
         assert (table["eof"] <= average + 1e-12).all()
         # the correction restores all of it at the last step, by either method
@@ -313,8 +312,8 @@ class TestTableDefinition:
     def test_table_equals_the_row_by_row_definition(
         self, methods, mu, sigma, steps, fidelities, n_samples, seed
     ):
-        noise = NoiseParams(mu=mu, sigma=sigma, steps=steps)
-        table = open_loop_series(noise, fidelities, methods, n_samples, seed)
+        sampling = {"n_samples": n_samples, "seed": seed}
+        table = open_loop_series(mu, sigma, fidelities, steps=steps, methods=methods, **sampling)
         expected = []
         for fidelity in fidelities:
             eta = eta_from_fidelity(fidelity)
@@ -322,12 +321,13 @@ class TestTableDefinition:
                 for kind in CONTROL_KINDS:
                     for k in range(steps + 1):
                         signs = arm_signs(kind, k, steps)
-                        # each row's sign vector walked alone, to its last step
+                        # each row's sign vector walked alone, to its last step,
+                        # in a draw as deep as the job's
                         if method == "analytic":
                             coherence, error = analytic_coherence(signs, mu, sigma)[-1], None
                         else:
-                            ((means, square_means),) = monte_carlo_moments(
-                                noise, [signs], n_samples, seed
+                            means, square_means = walked_alone(
+                                signs, steps, mu, sigma, **sampling
                             )
                             coherence = means.tolist()[-1]
                             error = 2.0 * eta * coherence_std_error(

@@ -322,6 +322,10 @@ class TestCountsDemoRunner:
         assert not out.exists()
 
 
+# a negative seed is refused by the one rule for counts
+SEED_MESSAGE = "seed must be an integer >= 0, got -1"
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv, field",
@@ -334,8 +338,8 @@ class TestNonFiniteInputs:
             (["closed-loop", "--sweep", "theta", "--p", "1.02", "--fidelity", "0.9"], "p 1.02"),
             (["counts-demo", "--p", "0.5", "--theta", "-0.3", "--seed", "1"], "theta -0.3"),
             (["counts-demo", "--p", "0.5", "--theta", "2.0", "--seed", "1"], "theta 2.0"),
-            (["open-loop", "--mu", "0.5", "--method", "both", "--seed", "-1"], "seed -1"),
-            (["counts-demo", "--p", "0.5", "--seed", "-1"], "seed -1"),
+            (["open-loop", "--mu", "0.5", "--method", "both", "--seed", "-1"], SEED_MESSAGE),
+            (["counts-demo", "--p", "0.5", "--seed", "-1"], SEED_MESSAGE),
             (["open-loop", "--mu", "0.5", "--fidelity", "0.2"], "fidelity 0.2 outside"),
             (["closed-loop", "--fidelity", "1.0", "0.2"], "fidelity 0.2 outside"),
             (["counts-demo", "--total-pairs", f"{10**30}", "--seed", "1"], f"total_pairs {10**30}"),
@@ -527,7 +531,7 @@ class TestDeterminism:
         share, submit = dephasing._share, ThreadPoolExecutor.submit
 
         def recording_share(*args):
-            shares.append(args[5])
+            shares.append(args[6])
             share(*args)
 
         def recording_submit(pool, *args, **kwargs):
@@ -576,9 +580,9 @@ class TestDeterminism:
         calls = []
         draw = dephasing._block_draws
 
-        def counting(params, seed, block_index, count):
+        def counting(noise, steps, seed, block_index, count):
             calls.append(block_index)
-            return draw(params, seed, block_index, count)
+            return draw(noise, steps, seed, block_index, count)
 
         monkeypatch.setattr(dephasing, "_block_draws", counting)
         out = tmp_path / "both.csv"
@@ -859,7 +863,8 @@ CORE_MODULES = [
 # the control and preparation records, whose values are plain sign vectors
 # and fidelities now; of 0.8.0, the count record, whose estimators take the
 # two count sums now; of 0.9.0, the scan and moment records, whose values are
-# plain arrays now
+# plain arrays now; of 0.10.0, the noise record, whose values are plain
+# arguments now
 REMOVED_NAMES = {
     "states", "DensityMatrix", "LocalOperator", "PureState", "RegisterError",
     "apply_local", "apply_two_qubit", "bell_state", "bit_flip", "fidelity_to_pure",
@@ -870,7 +875,7 @@ REMOVED_NAMES = {
     "correction_phase", "CORRECTION_VARIANTS", "_mixed_concurrence",
     "OpenLoopResult", "run_open_loop", "ClosedLoopParams", "check_eta",
     "TrajectoryControl", "PreparationModel", "UNCONTROLLED", "CORRECTED", "ECHOED",
-    "CoincidenceCounts", "SPLIT_FIELDS", "AssistanceScan", "MonteCarloMoments",
+    "CoincidenceCounts", "SPLIT_FIELDS", "AssistanceScan", "MonteCarloMoments", "NoiseParams",
 }
 
 
