@@ -23,20 +23,20 @@ oracle (``trajectory_state`` and ``averaged_projector_oracle`` in
 ``tests/helpers.py``), which the coherence is checked against.
 
 Reproducibility: Monte Carlo sampling is organized in fixed blocks of
-``BLOCK_SIZE`` trajectories; block j draws from a fresh substream keyed by
-(seed, j), as deep as the call's longest sign vector (at least one step).
-One draw per block serves every prefix of every sign vector a job asks
-for, so all arms, steps and fidelities of a job share the same samples.
-With w workers, each of w pool threads runs one strided loop over the
-blocks (blocks i, i + w, i + 2w, ...) and writes each block's sums into
-that block's row of a table; the caller adds the rows up in block order.
-Results for a given (seed, n_samples, depth) are therefore bit-identical
+``BLOCK_SIZE`` trajectories; block j draws ``steps`` phases per trajectory,
+a depth the caller sets, from a fresh substream keyed by (seed, j).  One
+draw per block serves every prefix of every sign vector a job asks for,
+so all arms, steps and fidelities of a job share the same samples.  With
+w workers, each of w pool threads runs one strided loop over the blocks
+(blocks i, i + w, i + 2w, ...) and writes each block's sums into that
+block's row of a table; the caller adds the rows up in block order.
+Results for a given (seed, n_samples, steps) are therefore bit-identical
 no matter how many workers participate.  One worker runs the same loop
 without a pool.
 
 Sampling is keep-first: a block first draws the keep decisions of every
 trajectory and step, then one normal per fresh phase only, about
-1 + (depth - 1)(1 - mu) of them per trajectory; kept phases index the
+1 + (steps - 1)(1 - mu) of them per trajectory; kept phases index the
 value they repeat.  The index is built step-major, one integer add per
 step, so every later gather reads it contiguously.  A draw beyond the
 float range is rejected there, before any trigonometry.
@@ -44,12 +44,12 @@ float range is rejected there, before any trigonometry.
 The per-block kernel (``_block_moments``) walks each sign vector once and
 records the sums of every prefix.  A vector continues the walk of the
 vector before it from the last step they share, always multiplying left
-to right, so no prefix's value depends on the other vectors.  Exactness
-rule: where a mixed-sign prefix's +1 phases and its -1 phases, each side
-added up in step order, have equal sums, its factor is exactly 1, as
-e^{-i 0} is; so at mu = 1 a balanced vector gives the coherence -1/2 with
-zero error, in any summation order of the BLAS library and for any
-``n_samples``.
+to right, so each vector's values are those of its one-vector call at
+the same (seed, n_samples, steps).  Exactness rule: where a mixed-sign
+prefix's +1 phases and its -1 phases, each side added up in step order,
+have equal sums, its factor is exactly 1, as e^{-i 0} is; so at mu = 1 a
+balanced vector gives the coherence -1/2 with zero error, in any
+summation order of the BLAS library and for any ``n_samples``.
 """
 
 from __future__ import annotations
@@ -193,6 +193,7 @@ def monte_carlo_moments(
     sigma: float,
     mean_phase: float = math.pi / 2,
     *,
+    steps: int,
     n_samples: int,
     seed: int,
     workers: int = 1,
@@ -204,24 +205,28 @@ def monte_carlo_moments(
     ``sign_vectors``: complex arrays of length len(signs) + 1 whose entry k
     is the mean of the coherence and of its square after k steps, laid out
     as ``analytic_coherence`` lays out its values; noise is refused by the
-    same check.  Every block of phases is drawn once, as deep as the
-    longest vector, and walked along each vector once; ``clip_to_hardware``
-    clips each phase to [0, pi].  The blocks fall into min(workers, blocks,
-    cpu count) strided shares, each reduced into a per-block table: the
-    caller reduces the first share while pool threads reduce the others,
-    then it adds the table up in block order.  ``n_samples`` and
-    ``workers`` must be integers >= 1 and ``seed`` one >= 0.
+    same check.  Every block of phases is drawn once, ``steps`` deep, and
+    walked along each vector once; ``clip_to_hardware`` clips each phase to
+    [0, pi].  The blocks fall into min(workers, blocks, cpu count) strided
+    shares, each reduced into a per-block table: the caller reduces the
+    first share while pool threads reduce the others, then it adds the
+    table up in block order.  ``steps``, ``n_samples`` and ``workers`` must
+    be integers >= 1, ``seed`` one >= 0, and no vector longer than ``steps``.
     """
     _check_noise(mu, sigma, mean_phase)
+    check_count("steps", steps)
     check_count("n_samples", n_samples)
     check_count("seed", seed, 0)
     check_count("workers", workers)
+    # Python ints: a numpy divisor would move the totals' last bits
+    steps, n_samples = int(steps), int(n_samples)
     sign_vectors = tuple(tuple(signs) for signs in sign_vectors)
     for signs in sign_vectors:
+        if len(signs) > steps:
+            raise ValueError(f"sign vector {signs!r} longer than {steps} steps")
         if not all(s in (1, -1) for s in signs):
             raise ValueError(f"sign vector {signs!r} must hold only +1 and -1")
     noise = mu, sigma, mean_phase, clip_to_hardware
-    steps = max([1, *map(len, sign_vectors)])
     # a walk starts where it leaves the one before (commonprefix compares
     # sequences item by item); lowering each start to the next one's keeps
     # them non-decreasing, so a walk passes the step where the next branches

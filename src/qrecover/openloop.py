@@ -54,7 +54,8 @@ def _coherences(method, noise, steps, clip, n_samples, seed, workers):
         return [analytic_coherence(signs, *noise).tolist() for signs in walks], None
     coherences, errors = [], []
     moments = monte_carlo_moments(
-        walks, *noise, n_samples=n_samples, seed=seed, workers=workers, clip_to_hardware=clip
+        walks, *noise, steps=steps, n_samples=n_samples, seed=seed, workers=workers,
+        clip_to_hardware=clip,
     )
     for means, square_means in moments:
         # Python complex values, as the closed form's: abs is then hypot

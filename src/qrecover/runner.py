@@ -444,9 +444,11 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
 
 def _open_loop_rows(config: RunConfig) -> dict:
     methods = ("analytic", "monte_carlo") if config.method == "both" else (config.method,)
-    names = ("steps", "mean_phase", "clip_to_hardware", "n_samples", "seed", "workers")
-    options = {name: getattr(config, name) for name in names}
-    table = open_loop_series(config.mu, config.sigma, config.fidelity, methods=methods, **options)
+    table = open_loop_series(
+        config.mu, config.sigma, config.fidelity, steps=config.steps,
+        mean_phase=config.mean_phase, clip_to_hardware=config.clip_to_hardware,
+        methods=methods, n_samples=config.n_samples, seed=config.seed, workers=config.workers,
+    )
     return {"mu": config.mu, "sigma": config.sigma, **table}
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from qrecover.dephasing import BLOCK_SIZE, _block_draws, monte_carlo_moments
+from qrecover.dephasing import BLOCK_SIZE, _block_draws
 
 from oracle import (
     SIGMA_X,
@@ -106,8 +106,8 @@ def keep_first_oracle(mu, sigma, steps, rng, count, mean_phase=math.pi / 2, clip
 def sample_phase_matrix(mu, sigma, steps, n_samples, seed, mean_phase=math.pi / 2, clip=False):
     """(n_samples, steps) phases from the package's fixed block substreams.
 
-    These are the phases the Monte Carlo kernel reduces, row for row, when
-    its longest sign vector has ``steps`` entries.
+    These are the phases the Monte Carlo kernel reduces, row for row, at the
+    same ``steps``.
     """
     noise = mu, sigma, mean_phase, clip
     blocks = []
@@ -116,15 +116,6 @@ def sample_phase_matrix(mu, sigma, steps, n_samples, seed, mean_phase=math.pi / 
         values, index = _block_draws(noise, steps, seed, start // BLOCK_SIZE, count)
         blocks.append(values.take(index))
     return np.vstack(blocks)
-
-
-def walked_alone(signs, depth, *noise, **options):
-    """The (means, square_means) of ``signs`` walked first, and so as if
-    alone, in a Monte Carlo draw ``depth`` steps deep: an all +1 vector of
-    that length after it sets the depth, and no vector's values depend on
-    the others of its pass."""
-    first, _ = monte_carlo_moments([signs, (1,) * depth], *noise, **options)
-    return first
 
 
 def trajectory_state(phases, signs):
@@ -151,12 +142,10 @@ def trajectory_state(phases, signs):
     return PureState(("A", "B"), amps)
 
 
-def averaged_projector_oracle(mu, sigma, signs, n_samples, seed):
-    """Mean of the trajectory projectors for ``signs`` over sampled phase rows,
-    drawn as the Monte Carlo kernel draws them for ``signs`` alone: as deep
-    as the vector, and at least one step."""
+def averaged_projector_oracle(mu, sigma, steps, signs, n_samples, seed):
+    """Mean of the trajectory projectors for ``signs`` over sampled phase rows."""
     total = np.zeros((4, 4), dtype=complex)
-    for row in sample_phase_matrix(mu, sigma, max(1, len(signs)), n_samples, seed):
+    for row in sample_phase_matrix(mu, sigma, steps, n_samples, seed):
         total += trajectory_state(row, signs).projector().matrix
     return DensityMatrix(("A", "B"), total / n_samples)
 

@@ -99,13 +99,17 @@ def test_criterion_3_monte_carlo_vs_closed_forms():
     for mu in (0.2, 0.7, 1.0):
         for k in (1, 2, 3, 4):
             signs = arm_signs("uncontrolled", k, 4)
-            ((means, _),) = monte_carlo_moments([signs], mu, SIGMA, n_samples=n, seed=300 + k)
+            ((means, _),) = monte_carlo_moments(
+                [signs], mu, SIGMA, steps=4, n_samples=n, seed=300 + k
+            )
             target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(means[-1]) - abs(target))
             assert gap < 0.01, f"uncontrolled mu={mu} k={k}: {gap:.4f}"
         for k in (3, 4):
             signs = arm_signs("echoed", k, 4)
-            ((means, _),) = monte_carlo_moments([signs], mu, SIGMA, n_samples=n, seed=400 + k)
+            ((means, _),) = monte_carlo_moments(
+                [signs], mu, SIGMA, steps=4, n_samples=n, seed=400 + k
+            )
             target = analytic_coherence(signs, mu, SIGMA)[-1]
             gap = abs(abs(means[-1]) - abs(target))
             assert gap < 0.01, f"echoed mu={mu} k={k}: {gap:.4f}"

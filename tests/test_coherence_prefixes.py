@@ -34,20 +34,19 @@ from qrecover.dephasing import (
 
 DATA = Path(__file__).resolve().parent / "data" / "coherence_prefixes.json"
 
-# each case's draw is as deep as its longest vector, the step count of the
-# job that walks it
 WALKS = {
     # the open-loop arms at steps 1 and 2: the echo after step 2 never acts
-    "steps1": [(1,), (1,)],
-    "steps2": [(1, 1), (1, 1)],
+    "steps1": (1, [(1,), (1,)]),
+    "steps2": (2, [(1, 1), (1, 1)]),
     # the open-loop arms at steps 5, in both orders
-    "arms": [(1,) * 5, (1, 1, -1, -1, -1)],
-    "arms_reversed": [(1, 1, -1, -1, -1), (1,) * 5],
+    "arms": (5, [(1,) * 5, (1, 1, -1, -1, -1)]),
+    "arms_reversed": (5, [(1, 1, -1, -1, -1), (1,) * 5]),
     # an extension, a fork, the empty vector, a prefix of an earlier vector
-    # and a repeat, at steps 6
-    "mixed": [
-        (1, 1, -1), (1, 1, -1, 1, 1), (1, -1), (), (-1, -1, 1, 1, -1, -1), (1, 1, -1, 1), (1, -1)
-    ],
+    # and a repeat
+    "mixed": (
+        6,
+        [(1, 1, -1), (1, 1, -1, 1, 1), (1, -1), (), (-1, -1, 1, 1, -1, -1), (1, 1, -1, 1), (1, -1)],
+    ),
 }
 NOISE = [(0.0, 0.6), (0.3, 0.6), (0.7, 0.6), (1.0, 0.6), (0.3, 2.0)]
 N_SAMPLES = BLOCK_SIZE + 300  # a full block and a partial one
@@ -59,19 +58,20 @@ def _hex(value: complex) -> list[str]:
 
 
 def _cases():
-    for walk, vectors in WALKS.items():
+    for walk, (steps, vectors) in WALKS.items():
         for mu, sigma in NOISE:
             for clip in (False, True):
-                yield walk, vectors, mu, sigma, clip
+                yield walk, steps, vectors, mu, sigma, clip
 
 
 def _key(walk, mu, sigma, clip) -> str:
     return f"{walk} mu={mu} sigma={sigma} clip={clip}"
 
 
-def prefix_values(vectors, mu, sigma, clip, workers=1) -> dict:
+def prefix_values(steps, vectors, mu, sigma, clip, workers=1) -> dict:
     """Every prefix's Monte Carlo moments and (unclipped only) closed form, as hex."""
-    options = {"n_samples": N_SAMPLES, "seed": SEED, "workers": workers, "clip_to_hardware": clip}
+    options = {"steps": steps, "n_samples": N_SAMPLES, "seed": SEED, "workers": workers}
+    options["clip_to_hardware"] = clip
     with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
         walks = monte_carlo_moments(vectors, mu, sigma, **options)
     values = {
@@ -93,9 +93,9 @@ def committed():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("walk, vectors, mu, sigma, clip", list(_cases()))
-def test_every_prefix_keeps_its_bits(committed, walk, vectors, mu, sigma, clip, workers):
-    got = prefix_values(vectors, mu, sigma, clip, workers)
+@pytest.mark.parametrize("walk, steps, vectors, mu, sigma, clip", list(_cases()))
+def test_every_prefix_keeps_its_bits(committed, walk, steps, vectors, mu, sigma, clip, workers):
+    got = prefix_values(steps, vectors, mu, sigma, clip, workers)
     assert got == committed[_key(walk, mu, sigma, clip)]
 
 
@@ -123,9 +123,9 @@ def assert_errors_match_the_reference(walks, n_samples):
 
 
 class TestErrorReference:
-    @pytest.mark.parametrize("walk, vectors, mu, sigma, clip", list(_cases()))
-    def test_every_prefix_error_is_the_reference(self, walk, vectors, mu, sigma, clip):
-        options = {"n_samples": N_SAMPLES, "seed": SEED, "clip_to_hardware": clip}
+    @pytest.mark.parametrize("walk, steps, vectors, mu, sigma, clip", list(_cases()))
+    def test_every_prefix_error_is_the_reference(self, walk, steps, vectors, mu, sigma, clip):
+        options = {"steps": steps, "n_samples": N_SAMPLES, "seed": SEED, "clip_to_hardware": clip}
         walks = monte_carlo_moments(vectors, mu, sigma, **options)
         assert_errors_match_the_reference(walks, N_SAMPLES)
 
@@ -136,7 +136,9 @@ class TestErrorReference:
         # form of the formula moved the printed error
         vectors = [(1,) * 6, (1, 1, -1, -1, -1, -1), (1, -1, 1, -1, 1, -1)]
         for seed in range(20):
-            walks = monte_carlo_moments(vectors, mu, sigma, n_samples=n_samples, seed=seed)
+            walks = monte_carlo_moments(
+                vectors, mu, sigma, steps=6, n_samples=n_samples, seed=seed
+            )
             assert_errors_match_the_reference(walks, n_samples)
 
     @pytest.mark.parametrize("mean", [0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
@@ -149,8 +151,8 @@ class TestErrorReference:
 
 if __name__ == "__main__":
     table = {
-        _key(walk, mu, sigma, clip): prefix_values(vectors, mu, sigma, clip)
-        for walk, vectors, mu, sigma, clip in _cases()
+        _key(walk, mu, sigma, clip): prefix_values(steps, vectors, mu, sigma, clip)
+        for walk, steps, vectors, mu, sigma, clip in _cases()
     }
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in table.items()]
     DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -24,7 +24,6 @@ from helpers import (
     keep_first_oracle,
     sample_phase_matrix,
     trajectory_state,
-    walked_alone,
 )
 from oracle import (
     DensityMatrix,
@@ -50,10 +49,10 @@ def echoed_coherence(k, mu, sigma, mean_phase=CHIBAR):
     return analytic_coherence(arm_signs("echoed", k, 4), mu, sigma, mean_phase)[-1]
 
 
-def final_moments(signs, mu, sigma=SIGMA, **options):
+def final_moments(signs, mu, sigma=SIGMA, steps=4, **options):
     """The mean and the mean square coherence after the last step of
-    ``signs``, walked alone, as Python complex numbers."""
-    ((means, square_means),) = monte_carlo_moments([signs], mu, sigma, **options)
+    ``signs``, walked alone in a draw ``steps`` deep, as Python complex numbers."""
+    ((means, square_means),) = monte_carlo_moments([signs], mu, sigma, steps=steps, **options)
     return means.tolist()[-1], square_means.tolist()[-1]
 
 
@@ -62,7 +61,7 @@ def all_refused(field, value):
     noise = {"mu": 0.5, "sigma": SIGMA, "mean_phase": CHIBAR, field: value}
     calls = (
         lambda: analytic_coherence((1, 1, -1), **noise),
-        lambda: monte_carlo_moments([(1, 1, -1)], **noise, n_samples=10, seed=1),
+        lambda: monte_carlo_moments([(1, 1, -1)], **noise, steps=4, n_samples=10, seed=1),
         lambda: open_loop_series(fidelities=[1.0], **noise),
     )
     messages = []
@@ -140,7 +139,8 @@ class TestSampling:
     def test_mean_phase_is_bounded_for_every_method(self):
         for value in (-MAX_MEAN_PHASE, MAX_MEAN_PHASE):
             assert analytic_coherence((1,), 0.5, SIGMA, value).size == 2
-            assert len(monte_carlo_moments([(1,)], 0.5, SIGMA, value, n_samples=10, seed=1)) == 1
+            moments = monte_carlo_moments([(1,)], 0.5, SIGMA, value, steps=1, n_samples=10, seed=1)
+            assert len(moments) == 1
             assert open_loop_series(0.5, SIGMA, [1.0], mean_phase=value)["step"].size == 5
         for value in (math.nextafter(MAX_MEAN_PHASE, math.inf), -1e16, 1e308):
             for message in all_refused("mean_phase", value):
@@ -345,7 +345,7 @@ class TestMonteCarlo:
     N = 100_000
 
     def test_noiseless_limit_keeps_full_entanglement(self):
-        rho = averaged_projector_oracle(0.5, 1e-9, (1, 1, 1, 1), 2_000, seed=2)
+        rho = averaged_projector_oracle(0.5, 1e-9, 4, (1, 1, 1, 1), 2_000, seed=2)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-6)
         mean, _ = final_moments((1, 1, 1, 1), 0.5, 1e-9, n_samples=10_000, seed=2)
         assert 2 * abs(mean) == pytest.approx(1.0, abs=1e-6)
@@ -382,17 +382,17 @@ class TestMonteCarlo:
             ((1, -1), (0, 3)),  # an echo after step 1
             (arm_signs("corrected", 4, 4), (1, 2)),
         ):
-            rho = averaged_projector_oracle(0.3, SIGMA, signs, n, seed=5)
+            rho = averaged_projector_oracle(0.3, SIGMA, 4, signs, n, seed=5)
             mean, _ = final_moments(signs, 0.3, n_samples=n, seed=5)
             assert abs(rho.matrix[element] - mean) < 1e-12
 
     def test_populations_fixed_by_the_control(self):
         n = 2_000
-        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("uncontrolled", 3, 4), n, seed=5)
+        rho = averaged_projector_oracle(0.3, SIGMA, 4, arm_signs("uncontrolled", 3, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
-        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("echoed", 4, 4), n, seed=5)
+        rho = averaged_projector_oracle(0.3, SIGMA, 4, arm_signs("echoed", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0.5, 0, 0, 0.5], atol=1e-12)
-        rho = averaged_projector_oracle(0.3, SIGMA, arm_signs("corrected", 4, 4), n, seed=5)
+        rho = averaged_projector_oracle(0.3, SIGMA, 4, arm_signs("corrected", 4, 4), n, seed=5)
         np.testing.assert_allclose(rho.matrix.diagonal().real, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_trajectory_unitaries_are_unital(self):
@@ -407,8 +407,9 @@ class TestMonteCarlo:
 
     def test_worker_count_does_not_change_bits(self):
         vectors = [(1, 1, 1, 1), (1, 1, -1, -1), ()]
-        serial = monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=30_000, seed=3, workers=1)
-        threaded = monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=30_000, seed=3, workers=4)
+        options = {"steps": 4, "n_samples": 30_000, "seed": 3}
+        serial = monte_carlo_moments(vectors, 0.7, SIGMA, workers=1, **options)
+        threaded = monte_carlo_moments(vectors, 0.7, SIGMA, workers=4, **options)
         assert as_lists(serial) == as_lists(threaded)
 
     @settings(max_examples=30, deadline=None)
@@ -422,7 +423,7 @@ class TestMonteCarlo:
     def test_uneven_shares_do_not_change_bits(self, n, mu, sigma, clip, seed):
         # enough cores that up to 4 threads share 1 to 6 blocks unevenly
         vectors = [(1, 1, 1, 1), (1, 1, -1), (1, 1, -1, -1), ()]
-        options = {"n_samples": n, "seed": seed, "clip_to_hardware": clip}
+        options = {"steps": 4, "n_samples": n, "seed": seed, "clip_to_hardware": clip}
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 8):
             serial, *threaded = (
                 monte_carlo_moments(vectors, mu, sigma, workers=workers, **options)
@@ -450,7 +451,7 @@ class TestMonteCarlo:
         threads = threading.active_count()
         with pytest.raises(ValueError, match="block 0 failed"):
             monte_carlo_moments(
-                [(1, 1, -1, -1)], 0.7, SIGMA, n_samples=20 * BLOCK_SIZE, seed=3, workers=2
+                [(1, 1, -1, -1)], 0.7, SIGMA, steps=4, n_samples=20 * BLOCK_SIZE, seed=3, workers=2
             )
         assert threading.active_count() == threads
         # the second share holds the ten odd blocks; it stops at its next block
@@ -462,7 +463,7 @@ class TestMonteCarlo:
         n, seed = 2 * BLOCK_SIZE + 300, 17
         vectors = ((1,) * steps, arm_signs("echoed", steps, steps))
         walks = monte_carlo_moments(
-            vectors, 0.6, SIGMA, n_samples=n, seed=seed, clip_to_hardware=clip
+            vectors, 0.6, SIGMA, steps=steps, n_samples=n, seed=seed, clip_to_hardware=clip
         )
         phases = sample_phase_matrix(0.6, SIGMA, steps, n, seed, clip=clip)
         for vector, (means, square_means) in zip(vectors, walks):
@@ -484,8 +485,7 @@ class TestMonteCarlo:
 
     def test_a_vector_does_not_depend_on_the_others_in_its_pass(self):
         # shared prefixes, a vector that is a prefix of an earlier one, a
-        # repeat and the empty vector, against each vector reduced alone in
-        # a draw as deep as the pass's
+        # repeat and the empty vector, against each vector reduced alone
         vectors = [
             (1, 1, -1, -1, -1),
             (1, 1, 1),
@@ -497,11 +497,11 @@ class TestMonteCarlo:
             (-1, -1, 1, 1, -1, -1),
             (1, 1, 1, 1, 1, 1),
         ]
-        options = {"n_samples": 2 * BLOCK_SIZE + 300, "seed": 8}
+        options = {"steps": 6, "n_samples": 2 * BLOCK_SIZE + 300, "seed": 8}
         together = as_lists(monte_carlo_moments(vectors, 0.6, SIGMA, **options))
         for signs, got in zip(vectors, together):
-            alone = walked_alone(signs, 6, 0.6, SIGMA, **options)
-            assert as_lists([alone]) == [got]
+            alone = monte_carlo_moments([signs], 0.6, SIGMA, **options)
+            assert as_lists(alone) == [got]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -518,8 +518,7 @@ class TestMonteCarlo:
     ):
         # vectors that extend earlier ones (mixed prefixes among them),
         # prefixes of earlier vectors, repeats and the empty vector, in a
-        # shuffled order: each must equal its pass of one vector, in a draw
-        # as deep as the pass's
+        # shuffled order: each must equal its pass of one vector
         signs = st.sampled_from((1, -1))
         vectors = []
         for _ in range(data.draw(st.integers(1, 8), label="vectors")):
@@ -537,14 +536,14 @@ class TestMonteCarlo:
                     vector = earlier if kind == "repeat" else ()
             vectors.append(vector)
         vectors = data.draw(st.permutations(vectors), label="order")
-        depth = max(1, *map(len, vectors))
         with mock.patch.object(dephasing.os, "cpu_count", lambda: 2):
             for workers in (1, 2):
-                options = dict(n_samples=n, seed=seed, workers=workers, clip_to_hardware=clip)
+                options = dict(steps=steps, n_samples=n, seed=seed, workers=workers)
+                options["clip_to_hardware"] = clip
                 together = as_lists(monte_carlo_moments(vectors, mu, sigma, **options))
                 for signs, got in zip(vectors, together):
-                    alone = walked_alone(signs, depth, mu, sigma, **options)
-                    assert as_lists([alone]) == [got], signs
+                    alone = monte_carlo_moments([signs], mu, sigma, **options)
+                    assert as_lists(alone) == [got], signs
 
     @pytest.mark.parametrize(
         "name, n_samples, workers",
@@ -561,25 +560,18 @@ class TestMonteCarlo:
     )
     def test_counts_must_be_positive_integers(self, name, n_samples, workers):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
-            monte_carlo_moments([(1,)], 0.5, SIGMA, n_samples=n_samples, seed=1, workers=workers)
+            monte_carlo_moments(
+                [(1,)], 0.5, SIGMA, steps=4, n_samples=n_samples, seed=1, workers=workers
+            )
 
-    def test_the_draw_is_as_deep_as_the_longest_vector(self, monkeypatch):
-        draw, depths = dephasing._block_draws, []
-
-        def counting(noise, steps, seed, block_index, count):
-            depths.append(steps)
-            return draw(noise, steps, seed, block_index, count)
-
-        monkeypatch.setattr(dephasing, "_block_draws", counting)
-        for vectors, depth in (([(1,), (1, 1, -1)], 3), ([()], 1), ([], 1)):
-            depths.clear()
-            monte_carlo_moments(vectors, 0.5, SIGMA, n_samples=BLOCK_SIZE + 1, seed=1)
-            assert depths == [depth, depth]
+    def test_sign_vector_longer_than_the_process_rejected(self):
+        with pytest.raises(ValueError, match="longer than 4 steps"):
+            monte_carlo_moments([(1,) * 5], 0.5, SIGMA, steps=4, n_samples=100, seed=1)
 
     @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (0.5,)])
     def test_sign_vector_entries_other_than_plus_minus_one_rejected(self, signs):
         with pytest.raises(ValueError, match=r"only \+1 and -1"):
-            monte_carlo_moments([signs], 0.5, SIGMA, n_samples=100, seed=1)
+            monte_carlo_moments([signs], 0.5, SIGMA, steps=4, n_samples=100, seed=1)
 
     def test_worker_pool_is_bounded(self, monkeypatch):
         share, caller = dephasing._share, threading.current_thread()
@@ -602,7 +594,9 @@ class TestMonteCarlo:
             monkeypatch.setattr(dephasing.os, "cpu_count", lambda: cores)
             shares.append([])
             submitted.append(0)
-            monte_carlo_moments(vectors, 0.7, SIGMA, n_samples=3 * BLOCK_SIZE, seed=3, workers=64)
+            monte_carlo_moments(
+                vectors, 0.7, SIGMA, steps=4, n_samples=3 * BLOCK_SIZE, seed=3, workers=64
+            )
         # min(workers, blocks, cores) shares; the caller runs the first, and
         # the pool is given the others, one thread each at most
         assert [sorted(calls) for calls in shares] == [
@@ -613,7 +607,7 @@ class TestMonteCarlo:
         assert submitted == [2, 1, 0]
 
     def test_averaged_projector_is_valid_density_matrix(self):
-        rho = averaged_projector_oracle(0.2, SIGMA, (1, 1, 1, 1), 2_000, seed=7)
+        rho = averaged_projector_oracle(0.2, SIGMA, 4, (1, 1, 1, 1), 2_000, seed=7)
         assert isinstance(rho, DensityMatrix)
 
     def test_deterministic_arms_have_zero_error(self):
@@ -637,7 +631,7 @@ class TestMonteCarlo:
         assert sum(signs) == 0
         for clip in (False, True):
             mean, square_mean = final_moments(
-                signs, 1.0, n_samples=10_000, seed=4, clip_to_hardware=clip
+                signs, 1.0, steps=steps, n_samples=10_000, seed=4, clip_to_hardware=clip
             )
             assert mean == -0.5
             assert coherence_std_error(mean, square_mean, 10_000) == 0.0
@@ -646,12 +640,12 @@ class TestMonteCarlo:
         # one gemv over the signed phases missed 0 for these: at steps 7,
         # (1, 1, 1, -1, -1, -1) gave -0.5000000000000001 at seed 7, and
         # (1,) * e + (-1,) * e first missed at e = 9
-        means, square_means = walked_alone((1, 1, 1, -1, -1, -1), 7, 1.0, 0.6, n_samples=1, seed=7)
-        assert (means[-1], square_means[-1]) == (-0.5, 0.25)
+        moments = final_moments((1, 1, 1, -1, -1, -1), 1.0, 0.6, steps=7, n_samples=1, seed=7)
+        assert moments == (-0.5, 0.25)
         vectors = [(1,) * e + (-1,) * e for e in range(1, 33)]
         vectors += [(1, -1, -1, 1) * k for k in range(1, 17)]
         for sigma in (0.1, 0.6, 1.3):
-            walks = monte_carlo_moments(vectors, 1.0, sigma, n_samples=5000, seed=3)
+            walks = monte_carlo_moments(vectors, 1.0, sigma, steps=64, n_samples=5000, seed=3)
             for signs, (means, square_means) in zip(vectors, walks):
                 assert (means[-1], square_means[-1]) == (-0.5, 0.25), signs
 
@@ -678,7 +672,7 @@ class TestMonteCarlo:
     def test_second_moment_and_error_match_the_exact_moments(self, signs, mu, sigma, seed):
         n = 400_000
         k = len(signs)
-        mean, square_mean = final_moments(signs, mu, sigma, n_samples=n, seed=seed)
+        mean, square_mean = final_moments(signs, mu, sigma, steps=k, n_samples=n, seed=seed)
         exact_square = coherence_square_mean_oracle(k, mu, sigma, CHIBAR, signs)
         # |z^2| = 1/4, so each part of z^2 has a spread of at most 1/4
         assert abs(square_mean - exact_square) <= 5 * 0.25 / math.sqrt(n)

@@ -262,6 +262,10 @@ def _steps(value):
     open_loop_series(0.5, 0.6, [1.0], steps=value)
 
 
+def _moments_steps(value):
+    monte_carlo_moments([], 0.5, 0.6, steps=value, n_samples=100, seed=1)
+
+
 def _total_pairs(value):
     simulate_counts(coincidence_probabilities(0.4, 0.3), value, seed=1)
 
@@ -271,15 +275,15 @@ def _n_theta(value):
 
 
 def _n_samples(value):
-    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=value, seed=1)
+    monte_carlo_moments([(1,)], 0.5, 0.6, steps=1, n_samples=value, seed=1)
 
 
 def _workers(value):
-    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=100, seed=1, workers=value)
+    monte_carlo_moments([(1,)], 0.5, 0.6, steps=1, n_samples=100, seed=1, workers=value)
 
 
 def _moments_seed(value):
-    monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=100, seed=value)
+    monte_carlo_moments([(1,)], 0.5, 0.6, steps=1, n_samples=100, seed=value)
 
 
 def _counts_seed(value):
@@ -299,6 +303,9 @@ class TestCountRule:
             (_steps, "steps", 1, True),
             (_steps, "steps", 1, 4.0),
             (_steps, "steps", 1, 0),
+            (_moments_steps, "steps", 1, 0),
+            (_moments_steps, "steps", 1, True),
+            (_moments_steps, "steps", 1, 1.5),
             # total_pairs: the same three, and True drew 2 counts
             (_total_pairs, "total_pairs", 1, math.inf),
             (_total_pairs, "total_pairs", 1, math.nan),
@@ -333,8 +340,20 @@ class TestCountRule:
     def test_a_numpy_integer_is_a_count(self):
         table = open_loop_series(0.5, 0.6, [1.0], steps=np.int64(3))
         assert table["step"].tolist() == [0, 1, 2, 3]
-        ((means, _),) = monte_carlo_moments([(1,)], 0.5, 0.6, n_samples=10, seed=np.int64(3))
+        ((means, _),) = monte_carlo_moments(
+            [(1,)], 0.5, 0.6, steps=np.int64(2), n_samples=10, seed=np.int64(3)
+        )
         assert means.size == 2
+        # an np.int64 n_samples divided the totals in numpy's complex
+        # arithmetic, which moved 11 of these 20 moments by an ulp
+        vectors = [(1, 1, -1, -1), (1, 1, 1, 1)]
+        by_int, by_numpy = (
+            [[part.tolist() for part in walk] for walk in monte_carlo_moments(
+                vectors, 0.7, 0.6, steps=4, n_samples=n, seed=3
+            )]
+            for n in (5000, np.int64(5000))
+        )
+        assert by_int == by_numpy
         thetas, _ = assistance_scan(0.3, np.int64(3))
         assert thetas.size == 3
         assert sum(simulate_counts(coincidence_probabilities(0.4, 0.3), np.int64(50), 1).values())

@@ -14,7 +14,7 @@ from qrecover.dephasing import (
 from qrecover.entanglement import eof_from_concurrence, eta_from_fidelity, mixed_concurrence
 from qrecover.openloop import CONTROL_KINDS, CONTROLS, METHODS, open_loop_series
 
-from helpers import table_rows, walked_alone
+from helpers import table_rows
 from oracle import arm_signs
 
 SIGMA = 0.6
@@ -183,7 +183,7 @@ class TestTableRows:
         analytic = mixed_concurrence(abs(analytic_coherence(signs, 0.3, SIGMA)[-1]), 1.0)
         assert analytic == pytest.approx(0.46753, abs=1e-5)
         ((means, square_means),) = monte_carlo_moments(
-            [signs], 0.3, SIGMA, n_samples=100_000, seed=8
+            [signs], 0.3, SIGMA, steps=4, n_samples=100_000, seed=8
         )
         sampled = mixed_concurrence(abs(means[-1]), 1.0)
         stat_error = 2.0 * coherence_std_error(means[-1], square_means[-1], 100_000)
@@ -241,16 +241,16 @@ class TestSeries:
         walked = []
 
         def recording(sign_vectors, *args, **kwargs):
-            walked.append(tuple(sign_vectors))
+            walked.append((tuple(sign_vectors), kwargs["steps"]))
             return monte_carlo_moments(sign_vectors, *args, **kwargs)
 
         monkeypatch.setattr(openloop, "monte_carlo_moments", recording)
         open_loop_series(
             0.7, SIGMA, [IDEAL, MEASURED], steps=steps, methods=METHODS, n_samples=100, seed=1
         )
-        assert walked == [((1,) * steps, arm_signs("echoed", steps, steps))]
+        assert walked == [(((1,) * steps, arm_signs("echoed", steps, steps)), steps)]
         # the echo after step 2 never acts at steps 1 and 2
-        assert (-1 in walked[0][1]) == (steps > 2)
+        assert (-1 in walked[0][0][1]) == (steps > 2)
 
     def test_closed_form_calls_grow_linearly_in_the_steps(self, monkeypatch):
         # one recursion per arm, with an entry after each step; restarting
@@ -321,13 +321,12 @@ class TestTableDefinition:
                 for kind in CONTROL_KINDS:
                     for k in range(steps + 1):
                         signs = arm_signs(kind, k, steps)
-                        # each row's sign vector walked alone, to its last step,
-                        # in a draw as deep as the job's
+                        # each row's sign vector walked alone, to its last step
                         if method == "analytic":
                             coherence, error = analytic_coherence(signs, mu, sigma)[-1], None
                         else:
-                            means, square_means = walked_alone(
-                                signs, steps, mu, sigma, **sampling
+                            ((means, square_means),) = monte_carlo_moments(
+                                [signs], mu, sigma, steps=steps, **sampling
                             )
                             coherence = means.tolist()[-1]
                             error = 2.0 * eta * coherence_std_error(
