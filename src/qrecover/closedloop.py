@@ -17,7 +17,9 @@ Everything here is a closed form: the traced-out and the corrected pair
 concurrences, the probability and concurrence of each measurement branch,
 and their average entanglement over a grid of angles.  At theta = 0 the
 two branches leave |psi-> and |phi->, both Bell states, so that average
-is 1, its largest value, for every p; no search is made for it.  No
+is 1, its largest value, for every p; no search is made for it.  Every
+swept grid, of p or of theta, is a ``sweep_grid``: built once per process
+and read-only, since it depends only on its end point and size.  No
 quantum state is built.  The gate-by-gate construction of the
 same pipeline (rotate O, flip B, rotate the measurement basis, project)
 is kept in the test suite as the reference these are checked against.
@@ -25,6 +27,7 @@ is kept in the test suite as the reference these are checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -96,16 +99,30 @@ def controlled_concurrence_closed(theta, eta=1.0):
     return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
+@functools.lru_cache(maxsize=8)
+def sweep_grid(stop: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced values on [0, ``stop``], read-only.
+
+    A grid depends on nothing but its two arguments, so each is built once
+    per process and shared by every call: mutating it raises ValueError,
+    and a caller that needs to change it takes a ``.copy()``.
+    """
+    grid = np.linspace(0.0, stop, points)
+    grid.flags.writeable = False
+    return grid
+
+
 def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarray]:
     """Average ensemble entanglement versus measurement angle on [0, pi/2].
 
     Returns the ``n_theta`` evenly spaced angles, from 0, and the
     probability-weighted entanglement of formation of the two measurement
     branches at each; the first, at theta = 0, is the largest.
-    ``n_theta`` must be an integer >= 2.
+    ``n_theta`` must be an integer >= 2.  The angles are the shared,
+    read-only ``sweep_grid(pi/2, n_theta)``: ``.copy()`` them to mutate.
     """
     check_count("n_theta", n_theta, 2)
-    thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
+    thetas = sweep_grid(math.pi / 2.0, int(n_theta))
     (prob_u, c_u), (prob_d, c_d) = measurement_branches(p, thetas)
     eof_u, eof_d = eof_from_concurrence(np.array((c_u, c_d)))
     return thetas, prob_u * eof_u + prob_d * eof_d

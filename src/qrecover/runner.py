@@ -13,7 +13,11 @@ the counts-demo table holds its two quantities as (2,) arrays.
 cells in one ``%`` call, each distinct label once), spreads
 the texts over the grid and writes the whole file from one row template
 with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
-of ``json.dumps`` of each row.
+of ``json.dumps`` of each row.  A read-only ndarray column is a shared
+constant (the arm and variant axes, the quantity axis, the swept grids of
+``closedloop.sweep_grid``), so its texts are made once per process for
+each (column, format, contents) and kept for later files; every other
+column is formatted for each file.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, one strided share of the blocks per thread, and the block sums
 are added up in block order, so a given config and seed produce
@@ -41,6 +45,7 @@ import numpy as np
 from .closedloop import (
     assistance_scan,
     controlled_concurrence_closed,
+    sweep_grid,
     uncontrolled_concurrence_closed,
 )
 from .counts import (
@@ -371,9 +376,11 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     Each ndarray column is formatted once at its own shape (``_column``),
     and any other value is one cell.  The text of a column with one value
     is part of the template; any other column's arguments are spread over
-    the row grid in C order.  A column with an int on every row is a
-    ``%d`` field, and a CSV column with a float on every row a ``%.9g``
-    field, formatted by the ``%`` itself.
+    the row grid in C order.  A read-only ndarray column without object
+    cells is a constant, whose texts come from ``_constant_texts``.  Of
+    the other columns, one with an int on every row is a ``%d`` field, and
+    a CSV column with a float on every row a ``%.9g`` field, formatted by
+    the ``%`` itself.
     """
     grid = _row_grid(table)
     rows = math.prod(grid)
@@ -382,8 +389,13 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     fields, cells = [], []
     for column in columns:
         values = table[column]
-        values = values.ravel().tolist() if isinstance(values, np.ndarray) else [values]
-        field, values = _column(column, values, fmt, len(values) == rows > 1)
+        if isinstance(values, np.ndarray) and not (
+            values.flags.writeable or values.dtype.hasobject
+        ):
+            field, values = "%s", _constant_texts(column, fmt, values.dtype, values.tobytes())
+        else:
+            values = values.ravel().tolist() if isinstance(values, np.ndarray) else [values]
+            field, values = _column(column, values, fmt, len(values) == rows > 1)
         if quote_empty and field == "%s":
             values = [text or '""' for text in values]
         if len(values) == 1:
@@ -405,6 +417,18 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     return head + template * rows % tuple(arguments)
 
 
+@functools.lru_cache(maxsize=32)
+def _constant_texts(column: str, fmt: str, dtype: np.dtype, contents: bytes) -> tuple[str, ...]:
+    """The texts of a read-only column's cells in C order, ``_column``'s
+    ``%s`` arguments for the values that ``contents`` holds as ``dtype``.
+
+    The key is the column's contents, not the array, so a read-only view
+    of an array that has since changed gets the texts of its new values.
+    At most 32 are kept, each the size of the texts its first file made.
+    """
+    return tuple(_column(column, np.frombuffer(contents, dtype).tolist(), fmt, False)[1])
+
+
 @functools.lru_cache(maxsize=16)
 def _names(columns: tuple[str, ...], fmt: str) -> tuple[str, tuple[str, ...]]:
     """The column names as a file spells them: the CSV header line, or the
@@ -423,7 +447,9 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     value on every row.  The rows are the grid's cells in C order, and a
     cell is None, a bool, a str, a ``numbers.Integral`` or a
     ``numbers.Real``; any other cell is a ValueError naming its column,
-    raised before a file is opened.  The file, the bytes ``csv.writer``
+    raised before a file is opened.  A read-only ndarray column is taken
+    for a shared constant: its texts are kept for later calls, keyed on
+    its contents (``_constant_texts``).  The file, the bytes ``csv.writer``
     writes (header, then rows) or those of ``json.dumps({column: value,
     ...})`` and a newline per row, is formatted in full (``_file_text``) and
     then written with one write.  A failure part way leaves any previous
@@ -465,10 +491,10 @@ def _closed_loop_rows(config: RunConfig) -> dict:
     (F, G, 2); the other columns are one value each.
     """
     if config.sweep == "p":
-        grid = np.linspace(0.0, 1.0, config.grid_points or 101)
+        grid = sweep_grid(1.0, config.grid_points or 101)
         p, theta = grid, config.theta if config.theta is not None else 0.0
     else:
-        grid = np.linspace(0.0, math.pi / 2.0, config.grid_points or 91)
+        grid = sweep_grid(math.pi / 2.0, config.grid_points or 91)
         p, theta = config.resolved_p(default=0.5), grid
     fidelity = np.array(config.fidelity).reshape(-1, 1, 1)
     eta = eta_from_fidelity(fidelity[:, 0])
@@ -501,6 +527,11 @@ def _assist_scan_rows(config: RunConfig) -> dict:
     return {"p": p, "theta": thetas, "ensemble_eof": eofs, "is_best": is_best}
 
 
+# the quantity axis of a counts-demo table; read-only, since every table shares it
+_QUANTITIES = np.array(["p_prime", "theta"])
+_QUANTITIES.flags.writeable = False
+
+
 def _counts_demo_rows(config: RunConfig) -> dict:
     p = config.resolved_p(default=0.5)
     theta = config.theta if config.theta is not None else 0.0
@@ -520,7 +551,7 @@ def _counts_demo_rows(config: RunConfig) -> dict:
             f"total_pairs {config.total_pairs!r} is too small for the drawn counts: {exc}"
         ) from exc
     return {
-        "quantity": np.array(["p_prime", "theta"]),
+        "quantity": _QUANTITIES,
         "total_pairs": config.total_pairs,
         "seed": config.seed,
         "true_value": np.array([p / (1.0 - p), theta]),

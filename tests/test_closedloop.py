@@ -1,15 +1,18 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrecover import runner
 from qrecover.closedloop import (
     assistance_scan,
     controlled_concurrence_closed,
     measurement_branches,
+    sweep_grid,
     uncontrolled_concurrence_closed,
 )
 from qrecover.entanglement import eof_from_concurrence
@@ -366,6 +369,56 @@ class TestAssistanceScan:
             # 9 points include 0, pi/4 and pi/2
             for theta, eof in zip(*assistance_scan(p, n_theta=9)):
                 assert eof == pytest.approx(measured_oracle_eof(p, float(theta)), abs=1e-12)
+
+
+class TestSweepGrid:
+    def test_every_scan_of_a_size_shares_one_grid(self):
+        assert assistance_scan(0.3, 181)[0] is assistance_scan(0.7, 181)[0]
+        assert assistance_scan(0.3, np.int64(181))[0] is sweep_grid(math.pi / 2, 181)
+
+    def test_the_grid_is_linspace_bit_for_bit(self):
+        for stop, points in ((1.0, 101), (math.pi / 2, 91), (math.pi / 2, 1001), (1.0, 2)):
+            grid = sweep_grid(stop, points)
+            expected = np.linspace(0.0, stop, points)
+            assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+
+    def test_the_grid_is_read_only(self):
+        thetas, _ = assistance_scan(0.3, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            thetas += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            thetas[0] = 1.0
+        copy = thetas.copy()
+        copy[0] = 1.0
+        assert thetas[0] == 0.0
+
+    def test_the_cache_is_bounded(self):
+        sweep_grid.cache_clear()
+        for points in range(2, 40):
+            sweep_grid(1.0, points)
+        info = sweep_grid.cache_info()
+        assert info.maxsize == 8
+        assert info.currsize == 8 and info.misses == 38
+
+    @pytest.mark.parametrize(
+        "sweep, stop, points, fields",
+        [
+            ("p", 1.0, 101, {}),
+            ("p", 1.0, 7, {"grid_points": 7}),
+            ("theta", math.pi / 2, 91, {}),
+            ("theta", math.pi / 2, 7, {"grid_points": 7}),
+        ],
+    )
+    def test_both_closed_loop_sweeps_take_the_shared_grid(self, sweep, stop, points, fields):
+        config = RunConfig(experiment="closed_loop", out="x.csv", sweep=sweep, **fields)
+        column = runner._closed_loop_rows(config)[sweep]
+        assert column.shape == (1, points, 1) and not column.flags.writeable
+        assert np.shares_memory(column, sweep_grid(stop, points))
+
+    def test_no_other_linspace_in_the_package(self):
+        source = Path(runner.__file__).parent
+        calls = {path.name: path.read_text().count("linspace(") for path in source.glob("*.py")}
+        assert {name: count for name, count in calls.items() if count} == {"closedloop.py": 1}
 
 
 def resolved_p(**fields):

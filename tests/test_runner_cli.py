@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrecover import cli, dephasing, runner
+from qrecover import cli, closedloop, dephasing, runner
 from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
@@ -1056,7 +1056,8 @@ def broadcast_tables(draw):
     """1 to 5 named columns on a row grid of 1 to 3 axes.  The first is an
     ndarray with at least one axis; any other is an ndarray or one value.
     Each ndarray keeps a trailing run of the grid's axes, any of them cut
-    to 1, so no column need have the grid's full shape."""
+    to 1, so no column need have the grid's full shape, and may be
+    read-only, as the writer's shared constant columns are."""
     axes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
     table = {}
@@ -1069,7 +1070,13 @@ def broadcast_tables(draw):
         dtype = draw(st.sampled_from(sorted(ARRAY_CELLS)))
         cells = draw(st.lists(ARRAY_CELLS[dtype], min_size=math.prod(shape), max_size=math.prod(shape)))
         table[column] = cells_array(cells, dtype).reshape(shape)
+        table[column].flags.writeable = draw(st.booleans())
     return columns, table
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def cells_array(cells, dtype=object):
@@ -1088,6 +1095,8 @@ class TestWriterMatchesTheStandardLibrary:
     @example(table=(["a", "b"], {"a": cells_array([None, None]), "b": None}))
     @example(table=(["a", "b"], {"a": np.arange(3.0).reshape(3, 1), "b": np.array([["x,y", None]])}))
     @example(table=(["a"], {"a": np.array([[-0.0, 0.0]])}))
+    @example(table=(["a", "b"], {"a": read_only(np.array([0.5, -0.0])), "b": read_only(np.ones(2))}))
+    @example(table=(["a"], {"a": read_only(np.array([[""], ["x"]]))}))
     def test_bytes_equal_csv_writer_and_json_dumps(self, fmt, table):
         columns, table = table
         with tempfile.TemporaryDirectory() as directory:
@@ -1130,6 +1139,99 @@ class TestWriterMatchesTheStandardLibrary:
         assert out.read_text() == '{"a": true}\n{"a": 0.5}\n{"a": false}\n'
         values = [json.loads(line)["a"] for line in out.read_text().splitlines()]
         assert values == [True, 0.5, False]
+
+
+# the golden assist-scan job, and its files under tests/data
+ASSIST_GOLDEN = ["assist-scan", "--p", "0.3", "--grid-points", "181"]
+DATA = REPO_ROOT / "tests" / "data"
+
+
+def clear_constant_caches():
+    runner._constant_texts.cache_clear()
+    closedloop.sweep_grid.cache_clear()
+
+
+class TestConstantColumns:
+    """A read-only ndarray column's texts are made once per process and
+    kept, keyed on its contents; every other column is formatted per file."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_read_only_view_follows_its_base(self, tmp_path, fmt):
+        base = np.array([0.5, 0.1 + 0.2, -0.0])
+        view = read_only(base.view())
+        for values in ([0.5, 0.1 + 0.2, -0.0], [1e308, 5e-324, 0.25]):
+            base[:] = values
+            write_rows(tmp_path / "rows", ["x"], {"x": view}, fmt)
+            expected = stdlib_bytes(tmp_path / "expected", ["x"], {"x": base.copy()}, fmt)
+            assert (tmp_path / "rows").read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_object_and_writeable_columns_are_formatted_per_file(self, tmp_path, fmt):
+        clear_constant_caches()
+        table = {
+            "a": read_only(cells_array([None, 0.5, "x"])),
+            "b": np.array([0.25, 0.75, 1.0]),
+            "c": read_only(np.array([1.5, 2.5, 3.5])),
+        }
+        for _ in range(2):
+            write_rows(tmp_path / "rows", list(table), table, fmt)
+            assert (tmp_path / "rows").read_bytes() == stdlib_bytes(
+                tmp_path / "expected", list(table), table, fmt
+            )
+        # only "c" has a text entry, made on the first call and reused on the second
+        info = runner._constant_texts.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_writeable_columns_keep_their_inline_fields(self, monkeypatch):
+        fields = []
+        column = runner._column
+
+        def recording(*args):
+            field, values = column(*args)
+            fields.append(field)
+            return field, values
+
+        monkeypatch.setattr(runner, "_column", recording)
+        table = {"x": np.array([0.5, 0.25]), "n": np.arange(2)}
+        assert runner._file_text(["x", "n"], table, "csv") == "x,n\r\n0.5,0\r\n0.25,1\r\n"
+        assert fields == ["%.9g", "%d"]
+
+    def test_the_cache_is_bounded(self, tmp_path):
+        clear_constant_caches()
+        for size in range(2, 50):
+            write_rows(tmp_path / "rows.csv", ["x"], {"x": read_only(np.arange(size))}, "csv")
+        info = runner._constant_texts.cache_info()
+        assert info.maxsize == 32 and info.currsize == 32 and info.misses == 48
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_miss_and_a_hit_write_the_golden_bytes(self, tmp_path, fmt):
+        clear_constant_caches()
+        golden = (DATA / f"assist_scan_p0.3.{fmt}").read_bytes()
+        for attempt in ("miss", "hit"):
+            out = tmp_path / f"{attempt}.{fmt}"
+            assert main(ASSIST_GOLDEN + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == golden, attempt
+        assert runner._constant_texts.cache_info().hits == 1
+        assert closedloop.sweep_grid.cache_info().hits == 1
+
+    def test_the_angles_are_formatted_on_the_first_job_only(self, tmp_path, monkeypatch):
+        clear_constant_caches()
+        formatted = []
+        column = runner._column
+
+        def counting(name, values, fmt, inline):
+            formatted.append(name)
+            return column(name, values, fmt, inline)
+
+        monkeypatch.setattr(runner, "_column", counting)
+        argv = ["assist-scan", "--p", "0.3", "--grid-points", "1001", "--out"]
+        assert main(argv + [str(tmp_path / "first.csv")]) == 0
+        assert formatted.count("theta") == 1
+        formatted.clear()
+        assert main(argv[:2] + ["0.7"] + argv[3:] + [str(tmp_path / "second.csv")]) == 0
+        assert "theta" not in formatted and "ensemble_eof" in formatted
+        first, second = (read_csv(tmp_path / name) for name in ("first.csv", "second.csv"))
+        assert [row["theta"] for row in first] == [row["theta"] for row in second]
 
 
 class TestSchema:
@@ -1236,7 +1338,8 @@ class TestSharedParser:
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_shared_parser", cli.build_parser)
             serial = _run_battery(tmp_path / "serial")
-        # more threads than cores, racing from an empty cache, switching often
+        clear_constant_caches()
+        # more threads than cores, racing from empty caches, switching often
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

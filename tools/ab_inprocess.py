@@ -16,7 +16,11 @@ change.  The job specs are those of ``perfbench/jobs.py`` in this checkout
 own CLI parser outside the timed region for the builder and ``write_rows``.
 
 After one untimed warm-up of every job on every side, every (round, job,
-side) trial runs once, in an order shuffled with the seed.  A trial times
+side) trial runs once, in an order shuffled with the seed.  The warm-up
+also fills each side's per-process caches (the shared parser, the sweep
+grids and the texts of constant columns), so the timed trials measure the
+hit path, as every perfbench pass after the first does; each side's
+package keeps caches of its own.  A trial times
 the experiment's builder and then ``write_rows`` of the built table, and
 then the whole job, each side's ``cli.main(argv)`` with its stdout
 captured, each with ``perf_counter_ns``.  A pair is one round and job on
