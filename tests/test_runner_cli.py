@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrecover import cli, closedloop, dephasing, runner
+from qrecover import cli, closedloop, dephasing, openloop, runner
 from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
@@ -1154,6 +1154,19 @@ def clear_constant_caches():
 class TestConstantColumns:
     """A read-only ndarray column's texts are made once per process and
     kept, keyed on its contents; every other column is formatted per file."""
+
+    def test_every_constant_axis_is_one_read_only_array(self):
+        tables = {
+            "variant": runner._closed_loop_rows(RunConfig(experiment="closed_loop", out="x")),
+            "quantity": runner._counts_demo_rows(
+                RunConfig(experiment="counts_demo", out="x", seed=1)
+            ),
+            "control": runner._open_loop_rows(RunConfig(experiment="open_loop", out="x", mu=0.5)),
+        }
+        constants = {"variant": runner._VARIANTS, "quantity": runner._QUANTITIES}
+        constants["control"] = openloop.CONTROLS
+        for column, table in tables.items():
+            assert table[column] is constants[column] and not constants[column].flags.writeable
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_read_only_view_follows_its_base(self, tmp_path, fmt):
