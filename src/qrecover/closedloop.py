@@ -99,17 +99,29 @@ def controlled_concurrence_closed(theta, eta=1.0):
     return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
-@functools.lru_cache(maxsize=8)
+# the most points of a grid that is kept; a longer one is built for each call
+_KEPT_POINTS = 1024
+
+
 def sweep_grid(stop: float, points: int) -> np.ndarray:
     """``points`` evenly spaced values on [0, ``stop``], read-only.
 
-    A grid depends on nothing but its two arguments, so each is built once
-    per process and shared by every call: mutating it raises ValueError,
-    and a caller that needs to change it takes a ``.copy()``.
+    A grid depends on nothing but its two arguments, so a grid of at most
+    ``_KEPT_POINTS`` points is built once per process and shared by every
+    call (``_kept_grid``, which keeps 8); a longer one is built for each
+    call, so that no large grid outlives its job.  Mutating a grid raises
+    ValueError, and a caller that needs to change it takes a ``.copy()``.
     """
+    return (_kept_grid if points <= _KEPT_POINTS else _grid)(stop, points)
+
+
+def _grid(stop: float, points: int) -> np.ndarray:
     grid = np.linspace(0.0, stop, points)
     grid.flags.writeable = False
     return grid
+
+
+_kept_grid = functools.lru_cache(maxsize=8)(_grid)
 
 
 def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,9 @@ the texts over the grid and writes the whole file from one row template
 with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
 of ``json.dumps`` of each row.  A read-only ndarray column is a shared
 constant (the arm and variant axes, the quantity axis, the swept grids of
-``closedloop.sweep_grid``), so its texts are made once per process for
-each (column, format, contents) and kept for later files; every other
-column is formatted for each file.
+``closedloop.sweep_grid``), so the texts of one of at most 1024 cells
+are made once per process for each (column, format, contents) and kept
+for later files; every other column is formatted for each file.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, one strided share of the blocks per thread, and the block sums
 are added up in block order, so a given config and seed produce
@@ -376,8 +376,9 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     Each ndarray column is formatted once at its own shape (``_column``),
     and any other value is one cell.  The text of a column with one value
     is part of the template; any other column's arguments are spread over
-    the row grid in C order.  A read-only ndarray column without object
-    cells is a constant, whose texts come from ``_constant_texts``.  Of
+    the row grid in C order.  A read-only ndarray column of at most
+    ``_KEPT_CELLS`` cells, none of them an object, is a constant, whose
+    texts come from ``_constant_texts``.  Of
     the other columns, one with an int on every row is a ``%d`` field, and
     a CSV column with a float on every row a ``%.9g`` field, formatted by
     the ``%`` itself.
@@ -389,8 +390,10 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     fields, cells = [], []
     for column in columns:
         values = table[column]
-        if isinstance(values, np.ndarray) and not (
-            values.flags.writeable or values.dtype.hasobject
+        if (
+            isinstance(values, np.ndarray)
+            and not (values.flags.writeable or values.dtype.hasobject)
+            and values.size <= _KEPT_CELLS
         ):
             field, values = "%s", _constant_texts(column, fmt, values.dtype, values.tobytes())
         else:
@@ -417,6 +420,12 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     return head + template * rows % tuple(arguments)
 
 
+# the most cells of a constant column whose texts are kept; a longer one is
+# formatted for each file, so the 32 kept texts of number columns, with
+# their keys, take at most about 3 MiB
+_KEPT_CELLS = 1024
+
+
 @functools.lru_cache(maxsize=32)
 def _constant_texts(column: str, fmt: str, dtype: np.dtype, contents: bytes) -> tuple[str, ...]:
     """The texts of a read-only column's cells in C order, ``_column``'s
@@ -424,7 +433,7 @@ def _constant_texts(column: str, fmt: str, dtype: np.dtype, contents: bytes) -> 
 
     The key is the column's contents, not the array, so a read-only view
     of an array that has since changed gets the texts of its new values.
-    At most 32 are kept, each the size of the texts its first file made.
+    At most 32 are kept, each the texts of at most ``_KEPT_CELLS`` cells.
     """
     return tuple(_column(column, np.frombuffer(contents, dtype).tolist(), fmt, False)[1])
 
@@ -447,12 +456,12 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     value on every row.  The rows are the grid's cells in C order, and a
     cell is None, a bool, a str, a ``numbers.Integral`` or a
     ``numbers.Real``; any other cell is a ValueError naming its column,
-    raised before a file is opened.  A read-only ndarray column is taken
-    for a shared constant: its texts are kept for later calls, keyed on
-    its contents (``_constant_texts``).  The file, the bytes ``csv.writer``
-    writes (header, then rows) or those of ``json.dumps({column: value,
-    ...})`` and a newline per row, is formatted in full (``_file_text``) and
-    then written with one write.  A failure part way leaves any previous
+    raised before a file is opened.  A read-only ndarray column of at most
+    ``_KEPT_CELLS`` cells is taken for a shared constant: its texts are
+    kept for later calls, keyed on its contents (``_constant_texts``).
+    The file, the bytes ``csv.writer`` writes (header, then rows) or those
+    of ``json.dumps({column: value, ...})`` and a newline per row, is
+    formatted in full (``_file_text``) and then written with one write.  A failure part way leaves any previous
     file at ``path`` untouched.
     """
     text = _file_text(columns, table, fmt)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecover import runner
+from qrecover import closedloop, runner
 from qrecover.closedloop import (
     assistance_scan,
     controlled_concurrence_closed,
@@ -393,12 +393,22 @@ class TestSweepGrid:
         assert thetas[0] == 0.0
 
     def test_the_cache_is_bounded(self):
-        sweep_grid.cache_clear()
+        closedloop._kept_grid.cache_clear()
         for points in range(2, 40):
             sweep_grid(1.0, points)
-        info = sweep_grid.cache_info()
+        info = closedloop._kept_grid.cache_info()
         assert info.maxsize == 8
         assert info.currsize == 8 and info.misses == 38
+
+    def test_a_long_grid_is_built_for_each_call(self):
+        closedloop._kept_grid.cache_clear()
+        kept = closedloop._KEPT_POINTS
+        assert sweep_grid(1.0, kept) is sweep_grid(1.0, kept)
+        long = sweep_grid(1.0, kept + 1)
+        assert long is not sweep_grid(1.0, kept + 1) and not long.flags.writeable
+        assert long.tobytes() == np.linspace(0.0, 1.0, kept + 1).tobytes()
+        info = closedloop._kept_grid.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "sweep, stop, points, fields",

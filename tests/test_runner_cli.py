@@ -1148,7 +1148,7 @@ DATA = REPO_ROOT / "tests" / "data"
 
 def clear_constant_caches():
     runner._constant_texts.cache_clear()
-    closedloop.sweep_grid.cache_clear()
+    closedloop._kept_grid.cache_clear()
 
 
 class TestConstantColumns:
@@ -1217,6 +1217,20 @@ class TestConstantColumns:
         assert info.maxsize == 32 and info.currsize == 32 and info.misses == 48
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_long_column_is_formatted_per_file(self, tmp_path, fmt):
+        clear_constant_caches()
+        kept = runner._KEPT_CELLS
+        write_rows(tmp_path / "short", ["n"], {"n": read_only(np.arange(kept))}, fmt)
+        info = runner._constant_texts.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        table = {"x": read_only(np.linspace(0.0, 1.0, kept + 1))}
+        for _ in range(2):
+            write_rows(tmp_path / "rows", ["x"], table, fmt)
+            expected = stdlib_bytes(tmp_path / "expected", ["x"], table, fmt)
+            assert (tmp_path / "rows").read_bytes() == expected
+        assert runner._constant_texts.cache_info() == info
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_miss_and_a_hit_write_the_golden_bytes(self, tmp_path, fmt):
         clear_constant_caches()
         golden = (DATA / f"assist_scan_p0.3.{fmt}").read_bytes()
@@ -1225,7 +1239,7 @@ class TestConstantColumns:
             assert main(ASSIST_GOLDEN + ["--format", fmt, "--out", str(out)]) == 0
             assert out.read_bytes() == golden, attempt
         assert runner._constant_texts.cache_info().hits == 1
-        assert closedloop.sweep_grid.cache_info().hits == 1
+        assert closedloop._kept_grid.cache_info().hits == 1
 
     def test_the_angles_are_formatted_on_the_first_job_only(self, tmp_path, monkeypatch):
         clear_constant_caches()

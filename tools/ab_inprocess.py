@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/ab_inprocess.py --base <rev> --head <rev> --out AB.json \\
-        [--workload small_jobs] [--rounds 5] [--seed 1]
+        [--workload small_jobs] [--rounds 5] [--seed 1] [--cold]
 
 Each revision (anything ``git archive`` accepts) is exported into a
 temporary directory, and its ``src/qrecover`` is imported as a package of
@@ -20,7 +20,11 @@ side) trial runs once, in an order shuffled with the seed.  The warm-up
 also fills each side's per-process caches (the shared parser, the sweep
 grids and the texts of constant columns), so the timed trials measure the
 hit path, as every perfbench pass after the first does; each side's
-package keeps caches of its own.  A trial times
+package keeps caches of its own.  With ``--cold``, every functools cache
+of a side's modules but the CLI's shared parser (which every side builds
+once alike) is cleared before a trial's builder and again before its
+job, so that every timed stage takes the miss path, as a one-shot CLI
+process does.  A trial times
 the experiment's builder and then ``write_rows`` of the built table, and
 then the whole job, each side's ``cli.main(argv)`` with its stdout
 captured, each with ``perf_counter_ns``.  A pair is one round and job on
@@ -84,6 +88,24 @@ def load_package(tree: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.runner")
+
+
+def cache_clearer(name: str):
+    """A function that clears every functools cache of the package ``name``'s
+    modules, except the CLI's shared parser."""
+    caches = [
+        value.cache_clear
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith(f"{name}.") and module_name != f"{name}.cli"
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module_name
+    ]
+
+    def clear() -> None:
+        for cache_clear in caches:
+            cache_clear()
+
+    return clear
 
 
 def median_interval(diffs: list[float], rng: random.Random) -> tuple[float, float]:
@@ -152,6 +174,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="clear each side's caches before every timed stage (the miss path)",
+    )
     args = parser.parse_args(argv)
     revisions = {"base": args.base, "head": args.head, "null": args.base}
     jobs = load_module("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
@@ -176,17 +202,20 @@ def main(argv=None) -> int:
                 for index, spec in enumerate(specs)
             ]
             configs = [cli.config_from_args(cli.build_parser().parse_args(a)) for a in argvs]
-            loaded[side] = (cli, runner, argvs, configs)
+            clear = cache_clearer(f"qrecover_{side}") if args.cold else lambda: None
+            loaded[side] = (cli, runner, argvs, configs, clear)
 
         def trial(side: str, index: int) -> tuple[int, int, int]:
-            cli, runner, argvs, configs = loaded[side]
+            cli, runner, argvs, configs, clear = loaded[side]
             config = configs[index]
             columns = runner.OUTPUT_SCHEMAS[config.experiment]["columns"]
+            clear()
             start = time.perf_counter_ns()
             table = runner._BUILDERS[config.experiment](config)
             built = time.perf_counter_ns()
             runner.write_rows(Path(config.out), columns, table, config.format)
             written = time.perf_counter_ns()
+            clear()
             # the whole job rewrites the same file; its printed path is kept off the terminal
             with contextlib.redirect_stdout(io.StringIO()):
                 called = time.perf_counter_ns()
@@ -216,7 +245,7 @@ def main(argv=None) -> int:
 
     summary = {
         "command": f"tools/ab_inprocess.py --workload {args.workload} "
-                   f"--rounds {args.rounds} --seed {args.seed}",
+                   f"--rounds {args.rounds} --seed {args.seed}" + " --cold" * args.cold,
         "revisions": {side: {"rev": rev, "resolved": bench_pairs.resolve(rev)}
                       for side, rev in (("base", args.base), ("head", args.head))},
         "environment": bench_pairs.environment(),
