@@ -18,10 +18,10 @@ concurrences, the probability and concurrence of each measurement branch,
 and their average entanglement over a grid of angles.  At theta = 0 the
 two branches leave |psi-> and |phi->, both Bell states, so that average
 is 1, its largest value, for every p; no search is made for it.  Every
-swept grid, of p or of theta, is a ``sweep_grid``: built once per process
-and read-only, since it depends only on its end point and size.  No
-quantum state is built.  The gate-by-gate construction of the
-same pipeline (rotate O, flip B, rotate the measurement basis, project)
+swept grid, of p or of theta, is a read-only ``sweep_grid``, built once
+per process up to 1024 points, since it depends only on its end point
+and size.  No quantum state is built.  The gate-by-gate construction of
+the same pipeline (rotate O, flip B, rotate the measurement basis, project)
 is kept in the test suite as the reference these are checked against.
 """
 
@@ -130,8 +130,9 @@ def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarra
     Returns the ``n_theta`` evenly spaced angles, from 0, and the
     probability-weighted entanglement of formation of the two measurement
     branches at each; the first, at theta = 0, is the largest.
-    ``n_theta`` must be an integer >= 2.  The angles are the shared,
-    read-only ``sweep_grid(pi/2, n_theta)``: ``.copy()`` them to mutate.
+    ``n_theta`` must be an integer >= 2.  The angles are the read-only
+    ``sweep_grid(pi/2, n_theta)``, shared by every call of that size up to
+    1024 angles: ``.copy()`` them to mutate.
     """
     check_count("n_theta", n_theta, 2)
     thetas = sweep_grid(math.pi / 2.0, int(n_theta))

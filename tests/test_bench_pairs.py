@@ -237,3 +237,20 @@ def test_every_stage_and_verb_is_measured_against_the_null(tmp_path):
         low, high = entry["null_interval_95"]
         assert low <= high and entry["null_width"] == pytest.approx(high - low)
         assert isinstance(entry["clear_of_null"], bool)
+
+
+def test_the_cold_mode_clears_every_cache_but_the_parser(tmp_path):
+    name = "qrecover_cold"
+    try:
+        cli, runner = ab_inprocess.load_package(bench_pairs.ROOT, name)
+        closedloop = sys.modules[f"{name}.closedloop"]
+        argv = ["assist-scan", "--p", "0.3", "--grid-points", "5", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        caches = [runner._constant_texts, runner._names, closedloop._kept_grid]
+        assert all(cache.cache_info().currsize for cache in caches)
+        ab_inprocess.cache_clearer(name)()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert cli._shared_parser.cache_info().currsize == 1
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[module]
