@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import numbers
+import re
 import sys
 from pathlib import Path
 
@@ -59,6 +60,12 @@ _OPTIONS = {
     "config": {"type": str},
     "fidelity": {"type": float, "nargs": "+"},
 }
+# an argument that argparse takes for a value, not a flag, though it starts
+# with "-": any negative number float() reads, -1e-3 and -inf among them
+# (argparse's own pattern has no exponent); no qrecover flag looks like one
+_NEGATIVE_NUMBER = re.compile(
+    r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("config", *names):
             flag = "--" + name.replace("_", "-")
             verb.add_argument(flag, default=None, help=_HELP.get(name), **_OPTIONS[name])
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     # each verb's subparser, for main to parse a verb's arguments with directly
     parser.verb_parsers = sub.choices
     return parser

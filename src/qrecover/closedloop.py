@@ -18,16 +18,14 @@ concurrences, the probability and concurrence of each measurement branch,
 and their average entanglement over a grid of angles.  At theta = 0 the
 two branches leave |psi-> and |phi->, both Bell states, so that average
 is 1, its largest value, for every p; no search is made for it.  Every
-swept grid, of p or of theta, is a read-only ``sweep_grid``, built once
-per process up to 1024 points, since it depends only on its end point
-and size.  No quantum state is built.  The gate-by-gate construction of
+swept grid, of p or of theta, is a read-only ``sweep_grid``, built for
+each call.  No quantum state is built.  The gate-by-gate construction of
 the same pipeline (rotate O, flip B, rotate the measurement basis, project)
 is kept in the test suite as the reference these are checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -99,29 +97,17 @@ def controlled_concurrence_closed(theta, eta=1.0):
     return mixed_concurrence(np.abs(np.cos(2.0 * theta)) / 2.0, eta)
 
 
-# the most points of a grid that is kept; a longer one is built for each call
-_KEPT_POINTS = 1024
-
-
 def sweep_grid(stop: float, points: int) -> np.ndarray:
     """``points`` evenly spaced values on [0, ``stop``], read-only.
 
-    A grid depends on nothing but its two arguments, so a grid of at most
-    ``_KEPT_POINTS`` points is built once per process and shared by every
-    call (``_kept_grid``, which keeps 8); a longer one is built for each
-    call, so that no large grid outlives its job.  Mutating a grid raises
-    ValueError, and a caller that needs to change it takes a ``.copy()``.
+    Each call builds a new grid.  Mutating it raises ValueError, and a
+    caller that needs to change it takes a ``.copy()``.  The runner keeps
+    the texts of a read-only column keyed on its contents, so a new grid
+    equal to one written before is not formatted again.
     """
-    return (_kept_grid if points <= _KEPT_POINTS else _grid)(stop, points)
-
-
-def _grid(stop: float, points: int) -> np.ndarray:
     grid = np.linspace(0.0, stop, points)
     grid.flags.writeable = False
     return grid
-
-
-_kept_grid = functools.lru_cache(maxsize=8)(_grid)
 
 
 def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +116,8 @@ def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarra
     Returns the ``n_theta`` evenly spaced angles, from 0, and the
     probability-weighted entanglement of formation of the two measurement
     branches at each; the first, at theta = 0, is the largest.
-    ``n_theta`` must be an integer >= 2.  The angles are the read-only
-    ``sweep_grid(pi/2, n_theta)``, shared by every call of that size up to
-    1024 angles: ``.copy()`` them to mutate.
+    ``n_theta`` must be an integer >= 2.  The angles are a new read-only
+    ``sweep_grid(pi/2, n_theta)``: ``.copy()`` them to mutate.
     """
     check_count("n_theta", n_theta, 2)
     thetas = sweep_grid(math.pi / 2.0, int(n_theta))

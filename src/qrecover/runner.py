@@ -13,11 +13,12 @@ the counts-demo table holds its two quantities as (2,) arrays.
 cells in one ``%`` call, each distinct label once), spreads
 the texts over the grid and writes the whole file from one row template
 with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
-of ``json.dumps`` of each row.  A read-only ndarray column is a shared
-constant (the arm and variant axes, the quantity axis, the swept grids of
-``closedloop.sweep_grid``), so the texts of one of at most 1024 cells
-are made once per process for each (column, format, contents) and kept
-for later files; every other column is formatted for each file.
+of ``json.dumps`` of each row.  A read-only ndarray column is a
+constant: a shared axis (arm, variant, quantity), or a swept grid of
+``closedloop.sweep_grid``, which is new for each job but has the same
+values for the same end point and size.  So the texts of one of at most
+1024 cells are made once per process for each (column, format, contents)
+and kept for later files; every other column is formatted for each file.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, one strided share of the blocks per thread, and the block sums
 are added up in block order, so a given config and seed produce
@@ -457,7 +458,7 @@ def write_rows(path: Path, columns: list[str], table: dict, fmt: str) -> None:
     cell is None, a bool, a str, a ``numbers.Integral`` or a
     ``numbers.Real``; any other cell is a ValueError naming its column,
     raised before a file is opened.  A read-only ndarray column of at most
-    ``_KEPT_CELLS`` cells is taken for a shared constant: its texts are
+    ``_KEPT_CELLS`` cells is taken for a constant: its texts are
     kept for later calls, keyed on its contents (``_constant_texts``).
     The file, the bytes ``csv.writer`` writes (header, then rows) or those
     of ``json.dumps({column: value, ...})`` and a newline per row, is

@@ -106,6 +106,35 @@ def test_each_metric_is_held_to_its_bound_and_a_wide_base_is_unresolved():
     assert (throughput["within_bound"], throughput["unresolved"]) == (False, False)
 
 
+@pytest.mark.parametrize(
+    "offsets, gain",
+    [
+        # 9 wins and a tie, by 0.1 against a base spread of 0.045
+        ([-0.1] * 9 + [0.0], True),
+        # 8 wins and 2 ties, by as much
+        ([-0.1] * 8 + [0.0] * 2, False),
+        # 9 wins and a loss, the lost pair by far
+        ([-0.1] * 9 + [0.5], True),
+        # 8 wins and 2 losses
+        ([-0.1] * 8 + [0.01] * 2, False),
+        # 10 wins, by less than the base spread
+        ([-0.01] * 10, False),
+    ],
+)
+def test_a_gain_wins_nine_in_ten_pairs_by_more_than_the_base_spread(offsets, gain):
+    bases = [1.0 + 0.01 * index for index in range(10)]
+    walls = [(base, base + offset) for base, offset in zip(bases, offsets)]
+    pairs = [
+        (seed, result(base, 40.0, throughput=1 / base), result(head, 40.0, throughput=1 / head))
+        for seed, (base, head) in enumerate(walls)
+    ]
+    metrics = bench_pairs.summarize(runs_of(pairs), BETTER)["mc_echo"]["metrics"]
+    assert metrics["wall_s"]["base_iqr"] == pytest.approx(0.045)
+    assert metrics["wall_s"]["gain"] is gain and metrics["throughput"]["gain"] is gain
+    # equal on every pair: ten ties
+    assert metrics["peak_rss_mib"]["gain"] is False
+
+
 def test_workloads_are_kept_apart_and_a_missing_side_is_an_error():
     runs = runs_of([(1, result(1.0, 1.0), result(0.5, 1.0))], "a")
     runs += runs_of([(1, result(2.0, 1.0), result(3.0, 1.0))], "b")
@@ -243,13 +272,12 @@ def test_the_cold_mode_clears_every_cache_but_the_parser(tmp_path):
     name = "qrecover_cold"
     try:
         cli, runner = ab_inprocess.load_package(bench_pairs.ROOT, name)
-        closedloop = sys.modules[f"{name}.closedloop"]
         argv = ["assist-scan", "--p", "0.3", "--grid-points", "5", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
-        caches = [runner._constant_texts, runner._names, closedloop._kept_grid]
+        caches = [runner._constant_texts, runner._names]
         assert all(cache.cache_info().currsize for cache in caches)
         ab_inprocess.cache_clearer(name)()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
         assert cli._shared_parser.cache_info().currsize == 1
     finally:
         for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:

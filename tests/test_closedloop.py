@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecover import closedloop, runner
+from qrecover import runner
 from qrecover.closedloop import (
     assistance_scan,
     controlled_concurrence_closed,
@@ -372,15 +372,18 @@ class TestAssistanceScan:
 
 
 class TestSweepGrid:
-    def test_every_scan_of_a_size_shares_one_grid(self):
-        assert assistance_scan(0.3, 181)[0] is assistance_scan(0.7, 181)[0]
-        assert assistance_scan(0.3, np.int64(181))[0] is sweep_grid(math.pi / 2, 181)
-
-    def test_the_grid_is_linspace_bit_for_bit(self):
-        for stop, points in ((1.0, 101), (math.pi / 2, 91), (math.pi / 2, 1001), (1.0, 2)):
-            grid = sweep_grid(stop, points)
+    @pytest.mark.parametrize("points", [2, 7, 91, 101, 1001, 1025])
+    def test_every_call_builds_a_new_read_only_linspace(self, points):
+        for stop in (1.0, math.pi / 2):
             expected = np.linspace(0.0, stop, points)
-            assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+            grids = [sweep_grid(stop, points), sweep_grid(stop, points)]
+            if stop == math.pi / 2:
+                scans = (assistance_scan(0.3, np.int64(points)), assistance_scan(0.7, points))
+                grids += [thetas for thetas, _ in scans]
+            for index, grid in enumerate(grids):
+                assert not grid.flags.writeable
+                assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+                assert not any(np.shares_memory(grid, other) for other in grids[:index])
 
     def test_the_grid_is_read_only(self):
         thetas, _ = assistance_scan(0.3, 5)
@@ -392,24 +395,6 @@ class TestSweepGrid:
         copy[0] = 1.0
         assert thetas[0] == 0.0
 
-    def test_the_cache_is_bounded(self):
-        closedloop._kept_grid.cache_clear()
-        for points in range(2, 40):
-            sweep_grid(1.0, points)
-        info = closedloop._kept_grid.cache_info()
-        assert info.maxsize == 8
-        assert info.currsize == 8 and info.misses == 38
-
-    def test_a_long_grid_is_built_for_each_call(self):
-        closedloop._kept_grid.cache_clear()
-        kept = closedloop._KEPT_POINTS
-        assert sweep_grid(1.0, kept) is sweep_grid(1.0, kept)
-        long = sweep_grid(1.0, kept + 1)
-        assert long is not sweep_grid(1.0, kept + 1) and not long.flags.writeable
-        assert long.tobytes() == np.linspace(0.0, 1.0, kept + 1).tobytes()
-        info = closedloop._kept_grid.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
-
     @pytest.mark.parametrize(
         "sweep, stop, points, fields",
         [
@@ -419,11 +404,11 @@ class TestSweepGrid:
             ("theta", math.pi / 2, 7, {"grid_points": 7}),
         ],
     )
-    def test_both_closed_loop_sweeps_take_the_shared_grid(self, sweep, stop, points, fields):
+    def test_both_closed_loop_sweeps_take_the_sweep_grid(self, sweep, stop, points, fields):
         config = RunConfig(experiment="closed_loop", out="x.csv", sweep=sweep, **fields)
         column = runner._closed_loop_rows(config)[sweep]
         assert column.shape == (1, points, 1) and not column.flags.writeable
-        assert np.shares_memory(column, sweep_grid(stop, points))
+        assert column.tobytes() == np.linspace(0.0, stop, points).tobytes()
 
     def test_no_other_linspace_in_the_package(self):
         source = Path(runner.__file__).parent

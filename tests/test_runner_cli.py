@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrecover import cli, closedloop, dephasing, openloop, runner
+from qrecover import cli, dephasing, openloop, runner
 from qrecover.cli import main
 from qrecover.dephasing import BLOCK_SIZE
 from qrecover.entanglement import eof_from_concurrence
@@ -384,6 +384,48 @@ class TestMeanPhaseBound:
         for row in sampled:
             gap = abs(float(row["concurrence"]) - analytic[row["control"], row["step"]])
             assert gap <= 5 * float(row["stat_error"])
+
+
+OPEN_LOOP = ["open-loop", "--mu", "0.5", "--method", "analytic"]
+
+
+class TestNegativeValues:
+    """A negative number after its flag is the flag's value, however it is spelled."""
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exited:
+            code = exited.code
+        return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, error",
+        [
+            (OPEN_LOOP, "--mean-phase", "-1e-3", None),
+            (OPEN_LOOP, "--mean-phase", "-1E-3", None),
+            (OPEN_LOOP, "--mean-phase", "-1e9", None),
+            (OPEN_LOOP, "--mean-phase", "-.5e+0", None),
+            (OPEN_LOOP, "--mean-phase", "-1e10", "mean_phase -10000000000.0 outside"),
+            (OPEN_LOOP, "--mean-phase", "-inf", "mean_phase -inf must be finite"),
+            (OPEN_LOOP, "--mean-phase", "-nan", "mean_phase nan must be finite"),
+            (OPEN_LOOP, "--seed", "-1e0", "argument --seed: invalid int value: '-1e0'"),
+            (["closed-loop", "--sweep", "p"], "--theta", "-2e-1", None),
+            (["counts-demo", "--seed", "1"], "--theta", "-2E-1", "theta -0.2 outside"),
+        ],
+    )
+    def test_the_spaced_form_acts_as_the_joined_form(
+        self, tmp_path, capsys, argv, flag, value, error
+    ):
+        spaced = self.outcome(argv + [flag, value], tmp_path / "spaced", capsys)
+        joined = self.outcome(argv + [f"{flag}={value}"], tmp_path / "joined", capsys)
+        assert spaced == joined
+        code, message, written = spaced
+        if error is None:
+            assert code == 0 and written
+        else:
+            assert code == 2 and error in message and written is None
 
 
 class TestConfigFileTypes:
@@ -1148,7 +1190,6 @@ DATA = REPO_ROOT / "tests" / "data"
 
 def clear_constant_caches():
     runner._constant_texts.cache_clear()
-    closedloop._kept_grid.cache_clear()
 
 
 class TestConstantColumns:
@@ -1239,7 +1280,6 @@ class TestConstantColumns:
             assert main(ASSIST_GOLDEN + ["--format", fmt, "--out", str(out)]) == 0
             assert out.read_bytes() == golden, attempt
         assert runner._constant_texts.cache_info().hits == 1
-        assert closedloop._kept_grid.cache_info().hits == 1
 
     def test_the_angles_are_formatted_on_the_first_job_only(self, tmp_path, monkeypatch):
         clear_constant_caches()

@@ -17,8 +17,8 @@ own CLI parser outside the timed region for the builder and ``write_rows``.
 
 After one untimed warm-up of every job on every side, every (round, job,
 side) trial runs once, in an order shuffled with the seed.  The warm-up
-also fills each side's per-process caches (the shared parser, the sweep
-grids and the texts of constant columns), so the timed trials measure the
+also fills each side's per-process caches (the shared parser and the
+texts of constant columns), so the timed trials measure the
 hit path, as every perfbench pass after the first does; each side's
 package keeps caches of its own.  With ``--cold``, every functools cache
 of a side's modules but the CLI's shared parser (which every side builds

@@ -19,9 +19,13 @@ Against the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
 base median) it records ``within_bound``, whether the head median is no
 worse than the base median by more than the bound, and ``unresolved``,
 whether the base's quartile spread exceeds the bound while some head run
-does not beat every base run.  The file also holds the seeds, the failed-job counts, whether each run's rows passed the
-benchmark's checker, the Python and numpy versions, the core count, the CPU
-model and both revisions.
+does not beat every base run.  It records ``gain``, the rule a claimed
+gain must pass: the head wins at least 9 in 10 of the pairs, a tie
+counting for neither side, and its median is better than the base median
+by more than ``base_iqr``, the base's quartile spread.  The file also
+holds the seeds, the failed-job counts, whether each run's rows passed
+the benchmark's checker, the Python and numpy versions, the core count,
+the CPU model and both revisions.
 """
 
 from __future__ import annotations
@@ -156,6 +160,12 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             metric["within_bound"] = worse <= metric["bound"]
             metric["unresolved"] = (
                 metric["base_iqr"] / base["median"] > metric["bound"] and not separated
+            )
+            # the pair rule of a claimed gain: worse < 0 is a head median better by -worse
+            pairs = metric["head_wins"] + metric["base_wins"] + metric["ties"]
+            metric["gain"] = (
+                10 * metric["head_wins"] >= 9 * pairs
+                and -worse * base["median"] > metric["base_iqr"]
             )
     return workloads
 
