@@ -61,8 +61,8 @@ _OPTIONS = {
     "fidelity": {"type": float, "nargs": "+"},
 }
 # an argument that argparse takes for a value, not a flag, though it starts
-# with "-": any negative number float() reads, -1e-3 and -inf among them
-# (argparse's own pattern has no exponent); no qrecover flag looks like one
+# with "-": a negative number in decimal or exponent notation, or -inf or
+# -nan (argparse's own pattern has no exponent); no qrecover flag looks like one
 _NEGATIVE_NUMBER = re.compile(
     r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE
 )

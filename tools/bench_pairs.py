@@ -161,7 +161,8 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             metric["unresolved"] = (
                 metric["base_iqr"] / base["median"] > metric["bound"] and not separated
             )
-            # the pair rule of a claimed gain: worse < 0 is a head median better by -worse
+            # the pair rule of a claimed gain; -worse * base median is how much
+            # better the head median is, in the metric's unit
             pairs = metric["head_wins"] + metric["base_wins"] + metric["ties"]
             metric["gain"] = (
                 10 * metric["head_wins"] >= 9 * pairs
