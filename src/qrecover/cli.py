@@ -10,13 +10,16 @@ is read.  Exit status is 0 on success and 2 on any precondition failure,
 or when the job's arrays cannot be allocated, with a diagnostic on stderr.
 
 ``main`` may be called in-process any number of times (sweep scripts, the
-tests); every call after the first parses with the parser the first one
-built, since parsing does not change it.  ``build_parser`` still returns a
-fresh parser on each call.  When the first argument names a verb, ``main``
-parses the rest with that verb's own subparser, which is what the full
-parser would hand them to; any other argv, or one that leaves an argument
-over, goes through the full parser, so its usage line and errors are
-unchanged.
+tests).  It reads a verb followed by exact flags with plain values straight
+from ``_FLAGS``, a table of each verb's flags made at import from the data
+``build_parser`` reads, with the same type functions and choices, and gives
+the namespace the full parser would.  Any other argv (``-h``, an
+abbreviated flag, ``--flag=value``, ``--``, an unknown flag, a stray
+argument, or a value that is missing, does not convert or is not one of
+the choices) goes to the full parser, so its help, usage lines, errors and
+exit codes are argparse's.  That parser is built by the first call that
+needs it and reused by later ones, since parsing does not change it;
+``build_parser`` still returns a fresh parser on each call.
 """
 
 from __future__ import annotations
@@ -85,9 +88,28 @@ def build_parser() -> argparse.ArgumentParser:
             verb.add_argument(flag, default=None, help=_HELP.get(name), **_OPTIONS[name])
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
-    # each verb's subparser, for main to parse a verb's arguments with directly
-    parser.verb_parsers = sub.choices
     return parser
+
+
+def _verb_flags(names: tuple[str, ...]) -> dict:
+    """Each exact flag of a verb with the fields ``names``, as ``build_parser``
+    adds them: flag -> (dest, type function, choices, nargs).  nargs is 0 for
+    a switch, which stores True, or False from its ``--no-`` form, 1 for a
+    flag with one value and "+" for a list."""
+    flags = {}
+    for name in ("config", *names):
+        flag, options = "--" + name.replace("_", "-"), _OPTIONS[name]
+        if "action" in options:
+            flags[flag] = flags["--no-" + flag[2:]] = (name, None, None, 0)
+        else:
+            entry = (name, options["type"], options.get("choices"), options.get("nargs", 1))
+            flags[flag] = entry
+    return flags
+
+
+_FLAGS = {
+    experiment.replace("_", "-"): _verb_flags(names) for experiment, names in PARAMETERS.items()
+}
 
 
 @functools.cache
@@ -137,17 +159,55 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The full parser's namespace for a verb followed by exact flags with
+    plain values, read from ``_FLAGS``; None for any other argv.
+
+    A value is a token that argparse takes for one: it does not start with
+    "-", unless it is a negative number (``_NEGATIVE_NUMBER``).  Each value
+    is converted by the flag's type function and must be one of its choices.
+    The namespace holds the verb, then every field of the verb in flag
+    order, None where no flag gave it, as the full parser's does.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {dest: None for dest, *_ in flags.values()}
+    index, count = 1, len(argv)
+    while index < count:
+        entry = flags.get(argv[index])
+        if entry is None:
+            return None
+        dest, kind, choices, nargs = entry
+        if nargs == 0:
+            values[dest] = not argv[index].startswith("--no-")
+            index += 1
+            continue
+        start = index = index + 1
+        while (
+            index < count
+            and (nargs == "+" or index == start)
+            and (not argv[index].startswith("-") or _NEGATIVE_NUMBER.match(argv[index]))
+        ):
+            index += 1
+        if index == start:
+            return None
+        try:
+            given = [kind(token) for token in argv[start:index]]
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and not all(value in choices for value in given):
+            return None
+        values[dest] = given if nargs == "+" else given[0]
+    return argparse.Namespace(verb=argv[0], **values)
+
+
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The namespace the full parser gives for ``argv``, from the verb's subparser if it can."""
-    parser = _shared_parser()
+    """The namespace the full parser gives for ``argv``, from the flag table if it can."""
     argv = sys.argv[1:] if argv is None else argv
-    verb_parser = parser.verb_parsers.get(argv[0]) if argv else None
-    if verb_parser is not None:
-        args, extra = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
-        if not extra:
-            return args
-    # the full parser names the left-over arguments under its own usage line
-    return parser.parse_args(argv)
+    args = _table_parse(argv)
+    # the full parser answers every other argv: help, usage lines and errors
+    return args if args is not None else _shared_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -98,14 +98,26 @@ def controlled_concurrence_closed(theta, eta=1.0):
 
 
 def sweep_grid(stop: float, points: int) -> np.ndarray:
-    """``points`` evenly spaced values on [0, ``stop``], read-only.
+    """``points`` evenly spaced values on [0, ``stop``], read-only: the bits
+    of ``np.linspace(0.0, stop, points)`` for a float ``stop``.
 
     Each call builds a new grid.  Mutating it raises ValueError, and a
     caller that needs to change it takes a ``.copy()``.  The runner keeps
     the texts of a read-only column keyed on its contents, so a new grid
     equal to one written before is not formatted again.
     """
-    grid = np.linspace(0.0, stop, points)
+    grid = np.arange(points, dtype=float)
+    # np.linspace(0.0, stop, points)'s own arithmetic, bit for bit
+    step = stop / (points - 1)
+    if step == 0.0:
+        # a zero stop, or one so small that the step underflows
+        grid /= points - 1
+        grid *= stop
+    else:
+        grid *= step
+    # linspace adds its start, which turns the -0.0 of a negative step into 0.0
+    grid += 0.0
+    grid[-1] = stop
     grid.flags.writeable = False
     return grid
 

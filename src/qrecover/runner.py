@@ -279,11 +279,19 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+# the type of every cell that ``tolist`` gives for an ndarray of numbers,
+# by its scalar type; a long double keeps its numpy type, so it is not here
+_CELL_TYPES = {
+    **{np.dtype(code).type: int for code in np.typecodes["AllInteger"]},
+    **{np.dtype(code).type: float for code in "efd"},
+}
 # csv.writer's minimal quoting: a field holding one of these is quoted
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]:
+def _column(
+    name: str, values: list, fmt: str, inline: bool, kind: type | None
+) -> tuple[str, list]:
     """The template field of column ``name``'s values, and its %-arguments, one per value.
 
     Each cell is written by its own type: a float with 9 significant digits
@@ -294,13 +302,16 @@ def _column(name: str, values: list, fmt: str, inline: bool) -> tuple[str, list]
     of ints is instead the field ``%d``, and a CSV column of floats the
     field ``%.9g``; the arguments are then the values themselves.  A cell
     that is not None, a bool, a str or a real number (a numbers.Integral
-    is one) is a ValueError naming the column.
+    is one) is a ValueError naming the column.  ``kind`` is the type of
+    every cell when the caller knows it, or None to find it.
     """
-    kinds = set(map(type, values))
+    kinds = {kind} if kind else set(map(type, values))
     if len(kinds) > 1:
         # each type's cells are formatted together, then put back in order
         text = {
-            kind: iter(_column(name, [v for v in values if type(v) is kind], fmt, False)[1])
+            kind: iter(
+                _column(name, [v for v in values if type(v) is kind], fmt, False, kind)[1]
+            )
             for kind in kinds
         }
         return "%s", [next(text[type(v)]) for v in values]
@@ -391,15 +402,14 @@ def _file_text(columns: list[str], table: dict, fmt: str) -> str:
     fields, cells = [], []
     for column in columns:
         values = table[column]
-        if (
-            isinstance(values, np.ndarray)
-            and not (values.flags.writeable or values.dtype.hasobject)
-            and values.size <= _KEPT_CELLS
-        ):
+        if not isinstance(values, np.ndarray):
+            field, values = _column(column, [values], fmt, False, None)
+        elif not (values.flags.writeable or values.dtype.hasobject) and values.size <= _KEPT_CELLS:
             field, values = "%s", _constant_texts(column, fmt, values.dtype, values.tobytes())
         else:
-            values = values.ravel().tolist() if isinstance(values, np.ndarray) else [values]
-            field, values = _column(column, values, fmt, len(values) == rows > 1)
+            inline = values.size == rows > 1
+            kind = _CELL_TYPES.get(values.dtype.type)
+            field, values = _column(column, values.ravel().tolist(), fmt, inline, kind)
         if quote_empty and field == "%s":
             values = [text or '""' for text in values]
         if len(values) == 1:
@@ -436,7 +446,8 @@ def _constant_texts(column: str, fmt: str, dtype: np.dtype, contents: bytes) -> 
     of an array that has since changed gets the texts of its new values.
     At most 32 are kept, each the texts of at most ``_KEPT_CELLS`` cells.
     """
-    return tuple(_column(column, np.frombuffer(contents, dtype).tolist(), fmt, False)[1])
+    values = np.frombuffer(contents, dtype).tolist()
+    return tuple(_column(column, values, fmt, False, _CELL_TYPES.get(dtype.type))[1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -581,9 +592,11 @@ _BUILDERS = {
 def run(config: RunConfig) -> Path:
     """Evaluate the configured sweep and write the data file; returns its path."""
     path = Path(config.out)
-    if not path.parent.exists():
-        raise OSError(f"output directory {path.parent} does not exist")
-    if path.is_dir():
+    # through the Path, since "" spells the current directory only as a Path
+    if not os.path.isdir(path.parent):
+        state = "is not a directory" if os.path.exists(path.parent) else "does not exist"
+        raise OSError(f"output directory {path.parent} {state}")
+    if os.path.isdir(path):
         raise OSError(f"output path {path} is a directory")
     table = _BUILDERS[config.experiment](config)
     write_rows(path, OUTPUT_SCHEMAS[config.experiment]["columns"], table, config.format)

@@ -205,7 +205,7 @@ def test_a_regression_in_one_verb_shows_in_its_own_summary():
     verb = ab_inprocess.summarize(
         times, random.Random(1), ab_inprocess.VERB_STAGES, keys["closed-loop"]
     )
-    assert set(verb) == {"build", "write", "job"}
+    assert set(verb) == {"parse", "build", "write", "job"}
     write = verb["write"]
     assert write["pairs"] == 4 and write["head_wins"] == 0
     assert write["median_difference"] == pytest.approx(5.0)
@@ -218,7 +218,7 @@ def test_the_null_run_gives_each_stage_its_interval_width():
     # base against itself: differences spread evenly over -4 .. +4 us
     base = {index: 100_000 + 1_000 * index for index in range(20)}
     null = {index: value + 1_000 * (index % 9 - 4) for index, value in base.items()}
-    shift = {"build": -10_000, "write": -2_000, "total": -12_000, "job": +20_000}
+    shift = {"parse": -9_000, "build": -10_000, "write": -2_000, "total": -12_000, "job": +20_000}
     times = {
         "base": {stage: dict(base) for stage in ab_inprocess.STAGES},
         "null": {stage: dict(null) for stage in ab_inprocess.STAGES},
@@ -227,7 +227,8 @@ def test_the_null_run_gives_each_stage_its_interval_width():
             for stage in ab_inprocess.STAGES
         },
     }
-    assert "job" in ab_inprocess.STAGES and "job" in ab_inprocess.VERB_STAGES
+    for stage in ("parse", "job"):
+        assert stage in ab_inprocess.STAGES and stage in ab_inprocess.VERB_STAGES
     null_summary = ab_inprocess.summarize(times, random.Random(2), sides=("base", "null"))
     assert null_summary["job"]["median_difference"] == pytest.approx(0.0, abs=1.0)
     summary = ab_inprocess.add_null(ab_inprocess.summarize(times, random.Random(1)), null_summary)
@@ -235,9 +236,9 @@ def test_the_null_run_gives_each_stage_its_interval_width():
         low, high = null_summary[stage]["interval_95"]
         assert entry["null_interval_95"] == [low, high]
         assert entry["null_width"] == pytest.approx(high - low) and 0 < high - low < 8
-    # 10 and 12 us gains and a 20 us loss clear the null width; a 2 us gain does not
+    # 9, 10 and 12 us gains and a 20 us loss clear the null width; a 2 us gain does not
     assert {stage: entry["clear_of_null"] for stage, entry in summary.items()} == {
-        "build": True, "write": False, "total": True, "job": True,
+        "parse": True, "build": True, "write": False, "total": True, "job": True,
     }
     assert summary["job"]["head_wins"] == 0
 
@@ -272,7 +273,8 @@ def test_the_cold_mode_clears_every_cache_but_the_parser(tmp_path):
     name = "qrecover_cold"
     try:
         cli, runner = ab_inprocess.load_package(bench_pairs.ROOT, name)
-        argv = ["assist-scan", "--p", "0.3", "--grid-points", "5", "--out", str(tmp_path / "s.csv")]
+        # "--p=0.3" is left to the full parser, so the call builds it
+        argv = ["assist-scan", "--p=0.3", "--grid-points", "5", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
         caches = [runner._constant_texts, runner._names]
         assert all(cache.cache_info().currsize for cache in caches)

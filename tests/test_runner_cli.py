@@ -1,6 +1,7 @@
 import argparse
 import csv
 import importlib
+import importlib.util
 import json
 import math
 import numbers
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qrecover import cli, dephasing, openloop, runner
@@ -889,6 +890,24 @@ class TestFormatsAndConfig:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_empty_out_is_the_current_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["assist-scan", "--p", "0.3", "--out", ""]) == 2
+        assert capsys.readouterr().err == "qrecover: error: output path . is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_as_the_output_directory_is_named(self, tmp_path, capsys, monkeypatch):
+        def refuse(config):
+            raise AssertionError("rows built under a file")
+
+        monkeypatch.setitem(runner._BUILDERS, "assist_scan", refuse)
+        parent = tmp_path / "README.md"
+        parent.write_text("text\n")
+        assert main(["assist-scan", "--p", "0.3", "--out", str(parent / "x.csv")]) == 2
+        error = f"qrecover: error: output directory {parent} is not a directory\n"
+        assert capsys.readouterr().err == error
+        assert list(tmp_path.iterdir()) == [parent] and parent.read_text() == "text\n"
+
 
 CORE_MODULES = [
     "qrecover",
@@ -1168,6 +1187,29 @@ class TestWriterMatchesTheStandardLibrary:
         expected = stdlib_bytes(tmp_path / "expected", ["x", "n"], values, fmt)
         assert (tmp_path / "arrays").read_bytes() == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.1, -0.0, 3.4e38, 1e-45, 2.5], dtype=np.float32),
+            np.array([-128, 0, 127], dtype=np.int8),
+            np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),
+        ],
+        ids=lambda values: str(values.dtype),
+    )
+    def test_number_columns_write_the_bytes_of_their_cells(self, tmp_path, fmt, values):
+        # a column inline, spread over a second axis, and read-only; each
+        # against the same column as an object array of the cells of tolist
+        tables = [
+            lambda column: {"x": column},
+            lambda column: {"x": column.reshape(-1, 1), "y": np.arange(2)},
+            lambda column: {"x": read_only(column.copy())},
+        ]
+        for table in tables:
+            for name, column in (("array", values), ("cells", cells_array(values.tolist()))):
+                write_rows(tmp_path / name, ["x", "y"], {"y": None, **table(column)}, fmt)
+            assert (tmp_path / "array").read_bytes() == (tmp_path / "cells").read_bytes()
+
     @pytest.mark.parametrize(
         "fmt, text", [("csv", "a\r\n1\r\n0.3\r\n"), ("jsonl", '{"a": 1}\n{"a": 0.3}\n')]
     )
@@ -1286,9 +1328,9 @@ class TestConstantColumns:
         formatted = []
         column = runner._column
 
-        def counting(name, values, fmt, inline):
+        def counting(name, values, fmt, inline, kind):
             formatted.append(name)
-            return column(name, values, fmt, inline)
+            return column(name, values, fmt, inline, kind)
 
         monkeypatch.setattr(runner, "_column", counting)
         argv = ["assist-scan", "--p", "0.3", "--grid-points", "1001", "--out"]
@@ -1381,7 +1423,32 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", counting_build)
         files = _run_battery(tmp_path / "jobs")
         assert len(files) == 2 * len(_BATTERY)
+        # exact flags with plain values are read from the flag table alone
+        assert built == []
+        for i, argv in enumerate(_BATTERY):
+            # the "=" form is left to the full parser, which the first such call builds
+            out = tmp_path / "jobs" / f"job{i}.csv"
+            assert main(argv + [f"--out={out}"]) == 0
+            assert out.read_bytes() == files[out.name]
         assert len(built) == 1
+
+    def test_every_benchmark_job_is_read_from_the_flag_table(self, tmp_path):
+        jobs = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location("jobs", REPO_ROOT / "perfbench" / "jobs.py")
+        )
+        jobs.__spec__.loader.exec_module(jobs)
+        full = cli.build_parser()
+        argvs = [
+            jobs.argv(spec, str(tmp_path / f"x.{spec['format']}"))
+            for workload in jobs.WORKLOADS
+            for pass_index in range(3)
+            for spec in jobs.job_list(workload, 1, pass_index)
+        ]
+        assert {argv[0] for argv in argvs} == set(cli._FLAGS)
+        for argv in argvs:
+            parsed = cli._parse_args(argv)
+            assert list(vars(parsed).items()) == list(vars(full.parse_args(argv)).items())
+        assert cli._shared_parser.cache_info().currsize == 0
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -1469,6 +1536,62 @@ _ARGV_CORPUS = [
 ]
 
 
+# the values drawn for each field's flag, good and bad alike; every job they
+# make is small
+_FLOAT_VALUES = [
+    "0.3", "0.5", ".5", "1", "-0.25", "-1e-3", "-1E-3", "-inf", "-nan", "1_0.5", "-1_0",
+    "1e400", "abc",
+]
+_DRAWN_VALUES = {
+    "config": ["a.json", "b.json", "missing.json"],
+    "out": ["x.csv", "y.jsonl", "", "sub/x.csv", "a.json/x.csv"],
+    "format": ["csv", "jsonl", "xml"],
+    "method": ["analytic", "both", "monte_carlo", "nope"],
+    "sweep": ["p", "theta", "q"],
+    "workers": ["1", "2", "-1"],
+    "seed": ["3", "-3", "1_0", "x"],
+    "steps": ["1", "4", "2.5"],
+    "n_samples": ["1000", "2_000", "1e3"],
+    "grid_points": ["2", "5", "1"],
+    "total_pairs": ["900", "4000"],
+    "fidelity": ["1.0", "0.9", "-0.5", "1_0"],
+    "clip_to_hardware": ["1", "true"],
+    **dict.fromkeys(("mu", "sigma", "mean_phase", "p", "p_prime", "theta"), _FLOAT_VALUES),
+}
+# tokens that are no flag: a lone dash, an empty string, a stray word or
+# number, the end of options, help, and flags no verb has
+_STRAY_TOKENS = ["-", "", "extra", "-1e-3", "--", "-h", "--help", "-x", "--bogus"]
+
+
+@st.composite
+def _flag_tokens(draw):
+    """One flag of any verb as an argv spells it, with or without its values."""
+    field = draw(st.sampled_from(sorted(_DRAWN_VALUES)))
+    flag, values = "--" + field.replace("_", "-"), st.sampled_from(_DRAWN_VALUES[field])
+    form = draw(st.sampled_from(["exact"] * 4 + ["abbreviated", "joined", "negated", "stray"]))
+    if form == "abbreviated":
+        return [flag[: draw(st.integers(3, len(flag)))], draw(values)]
+    if form == "joined":
+        return [f"{flag}={draw(values)}"]
+    if form == "negated":
+        return ["--no-" + flag[2:]]
+    if form == "stray":
+        return [draw(st.sampled_from(_STRAY_TOKENS))]
+    # a switch takes no value; one, a list or none at all for any other flag
+    count = draw(st.sampled_from([0, 0, 0, 1] if field == "clip_to_hardware" else [1, 1, 1, 0, 2]))
+    return [flag] + [draw(values) for _ in range(count)]
+
+
+@st.composite
+def _argvs(draw):
+    verbs = [experiment.replace("_", "-") for experiment in runner.EXPERIMENTS]
+    verb = draw(st.sampled_from(verbs * 3 + ["nope", None]))
+    argv = [verb] if verb else []
+    for tokens in draw(st.lists(_flag_tokens(), max_size=6)):
+        argv += tokens
+    return argv + (["--out", "x.csv"] if draw(st.booleans()) else [])
+
+
 class TestArgvParity:
     """``main`` gives the full parser's exit code, stdout, stderr and files."""
 
@@ -1485,17 +1608,36 @@ class TestArgvParity:
         out, err = capsys.readouterr()
         return code, out, err, {path.name: path.read_bytes() for path in directory.iterdir()}
 
-    @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
-    def test_main_answers_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
-        own = self.outcome(argv, tmp_path / "verb", monkeypatch, capsys)
+    def check(self, argv, directory, monkeypatch, capsys):
+        own = self.outcome(argv, directory / "table", monkeypatch, capsys)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
-            full = self.outcome(argv, tmp_path / "full", monkeypatch, capsys)
+            full = self.outcome(argv, directory / "full", monkeypatch, capsys)
         assert own == full
         assert own[0] in (0, 2) and (own[1] or own[2])
         # an argv both parsers accept gives the same namespace, in the same order
         try:
             namespace = vars(cli.build_parser().parse_args(argv))
         except SystemExit:
+            capsys.readouterr()
             return
         assert list(vars(cli._parse_args(argv)).items()) == list(namespace.items())
+
+    @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+    def test_main_answers_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        self.check(argv, tmp_path, monkeypatch, capsys)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(argv=_argvs())
+    @example(argv=["open-loop", "--mu", "-1e-3", "--fidelity", "1.0", "-0.5", "--out", "x.csv"])
+    @example(argv=["assist-scan", "--p", "0.3", "--p", "0.4", "--out", ""])
+    @example(argv=["closed-loop", "--sweep", "theta", "--p", "-inf", "--out", "x.csv"])
+    @example(argv=["counts-demo", "--seed", "1_0", "--p", "0.4", "--out", "x.csv"])
+    @example(argv=["open-loop", "--mu", "0.5", "--no-clip-to-hardware", "1", "--out", "x.csv"])
+    @example(argv=["open-loop", "--mu", "0.5", "--mean-phase", "-1_0", "--out", "x.csv"])
+    def test_drawn_argvs_are_answered_as_the_full_parser(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        self.check(argv, Path(tempfile.mkdtemp(dir=tmp_path)), monkeypatch, capsys)

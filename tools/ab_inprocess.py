@@ -1,4 +1,4 @@
-"""In-process A/B timing of table builders, ``write_rows`` and whole CLI jobs on two revisions.
+"""In-process A/B timing of parses, builders, ``write_rows`` and whole CLI jobs on two revisions.
 
 Run from the repository root:
 
@@ -22,22 +22,23 @@ texts of constant columns), so the timed trials measure the
 hit path, as every perfbench pass after the first does; each side's
 package keeps caches of its own.  With ``--cold``, every functools cache
 of a side's modules but the CLI's shared parser (which every side builds
-once alike) is cleared before a trial's builder and again before its
+once alike) is cleared before a trial's parse and again before its
 job, so that every timed stage takes the miss path, as a one-shot CLI
-process does.  A trial times
-the experiment's builder and then ``write_rows`` of the built table, and
-then the whole job, each side's ``cli.main(argv)`` with its stdout
-captured, each with ``perf_counter_ns``.  A pair is one round and job on
-the base and the head, or on the base and the null; its difference is
-head (or null) minus base.  Every side writes its
-files into one shared directory.
+process does.  A trial times the parse of the job's argv (each side's
+``cli._parse_args``), the experiment's builder and then ``write_rows`` of
+the built table, and then the whole job, each side's ``cli.main(argv)``
+with its stdout captured, each with ``perf_counter_ns``.  A pair is one
+round and job on the base and the head, or on the base and the null; its
+difference is head (or null) minus base.  Every side writes its files
+into one shared directory.
 
-The file records, for the builder, ``write_rows``, their sum and the whole
-job: each side's median, the median paired difference and a 95% bootstrap
-interval of it (resampled pairs, seeded), and the count of pairs the head
-won.  Under ``verbs`` it records the same for the builder, ``write_rows``
-and the job of each CLI verb's jobs alone, so that a change to one verb's
-tables is not averaged away among the others.  Every entry also records
+The file records, for the parse, the builder, ``write_rows``, the sum of
+the builder and ``write_rows`` and the whole job: each side's median, the
+median paired difference and a 95% bootstrap interval of it (resampled
+pairs, seeded), and the count of pairs the head won.  Under ``verbs`` it
+records the same for the parse, the builder, ``write_rows`` and the job
+of each CLI verb's jobs alone, so that a change to one verb's tables is
+not averaged away among the others.  Every entry also records
 the null pairs' interval, ``null_interval_95``, its width ``null_width``
 and ``clear_of_null``, whether the A/B interval misses 0 by more than that
 width: an interval that excludes 0 by less is noise.  The file records
@@ -73,8 +74,8 @@ def load_module(name: str, path: Path):
 bench_pairs = load_module("bench_pairs", Path(__file__).resolve().with_name("bench_pairs.py"))
 ROOT = bench_pairs.ROOT
 SIDES = bench_pairs.SIDES + ("null",)
-STAGES = ("build", "write", "total", "job")
-VERB_STAGES = ("build", "write", "job")
+STAGES = ("parse", "build", "write", "total", "job")
+VERB_STAGES = ("parse", "build", "write", "job")
 BOOTSTRAP = 2000
 
 
@@ -205,11 +206,13 @@ def main(argv=None) -> int:
             clear = cache_clearer(f"qrecover_{side}") if args.cold else lambda: None
             loaded[side] = (cli, runner, argvs, configs, clear)
 
-        def trial(side: str, index: int) -> tuple[int, int, int]:
+        def trial(side: str, index: int) -> tuple[int, int, int, int]:
             cli, runner, argvs, configs, clear = loaded[side]
             config = configs[index]
             columns = runner.OUTPUT_SCHEMAS[config.experiment]["columns"]
             clear()
+            parsing = time.perf_counter_ns()
+            cli._parse_args(argvs[index])
             start = time.perf_counter_ns()
             table = runner._BUILDERS[config.experiment](config)
             built = time.perf_counter_ns()
@@ -223,7 +226,7 @@ def main(argv=None) -> int:
                 returned = time.perf_counter_ns()
             if code != 0:
                 raise RuntimeError(f"{side} job {argvs[index]} exited {code}")
-            return built - start, written - built, returned - called
+            return start - parsing, built - start, written - built, returned - called
 
         for side in SIDES:
             for index in range(len(specs)):
@@ -235,8 +238,8 @@ def main(argv=None) -> int:
         trials = [(side, index) for index in range(len(specs)) for side in SIDES]
         rng.shuffle(trials)
         for side, index in trials:
-            build, write, job = trial(side, index)
-            for stage, value in zip(STAGES, (build, write, build + write, job)):
+            parse, build, write, job = trial(side, index)
+            for stage, value in zip(STAGES, (parse, build, write, build + write, job)):
                 times[side][stage][index] = value
 
     def summaries(stages=STAGES, keys=None) -> dict:
