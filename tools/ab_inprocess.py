@@ -17,17 +17,17 @@ own CLI parser outside the timed region for the builder and ``write_rows``.
 
 After one untimed warm-up of every job on every side, every (round, job,
 side) trial runs once, in an order shuffled with the seed.  The warm-up
-also fills each side's per-process caches (the shared parser and the
-texts of constant columns), so the timed trials measure the
-hit path, as every perfbench pass after the first does; each side's
-package keeps caches of its own.  With ``--cold``, every functools cache
-of a side's modules but the CLI's shared parser (which every side builds
-once alike) is cleared before a trial's parse and again before its
-job, so that every timed stage takes the miss path, as a one-shot CLI
-process does.  A trial times the parse of the job's argv (each side's
-``cli._parse_args``), the experiment's builder and then ``write_rows`` of
-the built table, and then the whole job, each side's ``cli.main(argv)``
-with its stdout captured, each with ``perf_counter_ns``.  A pair is one
+also fills each side's per-process caches (the texts of constant
+columns, and the shared parser where a side parses with it), so the timed
+trials measure the hit path, as every perfbench pass after the first
+does; each side's package keeps caches of its own.  With ``--cold``, every
+functools cache of a side's modules but the CLI's shared parser is
+cleared before a trial's parse and again before its job, so that every
+timed stage takes the miss path, as a one-shot CLI process does.  A trial
+times the parse of the job's argv (each side's ``cli._parse_args``), the
+experiment's builder and then ``write_rows`` of the built table, and then
+the whole job, each side's ``cli.main(argv)`` with its stdout captured,
+each with ``perf_counter_ns``.  A pair is one
 round and job on the base and the head, or on the base and the null; its
 difference is head (or null) minus base.  Every side writes its files
 into one shared directory.
