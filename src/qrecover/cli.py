@@ -102,8 +102,7 @@ def _verb_flags(names: tuple[str, ...]) -> dict:
         if "action" in options:
             flags[flag] = flags["--no-" + flag[2:]] = (name, None, None, 0)
         else:
-            entry = (name, options["type"], options.get("choices"), options.get("nargs", 1))
-            flags[flag] = entry
+            flags[flag] = (name, options["type"], options.get("choices"), options.get("nargs", 1))
     return flags
 
 
