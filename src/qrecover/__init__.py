@@ -27,4 +27,4 @@ from .entanglement import binary_entropy, eof_from_concurrence, eta_from_fidelit
 from .openloop import open_loop_series
 from .runner import OUTPUT_SCHEMAS, RunConfig, output_schema, run
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -16,16 +16,14 @@ from ``_FLAGS``, a table of each verb's flags made at import from the data
 the namespace the full parser would.  Any other argv (``-h``, an
 abbreviated flag, ``--flag=value``, ``--``, an unknown flag, a stray
 argument, or a value that is missing, does not convert or is not one of
-the choices) goes to the full parser, so its help, usage lines, errors and
-exit codes are argparse's.  That parser is built by the first call that
-needs it and reused by later ones, since parsing does not change it;
-``build_parser`` still returns a fresh parser on each call.
+the choices) goes to a parser ``build_parser`` makes for that call, so
+its help, usage lines, errors and exit codes are argparse's.  No state is
+kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import numbers
 import re
@@ -109,11 +107,6 @@ def _verb_flags(names: tuple[str, ...]) -> dict:
 _FLAGS = {
     experiment.replace("_", "-"): _verb_flags(names) for experiment, names in PARAMETERS.items()
 }
-
-
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 def load_config_file(path: str) -> dict:
@@ -206,7 +199,7 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else argv
     args = _table_parse(argv)
     # the full parser answers every other argv: help, usage lines and errors
-    return args if args is not None else _shared_parser().parse_args(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,8 +18,8 @@ concurrences, the probability and concurrence of each measurement branch,
 and their average entanglement over a grid of angles.  At theta = 0 the
 two branches leave |psi-> and |phi->, both Bell states, so that average
 is 1, its largest value, for every p; no search is made for it.  Every
-swept grid, of p or of theta, is a read-only ``sweep_grid``, built for
-each call.  No quantum state is built.  The gate-by-gate construction of
+swept grid, of p or of theta, is a ``sweep_grid``, built for each call.
+No quantum state is built.  The gate-by-gate construction of
 the same pipeline (rotate O, flip B, rotate the measurement basis, project)
 is kept in the test suite as the reference these are checked against.
 """
@@ -98,14 +98,12 @@ def controlled_concurrence_closed(theta, eta=1.0):
 
 
 def sweep_grid(stop: float, points: int) -> np.ndarray:
-    """``points`` evenly spaced values on [0, ``stop``], read-only: the bits
-    of ``np.linspace(0.0, stop, points)`` for a float ``stop``.
+    """``points`` evenly spaced values on [0, ``stop``], a new array on each
+    call: the bits of ``np.linspace(0.0, stop, points)`` for a float ``stop``.
 
-    Each call builds a new grid.  Mutating it raises ValueError, and a
-    caller that needs to change it takes a ``.copy()``.  The runner keeps
-    the texts of a read-only column keyed on its contents, so a new grid
-    equal to one written before is not formatted again.
+    ``points`` must be an integer >= 2.
     """
+    check_count("points", points, 2)
     grid = np.arange(points, dtype=float)
     # np.linspace(0.0, stop, points)'s own arithmetic, bit for bit
     step = stop / (points - 1)
@@ -118,7 +116,6 @@ def sweep_grid(stop: float, points: int) -> np.ndarray:
     # linspace adds its start, which turns the -0.0 of a negative step into 0.0
     grid += 0.0
     grid[-1] = stop
-    grid.flags.writeable = False
     return grid
 
 
@@ -128,8 +125,8 @@ def assistance_scan(p: float, n_theta: int = 181) -> tuple[np.ndarray, np.ndarra
     Returns the ``n_theta`` evenly spaced angles, from 0, and the
     probability-weighted entanglement of formation of the two measurement
     branches at each; the first, at theta = 0, is the largest.
-    ``n_theta`` must be an integer >= 2.  The angles are a new read-only
-    ``sweep_grid(pi/2, n_theta)``: ``.copy()`` them to mutate.
+    ``n_theta`` must be an integer >= 2.  The angles are a new
+    ``sweep_grid(pi/2, n_theta)``.
     """
     check_count("n_theta", n_theta, 2)
     thetas = sweep_grid(math.pi / 2.0, int(n_theta))

@@ -14,11 +14,12 @@ cells in one ``%`` call, each distinct label once), spreads
 the texts over the grid and writes the whole file from one row template
 with one ``%`` and one write.  The bytes are those of ``csv.writer`` and
 of ``json.dumps`` of each row.  A read-only ndarray column is a
-constant: a shared axis (arm, variant, quantity), or a swept grid of
-``closedloop.sweep_grid``, which is new for each job but has the same
-values for the same end point and size.  So the texts of one of at most
-1024 cells are made once per process for each (column, format, contents)
-and kept for later files; every other column is formatted for each file.
+constant: a shared axis (arm, variant, quantity), or a swept grid, which
+its builder marks read-only as it puts it in the table; a grid is new for
+each job but has the same values for the same end point and size.  So
+the texts of one of at most 1024 cells are made once per process for
+each (column, format, contents) and kept for later files; every other
+column is formatted for each file.
 ``workers`` only spreads the Monte Carlo blocks of an open-loop job over
 threads, one strided share of the blocks per thread, and the block sums
 are added up in block order, so a given config and seed produce
@@ -31,6 +32,7 @@ formats.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import math
 import numbers
@@ -517,6 +519,7 @@ def _closed_loop_rows(config: RunConfig) -> dict:
     else:
         grid = sweep_grid(math.pi / 2.0, config.grid_points or 91)
         p, theta = config.resolved_p(default=0.5), grid
+    grid.flags.writeable = False
     fidelity = np.array(config.fidelity).reshape(-1, 1, 1)
     eta = eta_from_fidelity(fidelity[:, 0])
     concurrence = np.empty((len(config.fidelity), grid.size, 2))
@@ -542,6 +545,7 @@ def _assist_scan_rows(config: RunConfig) -> dict:
     if p is None:
         raise ValueError("assist_scan requires p (or p_prime)")
     thetas, eofs = assistance_scan(p, config.grid_points or 181)
+    thetas.flags.writeable = False
     # the first angle, theta = 0, is the maximum for every p (closedloop)
     is_best = np.zeros(thetas.size, dtype=int)
     is_best[0] = 1
@@ -604,5 +608,5 @@ def run(config: RunConfig) -> Path:
 
 
 def output_schema() -> dict:
-    """The documented column sets, one entry per experiment."""
-    return {name: dict(schema) for name, schema in OUTPUT_SCHEMAS.items()}
+    """The documented column sets, one entry per experiment: a copy the caller may change."""
+    return copy.deepcopy(OUTPUT_SCHEMAS)

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from oracle import (
     partial_trace,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 ETAS = (0.86667, 0.93333, 0.946667)  # measured-fidelity mixing weights
 P_GRID = np.linspace(0.0, 1.0, 21)
 THETA_GRID = np.linspace(0.0, math.pi / 2, 19)
@@ -372,7 +374,7 @@ class TestAssistanceScan:
 
 class TestSweepGrid:
     @pytest.mark.parametrize("points", [2, 7, 91, 101, 1001, 1025])
-    def test_every_call_builds_a_new_read_only_linspace(self, points):
+    def test_every_call_builds_a_new_linspace(self, points):
         for stop in (1.0, math.pi / 2):
             expected = np.linspace(0.0, stop, points)
             grids = [sweep_grid(stop, points), sweep_grid(stop, points)]
@@ -380,19 +382,30 @@ class TestSweepGrid:
                 scans = (assistance_scan(0.3, np.int64(points)), assistance_scan(0.7, points))
                 grids += [thetas for thetas, _ in scans]
             for index, grid in enumerate(grids):
-                assert not grid.flags.writeable
+                assert grid.flags.writeable
                 assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
                 assert not any(np.shares_memory(grid, other) for other in grids[:index])
 
-    def test_the_grid_is_read_only(self):
-        thetas, _ = assistance_scan(0.3, 5)
-        with pytest.raises(ValueError, match="read-only"):
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_changing_a_grid_leaves_the_next_call_and_file_unchanged(self, tmp_path, fmt):
+        golden = (DATA / f"assist_scan_p0.3.{fmt}").read_bytes()
+        out = str(tmp_path / f"s.{fmt}")
+        config = RunConfig(experiment="assist_scan", out=out, p=0.3, format=fmt)
+        expected = np.linspace(0.0, math.pi / 2, 181).tobytes()
+        for attempt in range(2):
+            # the first job may fill the writer's texts of the angles, the second reads them
+            assert runner.run(config).read_bytes() == golden, attempt
+            thetas, _ = assistance_scan(0.3, 181)
+            grid = sweep_grid(math.pi / 2, 181)
             thetas += 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            thetas[0] = 1.0
-        copy = thetas.copy()
-        copy[0] = 1.0
-        assert thetas[0] == 0.0
+            grid[:] = -1.0
+            assert sweep_grid(math.pi / 2, 181).tobytes() == expected
+            assert assistance_scan(0.3, 181)[0].tobytes() == expected
+
+    @pytest.mark.parametrize("points", [1, 0, -1, 2.0, True, None])
+    def test_a_size_it_cannot_build_is_refused(self, points):
+        with pytest.raises(ValueError, match=f"^points must be an integer >= 2, got {points!r}$"):
+            sweep_grid(1.0, points)
 
     @pytest.mark.parametrize(
         "sweep, stop, points, fields",

@@ -1376,6 +1376,17 @@ class TestSchema:
             with pytest.raises(ValueError, match=f"unknown {field} 'nope'; expected \\("):
                 RunConfig(experiment="assist_scan", out="x.csv", p=0.3, **{field: "nope"})
 
+    def test_changing_the_returned_schema_changes_nothing_else(self, tmp_path):
+        shipped = json.loads(json.dumps(OUTPUT_SCHEMAS))
+        config = RunConfig(experiment="assist_scan", out=str(tmp_path / "s.csv"), p=0.3)
+        before = run(config).read_bytes()
+        for schema in output_schema().values():
+            schema["columns"].append("extra")
+            schema["columns"].reverse()
+            schema["description"] = ""
+        assert OUTPUT_SCHEMAS == shipped and output_schema() == shipped
+        assert run(config).read_bytes() == before
+
     def test_run_returns_path(self, tmp_path):
         config = RunConfig(experiment="assist_scan", out=str(tmp_path / "s.csv"), p=0.5)
         assert run(config) == tmp_path / "s.csv"
@@ -1403,36 +1414,37 @@ def _run_battery(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-class TestSharedParser:
-    """In-process ``main`` calls share one parser; ``build_parser`` stays fresh."""
+def counting_build_parser(monkeypatch) -> list:
+    """Patch ``cli.build_parser`` to record each call; returns the record."""
+    built = []
+    build = cli.build_parser
 
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        cli._shared_parser.cache_clear()
-        yield
-        cli._shared_parser.cache_clear()
+    def counting_build():
+        built.append(1)
+        return build()
 
-    def test_built_once_for_many_calls(self, tmp_path, monkeypatch):
-        built = []
-        build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    return built
 
-        def counting_build():
-            built.append(1)
-            return build()
 
-        monkeypatch.setattr(cli, "build_parser", counting_build)
+class TestRepeatedCalls:
+    """In-process ``main`` calls keep no state from one to the next, and a
+    parser is built only for an argv the flag table cannot read."""
+
+    def test_a_parser_is_built_only_for_argvs_the_table_cannot_read(self, tmp_path, monkeypatch):
+        built = counting_build_parser(monkeypatch)
         files = _run_battery(tmp_path / "jobs")
         assert len(files) == 2 * len(_BATTERY)
         # exact flags with plain values are read from the flag table alone
         assert built == []
         for i, argv in enumerate(_BATTERY):
-            # the "=" form is left to the full parser, which the first such call builds
+            # the "=" form is left to the full parser, built for that call
             out = tmp_path / "jobs" / f"job{i}.csv"
             assert main(argv + [f"--out={out}"]) == 0
             assert out.read_bytes() == files[out.name]
-        assert len(built) == 1
+            assert len(built) == i + 1
 
-    def test_every_benchmark_job_is_read_from_the_flag_table(self, tmp_path):
+    def test_every_benchmark_job_is_read_from_the_flag_table(self, tmp_path, monkeypatch):
         jobs = importlib.util.module_from_spec(
             importlib.util.spec_from_file_location("jobs", REPO_ROOT / "perfbench" / "jobs.py")
         )
@@ -1445,18 +1457,14 @@ class TestSharedParser:
             for spec in jobs.job_list(workload, 1, pass_index)
         ]
         assert {argv[0] for argv in argvs} == set(cli._FLAGS)
+        built = counting_build_parser(monkeypatch)
         for argv in argvs:
             parsed = cli._parse_args(argv)
             assert list(vars(parsed).items()) == list(vars(full.parse_args(argv)).items())
-        assert cli._shared_parser.cache_info().currsize == 0
+        assert built == []
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
-
-    def test_bytes_match_a_fresh_parser_per_call(self, tmp_path, monkeypatch):
-        shared = _run_battery(tmp_path / "shared")
-        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
-        assert _run_battery(tmp_path / "fresh") == shared
 
     def test_rejected_call_leaves_the_next_correct(self, tmp_path, capsys):
         expected = _run_battery(tmp_path / "before")
@@ -1468,10 +1476,8 @@ class TestSharedParser:
             main(["open-loop", "--steps", "two", "--out", "x.csv"])
         assert _run_battery(tmp_path / "after") == expected
 
-    def test_concurrent_calls_write_the_serial_bytes(self, tmp_path, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_shared_parser", cli.build_parser)
-            serial = _run_battery(tmp_path / "serial")
+    def test_concurrent_calls_write_the_serial_bytes(self, tmp_path):
+        serial = _run_battery(tmp_path / "serial")
         clear_constant_caches()
         # more threads than cores, racing from empty caches, switching often
         switch = sys.getswitchinterval()
@@ -1490,7 +1496,6 @@ class TestSharedParser:
     def test_help_matches_a_fresh_parser(self, capsys, verb):
         argv = ([verb] if verb else []) + ["--help"]
         texts = []
-        # the second main call reuses the parser the first one built
         for parse in (main, main, cli.build_parser().parse_args):
             with pytest.raises(SystemExit) as exited:
                 parse(argv)
@@ -1621,7 +1626,8 @@ class TestArgvParity:
         except SystemExit:
             capsys.readouterr()
             return
-        assert list(vars(cli._parse_args(argv)).items()) == list(namespace.items())
+        # compared by repr, under which a NaN value equals itself
+        assert repr(list(vars(cli._parse_args(argv)).items())) == repr(list(namespace.items()))
 
     @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
     def test_main_answers_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
@@ -1637,6 +1643,7 @@ class TestArgvParity:
     @example(argv=["counts-demo", "--seed", "1_0", "--p", "0.4", "--out", "x.csv"])
     @example(argv=["open-loop", "--mu", "0.5", "--no-clip-to-hardware", "1", "--out", "x.csv"])
     @example(argv=["open-loop", "--mu", "0.5", "--mean-phase", "-1_0", "--out", "x.csv"])
+    @example(argv=["closed-loop", "--theta", "-nan"])
     def test_drawn_argvs_are_answered_as_the_full_parser(
         self, argv, tmp_path, monkeypatch, capsys
     ):

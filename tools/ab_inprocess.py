@@ -17,20 +17,19 @@ own CLI parser outside the timed region for the builder and ``write_rows``.
 
 After one untimed warm-up of every job on every side, every (round, job,
 side) trial runs once, in an order shuffled with the seed.  The warm-up
-also fills each side's per-process caches (the texts of constant
-columns, and the shared parser where a side parses with it), so the timed
-trials measure the hit path, as every perfbench pass after the first
-does; each side's package keeps caches of its own.  With ``--cold``, every
-functools cache of a side's modules but the CLI's shared parser is
-cleared before a trial's parse and again before its job, so that every
-timed stage takes the miss path, as a one-shot CLI process does.  A trial
-times the parse of the job's argv (each side's ``cli._parse_args``), the
-experiment's builder and then ``write_rows`` of the built table, and then
-the whole job, each side's ``cli.main(argv)`` with its stdout captured,
-each with ``perf_counter_ns``.  A pair is one
-round and job on the base and the head, or on the base and the null; its
-difference is head (or null) minus base.  Every side writes its files
-into one shared directory.
+fills each side's own caches, so the timed trials take the hit path, as
+every perfbench pass after the first does.  With ``--cold``, every
+functools cache of a side's package is cleared before a trial's parse and
+again before its job, so every stage takes the miss path and ``parse`` is
+what a one-shot CLI process pays.  Clearing also leaves the allocator and
+the CPU caches cold, so a cold absolute median includes the clearing
+itself: only the paired differences, where both sides clear alike, mean
+anything.  A trial times, each with ``perf_counter_ns``, the parse of the
+job's argv (each side's ``cli._parse_args``), the experiment's builder,
+then ``write_rows`` of the built table, then the whole job
+(``cli.main(argv)``, stdout captured).  A pair is one round and job on the
+base and the head, or on the base and the null; its difference is head
+(or null) minus base.  Every side writes its files into one shared directory.
 
 The file records, for the parse, the builder, ``write_rows``, the sum of
 the builder and ``write_rows`` and the whole job: each side's median, the
@@ -92,12 +91,11 @@ def load_package(tree: Path, name: str):
 
 
 def cache_clearer(name: str):
-    """A function that clears every functools cache of the package ``name``'s
-    modules, except the CLI's shared parser."""
+    """A function that clears every functools cache of the package ``name``'s modules."""
     caches = [
         value.cache_clear
         for module_name, module in list(sys.modules.items())
-        if module_name.startswith(f"{name}.") and module_name != f"{name}.cli"
+        if module_name.startswith(f"{name}.")
         for value in vars(module).values()
         if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module_name
     ]
